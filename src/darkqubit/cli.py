@@ -379,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for trajectory averaging")
+                       help="accepted for compatibility; results do not "
+                            "depend on it")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="trace/table output format")
     return parser

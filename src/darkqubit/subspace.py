@@ -235,15 +235,18 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
     qualifying = [c for c in candidates if len(c[0]) >= dim]
     if qualifying:
         # Prefer the best-protected cluster: largest gap to the rest of the
-        # spectrum, then the one closest to zero energy.
-        def rank(cand):
-            states, lam, member_vals, ci = cand
-            others = np.concatenate([vals[idx] for cj, idx in
-                                     enumerate(clusters) if cj != ci]) \
-                if len(clusters) > 1 else np.array([lam])
-            gap = np.abs(others - lam).min() if len(clusters) > 1 else 0.0
-            return (-gap, abs(lam))
-        best = min(qualifying, key=rank)
+        # spectrum, then the one closest to zero energy.  Gaps within
+        # deg_tol of the largest count as tied, so rounding noise cannot
+        # decide between clusters with exactly equal gaps.
+        def gap_of(cand):
+            ci = cand[3]
+            return min((np.abs(vals[idx] - cand[1]).min()
+                        for cj, idx in enumerate(clusters) if cj != ci),
+                       default=0.0)
+        gaps = [gap_of(c) for c in qualifying]
+        widest = max(gaps)
+        tied = [c for c, g in zip(qualifying, gaps) if g >= widest - deg_tol]
+        best = min(tied, key=lambda c: abs(c[1]))
         return finish(*best)
 
     best_report = None

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from darkqubit import noise as noise_mod
+from darkqubit.driving import compact_construction
+from darkqubit.gates import protected_report
+from darkqubit.levels import ca40_dp
 from darkqubit.noise import (
     KINDS,
     NoiseProcess,
@@ -134,4 +140,121 @@ def test_evolve_noisy_threads_do_not_change_result():
     times = np.linspace(0.0, 4.0, 33)
     a = evolve_noisy(np.zeros((2, 2), complex), psi0, p, SZ, times, n_traj=64, threads=1)
     b = evolve_noisy(np.zeros((2, 2), complex), psi0, p, SZ, times, n_traj=64, threads=4)
-    assert np.allclose(a, b, atol=1e-14)
+    assert np.array_equal(a, b)
+
+
+def _ou_reference(noise, times, n_traj):
+    """The step-by-step OU recurrence on the same unit draws."""
+    draws = np.array([noise_mod._generator(noise, k).standard_normal(len(times))
+                      for k in range(n_traj)])
+    decay = np.exp(-np.diff(times) / noise.tau_c)
+    kick = noise.sigma * np.sqrt(1.0 - decay**2)
+    traj = np.empty_like(draws)
+    traj[:, 0] = noise.sigma * draws[:, 0]
+    for k in range(len(times) - 1):
+        traj[:, k + 1] = traj[:, k] * decay[k] + kick[k] * draws[:, k + 1]
+    return traj
+
+
+@pytest.mark.parametrize("nt", [1, 2, 63, 64, 65, 130, 1001])
+def test_blocked_ou_sampler_matches_recurrence(nt):
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.8, tau_c=0.3, seed=19)
+    times = np.linspace(0.0, 0.01 * nt, nt)
+    got = sample_trajectories(p, times, 24)
+    assert np.abs(got - _ou_reference(p, times, 24)).max() < 1e-12
+
+
+def test_ou_sampler_on_nonuniform_grid_is_the_recurrence():
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.8, tau_c=0.3, seed=19)
+    times = np.cumsum(np.linspace(0.01, 0.03, 200)) - 0.01
+    assert noise_mod._uniform_step(times) is None
+    assert np.array_equal(sample_trajectories(p, times, 16),
+                          _ou_reference(p, times, 16))
+
+
+def test_uniform_grid_detection():
+    assert noise_mod._uniform_step(np.linspace(0.0, 1197.3, 16836)) == \
+        pytest.approx(1197.3 / 16835, rel=1e-14)
+    assert noise_mod._uniform_step(np.arange(5) * 0.1 + 3.0) == pytest.approx(0.1)
+    for times in ([0.0], [0.0, 0.1, 0.3], [0.0, 0.0], [1.0, 0.5, 0.0]):
+        assert noise_mod._uniform_step(np.array(times)) is None
+    bumped = np.linspace(0.0, 1.0, 101)
+    bumped[50] += 1e-8
+    assert noise_mod._uniform_step(bumped) is None
+
+
+def _table_vs_eigh(static, noise_op, psi0, proc, times, n_traj):
+    traj = sample_trajectories(proc, times, n_traj)
+    dt = noise_mod._uniform_step(times)
+    beta = float(np.abs(traj).max())
+    table = noise_mod._chebyshev_table(static, noise_op, beta, dt)
+    fast = noise_mod._propagate_table(table, beta, traj, psi0) / n_traj
+    exact = noise_mod._propagate_eigh(static, noise_op, traj, psi0, times,
+                                      False) / n_traj
+    return len(table), float(np.abs(fast - exact).max())
+
+
+@pytest.mark.parametrize("x, sigma, n_traj", [(0.1, 1.2, 384), (1.0, 0.4, 512),
+                                              (10.0, 0.25, 384)])
+def test_step_table_matches_eigh_on_golden_rule_ensembles(x, sigma, n_traj):
+    # criterion 10's transverse-OU ensembles, cut to their first 2000 steps
+    omega0 = 5.0
+    tau = x / omega0
+    proc = NoiseProcess("ornstein-uhlenbeck", sigma=sigma, tau_c=tau, seed=23)
+    rate = sigma**2 * tau / (1.0 + x**2)
+    dt = min(tau / 8.0, 2.0 * math.pi / omega0 / 8.0)
+    horizon = 1.2 / rate
+    times = np.linspace(0.0, horizon, int(math.ceil(horizon / dt)) + 1)[:2001]
+    h = np.diag([omega0 / 2.0, -omega0 / 2.0]).astype(complex)
+    order, dev = _table_vs_eigh(h, SX, np.array([1.0, 0.0], complex), proc,
+                                times, n_traj)
+    assert 2 <= order <= 16
+    assert dev <= 1e-10
+
+
+def test_step_table_matches_eigh_on_compact_ca40():
+    scheme = ca40_dp()
+    con = compact_construction(scheme, 0.3, 1.0)
+    report = protected_report(con)
+    psi0 = (report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
+    proc = NoiseProcess("ornstein-uhlenbeck", sigma=0.02, tau_c=2.0, seed=5)
+    times = np.linspace(0.0, 200.0, 1001)
+    order, dev = _table_vs_eigh(con.ip.static, scheme.zeeman_generator(),
+                                psi0, proc, times, 64)
+    assert order >= 2
+    assert dev <= 1e-10
+
+
+def test_evolve_noisy_chooses_path_by_grid(monkeypatch):
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.3, tau_c=1.0, seed=5)
+    h = np.diag([0.7, -0.7]).astype(complex)
+    psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)
+    uniform = np.linspace(0.0, 4.0, 41)
+    ragged = np.cumsum(np.linspace(0.05, 0.15, 41)) - 0.05
+    exact = noise_mod._propagate_eigh
+
+    def forbidden(*args):
+        raise AssertionError("wrong propagation path")
+
+    monkeypatch.setattr(noise_mod, "_propagate_table", forbidden)
+    got = evolve_noisy(h, psi0, p, SX, ragged, n_traj=32)
+    traj = sample_trajectories(p, ragged, 32)
+    assert np.array_equal(got, exact(h, SX, traj, psi0, ragged, False) / 32)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(noise_mod, "_propagate_eigh", forbidden)
+    fast = evolve_noisy(h, psi0, p, SX, uniform, n_traj=32)
+    traj = sample_trajectories(p, uniform, 32)
+    assert np.abs(fast - exact(h, SX, traj, psi0, uniform, False) / 32).max() < 1e-12
+
+
+def test_step_table_gives_way_to_eigh_when_b_dt_is_large():
+    h = np.diag([0.5, -0.5]).astype(complex)
+    assert noise_mod._chebyshev_table(h, SX, 3000.0, 1.0) is None
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=800.0, tau_c=5.0, seed=2)
+    times = np.linspace(0.0, 10.0, 11)
+    psi0 = np.array([1.0, 0.0], complex)
+    got = evolve_noisy(h, psi0, p, SX, times, n_traj=8)
+    traj = sample_trajectories(p, times, 8)
+    assert np.array_equal(
+        got, noise_mod._propagate_eigh(h, SX, traj, psi0, times, False) / 8)

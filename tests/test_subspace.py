@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from darkqubit.driving import (
@@ -144,6 +146,20 @@ def test_hyperfine_dark_closed_forms():
     assert np.allclose(d2, want2, atol=1e-12)
     assert rep.gap == pytest.approx(0.05, abs=1e-13)
     assert rep.jz_residual < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:dropped term")
+@settings(max_examples=200, deadline=None)
+@given(omega=st.floats(0.05, 10.0), ratio=st.floats(20.0, 60.0))
+def test_hyperfine_dark_pair_is_the_zero_cluster(omega, ratio):
+    # the zero pair and the +-omega pairs have exactly equal gaps here;
+    # the tie must go to the cluster closest to zero energy
+    hs = hyperfine_f1f2()
+    con = hyperfine_construction(hs, b=ratio * omega, omega=omega)
+    rep = _report(con, hs)
+    assert abs(rep.dark_eigenvalue) < 1e-9 * omega
+    assert rep.gap == pytest.approx(omega, rel=1e-9)
+    assert rep.jz_residual < 1e-12
 
 
 def test_d52_dark_closed_forms():
