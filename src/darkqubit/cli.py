@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .budget import total_budget
-from .driving import Construction
 from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
                        expectation, overlap_population)
-from .gates import microwave_sigma_y, prepare_initial_state, protected_report
+from .gates import (microwave_sigma_y, prepare_initial_state, protected_report,
+                    raman_sigma_x)
 from .noise import evolve_noisy
 from .scenario import (Scenario, ScenarioError, build_construction,
                        build_noise, build_scheme, load_scenario)
@@ -273,7 +273,6 @@ def _run_gates(scenario, out_dir, fmt, threads):
         if "delta_r" not in params:
             raise ScenarioError(
                 ["gates.delta_r: required for the raman gate (frequency)"])
-        from .gates import raman_sigma_x
         op = raman_sigma_x(params["omega_g"], params["delta_r"], con)
     else:
         raise ScenarioError(

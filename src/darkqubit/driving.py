@@ -25,7 +25,7 @@ hosts the protected (dark) qubit:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,18 +226,19 @@ def to_rotating_frame(ham: TimeDependentHamiltonian, generator: np.ndarray,
     if freq_atol is None:
         freq_atol = 1e-9 * scale
 
-    static = np.zeros((dim, dim), dtype=complex)
+    static = np.diag(np.diag(ham.static))
     buckets: list[tuple[float, np.ndarray]] = []
 
-    # Static part: diagonal survives untouched, each off-diagonal pair
-    # acquires the frame's level-spacing frequency.
-    np.fill_diagonal(static, np.diag(ham.static))
-    for a in range(dim):
-        for col in range(a + 1, dim):
-            x = ham.static[a, col]
-            if x == 0:
-                continue
-            nu = gen[col] - gen[a]
+    # Each element of a term's stored (e^{-iwt}) side lands at its own
+    # residual frequency; the h.c. side follows automatically.  The static
+    # part's upper triangle is the w = 0 term, and its diagonal survives
+    # untouched.
+    terms = [(0.0, np.triu(ham.static, 1))]
+    terms += [(term.frequency, term.matrix) for term in ham.harmonics]
+    for freq, mat in terms:
+        for a, col in zip(*np.nonzero(mat)):
+            x = mat[a, col]
+            nu = freq - (gen[a] - gen[col])
             if abs(nu) <= freq_atol:
                 static[a, col] += x
                 static[col, a] += np.conj(x)
@@ -245,23 +246,6 @@ def to_rotating_frame(ham: TimeDependentHamiltonian, generator: np.ndarray,
                 _bucket_insert(buckets, nu, a, col, x, dim, freq_atol)
             else:
                 _bucket_insert(buckets, -nu, col, a, np.conj(x), dim, freq_atol)
-
-    # Harmonic terms: each element of the stored (e^{-iwt}) side lands at
-    # its own residual frequency; the h.c. side follows automatically.
-    for term in ham.harmonics:
-        for a in range(dim):
-            for col in range(dim):
-                x = term.matrix[a, col]
-                if x == 0:
-                    continue
-                nu = term.frequency - (gen[a] - gen[col])
-                if abs(nu) <= freq_atol:
-                    static[a, col] += x
-                    static[col, a] += np.conj(x)
-                elif nu > 0:
-                    _bucket_insert(buckets, nu, a, col, x, dim, freq_atol)
-                else:
-                    _bucket_insert(buckets, -nu, col, a, np.conj(x), dim, freq_atol)
 
     static -= np.diag(gen)
 
@@ -336,9 +320,8 @@ def _default_cutoff(scheme: LevelScheme, b: float, omega: float) -> float:
     return 10.0 * max(abs(omega), zeeman)
 
 
-def _finish_construction(scheme, b, omega, lower, upper, drives, generator,
-                         rwa_cutoff) -> Construction:
-    lab = build_lab_hamiltonian(scheme, b, drives)
+def _finish_construction(scheme, b, omega, lower, upper, drives, lab,
+                         generator, rwa_cutoff) -> Construction:
     if rwa_cutoff is None:
         rwa_cutoff = _default_cutoff(scheme, b, omega)
     rotated = to_rotating_frame(lab, generator, rwa_cutoff=rwa_cutoff)
@@ -378,6 +361,7 @@ def ideal_construction(scheme: LevelScheme, b: float, omega: float,
                                      rabi=omega / c_ref, transitions=(m,)))
     generator = np.diag(scheme.static_hamiltonian(b)).real
     return _finish_construction(scheme, b, omega, lower, upper, drives,
+                                build_lab_hamiltonian(scheme, b, drives),
                                 generator, rwa_cutoff)
 
 
@@ -414,6 +398,7 @@ def compact_construction(scheme: LevelScheme, b: float, omega: float,
     m_up = np.array([float(m) for m in up.m_values])
     generator[up_slice] = up.offset + b * low.g * m_up
     return _finish_construction(scheme, b, omega, lower, upper, drives,
+                                build_lab_hamiltonian(scheme, b, drives),
                                 generator, rwa_cutoff)
 
 
@@ -438,12 +423,5 @@ def hyperfine_construction(scheme: LevelScheme, b: float, omega: float,
         # Counter-rotating terms sit at 2 nu; the cutoff must stay below
         # that, so only the coupling strength sets the default here.
         rwa_cutoff = 10.0 * abs(omega)
-    generator = np.diag(scheme.static_hamiltonian(b)).real
-    rotated = to_rotating_frame(lab, generator, rwa_cutoff=rwa_cutoff)
-    detuning = np.diag(np.diag(lab.static) - rotated.generator).astype(complex)
-    coupling = rotated.hamiltonian.static - detuning
-    return Construction(
-        scheme=scheme, b=b, omega=omega, lower=lower, upper=upper,
-        drives=(), frame=rotated.generator, ip=rotated.hamiltonian,
-        detuning_part=detuning, coupling_part=coupling,
-        dropped=rotated.dropped)
+    return _finish_construction(scheme, b, omega, lower, upper, (), lab,
+                                np.diag(lab.static).real, rwa_cutoff)

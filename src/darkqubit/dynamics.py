@@ -144,48 +144,32 @@ def propagator(ham, t1: float, t0: float = 0.0, rtol: float = 1e-10,
 
 
 def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
-                        n_periods: int, substeps: int = 1, stride: int = 1,
+                        n_periods: int, stride: int = 1,
                         rtol: float = 1e-10, atol: float = 1e-12,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a time-periodic evolution at multiples of its period.
 
-    One period is integrated once (optionally at substeps points inside
-    it); later samples reuse powers of the single-period propagator, so the
-    cost is independent of n_periods.  With substeps == 1 the powers come
-    from the propagator's spectral decomposition (a unitary is normal, so a
-    Schur factorization diagonalizes it) with eigenvalues clamped to the
-    unit circle: arbitrary period counts without norm drift.  stride keeps
-    every stride-th period only.  Returns (times, states), times[0] = 0.
+    One period is integrated once; later samples are powers of the
+    single-period propagator, so the cost is independent of n_periods.
+    The powers come from the propagator's spectral decomposition (a
+    unitary is normal, so a Schur factorization diagonalizes it) with
+    eigenvalues clamped to the unit circle: arbitrary period counts
+    without norm drift.  stride keeps every stride-th period only.
+    Returns (times, states), times[0] = 0.
     """
     ham = _as_hamiltonian(ham)
     psi0 = np.asarray(psi0, dtype=complex)
-    if substeps == 1:
-        u_period = propagator(ham, period, 0.0, rtol=rtol, atol=atol)
-        tri, z = schur(u_period, output="complex")
-        if np.abs(tri - np.diag(np.diag(tri))).max() > 1e-8:
-            raise NumericalError("period propagator is not normal; "
-                                 "unitarity was lost")
-        theta = np.angle(np.diag(tri))
-        ks = np.arange(0, n_periods + 1, stride)
-        amps = z.conj().T @ psi0
-        states = np.einsum("ij,kj->ki", z,
-                           np.exp(1j * np.outer(ks, theta)) * amps)
-        return ks * period, states
-
-    partials = [propagator(ham, period * (j + 1) / substeps, 0.0,
-                           rtol=rtol, atol=atol)
-                for j in range(substeps)]
-    u_period = partials[-1]
-    times = [0.0]
-    states = [psi0]
-    carry = psi0
-    for k in range(n_periods):
-        base = k * period
-        for j, part in enumerate(partials):
-            times.append(base + period * (j + 1) / substeps)
-            states.append(part @ carry)
-        carry = u_period @ carry
-    return np.array(times), np.array(states)
+    u_period = propagator(ham, period, 0.0, rtol=rtol, atol=atol)
+    tri, z = schur(u_period, output="complex")
+    if np.abs(tri - np.diag(np.diag(tri))).max() > 1e-8:
+        raise NumericalError("period propagator is not normal; "
+                             "unitarity was lost")
+    theta = np.angle(np.diag(tri))
+    ks = np.arange(0, n_periods + 1, stride)
+    amps = z.conj().T @ psi0
+    states = np.einsum("ij,kj->ki", z,
+                       np.exp(1j * np.outer(ks, theta)) * amps)
+    return ks * period, states
 
 
 def liouvillian(ham_static: np.ndarray,

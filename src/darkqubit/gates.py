@@ -22,9 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import logm
 
-from .driving import Construction, TimeDependentHamiltonian
+from .driving import Construction
 from .dynamics import (NumericalError, evolve_stroboscopic, evolve_unitary,
                        fit_decay, overlap_population, propagator)
 from .subspace import SubspaceReport, find_protected_subspace

@@ -114,11 +114,16 @@ def sample_trajectories(noise: NoiseProcess, times: np.ndarray,
     """Draw b(t) realizations on the given grid; returns [n_traj, nt]."""
     times = np.asarray(times, dtype=float)
     nt = len(times)
+    if noise.kind == "quasi-static-gaussian":
+        # One value per trajectory: the first normal of its stream.
+        first = np.empty((n_traj, 1))
+        for k in range(n_traj):
+            first[k] = _generator(noise, k).standard_normal()
+        return noise.sigma * np.repeat(first, nt, axis=1)
+
     draws = np.empty((n_traj, nt))
     for k in range(n_traj):
         draws[k] = _generator(noise, k).standard_normal(nt)
-    if noise.kind == "quasi-static-gaussian":
-        return noise.sigma * np.repeat(draws[:, :1], nt, axis=1)
 
     # The OU update overwrites the unit draws in place, column by column.
     draws[:, 0] *= noise.sigma  # stationary start

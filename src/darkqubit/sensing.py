@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import clebsch_gordan
-from .driving import Construction
+from .driving import (Construction, TimeDependentHamiltonian,
+                      to_rotating_frame)
 from .dynamics import (SimulationTrace, evolve_unitary, fit_decay,
                        overlap_population)
 from .gates import extract_effective_hamiltonian, protected_report
@@ -182,8 +183,9 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
     t2 = protocol.interrogation_time
     t2_details = {}
     if noise is not None:
-        t2, t2_details = _fit_pair_coherence(con, basis, noise,
-                                             n_traj=n_traj, threads=threads)
+        t2, bounded, final = _fit_pair_coherence(
+            con, basis, noise, n_traj, 3.0 * _bare_dephasing_time(con, noise))
+        t2_details = {"t2_bounded_below": bounded, "final_coherence": final}
 
     if off_resonant:
         effective = 0.0
@@ -224,38 +226,40 @@ def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
                            coherences=coherences, states=states)
 
 
-def _fit_pair_coherence(con, basis, noise, n_traj, threads,
-                        horizon_factor: float = 3.0):
+def _fit_pair_coherence(con, basis, noise, n_traj, horizon):
     """T2 of the pair's mutual coherence under Zeeman noise.
 
-    The horizon is a few bare dephasing times; if the coherence has not
-    dropped to 1/e inside it, the fit is reported as a lower bound.
+    Returns (t2, bounded, final coherence): t2 is the first grid time at
+    which the coherence drops below 1/e, or the horizon with bounded set
+    (a lower bound) if it never does.
     """
-    scheme = con.scheme
-    zee = scheme.zeeman_generator()
     psi0 = (basis[:, 0] + basis[:, 1]) / np.sqrt(2.0)
-    t2_bare = _bare_dephasing_time(con, noise)
-    times = np.linspace(0.0, horizon_factor * t2_bare, 160)
-    rho = evolve_noisy(con.ip, psi0, noise, zee, times, n_traj=n_traj,
-                       threads=threads)
+    times = np.linspace(0.0, horizon, 160)
+    rho = evolve_noisy(con.ip, psi0, noise, con.scheme.zeeman_generator(),
+                       times, n_traj=n_traj)
     coh = np.abs(np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
                            basis[:, 1]))
     coh = coh / coh[0]
     below = np.nonzero(coh < np.exp(-1.0))[0]
     if below.size:
-        t2 = float(times[below[0]])
-        bounded = False
-    else:
-        t2 = float(times[-1])
-        bounded = True
-    return t2, {"t2_bounded_below": bounded,
-                "final_coherence": float(coh[-1])}
+        return float(times[below[0]]), False, float(coh[-1])
+    return float(times[-1]), True, float(coh[-1])
 
 
-def _bare_dephasing_time(con: Construction, noise: NoiseProcess) -> float:
-    """Gaussian dephasing time of an unprotected sublevel pair (Delta m = 2)."""
-    sigma_gap = abs(con.scheme.manifold(con.lower).g) * 2.0 * noise.sigma
-    return math.sqrt(2.0) / sigma_gap if sigma_gap > 0 else math.inf
+def _bare_dephasing_time(con: Construction, noise: NoiseProcess,
+                         delta_m: float = 2.0) -> float:
+    """Gaussian dephasing time of an undriven lower-manifold sublevel pair.
+
+    The pair's gap moves by |g| delta_m b under the Zeeman noise b(t);
+    a pair that does not dephase has no such time (ValueError).
+    """
+    sigma_gap = abs(con.scheme.manifold(con.lower).g) * delta_m * noise.sigma
+    if sigma_gap <= 0:
+        raise ValueError(
+            f"noise.sigma: the bare {con.lower} pair does not dephase "
+            f"(|g| * delta_m * sigma = 0 at sigma = {noise.sigma}); "
+            "coherence times need a positive dephasing rate")
+    return math.sqrt(2.0) / sigma_gap
 
 
 def frequency_window(noise: NoiseProcess | None = None,
@@ -377,33 +381,14 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
                                   math.inf, 1.0, {"flag": "zero signal"}),
                 empty)
 
-    # Signal elements rotate at (drive freq) - (frame splitting); the
-    # static construction IP just gains the signal's residuals, each in
-    # its own resonant / slow-harmonic / dropped bucket.
-    freq = resonance + detuning
-    generator = con.frame
-    residual = np.zeros_like(s_x)
-    kept_harmonics = []
-    amp = protocol.signal_rabi / 2.0
-    for a in range(scheme.dim):
-        for c in range(scheme.dim):
-            if s_x[a, c] == 0:
-                continue
-            nu = freq - (generator[a] - generator[c])
-            x = amp * s_x[a, c]
-            if abs(nu) <= 1e-9 * max(1.0, freq):
-                residual[a, c] += x
-            elif 0 < nu <= 10.0 * con.omega:
-                kept_harmonics.append((nu, a, c, x))
-            elif -10.0 * con.omega <= nu < 0:
-                kept_harmonics.append((-nu, c, a, np.conj(x)))
-    # Resonance is one-sided (upper->lower at +freq only), so the h.c.
-    # counterpart of each resonant element is added here.
-    ham = con.ip.plus_static(residual + residual.conj().T)
-    for nu, a, c, x in kept_harmonics:
-        mat = np.zeros_like(s_x)
-        mat[a, c] = x
-        ham = ham.plus_harmonic(mat, nu)
+    # In the construction's frame each signal element lands at its own
+    # residual frequency; slow ones join the static interaction picture.
+    signal = TimeDependentHamiltonian(np.diag(con.frame)).plus_harmonic(
+        (protocol.signal_rabi / 2.0) * s_x, resonance + detuning)
+    signal = to_rotating_frame(signal, con.frame,
+                               rwa_cutoff=10.0 * con.omega).hamiltonian
+    ham = TimeDependentHamiltonian(con.ip.static + signal.static,
+                                   con.ip.harmonics + signal.harmonics)
 
     rate_scale = max(expected, 1e-12)
     horizon = 1.2 * np.pi / rate_scale
@@ -464,9 +449,8 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     bare_a = scheme.basis_state(con.lower, m_lo + 1) \
         if len(d_man.m_values) > 3 else scheme.basis_state(con.lower, m_lo)
     bare_b = scheme.basis_state(con.lower, m_hi)
-    slope = abs(d_man.g) * float(m_hi - (m_lo + 1 if len(d_man.m_values) > 3
-                                         else m_lo))
-    t2_bare_analytic = math.sqrt(2.0) / (slope * noise.sigma)
+    delta_m = float(m_hi - (m_lo + 1 if len(d_man.m_values) > 3 else m_lo))
+    t2_bare_analytic = _bare_dephasing_time(con, noise, delta_m)
 
     times_bare = np.linspace(0.0, 3.0 * t2_bare_analytic, 120)
     psi_bare = (bare_a + bare_b) / np.sqrt(2.0)
@@ -479,20 +463,8 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     fit = fit_decay(times_bare, coh_bare, "gaussian")
     t2_bare = float(abs(fit.params["tau"]))
 
-    times_prot = np.linspace(0.0, horizon_in_bare_t2 * t2_bare_analytic, 160)
-    psi_prot = (basis[:, 0] + basis[:, 1]) / np.sqrt(2.0)
-    rho_prot = evolve_noisy(con.ip, psi_prot, noise, zee, times_prot,
-                            n_traj=n_traj, threads=threads)
-    coh_prot = np.abs(np.einsum("i,tij,j->t", basis[:, 0].conj(), rho_prot,
-                                basis[:, 1]))
-    coh_prot = coh_prot / coh_prot[0]
-    below = np.nonzero(coh_prot < np.exp(-1.0))[0]
-    if below.size:
-        t2_prot = float(times_prot[below[0]])
-        bounded = False
-    else:
-        t2_prot = float(times_prot[-1])
-        bounded = True
+    t2_prot, bounded, final = _fit_pair_coherence(
+        con, basis, noise, n_traj, horizon_in_bare_t2 * t2_bare_analytic)
 
     gains = sensitivity_compare(t2_bare, t2_prot)
     return {
@@ -500,7 +472,7 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
         "t2_bare_analytic": t2_bare_analytic,
         "t2_protected": t2_prot,
         "t2_protected_bounded_below": bounded,
-        "final_protected_coherence": float(coh_prot[-1]),
+        "final_protected_coherence": final,
         **gains,
     }
 

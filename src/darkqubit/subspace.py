@@ -190,7 +190,7 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
         deg_tol = max(DEGENERACY_RTOL * scale, 1e-12)
 
     clusters = _cluster(vals, deg_tol)
-    candidates = []  # (states, lambda_d, member_vals, cluster_index)
+    candidates = []  # (states, lambda_d, gap, cluster_index)
     diagnostics = []
     for ci, idx in enumerate(clusters):
         block = vecs[:, idx]
@@ -209,9 +209,11 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
             "eigenvalue": lam, "size": len(idx), "jz_dark": len(states),
             "min_abs_mu": float(np.abs(mu).min()) if len(mu) else 0.0})
         if states:
-            candidates.append((states, lam, vals[idx], ci))
+            others = np.delete(vals, idx)
+            gap = float(np.abs(others - lam).min()) if others.size else 0.0
+            candidates.append((states, lam, gap, ci))
 
-    def finish(states, lam, member_vals, ci):
+    def finish(states, lam, gap, ci):
         basis = np.column_stack(states)
         if scheme is not None:
             basis = canonical_order(basis, scheme)
@@ -224,9 +226,8 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
         comp_idx = [j for cj, idx in enumerate(clusters) if cj != ci
                     for j in idx]
         complement = tuple((float(vals[j]), vecs[:, j]) for j in comp_idx)
-        gap = min((abs(vals[j] - lam) for j in comp_idx), default=0.0)
         return SubspaceReport(
-            dark_states=dark, dark_eigenvalue=lam, gap=float(gap),
+            dark_states=dark, dark_eigenvalue=lam, gap=gap,
             jz_residual=float(np.abs(jz_block).max()),
             degeneracy_residual=float(
                 np.abs(h_block - lam * np.eye(len(dark))).max()),
@@ -238,14 +239,8 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
         # spectrum, then the one closest to zero energy.  Gaps within
         # deg_tol of the largest count as tied, so rounding noise cannot
         # decide between clusters with exactly equal gaps.
-        def gap_of(cand):
-            ci = cand[3]
-            return min((np.abs(vals[idx] - cand[1]).min()
-                        for cj, idx in enumerate(clusters) if cj != ci),
-                       default=0.0)
-        gaps = [gap_of(c) for c in qualifying]
-        widest = max(gaps)
-        tied = [c for c, g in zip(qualifying, gaps) if g >= widest - deg_tol]
+        widest = max(c[2] for c in qualifying)
+        tied = [c for c in qualifying if c[2] >= widest - deg_tol]
         best = min(tied, key=lambda c: abs(c[1]))
         return finish(*best)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkqubit.driving import (
     DriveField,
@@ -136,6 +138,42 @@ def test_rotating_frame_is_exact_frame_transformation():
         w = np.exp(1j * g * t)
         want = (w[:, None] * lab.evaluate(t) * w.conj()[None, :]) - np.diag(g)
         assert np.allclose(con.ip.evaluate(t), want, atol=1e-12)
+
+
+# Level energies and drive frequencies on a half-integer grid hit exact
+# resonances and degenerate levels; the float draws hit neither.
+_LEVELS = st.integers(-6, 6).map(lambda k: 0.5 * k) | st.floats(-5.0, 5.0)
+_DRIVES = st.integers(1, 12).map(lambda k: 0.5 * k) | st.floats(0.01, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+       levels=st.lists(_LEVELS, min_size=4, max_size=4),
+       freqs=st.lists(_DRIVES, min_size=1, max_size=2),
+       t=st.floats(-10.0, 10.0))
+def test_rotating_frame_round_trip(seed, dim, levels, freqs, t):
+    # H_rot(t) = e^{+iGt} H_lab(t) e^{-iGt} - G for a random Hermitian static
+    # part, random harmonics and a random diagonal generator
+    rng = np.random.default_rng(seed)
+
+    def cplx():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    static = cplx()
+    lab = TimeDependentHamiltonian(static + static.conj().T,
+                                   tuple(Harmonic(cplx(), w) for w in freqs))
+    g = np.array(levels[:dim])
+    rot = to_rotating_frame(lab, g, rwa_cutoff=None)
+    assert rot.dropped == ()
+    w = np.exp(1j * g * t)
+    want = w[:, None] * lab.evaluate(t) * w.conj()[None, :] - np.diag(g)
+    # residuals within freq_atol = 1e-9 * scale are folded into the static
+    # part; that is the only approximation, and it is bounded here
+    scale = max(1.0, np.abs(g).max(), *freqs)
+    amp = np.abs(lab.static).sum() + sum(2.0 * np.abs(h.matrix).sum()
+                                         for h in lab.harmonics)
+    tol = 1e-12 * amp + 1e-9 * scale * abs(t) * amp
+    assert np.abs(rot.hamiltonian.evaluate(t) - want).max() <= tol
 
 
 def test_rotating_frame_folds_resonant_buckets_to_static():

@@ -59,6 +59,16 @@ def test_quasi_static_trajectories():
     assert draws.std() == pytest.approx(0.7, rel=0.05)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11, 2024, 99991])
+def test_quasi_static_value_is_first_normal_of_each_stream(seed):
+    p = NoiseProcess("quasi-static-gaussian", sigma=0.7, seed=seed)
+    t = np.linspace(0.0, 5.0, 37)
+    first = np.stack([noise_mod._generator(p, k).standard_normal(len(t))
+                      for k in range(24)])[:, :1]
+    want = 0.7 * np.repeat(first, len(t), axis=1)
+    assert np.array_equal(sample_trajectories(p, t, 24), want)
+
+
 def test_trajectory_seed_determinism():
     t = np.linspace(0.0, 5.0, 32)
     for kind, kw in (

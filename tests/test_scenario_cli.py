@@ -356,6 +356,52 @@ def test_cli_missing_file_and_bad_scenario(tmp_path, capsys):
     assert "mystery_key: unknown key" in capsys.readouterr().err
 
 
+ZERO_NOISE = textwrap.dedent("""\
+    noise:
+      kind: quasi-static-gaussian
+      sigma: 0
+    """)
+
+SENSE_ZERO_NOISE_YAML = textwrap.dedent("""\
+    protocol: sense
+    scheme:
+      preset: ca40_dp
+    construction:
+      kind: compact
+      omega: 1.0
+      b: 0.3
+    sense:
+      variant: optical-D32
+      signal_freq: 0.24
+      signal_rabi: 0.01
+    """) + ZERO_NOISE
+
+COMPARE_ZERO_NOISE_YAML = textwrap.dedent("""\
+    protocol: compare
+    scheme:
+      preset: ca40_dp
+    construction:
+      kind: compact
+      omega: 1.0
+      b: 0.3
+    compare:
+      n_traj: 8
+    """) + ZERO_NOISE
+
+
+@pytest.mark.parametrize("command, yaml_text", [
+    ("sense", SENSE_ZERO_NOISE_YAML),
+    ("compare", COMPARE_ZERO_NOISE_YAML),
+])
+def test_cli_zero_noise_is_validation_error(tmp_path, capsys, command,
+                                            yaml_text):
+    # without dephasing there is no coherence time to report
+    code, out = _run(tmp_path, command, yaml_text, command)
+    assert code == 2
+    assert "noise.sigma" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_emit_plot_data_leaves_no_temp_files(tmp_path):
     paths = emit_plot_data(str(tmp_path), "tbl",
                            {"x": np.arange(3.0), "y": np.arange(3.0) ** 2},
