@@ -2,11 +2,11 @@
 
 Subcommands mirror the library modules one to one; every run is described
 by a scenario file, and flags only override bookkeeping (seed, output
-directory, thread count, trace format).  A JSON summary is always
-written; time traces and sweep tables go to CSV (or JSON with
---format json) next to it, each with a small manifest naming axes and
-units.  Outputs are written to a temporary file and renamed into place,
-so a failed run never leaves a partial artifact behind.
+directory, trace format; --threads is accepted and ignored).  A JSON
+summary is always written; time traces and sweep tables go to CSV (or
+JSON with --format json) next to it, each with a small manifest naming
+axes and units.  Outputs are written to a temporary file and renamed
+into place, so a failed run never leaves a partial artifact behind.
 
 Exit codes: 0 success, 2 scenario/validation problems, 3 numerical
 failure (a solver or protection check gave an unusable result).
@@ -151,7 +151,7 @@ def _state_table(scheme, vectors) -> dict:
 # ---------------------------------------------------------------- protocols
 
 
-def _run_analyze(scenario, out_dir, fmt, threads):
+def _run_analyze(scenario, out_dir, fmt):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     report = protected_report(con)
@@ -175,7 +175,7 @@ def _initial_state(params, report):
     return prepare_initial_state(report, name)
 
 
-def _run_evolve(scenario, out_dir, fmt, threads):
+def _run_evolve(scenario, out_dir, fmt):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     report = protected_report(con)
@@ -187,8 +187,7 @@ def _run_evolve(scenario, out_dir, fmt, threads):
     basis = np.column_stack(report.dark_states[:2])
     if noise is not None:
         rho = evolve_noisy(con.ip, psi0, noise, scheme.zeeman_generator(),
-                           times, n_traj=int(params.get("n_traj", 256)),
-                           threads=threads)
+                           times, n_traj=int(params.get("n_traj", 256)))
         p1 = np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
                        basis[:, 0]).real
         p2 = np.einsum("i,tij,j->t", basis[:, 1].conj(), rho,
@@ -197,7 +196,7 @@ def _run_evolve(scenario, out_dir, fmt, threads):
                                basis[:, 1]))
         trace = SimulationTrace(times=times,
                                 populations={"D1": p1, "D2": p2},
-                                coherences={"pair": coh}, rho=rho)
+                                coherences={"pair": coh})
     else:
         states = evolve_unitary(con.ip, psi0, times)
         upper_pop = expectation(states,
@@ -207,8 +206,7 @@ def _run_evolve(scenario, out_dir, fmt, threads):
             populations={
                 "D1": overlap_population(states, basis[:, 0]),
                 "D2": overlap_population(states, basis[:, 1]),
-                "upper": upper_pop},
-            states=states)
+                "upper": upper_pop})
     columns, units = _trace_columns(trace)
     files = emit_plot_data(out_dir, "evolve_trace", columns, units,
                            label=scenario.label, fmt=fmt)
@@ -220,7 +218,7 @@ def _run_evolve(scenario, out_dir, fmt, threads):
     return results, files
 
 
-def _run_error_budget(scenario, out_dir, fmt, threads):
+def _run_error_budget(scenario, out_dir, fmt):
     params = dict(scenario.params)
     budget = total_budget(**params)
     results = _json_safe(budget)
@@ -262,7 +260,7 @@ def _sweep_error_budget(scenario, params, out_dir, fmt):
                           {field: "rad/s"}, label=scenario.label, fmt=fmt)
 
 
-def _run_gates(scenario, out_dir, fmt, threads):
+def _run_gates(scenario, out_dir, fmt):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     params = scenario.params
@@ -288,7 +286,7 @@ def _run_gates(scenario, out_dir, fmt, threads):
     return results, []
 
 
-def _run_sense(scenario, out_dir, fmt, threads):
+def _run_sense(scenario, out_dir, fmt):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     params = scenario.params
@@ -311,7 +309,7 @@ def _run_sense(scenario, out_dir, fmt, threads):
         noise = build_noise(scenario)
         report, trace = run_ac_sensing(
             protocol, con, noise=noise,
-            n_traj=int(params.get("n_traj", 256)), threads=threads)
+            n_traj=int(params.get("n_traj", 256)))
     columns, units = _trace_columns(trace)
     files = emit_plot_data(out_dir, "sense_trace", columns, units,
                            label=scenario.label, fmt=fmt)
@@ -320,14 +318,13 @@ def _run_sense(scenario, out_dir, fmt, threads):
     return results, files
 
 
-def _run_compare(scenario, out_dir, fmt, threads):
+def _run_compare(scenario, out_dir, fmt):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     noise = build_noise(scenario)
     params = scenario.params
     results = coherence_comparison(
         con, noise, n_traj=int(params.get("n_traj", 512)),
-        threads=threads,
         horizon_in_bare_t2=params.get("horizon_in_bare_t2", 100.0))
     return _json_safe(results), []
 
@@ -344,8 +341,11 @@ _RUNNERS = {
 
 def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
                  threads: int = 1) -> dict:
-    """Execute a parsed scenario; returns the summary written to disk."""
-    results, _ = _RUNNERS[scenario.protocol](scenario, out_dir, fmt, threads)
+    """Execute a parsed scenario; returns the summary written to disk.
+
+    threads is accepted for compatibility and changes nothing.
+    """
+    results, _ = _RUNNERS[scenario.protocol](scenario, out_dir, fmt)
     summary = {
         "version": __version__,
         "protocol": scenario.protocol,
@@ -378,8 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; results do not "
-                            "depend on it")
+                       help="accepted for compatibility and ignored")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="trace/table output format")
     return parser

@@ -297,9 +297,6 @@ class Construction:
     def dim(self) -> int:
         return self.scheme.dim
 
-    def zeeman_generator(self) -> np.ndarray:
-        return self.scheme.zeeman_generator()
-
 
 def _reference_coupling(scheme: LevelScheme, lower: str, upper: str) -> float:
     """Smallest nonzero |CG| among the driven sigma transitions."""

@@ -37,6 +37,9 @@ __all__ = [
     "overlap_population",
 ]
 
+# DOP853 tolerances of every harmonic (non-spectral) propagation.
+RTOL = 1e-10
+ATOL = 1e-12
 NORM_TOL = 1e-8
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
@@ -53,9 +56,6 @@ class SimulationTrace:
     times: np.ndarray
     populations: dict[str, np.ndarray] = field(default_factory=dict)
     coherences: dict[str, np.ndarray] = field(default_factory=dict)
-    fitted: dict[str, float] = field(default_factory=dict)
-    states: np.ndarray | None = None  # [nt, dim] pure states, if applicable
-    rho: np.ndarray | None = None  # [nt, dim, dim] density matrices
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,42 @@ def _as_hamiltonian(ham) -> TimeDependentHamiltonian:
     return TimeDependentHamiltonian(np.asarray(ham, dtype=complex))
 
 
-def _max_step(ham: TimeDependentHamiltonian) -> float | None:
-    if not ham.harmonics:
-        return None
+def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
+    """U(t <- times[0]) y0 at every time of the grid; [nt, *y0.shape].
+
+    y0 is a state vector or a matrix whose columns are propagated
+    together.  Static Hamiltonians take the spectral path; harmonic ones
+    are integrated with DOP853 at RTOL/ATOL.
+    """
+    if ham.is_static:
+        vals, vecs = np.linalg.eigh(ham.static)
+        amps = vecs.conj().T @ y0
+        phases = np.exp(-1j * np.outer(times - times[0], vals))
+        if y0.ndim == 1:
+            return (phases * amps) @ vecs.T
+        return (vecs * phases[:, None, :]) @ amps
+
+    if y0.ndim == 1:
+        def rhs(t, y):
+            return -1j * (ham.evaluate(t) @ y)
+    else:
+        def rhs(t, y):
+            return (-1j * (ham.evaluate(t) @ y.reshape(y0.shape))).ravel()
+
+    # A two-point grid needs no dense output: its ends are step ends.
+    t_eval = times if len(times) > 2 else None
     fastest = max(term.frequency for term in ham.harmonics)
-    return 0.25 * 2.0 * np.pi / fastest
+    sol = solve_ivp(rhs, (times[0], times[-1]), y0.ravel(), t_eval=t_eval,
+                    method="DOP853", rtol=RTOL, atol=ATOL,
+                    max_step=0.25 * 2.0 * np.pi / fastest)
+    if not sol.success:
+        raise NumericalError(f"integration failed: {sol.message}")
+    ys = sol.y if t_eval is not None else sol.y[:, [0, -1]]
+    return ys.T.reshape(len(times), *y0.shape)
 
 
-def evolve_unitary(ham, psi0: np.ndarray, times: np.ndarray,
-                   rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+def evolve_unitary(ham, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate a pure state over an ascending time grid; returns [nt, dim].
 
     psi0 is the state at times[0].  Raises NumericalError if the norm
@@ -94,50 +121,21 @@ def evolve_unitary(ham, psi0: np.ndarray, times: np.ndarray,
     if times.ndim != 1 or np.any(np.diff(times) < 0):
         raise ValueError("times must be an ascending 1-d grid")
 
-    if ham.is_static:
-        vals, vecs = np.linalg.eigh(ham.static)
-        amps = vecs.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(times - times[0], vals))
-        states = (phases * amps) @ vecs.T
-    else:
-        def rhs(t, y):
-            return -1j * (ham.evaluate(t) @ y)
-
-        sol = solve_ivp(rhs, (times[0], times[-1]), psi0, t_eval=times,
-                        method="DOP853", rtol=rtol, atol=atol,
-                        max_step=_max_step(ham) or np.inf)
-        if not sol.success:
-            raise NumericalError(f"integration failed: {sol.message}")
-        states = sol.y.T
-
+    states = _integrate(ham, psi0, times)
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
     if drift > NORM_TOL:
         raise NumericalError(
-            f"norm drift {drift:.3e} exceeds {NORM_TOL:.0e}; "
-            "tighten rtol/atol")
+            f"norm drift {drift:.3e} exceeds {NORM_TOL:.0e} at "
+            f"rtol {RTOL:.0e}, atol {ATOL:.0e}")
     return states
 
 
-def propagator(ham, t1: float, t0: float = 0.0, rtol: float = 1e-10,
-               atol: float = 1e-12) -> np.ndarray:
+def propagator(ham, t1: float, t0: float = 0.0) -> np.ndarray:
     """Time-evolution operator U(t1 <- t0)."""
     ham = _as_hamiltonian(ham)
-    dim = ham.dim
-    if ham.is_static:
-        vals, vecs = np.linalg.eigh(ham.static)
-        return (vecs * np.exp(-1j * vals * (t1 - t0))) @ vecs.conj().T
-
-    def rhs(t, y):
-        u = y.reshape(dim, dim)
-        return (-1j * (ham.evaluate(t) @ u)).ravel()
-
-    y0 = np.eye(dim, dtype=complex).ravel()
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
-                    max_step=_max_step(ham) or np.inf)
-    if not sol.success:
-        raise NumericalError(f"propagator integration failed: {sol.message}")
-    u = sol.y[:, -1].reshape(dim, dim)
-    defect = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    u = _integrate(ham, np.eye(ham.dim, dtype=complex),
+                   np.array([t0, t1], dtype=float))[-1]
+    defect = np.abs(u.conj().T @ u - np.eye(ham.dim)).max()
     if defect > 10 * NORM_TOL:
         raise NumericalError(f"propagator unitarity defect {defect:.3e}")
     return u
@@ -145,7 +143,6 @@ def propagator(ham, t1: float, t0: float = 0.0, rtol: float = 1e-10,
 
 def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
                         n_periods: int, stride: int = 1,
-                        rtol: float = 1e-10, atol: float = 1e-12,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a time-periodic evolution at multiples of its period.
 
@@ -159,7 +156,7 @@ def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
     """
     ham = _as_hamiltonian(ham)
     psi0 = np.asarray(psi0, dtype=complex)
-    u_period = propagator(ham, period, 0.0, rtol=rtol, atol=atol)
+    u_period = propagator(ham, period, 0.0)
     tri, z = schur(u_period, output="complex")
     if np.abs(tri - np.diag(np.diag(tri))).max() > 1e-8:
         raise NumericalError("period propagator is not normal; "
@@ -284,17 +281,6 @@ def _guess_frequency(times: np.ndarray, values: np.ndarray) -> float:
     return 2.0 * np.pi * freqs[peak]
 
 
-_MODELS = {}
-
-
-def _model(name):
-    def wrap(fn):
-        _MODELS[name] = fn
-        return fn
-    return wrap
-
-
-@_model("exponential")
 def _exponential(times, values):
     base = _guess_baseline(values)
     p0 = (values[0] - base, _guess_rate(times, values, base), base)
@@ -304,7 +290,6 @@ def _exponential(times, values):
     return fn, p0, ("amplitude", "tau", "offset")
 
 
-@_model("gaussian")
 def _gaussian(times, values):
     base = _guess_baseline(values)
     p0 = (values[0] - base, _guess_rate(times, values, base), base)
@@ -314,7 +299,6 @@ def _gaussian(times, values):
     return fn, p0, ("amplitude", "tau", "offset")
 
 
-@_model("damped-cosine")
 def _damped_cosine(times, values):
     base = values.mean()
     p0 = (values[0] - base, 0.5 * (times[-1] - times[0]),
@@ -325,7 +309,6 @@ def _damped_cosine(times, values):
     return fn, p0, ("amplitude", "tau", "omega", "phase", "offset")
 
 
-@_model("sin2")
 def _sin2(times, values):
     # Population-transfer model p(t) = amp * sin^2(rate * t); the dominant
     # FFT component sits at 2*rate.
@@ -335,6 +318,10 @@ def _sin2(times, values):
     def fn(t, amp, rate):
         return amp * np.sin(rate * t) ** 2
     return fn, p0, ("amplitude", "rate")
+
+
+_MODELS = {"exponential": _exponential, "gaussian": _gaussian,
+           "damped-cosine": _damped_cosine, "sin2": _sin2}
 
 
 def fit_decay(times: np.ndarray, values: np.ndarray, model: str,

@@ -41,6 +41,8 @@ __all__ = [
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Largest population an effective-Hamiltonian probe may lose from the pair.
+LEAKAGE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,11 @@ class EffectiveQubitOp:
                 "z": np.trace(SIGMA_Z @ m) / 2.0}
 
 
-def protected_report(con: Construction, dim: int = 2) -> SubspaceReport:
-    """The construction's protected subspace (dark pair by default)."""
-    return find_protected_subspace(con.ip.static, con.zeeman_generator(),
-                                   dim=dim, scheme=con.scheme)
+def protected_report(con: Construction) -> SubspaceReport:
+    """The construction's protected subspace (its dark pair)."""
+    return find_protected_subspace(con.ip.static,
+                                   con.scheme.zeeman_generator(),
+                                   scheme=con.scheme)
 
 
 def prepare_initial_state(report: SubspaceReport, target) -> np.ndarray:
@@ -101,7 +104,6 @@ def _axis_fidelity(matrix: np.ndarray, axis: np.ndarray) -> float:
 
 
 def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
-                                  defect_tol: float = 0.05,
                                   ) -> tuple[np.ndarray, float]:
     """2x2 generator of the subspace-projected propagator.
 
@@ -109,16 +111,16 @@ def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
     defect = 1 - smallest singular value of the projected propagator
     (population leaving the subspace over t_probe).  The matrix logarithm
     takes its principal branch, so t_probe must keep rotation angles below
-    pi.  defect > defect_tol raises: the subspace is not preserved.
+    pi.  defect > LEAKAGE_TOL raises: the subspace is not preserved.
     """
     u_full = propagator(ham, t_probe)
     proj = basis.conj().T @ u_full @ basis
     smin = np.linalg.svd(proj, compute_uv=False).min()
     defect = float(1.0 - smin)
-    if defect > defect_tol:
+    if defect > LEAKAGE_TOL:
         raise NumericalError(
             f"subspace leakage {defect:.3g} over t_probe exceeds "
-            f"{defect_tol}; the subspace is not preserved")
+            f"{LEAKAGE_TOL}; the subspace is not preserved")
     gen = 1j * logm(proj) / t_probe
     gen = (gen + gen.conj().T) / 2.0
     return gen, defect

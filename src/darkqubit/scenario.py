@@ -40,14 +40,14 @@ __all__ = [
 
 PROTOCOLS = ("analyze", "evolve", "error-budget", "gates", "sense", "compare")
 
-_FREQ_SCALES = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
-_RAD_SCALES = {"rad/s": 1.0, "krad/s": 1e3, "mrad/s": 1e6, "grad/s": 1e9}
-_TIME_SCALES = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6,
-                "ns": 1e-9}
+# Unit prefixes as powers of ten.
+_FREQ_SCALES = {"hz": 0, "khz": 3, "mhz": 6, "ghz": 9, "thz": 12}
+_RAD_SCALES = {"rad/s": 0, "krad/s": 3, "mrad/s": 6, "grad/s": 9}
+_TIME_SCALES = {"s": 0, "ms": -3, "us": -6, "µs": -6, "ns": -9}
 
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<twopi>2\s*pi\s*\*|2\s*π\s*\*)?\s*"
-    r"(?P<number>[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)\s*"
+    r"(?P<mantissa>[-+]?(\d+\.?\d*|\.\d+))([eE](?P<exp>[-+]?\d+))?\s*"
     r"(?P<unit>[A-Za-zµ/]+)?\s*$")
 
 
@@ -61,14 +61,20 @@ class ScenarioError(ValueError):
 
 
 def _match(text: str):
+    """(match, lower-case unit, explicit 2pi prefix) of a quantity string."""
     m = _QUANTITY_RE.match(text)
     if m is None:
         raise ValueError(f"cannot parse quantity {text!r}")
-    value = float(m.group("number"))
-    if m.group("twopi"):
-        value *= 2.0 * math.pi
-    unit = (m.group("unit") or "").lower()
-    return value, unit, bool(m.group("twopi"))
+    return m, (m.group("unit") or "").lower(), bool(m.group("twopi"))
+
+
+def _scaled(m, power: int) -> float:
+    """The written number times 10**power, rounded once.
+
+    Shifting the decimal exponent keeps the product exact before the one
+    rounding, so "341.992 MHz" and "341992 kHz" give the same float.
+    """
+    return float(f"{m.group('mantissa')}e{int(m.group('exp') or 0) + power}")
 
 
 def parse_frequency(value) -> float:
@@ -82,32 +88,27 @@ def parse_frequency(value) -> float:
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    number, unit, explicit_twopi = _match(str(value))
-    if unit in _RAD_SCALES:
-        return number * _RAD_SCALES[unit]
+    m, unit, cyclic = _match(str(value))
     if unit in _FREQ_SCALES:
-        scale = _FREQ_SCALES[unit]
-        if explicit_twopi:
-            return number * scale  # 2 pi already applied
-        return 2.0 * math.pi * number * scale
-    if unit == "":
-        return number
-    raise ValueError(
-        f"unknown frequency unit {unit!r} in {value!r} "
-        f"(expected rad/s, Hz, kHz, MHz, GHz, THz)")
+        number, cyclic = _scaled(m, _FREQ_SCALES[unit]), True
+    elif unit in _RAD_SCALES or unit == "":
+        number = _scaled(m, _RAD_SCALES.get(unit, 0))
+    else:
+        raise ValueError(
+            f"unknown frequency unit {unit!r} in {value!r} "
+            f"(expected rad/s, Hz, kHz, MHz, GHz, THz)")
+    return 2.0 * math.pi * number if cyclic else number
 
 
 def parse_time(value) -> float:
     """Duration in seconds; accepts bare numbers or s/ms/us/ns suffixes."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    number, unit, explicit_twopi = _match(str(value))
+    m, unit, explicit_twopi = _match(str(value))
     if explicit_twopi:
         raise ValueError(f"2pi prefix makes no sense for a time: {value!r}")
-    if unit in _TIME_SCALES:
-        return number * _TIME_SCALES[unit]
-    if unit == "":
-        return number
+    if unit in _TIME_SCALES or unit == "":
+        return _scaled(m, _TIME_SCALES.get(unit, 0))
     raise ValueError(f"unknown time unit {unit!r} in {value!r} "
                      f"(expected s, ms, us, ns)")
 
@@ -116,10 +117,10 @@ def parse_scalar(value) -> float:
     """Dimensionless number; unit suffixes are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    number, unit, explicit_twopi = _match(str(value))
+    m, unit, explicit_twopi = _match(str(value))
     if unit or explicit_twopi:
         raise ValueError(f"expected a dimensionless number, got {value!r}")
-    return number
+    return _scaled(m, 0)
 
 
 _PARSERS = {"frequency": parse_frequency, "time": parse_time,
@@ -259,6 +260,11 @@ def _parse_construction(section) -> dict:
         value = section.get(key, kind)
         if value is not None:
             out[key] = value
+    if out["kind"] in ("ideal", "hyperfine"):
+        for key in ("amp_error", "pol_leak"):
+            if key in out:
+                section.problems.append(f"{section.path}.{key}: only the "
+                                        "compact construction takes it")
     section.finish()
     return out
 
@@ -419,9 +425,6 @@ def build_construction(scenario: Scenario,
                "hyperfine": hyperfine_construction}[kind]
     omega = spec.pop("omega")
     b = spec.pop("b")
-    if kind != "compact":
-        spec.pop("amp_error", None)
-        spec.pop("pol_leak", None)
     if kind == "hyperfine":
         spec.setdefault("lower", "F1")
         spec.setdefault("upper", "F2")

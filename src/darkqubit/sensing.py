@@ -104,7 +104,6 @@ def _qubit_rate(con: Construction, basis: np.ndarray, rabi: float,
 def run_ac_sensing(protocol: SensingProtocol, con: Construction,
                    noise: NoiseProcess | None = None,
                    report: SubspaceReport | None = None, n_traj: int = 256,
-                   threads: int = 1,
                    ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-induced rotation of the dark pair, with phase statistics.
 
@@ -223,7 +222,7 @@ def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
         coherences["y"] = -2.0 * rho12.imag
     return SimulationTrace(times=times,
                            populations={"D1": p1, "D2": p2},
-                           coherences=coherences, states=states)
+                           coherences=coherences)
 
 
 def _fit_pair_coherence(con, basis, noise, n_traj, horizon):
@@ -264,16 +263,15 @@ def _bare_dephasing_time(con: Construction, noise: NoiseProcess,
 
 def frequency_window(noise: NoiseProcess | None = None,
                      t1_target: float = DEFAULT_T1_TARGET,
-                     threshold: float = DEFAULT_THRESHOLD,
-                     max_zeeman: float = DEFAULT_MAX_ZEEMAN,
                      min_gap: float = 0.0,
                      construction: Construction | None = None) -> dict:
     """Detectable signal band for the Zeeman-gap sensing scheme.
 
-    lower: smallest gap nu with S_BB(nu) * t1_target < threshold (noise-
-    driven depolarization leaves the target T1 intact); upper: the largest
-    Zeeman splitting the apparatus supports.  With a construction given,
-    its actual gap is checked against the window.
+    lower: smallest gap nu with S_BB(nu) * t1_target < DEFAULT_THRESHOLD
+    (noise-driven depolarization leaves the target T1 intact); upper:
+    DEFAULT_MAX_ZEEMAN, the largest Zeeman splitting the apparatus
+    supports.  With a construction given, its actual gap is checked
+    against the window.
     """
     lower = min_gap
     rationale_low = "configured minimum gap (no noise floor)"
@@ -281,7 +279,7 @@ def frequency_window(noise: NoiseProcess | None = None,
         if noise.kind == "ornstein-uhlenbeck":
             # Solve S(nu) = threshold / t1_target exactly.
             arg = 2.0 * noise.sigma ** 2 * noise.tau_c * t1_target \
-                / threshold - 1.0
+                / DEFAULT_THRESHOLD - 1.0
             if arg > 0:
                 lower = max(lower, math.sqrt(arg) / noise.tau_c)
                 rationale_low = ("smallest gap with "
@@ -292,19 +290,19 @@ def frequency_window(noise: NoiseProcess | None = None,
                              "configured minimum gap applies")
     out = {
         "lower": lower,
-        "upper": max_zeeman,
+        "upper": DEFAULT_MAX_ZEEMAN,
         "rationale": {
             "lower": rationale_low,
             "upper": "largest applicable Zeeman splitting",
         },
-        "threshold": threshold,
+        "threshold": DEFAULT_THRESHOLD,
         "t1_target": t1_target,
     }
     if construction is not None:
         gap = abs(construction.scheme.manifold(construction.lower).g
                   * construction.b)
         out["current_gap"] = gap
-        out["in_window"] = bool(lower <= gap <= max_zeeman)
+        out["in_window"] = bool(lower <= gap <= DEFAULT_MAX_ZEEMAN)
     if noise is not None:
         out["noise_power_at_lower"] = float(
             spectral_density(noise, np.array([lower]))[0])
@@ -385,8 +383,9 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     # residual frequency; slow ones join the static interaction picture.
     signal = TimeDependentHamiltonian(np.diag(con.frame)).plus_harmonic(
         (protocol.signal_rabi / 2.0) * s_x, resonance + detuning)
-    signal = to_rotating_frame(signal, con.frame,
-                               rwa_cutoff=10.0 * con.omega).hamiltonian
+    rotated = to_rotating_frame(signal, con.frame,
+                                rwa_cutoff=10.0 * con.omega)
+    signal = rotated.hamiltonian
     ham = TimeDependentHamiltonian(con.ip.static + signal.static,
                                    con.ip.harmonics + signal.harmonics)
 
@@ -417,17 +416,19 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
         "detuning": detuning,
         "max_transfer": max_transfer,
         "leakage": float(np.max(1.0 - p1 - p2)),
+        "dropped_terms": len(rotated.dropped),
+        "rwa_worst_ratio": max((term.ratio for term in rotated.dropped),
+                               default=0.0),
         **fit_info,
     }
     trace = SimulationTrace(times=times,
-                            populations={"D1": p1, "D2": p2},
-                            states=states)
+                            populations={"D1": p1, "D2": p2})
     return (SensitivityReport(rate if not math.isnan(rate) else 0.0, t2,
                               sensitivity, 1.0, details), trace)
 
 
 def coherence_comparison(con: Construction, noise: NoiseProcess,
-                         n_traj: int = 512, threads: int = 1,
+                         n_traj: int = 512,
                          horizon_in_bare_t2: float = 100.0) -> dict:
     """Bare vs protected coherence under the same Zeeman noise.
 
@@ -455,8 +456,7 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     times_bare = np.linspace(0.0, 3.0 * t2_bare_analytic, 120)
     psi_bare = (bare_a + bare_b) / np.sqrt(2.0)
     rho_bare = evolve_noisy(np.zeros((scheme.dim, scheme.dim)), psi_bare,
-                            noise, zee, times_bare, n_traj=n_traj,
-                            threads=threads)
+                            noise, zee, times_bare, n_traj=n_traj)
     coh_bare = np.abs(np.einsum("i,tij,j->t", bare_a.conj(), rho_bare,
                                 bare_b))
     coh_bare = coh_bare / coh_bare[0]

@@ -34,6 +34,8 @@ __all__ = [
     "canonical_order",
 ]
 
+# Dimension of the protected subspace: the dark qubit pair.
+PAIR_DIM = 2
 DEGENERACY_RTOL = 1e-9
 JZ_TOL = 1e-10
 _BLOCK_TOL = 1e-8
@@ -171,23 +173,22 @@ def _pair_states(vectors: np.ndarray, mu: np.ndarray, needed: int,
 
 
 def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
-                            dim: int = 2,
                             scheme: LevelScheme | None = None,
-                            deg_tol: float | None = None,
-                            jz_tol: float = JZ_TOL) -> SubspaceReport:
+                            ) -> SubspaceReport:
     """Locate the protected subspace of a static Hamiltonian.
 
     Returns all zero directions of the projected Jz inside the best
-    degenerate eigenvalue cluster (at least dim of them, else opposite-sign
-    pairs are combined to reach dim; ProtectionError if that fails too).
+    degenerate eigenvalue cluster (at least PAIR_DIM of them, else
+    opposite-sign pairs are combined to reach PAIR_DIM; ProtectionError if
+    that fails too).  Eigenvalues within DEGENERACY_RTOL of the spectral
+    scale count as degenerate, |projected Jz| within JZ_TOL as zero.
     Passing the scheme enables the canonical basis/order inside degenerate
     blocks; jz is typically scheme.jz_total().
     """
     ham = np.asarray(hamiltonian, dtype=complex)
     vals, vecs = np.linalg.eigh(ham)
     scale = np.abs(vals).max() if vals.size else 0.0
-    if deg_tol is None:
-        deg_tol = max(DEGENERACY_RTOL * scale, 1e-12)
+    deg_tol = max(DEGENERACY_RTOL * scale, 1e-12)
 
     clusters = _cluster(vals, deg_tol)
     candidates = []  # (states, lambda_d, gap, cluster_index)
@@ -198,12 +199,12 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
         proj = (proj + proj.conj().T) / 2.0
         mu, rot = np.linalg.eigh(proj)
         rotated = block @ rot
-        zero = np.abs(mu) <= jz_tol
+        zero = np.abs(mu) <= JZ_TOL
         states = [rotated[:, j] for j in range(len(mu)) if zero[j]]
         n_zero = len(states)
-        if n_zero < dim:
+        if n_zero < PAIR_DIM:
             states += _pair_states(rotated[:, ~zero], mu[~zero],
-                                   dim - n_zero)
+                                   PAIR_DIM - n_zero)
         lam = float(np.mean(vals[idx]))
         diagnostics.append({
             "eigenvalue": lam, "size": len(idx), "jz_dark": len(states),
@@ -233,7 +234,7 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
                 np.abs(h_block - lam * np.eye(len(dark))).max()),
             complement=complement)
 
-    qualifying = [c for c in candidates if len(c[0]) >= dim]
+    qualifying = [c for c in candidates if len(c[0]) >= PAIR_DIM]
     if qualifying:
         # Prefer the best-protected cluster: largest gap to the rest of the
         # spectrum, then the one closest to zero energy.  Gaps within
@@ -249,7 +250,7 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
         best = max(candidates, key=lambda c: len(c[0]))
         best_report = finish(*best)
     raise ProtectionError(
-        f"no degenerate cluster supports a {dim}-dimensional Jz-dark "
+        f"no degenerate cluster supports a {PAIR_DIM}-dimensional Jz-dark "
         f"subspace; cluster summary: {diagnostics}",
         best_report, diagnostics)
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkqubit.angular import (
     as_half_int,
@@ -113,6 +115,25 @@ def test_cg_orthogonality(j1, j2):
                     )
             want = 1.0 if (ja, ma) == (jb, mb) else 0.0
             assert acc == pytest.approx(want, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_j1=st.integers(0, 6), two_j2=st.integers(0, 6))
+def test_cg_orthogonality_random_j(two_j1, two_j2):
+    # the coupling matrix C[(j3, m3), (m1, m2)] is orthogonal: both sums of
+    # CG * CG (over product labels, and over coupled labels) are deltas
+    j1, j2 = two_j1 / 2, two_j2 / 2
+    two_j3s = range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
+    coupled = [(two_j3 / 2, -two_j3 / 2 + k)
+               for two_j3 in two_j3s for k in range(two_j3 + 1)]
+    product = [(-j1 + a, -j2 + b)
+               for a in range(two_j1 + 1) for b in range(two_j2 + 1)]
+    c = np.array([[clebsch_gordan(j1, m1, j2, m2, j3, m3)
+                   for m1, m2 in product] for j3, m3 in coupled])
+    assert c.shape == (len(product), len(product))
+    eye = np.eye(len(product))
+    assert np.abs(c @ c.T - eye).max() <= 1e-12
+    assert np.abs(c.T @ c - eye).max() <= 1e-12
 
 
 def test_cg_selection_rules():

@@ -1,4 +1,5 @@
-"""Every top-level import of the package is used in its module.
+"""Every top-level import of the package is used in its module, and every
+function parameter is read in its function.
 
 No linter ships with the project, so this parses the sources with ``ast``.
 A name counts as used when the module reads it, lists it in ``__all__``
@@ -65,3 +66,44 @@ def test_no_unused_top_level_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+# Parameters no body reads, each with the reason it stays.
+INERT_PARAMETERS = {
+    ("noise.py", "evolve_noisy", "threads"):
+        "bench/jobs.py passes threads=1",
+    ("cli.py", "run_scenario", "threads"):
+        "bench/jobs.py passes threads=1; --threads feeds it",
+    **{("cli.py", runner, name): "_RUNNERS share one signature"
+       for runner in ("_run_analyze", "_run_gates", "_run_compare")
+       for name in ("out_dir", "fmt")},
+}
+
+
+def _unread_parameters(path: pathlib.Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in (args.posonlyargs + args.args
+                                      + args.kwonlyargs
+                                      + [args.vararg, args.kwarg])
+                  if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        for param in params:
+            if param not in read:
+                yield path.name, name, param
+
+
+def test_every_parameter_is_read():
+    unread = {key for path in sorted(SRC.glob("*.py"))
+              for key in _unread_parameters(path)}
+    assert unread <= set(INERT_PARAMETERS), \
+        f"parameters never read: {sorted(unread - set(INERT_PARAMETERS))}"
+    assert set(INERT_PARAMETERS) <= unread, \
+        f"allowlisted but read: {sorted(set(INERT_PARAMETERS) - unread)}"

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import math
 import textwrap
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkqubit.cli import emit_plot_data, main
 from darkqubit.scenario import (
@@ -60,6 +63,51 @@ def test_parse_scalar_grammar():
         parse_scalar("3 MHz")
     with pytest.raises(ValueError, match="dimensionless"):
         parse_scalar("2pi*3")
+
+
+# Unit families as (parser, scenario field, [(unit, power of ten), ...]).
+UNIT_FAMILIES = {
+    "Hz": (parse_frequency, ("construction", "b"),
+           [("Hz", 0), ("kHz", 3), ("MHz", 6), ("GHz", 9), ("THz", 12)]),
+    "rad/s": (parse_frequency, ("construction", "b"),
+              [("rad/s", 0), ("krad/s", 3), ("Mrad/s", 6), ("Grad/s", 9)]),
+    "s": (parse_time, ("evolve", "duration"),
+          [("s", 0), ("ms", -3), ("us", -6), ("ns", -9)]),
+}
+
+
+def _spelled(digits: int, exponent: int, unit: str, power: int) -> str:
+    """digits * 10**exponent base units, written as a plain decimal in unit."""
+    return f"{Decimal(digits).scaleb(exponent - power):f} {unit}"
+
+
+def _scenario_with(field, text):
+    data = {
+        "protocol": "evolve",
+        "scheme": {"preset": "ca40_dp"},
+        "construction": {"kind": "compact", "omega": 1.0, "b": 0.3},
+        "evolve": {"initial": "D1", "duration": 5.0},
+    }
+    section, key = field
+    data[section][key] = text
+    return parse_scenario(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(UNIT_FAMILIES)),
+       digits=st.integers(1, 10**9), exponent=st.integers(-12, 12),
+       data=st.data())
+def test_unit_spelling_does_not_change_value_or_hash(family, digits, exponent,
+                                                     data):
+    # "341.992 MHz" and "341992 kHz" are one quantity: same float, same hash
+    parse, field, units = UNIT_FAMILIES[family]
+    (unit_a, power_a), (unit_b, power_b) = (
+        data.draw(st.sampled_from(units)) for _ in range(2))
+    text_a = _spelled(digits, exponent, unit_a, power_a)
+    text_b = _spelled(digits, exponent, unit_b, power_b)
+    assert parse(text_a) == parse(text_b), (text_a, text_b)
+    assert _scenario_with(field, text_a).hash() == \
+        _scenario_with(field, text_b).hash()
 
 
 def _analyze_data(**over):
@@ -399,6 +447,36 @@ def test_cli_zero_noise_is_validation_error(tmp_path, capsys, command,
     code, out = _run(tmp_path, command, yaml_text, command)
     assert code == 2
     assert "noise.sigma" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("preset, kind, b", [
+    ("ca40_dp", "ideal", 0.3),
+    ("hyperfine_f1f2", "hyperfine", 30.0),
+])
+def test_cli_rejects_compact_only_construction_options(tmp_path, capsys,
+                                                       preset, kind, b):
+    # amp_error and pol_leak act on the compact construction's two fields;
+    # other kinds used to drop them silently and exit 0
+    yaml_text = textwrap.dedent(f"""\
+        protocol: analyze
+        scheme:
+          preset: {preset}
+        construction:
+          kind: {kind}
+          omega: 1.0
+          b: {b}
+          amp_error: 0.2
+          pol_leak: 0.05
+        mystery_key: 1
+        """)
+    code, out = _run(tmp_path, "options", yaml_text, "analyze")
+    assert code == 2
+    err = capsys.readouterr().err
+    for key in ("amp_error", "pol_leak"):
+        assert (f"scenario.construction.{key}: only the compact "
+                "construction takes it") in err
+    assert "scenario.mystery_key: unknown key" in err
     assert not (out / "summary.json").exists()
 
 

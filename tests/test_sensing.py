@@ -197,6 +197,15 @@ def test_hyperfine_detuned_suppression(hyperfine, mult, law):
     assert detuned.sensitivity == math.inf
 
 
+def test_hyperfine_sensing_reports_rwa_ledger(hyperfine):
+    # criterion 9's point: the signal's rotation into the construction
+    # frame drops seven buckets above 10 omega, and the summary says so
+    proto = SensingProtocol("hyperfine", 1.0, 0.02)
+    rep, _ = run_hyperfine_sensing(proto, hyperfine)
+    assert rep.details["dropped_terms"] == 7
+    assert rep.details["rwa_worst_ratio"] == pytest.approx(2.36e-4, rel=5e-3)
+
+
 def test_coherence_comparison_protected_vs_bare():
     con = compact_construction(ca40_dp(), 0.05, 1.0)
     noise = NoiseProcess("quasi-static-gaussian", sigma=5e-4, tau_c=0.0,

@@ -11,7 +11,8 @@ from darkqubit.driving import (
     hyperfine_construction,
     ideal_construction,
 )
-from darkqubit.levels import ca40_dp, d52_p32, hyperfine_f1f2
+from darkqubit.gates import protected_report
+from darkqubit.levels import ca40_dp, d52_p32, hyperfine_f1f2, preset
 from darkqubit.subspace import (
     ProtectionError,
     canonical_order,
@@ -160,6 +161,38 @@ def test_hyperfine_dark_pair_is_the_zero_cluster(omega, ratio):
     assert abs(rep.dark_eigenvalue) < 1e-9 * omega
     assert rep.gap == pytest.approx(omega, rel=1e-9)
     assert rep.jz_residual < 1e-12
+
+
+# Every (preset, construction) cell the benchmark's analyze runs cover, with
+# the manifolds each one drives.
+LOWER_UPPER = {
+    "ca40_dp": ("D3/2", "P1/2"),
+    "ca40_sdp": ("D3/2", "P1/2"),
+    "d52_p32": ("D5/2", "P3/2"),
+    "hyperfine_f1f2": ("F1", "F2"),
+    "hyperfine_f0f1": ("F0", "F1"),
+}
+ANALYZE_CELLS = [(p, k) for p in LOWER_UPPER for k in ("ideal", "compact")] \
+    + [("hyperfine_f0f1", "hyperfine")]
+BUILDERS = {"ideal": ideal_construction, "compact": compact_construction,
+            "hyperfine": hyperfine_construction}
+
+
+@pytest.mark.filterwarnings("ignore:dropped term")
+@pytest.mark.parametrize("name, kind", ANALYZE_CELLS)
+@settings(max_examples=25, deadline=None)
+@given(omega=st.floats(0.5, 2.0), fraction=st.floats(0.0, 1.0))
+def test_dark_state_conditions_across_cells(name, kind, omega, fraction):
+    # b/omega in [20, 60] for the hyperfine construction (its
+    # counter-rotating terms must clear the 10 omega cutoff), else in
+    # [0.02, 0.5]; the bounds are the benchmark's analyze checks
+    lo, hi = (20.0, 60.0) if kind == "hyperfine" else (0.02, 0.5)
+    lower, upper = LOWER_UPPER[name]
+    con = BUILDERS[kind](preset(name), (lo + fraction * (hi - lo)) * omega,
+                         omega, lower=lower, upper=upper)
+    rep = protected_report(con)
+    assert abs(rep.dark_eigenvalue) <= 1e-12 * omega
+    assert rep.jz_residual < 1e-13
 
 
 def test_d52_dark_closed_forms():
