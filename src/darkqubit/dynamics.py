@@ -1,10 +1,17 @@
 """State and density-matrix propagation, plus decay-curve fitting.
 
-Unitary evolution has two paths: a spectral one for static Hamiltonians
-(one Hermitian diagonalization, then exact phases on the grid) and an
-adaptive DOP853 integration for harmonic ones.  The integrator's maximum
-step is capped at a quarter period of the fastest harmonic so micromotion
-cannot be stepped over when the state itself is slow.
+Unitary evolution has three paths, chosen from the Hamiltonian alone:
+
+* spectral, for static Hamiltonians: one Hermitian diagonalization, then
+  exact phases on the grid;
+* static-frame, for harmonic Hamiltonians that a diagonal frame G makes
+  static (every harmonic element links levels the static part leaves
+  uncoupled, with consistent frequencies): the spectral path in that
+  frame, and elementwise phases e^{-iGt} back to the lab;
+* DOP853 for every other harmonic Hamiltonian, an adaptive integration
+  whose maximum step is capped at a quarter period of the fastest
+  harmonic so micromotion cannot be stepped over when the state itself
+  is slow.
 
 Open-system evolution builds the Liouvillian as a dense superoperator
 (row-major vec(rho), so vec(A rho B) = (A kron B^T) vec(rho)) and
@@ -21,7 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, schur
 from scipy.optimize import curve_fit
 
-from .driving import TimeDependentHamiltonian
+from .driving import TimeDependentHamiltonian, to_rotating_frame
 
 __all__ = [
     "SimulationTrace",
@@ -72,14 +79,75 @@ def _as_hamiltonian(ham) -> TimeDependentHamiltonian:
     return TimeDependentHamiltonian(np.asarray(ham, dtype=complex))
 
 
+def _static_frame(ham: TimeDependentHamiltonian) -> np.ndarray | None:
+    """Diagonal generator g whose rotating frame makes ham static, or None.
+
+    Levels that the static part couples must share one g.  Each nonzero
+    element (a, b) of a harmonic at w requires g_a - g_b = w, to 1e-9 of
+    the fastest harmonic; a cycle of mismatched frequencies or a diagonal
+    harmonic element has no solution.  Each connected set of levels gets
+    its own zero.
+    """
+    parent = list(range(ham.dim))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(*np.nonzero(np.triu(ham.static, 1))):
+        parent[root(a)] = root(b)
+    roots = [root(a) for a in range(ham.dim)]
+
+    # g[r] - g[s] = w between component roots, stored from both ends.
+    edges: dict[int, list[tuple[int, float]]] = {r: [] for r in roots}
+    for term in ham.harmonics:
+        for a, b in zip(*np.nonzero(term.matrix)):
+            edges[roots[a]].append((roots[b], term.frequency))
+            edges[roots[b]].append((roots[a], -term.frequency))
+    tol = 1e-9 * max(term.frequency for term in ham.harmonics)
+    g: dict[int, float] = {}
+    for start in edges:
+        if start in g:
+            continue
+        g[start] = 0.0
+        stack = [start]
+        while stack:
+            r = stack.pop()
+            for s, w in edges[r]:
+                want = g[r] - w
+                if s not in g:
+                    g[s] = want
+                    stack.append(s)
+                elif abs(g[s] - want) > tol:
+                    return None
+    return np.array([g[r] for r in roots])
+
+
 def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
                times: np.ndarray) -> np.ndarray:
     """U(t <- times[0]) y0 at every time of the grid; [nt, *y0.shape].
 
     y0 is a state vector or a matrix whose columns are propagated
-    together.  Static Hamiltonians take the spectral path; harmonic ones
-    are integrated with DOP853 at RTOL/ATOL.
+    together.  Static Hamiltonians take the spectral path.  A harmonic
+    one that a diagonal frame G makes static takes it too, in that frame:
+    y(t) = e^{-iGt} e^{-iH'(t - t0)} e^{iGt0} y0.  Any other is integrated
+    with DOP853 at RTOL/ATOL.
     """
+    if len(times) == 1:
+        return y0[None].copy()
+    if not ham.is_static:
+        gen = _static_frame(ham)
+        if gen is not None:
+            rotated = to_rotating_frame(ham, gen).hamiltonian
+            if rotated.is_static:
+                lift = np.exp(1j * gen * times[0])
+                back = np.exp(-1j * np.outer(times, gen))
+                if y0.ndim == 2:
+                    lift, back = lift[:, None], back[:, :, None]
+                return back * _integrate(rotated, lift * y0, times)
+
     if ham.is_static:
         vals, vecs = np.linalg.eigh(ham.static)
         amps = vecs.conj().T @ y0

@@ -403,7 +403,15 @@ def _logspace(start: float, stop: float, num: int) -> list[float]:
 
 def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = (f" at line {mark.line + 1}, column {mark.column + 1}"
+                     if mark is not None else "")
+            problem = getattr(exc, "problem", None) or exc
+            raise ScenarioError([f"{path}: malformed YAML{where}: "
+                                 f"{problem}"]) from exc
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be a mapping"])
     return parse_scenario(data)

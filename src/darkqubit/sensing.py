@@ -262,15 +262,14 @@ def _bare_dephasing_time(con: Construction, noise: NoiseProcess,
 
 
 def frequency_window(noise: NoiseProcess | None = None,
-                     t1_target: float = DEFAULT_T1_TARGET,
                      min_gap: float = 0.0,
                      construction: Construction | None = None) -> dict:
     """Detectable signal band for the Zeeman-gap sensing scheme.
 
-    lower: smallest gap nu with S_BB(nu) * t1_target < DEFAULT_THRESHOLD
-    (noise-driven depolarization leaves the target T1 intact); upper:
-    DEFAULT_MAX_ZEEMAN, the largest Zeeman splitting the apparatus
-    supports.  With a construction given, its actual gap is checked
+    lower: smallest gap nu with S_BB(nu) * DEFAULT_T1_TARGET <
+    DEFAULT_THRESHOLD (noise-driven depolarization leaves the target T1
+    intact); upper: DEFAULT_MAX_ZEEMAN, the largest Zeeman splitting the
+    apparatus supports.  With a construction given, its actual gap is checked
     against the window.
     """
     lower = min_gap
@@ -278,7 +277,7 @@ def frequency_window(noise: NoiseProcess | None = None,
     if noise is not None and noise.sigma > 0:
         if noise.kind == "ornstein-uhlenbeck":
             # Solve S(nu) = threshold / t1_target exactly.
-            arg = 2.0 * noise.sigma ** 2 * noise.tau_c * t1_target \
+            arg = 2.0 * noise.sigma ** 2 * noise.tau_c * DEFAULT_T1_TARGET \
                 / DEFAULT_THRESHOLD - 1.0
             if arg > 0:
                 lower = max(lower, math.sqrt(arg) / noise.tau_c)
@@ -296,7 +295,7 @@ def frequency_window(noise: NoiseProcess | None = None,
             "upper": "largest applicable Zeeman splitting",
         },
         "threshold": DEFAULT_THRESHOLD,
-        "t1_target": t1_target,
+        "t1_target": DEFAULT_T1_TARGET,
     }
     if construction is not None:
         gap = abs(construction.scheme.manifold(construction.lower).g

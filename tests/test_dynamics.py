@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from darkqubit import dynamics
 from darkqubit.driving import Harmonic, TimeDependentHamiltonian
 from darkqubit.dynamics import (
     NumericalError,
@@ -72,6 +77,96 @@ def test_propagator_unitarity_and_composition():
     assert np.allclose(u21 @ u10, u20, atol=1e-8)
 
 
+def _two_block(harmonic_at):
+    # levels {0, 1} and {2} share no static coupling; one harmonic element
+    # (2, 0) at 0.7 makes the frame g = (0, 0, 0.7) static, a diagonal
+    # element or a second frequency on the same link does not
+    static = np.diag([0.0, 0.3, 1.1]).astype(complex)
+    static[0, 1] = static[1, 0] = 0.4
+    terms = []
+    for (a, b), w in harmonic_at:
+        m = np.zeros((3, 3), complex)
+        m[a, b] = 0.2
+        terms.append(Harmonic(m, w))
+    return TimeDependentHamiltonian(static, tuple(terms))
+
+
+@pytest.mark.parametrize("ham", [
+    _two_block([]),
+    _two_block([((2, 0), 0.7)]),
+    _two_block([((2, 0), 0.7), ((2, 1), 0.9)]),
+], ids=["static", "static-frame", "dop853"])
+def test_one_point_grid_returns_initial_state(ham):
+    psi0 = np.array([0.6, 0.8j, 0.0])
+    states = evolve_unitary(ham, psi0, [1.5])
+    assert states.shape == (1, 3)
+    assert np.array_equal(states[0], psi0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+       n_harmonics=st.integers(1, 2),
+       defect=st.sampled_from([None, "cycle", "diagonal"]),
+       t0=st.floats(0.3, 4.0), span=st.floats(0.5, 3.0))
+def test_static_frame_path_matches_dop853(seed, dim, n_harmonics, defect,
+                                          t0, span):
+    # Levels fall into blocks with no static coupling between them, each
+    # block at a frame potential p.  A harmonic linking block B to block A
+    # at w = p_A - p_B > 0 is static in that frame.  A second link between
+    # the same blocks at another frequency (a cycle), or a diagonal
+    # harmonic element, leaves no static frame: DOP853 must run.
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, 3, size=dim)
+    block[:2] = [0, 1]
+    pots = rng.uniform(-3.0, 3.0, size=3)
+    static = np.diag(rng.normal(size=dim)).astype(complex)
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            if block[a] == block[b]:
+                static[a, b] = rng.normal() + 1j * rng.normal()
+                static[b, a] = np.conj(static[a, b])
+
+    terms = []
+    for _ in range(n_harmonics):
+        while True:
+            a, b = rng.integers(0, dim, size=2)
+            if pots[block[a]] > pots[block[b]]:
+                break
+        m = np.zeros((dim, dim), complex)
+        for i in np.nonzero(block == block[a])[0]:
+            for j in np.nonzero(block == block[b])[0]:
+                if rng.random() < 0.7:
+                    m[i, j] = 0.5 * (rng.normal() + 1j * rng.normal())
+        m[a, b] = 0.5
+        terms.append(Harmonic(m, pots[block[a]] - pots[block[b]]))
+    if defect == "cycle":
+        m = np.zeros((dim, dim), complex)
+        m[a, b] = 0.3
+        terms.append(Harmonic(m, terms[-1].frequency + rng.uniform(0.1, 1.0)))
+    elif defect == "diagonal":
+        m = np.zeros((dim, dim), complex)
+        m[a, a] = 0.3
+        terms.append(Harmonic(m, rng.uniform(0.5, 3.0)))
+    ham = TimeDependentHamiltonian(static, tuple(terms))
+
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    times = t0 + np.linspace(0.0, span, 7)
+    with mock.patch.object(dynamics, "solve_ivp",
+                           wraps=dynamics.solve_ivp) as solver:
+        states = evolve_unitary(ham, psi0, times)
+        u = propagator(ham, t0 + span, t0)
+    assert solver.called == (defect is not None)
+    if defect is not None:
+        assert dynamics._static_frame(ham) is None
+        return
+    with mock.patch.object(dynamics, "_static_frame", return_value=None):
+        ref_states = evolve_unitary(ham, psi0, times)
+        ref_u = propagator(ham, t0 + span, t0)
+    assert np.abs(states - ref_states).max() < 1e-9
+    assert np.abs(u - ref_u).max() < 1e-9
+
+
 def test_stroboscopic_matches_dense_sampling():
     m = np.zeros((2, 2), complex)
     m[1, 0] = 0.25
@@ -103,6 +198,33 @@ def test_lindblad_amplitude_damping_closed_form():
         assert rho[1, 1].real == pytest.approx(0.7 * np.exp(-gamma * t), abs=1e-9)
         assert abs(rho[0, 1]) == pytest.approx(0.4 * np.exp(-gamma * t / 2), abs=1e-9)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+       n_collapse=st.integers(0, 4), repeat_steps=st.booleans(),
+       span=st.floats(0.1, 20.0))
+def test_lindblad_preserves_trace_and_positivity(seed, dim, n_collapse,
+                                                 repeat_steps, span):
+    # random Hamiltonian, collapse set and mixed initial state; a uniform
+    # grid reuses one step propagator, a random grid builds one per step
+    rng = np.random.default_rng(seed)
+    h = _random_hermitian(rng, dim)
+    collapse = [rng.uniform(0.0, 1.5) * (rng.normal(size=(dim, dim))
+                                         + 1j * rng.normal(size=(dim, dim)))
+                for _ in range(n_collapse)]
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    if repeat_steps:
+        times = np.linspace(0.0, span, 9)
+    else:
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span, 8))])
+    rhos = evolve_lindblad(h, rho0, collapse, times)
+    assert rhos.shape == (len(times), dim, dim)
+    assert np.abs(np.einsum("tii->t", rhos) - 1.0).max() < 1e-9
+    assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() < 1e-10
+    assert np.linalg.eigvalsh(rhos).min() > -1e-9
 
 
 def test_liouvillian_spectrum_two_level():

@@ -383,6 +383,32 @@ def test_cli_json_format(tmp_path):
     assert not (out / "evolve_trace.csv").exists()
 
 
+def test_cli_evolve_one_point_harmonic(tmp_path):
+    # pol_leak keeps a harmonic in the frame; a one-point grid is the
+    # initial state alone, on every propagation path
+    yaml_text = EVOLVE_YAML.replace("b: 0.3", "b: 0.3\n  pol_leak: 0.01") \
+        .replace("points: 60", "points: 1")
+    code, out = _run(tmp_path, "one", yaml_text, "evolve")
+    assert code == 0
+    lines = (out / "evolve_trace.csv").read_text().splitlines()
+    assert lines[0] == "time,pop_D1,pop_D2,pop_upper"
+    assert len(lines) == 2
+    time, pop_d1, pop_d2, _ = map(float, lines[1].split(","))
+    assert (time, pop_d1, pop_d2) == (0.0, 1.0, 0.0)
+
+
+def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
+    scen = tmp_path / "broken.yaml"
+    scen.write_text("protocol: analyze\nscheme: [unclosed\n")
+    code = main(["analyze", "--scenario", str(scen),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed YAML at line 3, column 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_protocol_mismatch_is_validation_error(tmp_path, capsys):
     scen = tmp_path / "an.yaml"
     scen.write_text(ANALYZE_YAML)

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from darkqubit import dynamics, sensing
 from darkqubit.angular import clebsch_gordan
 from darkqubit.driving import compact_construction, hyperfine_construction
+from darkqubit.gates import protected_report
 from darkqubit.levels import ca40_dp, hyperfine_f1f2
 from darkqubit.noise import NoiseProcess, spectral_density
 from darkqubit.sensing import (
@@ -195,6 +198,36 @@ def test_hyperfine_detuned_suppression(hyperfine, mult, law):
     assert detuned.details["max_transfer"] == pytest.approx(law, rel=0.01)
     assert detuned.effective_rabi == 0.0
     assert detuned.sensitivity == math.inf
+
+
+def test_hyperfine_detuned_runs_match_dop853(hyperfine):
+    # criterion 9's four detunings: the signal element (3, 0) links the F1
+    # and F2 blocks, which the static part leaves uncoupled, so a diagonal
+    # frame makes the run static and it takes the spectral path.  The
+    # forced DOP853 run is the reference.  D1 lies in F1 and D2 in F2, so
+    # (D1 + D2)/sqrt(2) on a grid shifted off t = 0 also checks the frame's
+    # relative phase at the first time.
+    proto = SensingProtocol("hyperfine", 1.0, 0.02)
+    rate = run_hyperfine_sensing(proto, hyperfine)[0].effective_rabi
+    runs = []
+
+    def spy(ham, psi0, times):
+        runs.append((ham, times))
+        return dynamics.evolve_unitary(ham, psi0, times)
+
+    with mock.patch.object(sensing, "evolve_unitary", spy):
+        for mult in (4.0, 10.0, 20.0, 32.0):
+            run_hyperfine_sensing(proto, hyperfine, detuning=mult * rate)
+    dark = protected_report(hyperfine).dark_states
+    psi0 = (dark[0] + dark[1]) / math.sqrt(2.0)
+    for ham, times in runs:
+        assert not ham.is_static
+        assert dynamics._static_frame(ham) is not None
+        shifted = times + 0.29 * times[-1]
+        fast = dynamics.evolve_unitary(ham, psi0, shifted)
+        with mock.patch.object(dynamics, "_static_frame", return_value=None):
+            ref = dynamics.evolve_unitary(ham, psi0, shifted)
+        assert np.abs(fast - ref).max() < 1e-9
 
 
 def test_hyperfine_sensing_reports_rwa_ledger(hyperfine):
