@@ -33,7 +33,7 @@ from .gates import (microwave_sigma_y, prepare_initial_state, protected_report,
                     raman_sigma_x)
 from .noise import evolve_noisy
 from .scenario import (Scenario, ScenarioError, build_construction,
-                       build_noise, build_scheme, load_scenario)
+                       build_noise, build_scheme, input_unit, load_scenario)
 from .sensing import (SensingProtocol, coherence_comparison, frequency_window,
                       run_ac_sensing, run_hyperfine_sensing)
 from .subspace import ProtectionError
@@ -149,9 +149,18 @@ def _state_table(scheme, vectors) -> dict:
 
 
 # ---------------------------------------------------------------- protocols
+#
+# A runner takes a scenario and returns (results, tables): results is
+# anything _json_safe takes, and tables maps a results key ("trace_files",
+# "sweep_files") to the (name, columns, units) of one table.
 
 
-def _run_analyze(scenario, out_dir, fmt):
+def _given(params, *keys) -> dict:
+    """The keys the scenario sets; the callee's defaults fill the rest."""
+    return {key: params[key] for key in keys if key in params}
+
+
+def _run_analyze(scenario):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     report = protected_report(con)
@@ -165,29 +174,28 @@ def _run_analyze(scenario, out_dir, fmt):
         "dropped_terms": len(con.dropped),
         "frequency_window": window,
     }
-    return results, []
+    return results, {}
 
 
 def _initial_state(params, report):
-    name = params.get("initial", "D1")
+    name = params["initial"]
     if name == "superposition":
         return (report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
     return prepare_initial_state(report, name)
 
 
-def _run_evolve(scenario, out_dir, fmt):
+def _run_evolve(scenario):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     report = protected_report(con)
     params = scenario.params
-    times = np.linspace(0.0, params["duration"],
-                        int(params.get("points", 400)))
+    times = np.linspace(0.0, params["duration"], params.get("points", 400))
     psi0 = _initial_state(params, report)
     noise = build_noise(scenario)
     basis = np.column_stack(report.dark_states[:2])
     if noise is not None:
         rho = evolve_noisy(con.ip, psi0, noise, scheme.zeeman_generator(),
-                           times, n_traj=int(params.get("n_traj", 256)))
+                           times, n_traj=params.get("n_traj", 256))
         p1 = np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
                        basis[:, 0]).real
         p2 = np.einsum("i,tij,j->t", basis[:, 1].conj(), rho,
@@ -207,86 +215,49 @@ def _run_evolve(scenario, out_dir, fmt):
                 "D1": overlap_population(states, basis[:, 0]),
                 "D2": overlap_population(states, basis[:, 1]),
                 "upper": upper_pop})
-    columns, units = _trace_columns(trace)
-    files = emit_plot_data(out_dir, "evolve_trace", columns, units,
-                           label=scenario.label, fmt=fmt)
     results = {
         "final": {k: float(v[-1]) for k, v in trace.populations.items()},
         "noise_averaged": noise is not None,
-        "trace_files": [os.path.basename(f) for f in files],
     }
-    return results, files
+    return results, {"trace_files": ("evolve_trace", *_trace_columns(trace))}
 
 
-def _run_error_budget(scenario, out_dir, fmt):
-    params = dict(scenario.params)
+def _run_error_budget(scenario):
+    params = scenario.params
     budget = total_budget(**params)
-    results = _json_safe(budget)
-    files = []
-    if scenario.sweep:
-        files = _sweep_error_budget(scenario, params, out_dir, fmt)
-        results["sweep_files"] = [os.path.basename(f) for f in files]
-    return results, files
-
-
-def _sweep_error_budget(scenario, params, out_dir, fmt):
+    if not scenario.sweep:
+        return budget, {}
     field = scenario.sweep["field"]
-    prefix = "error_budget."
-    if not field.startswith(prefix):
-        raise ScenarioError(
-            [f"sweep.field: {field!r} must name an error_budget input "
-             f"(e.g. {prefix}delta_b)"])
-    key = field[len(prefix):]
-    if key not in params:
-        raise ScenarioError([f"sweep.field: unknown input {key!r}"])
+    key = field.removeprefix("error_budget.")
     rows = {field: []}
+    units = {field: input_unit("error-budget", key),
+             "gap_shift_total": "rad/s", "t1_limit": "s", "t2_limit": "s"}
     for value in scenario.sweep["values"]:
-        swept = dict(params, **{key: value})
-        budget = total_budget(**swept)
+        swept = total_budget(**dict(params, **{key: value}))
         rows[field].append(value)
-        flat = {
-            "gap_shift_total": budget.gap_shift_total,
-            "t1_limit": budget.t1_limit,
-            "t2_limit": budget.t2_limit,
-        }
-        for mech in budget.mechanisms:
+        flat = {name: getattr(swept, name)
+                for name in ("gap_shift_total", "t1_limit", "t2_limit")}
+        for mech in swept.mechanisms:
             flat[f"{mech.mechanism}.excited_population"] = \
                 mech.excited_population
             flat[f"{mech.mechanism}.gap_shift"] = mech.gap_shift
+            units[f"{mech.mechanism}.gap_shift"] = "rad/s"
         for name, v in flat.items():
             rows.setdefault(name, []).append(
                 v if math.isfinite(v) else math.nan)
-    return emit_plot_data(out_dir, "budget_sweep", rows,
-                          {field: "rad/s"}, label=scenario.label, fmt=fmt)
+    return budget, {"sweep_files": ("budget_sweep", rows, units)}
 
 
-def _run_gates(scenario, out_dir, fmt):
+def _run_gates(scenario):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     params = scenario.params
-    gate = params["gate"]
-    if gate == "microwave":
-        op = microwave_sigma_y(params["omega_g"], con)
-    elif gate == "raman":
-        if "delta_r" not in params:
-            raise ScenarioError(
-                ["gates.delta_r: required for the raman gate (frequency)"])
-        op = raman_sigma_x(params["omega_g"], params["delta_r"], con)
-    else:
-        raise ScenarioError(
-            [f"gates.gate: {gate!r} not one of ['microwave', 'raman']"])
-    results = {
-        "kind": op.kind,
-        "rate": op.rate,
-        "leakage": op.leakage,
-        "fidelity": op.fidelity,
-        "matrix": _json_safe(op.matrix),
-        "details": _json_safe(op.details),
-    }
-    return results, []
+    if params["gate"] == "microwave":
+        return microwave_sigma_y(params["omega_g"], con), {}
+    return raman_sigma_x(params["omega_g"], params["delta_r"], con), {}
 
 
-def _run_sense(scenario, out_dir, fmt):
+def _run_sense(scenario):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     params = scenario.params
@@ -297,36 +268,25 @@ def _run_sense(scenario, out_dir, fmt):
         scheme=variant,
         signal_freq=params["signal_freq"],
         signal_rabi=params["signal_rabi"],
-        phase_policy=params.get("phase_policy", "locked"),
-        interrogation_time=params.get("interrogation_time", 1.0),
-        readout_basis=params.get("readout_basis", "z"),
-        n_draws=int(params.get("n_draws", 1024)),
-        seed=scenario.seed)
+        seed=scenario.seed,
+        **_given(params, "phase_policy", "interrogation_time",
+                 "readout_basis", "n_draws"))
     if variant == "hyperfine":
-        report, trace = run_hyperfine_sensing(
-            protocol, con, detuning=params.get("detuning", 0.0))
+        report, trace = run_hyperfine_sensing(protocol, con,
+                                              **_given(params, "detuning"))
     else:
-        noise = build_noise(scenario)
-        report, trace = run_ac_sensing(
-            protocol, con, noise=noise,
-            n_traj=int(params.get("n_traj", 256)))
-    columns, units = _trace_columns(trace)
-    files = emit_plot_data(out_dir, "sense_trace", columns, units,
-                           label=scenario.label, fmt=fmt)
-    results = _json_safe(report)
-    results["trace_files"] = [os.path.basename(f) for f in files]
-    return results, files
+        report, trace = run_ac_sensing(protocol, con,
+                                       noise=build_noise(scenario),
+                                       **_given(params, "n_traj"))
+    return report, {"trace_files": ("sense_trace", *_trace_columns(trace))}
 
 
-def _run_compare(scenario, out_dir, fmt):
+def _run_compare(scenario):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
-    noise = build_noise(scenario)
-    params = scenario.params
-    results = coherence_comparison(
-        con, noise, n_traj=int(params.get("n_traj", 512)),
-        horizon_in_bare_t2=params.get("horizon_in_bare_t2", 100.0))
-    return _json_safe(results), []
+    return coherence_comparison(
+        con, build_noise(scenario),
+        **_given(scenario.params, "n_traj", "horizon_in_bare_t2")), {}
 
 
 _RUNNERS = {
@@ -343,9 +303,16 @@ def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
                  threads: int = 1) -> dict:
     """Execute a parsed scenario; returns the summary written to disk.
 
-    threads is accepted for compatibility and changes nothing.
+    Every output file is written here: the runner's tables first, then
+    summary.json.  threads is accepted for compatibility and changes
+    nothing.
     """
-    results, _ = _RUNNERS[scenario.protocol](scenario, out_dir, fmt)
+    results, tables = _RUNNERS[scenario.protocol](scenario)
+    results = _json_safe(results)
+    for key, (name, columns, units) in tables.items():
+        files = emit_plot_data(out_dir, name, columns, units,
+                               label=scenario.label, fmt=fmt)
+        results[key] = [os.path.basename(f) for f in files]
     summary = {
         "version": __version__,
         "protocol": scenario.protocol,
@@ -353,7 +320,7 @@ def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
         "seed": scenario.seed,
         "scenario_hash": scenario.hash(),
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "results": _json_safe(results),
+        "results": results,
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

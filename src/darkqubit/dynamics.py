@@ -5,9 +5,10 @@ Unitary evolution has three paths, chosen from the Hamiltonian alone:
 * spectral, for static Hamiltonians: one Hermitian diagonalization, then
   exact phases on the grid;
 * static-frame, for harmonic Hamiltonians that a diagonal frame G makes
-  static (every harmonic element links levels the static part leaves
-  uncoupled, with consistent frequencies): the spectral path in that
-  frame, and elementwise phases e^{-iGt} back to the lab;
+  static: the spectral path in that frame, and elementwise phases
+  e^{-iGt} back to the lab.  G is one least-squares solve of the link
+  equations g_a = g_b (each static coupling) and g_a - g_b = w (each
+  harmonic element at w), kept when it meets all of them;
 * DOP853 for every other harmonic Hamiltonian, an adaptive integration
   whose maximum step is capped at a quarter period of the fastest
   harmonic so micromotion cannot be stepped over when the state itself
@@ -82,47 +83,25 @@ def _as_hamiltonian(ham) -> TimeDependentHamiltonian:
 def _static_frame(ham: TimeDependentHamiltonian) -> np.ndarray | None:
     """Diagonal generator g whose rotating frame makes ham static, or None.
 
-    Levels that the static part couples must share one g.  Each nonzero
-    element (a, b) of a harmonic at w requires g_a - g_b = w, to 1e-9 of
-    the fastest harmonic; a cycle of mismatched frequencies or a diagonal
-    harmonic element has no solution.  Each connected set of levels gets
-    its own zero.
+    Each nonzero static coupling (a, b) asks for g_a = g_b, and each
+    nonzero element (a, b) of a harmonic at w for g_a - g_b = w.  One
+    least-squares solve of these link equations gives g, kept only if it
+    meets every equation to 1e-9 of the fastest harmonic: a cycle of
+    mismatched frequencies, or a diagonal harmonic element (a zero row
+    asking for w), has no solution.
     """
-    parent = list(range(ham.dim))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(*np.nonzero(np.triu(ham.static, 1))):
-        parent[root(a)] = root(b)
-    roots = [root(a) for a in range(ham.dim)]
-
-    # g[r] - g[s] = w between component roots, stored from both ends.
-    edges: dict[int, list[tuple[int, float]]] = {r: [] for r in roots}
-    for term in ham.harmonics:
-        for a, b in zip(*np.nonzero(term.matrix)):
-            edges[roots[a]].append((roots[b], term.frequency))
-            edges[roots[b]].append((roots[a], -term.frequency))
+    eye = np.eye(ham.dim)
+    rows, want = [], []
+    terms = [(0.0, np.triu(ham.static, 1))]
+    terms += [(term.frequency, term.matrix) for term in ham.harmonics]
+    for freq, mat in terms:
+        a, b = np.nonzero(mat)
+        rows.append(eye[a] - eye[b])
+        want.append(np.full(len(a), freq))
+    rows, want = np.concatenate(rows), np.concatenate(want)
+    g = np.linalg.lstsq(rows, want, rcond=None)[0]
     tol = 1e-9 * max(term.frequency for term in ham.harmonics)
-    g: dict[int, float] = {}
-    for start in edges:
-        if start in g:
-            continue
-        g[start] = 0.0
-        stack = [start]
-        while stack:
-            r = stack.pop()
-            for s, w in edges[r]:
-                want = g[r] - w
-                if s not in g:
-                    g[s] = want
-                    stack.append(s)
-                elif abs(g[s] - want) > tol:
-                    return None
-    return np.array([g[r] for r in roots])
+    return g if np.abs(rows @ g - want).max(initial=0.0) <= tol else None
 
 
 def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
@@ -140,13 +119,13 @@ def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
     if not ham.is_static:
         gen = _static_frame(ham)
         if gen is not None:
+            # Static: the default freq_atol covers _static_frame's tolerance.
             rotated = to_rotating_frame(ham, gen).hamiltonian
-            if rotated.is_static:
-                lift = np.exp(1j * gen * times[0])
-                back = np.exp(-1j * np.outer(times, gen))
-                if y0.ndim == 2:
-                    lift, back = lift[:, None], back[:, :, None]
-                return back * _integrate(rotated, lift * y0, times)
+            lift = np.exp(1j * gen * times[0])
+            back = np.exp(-1j * np.outer(times, gen))
+            if y0.ndim == 2:
+                lift, back = lift[:, None], back[:, :, None]
+            return back * _integrate(rotated, lift * y0, times)
 
     if ham.is_static:
         vals, vecs = np.linalg.eigh(ham.static)

@@ -31,6 +31,7 @@ __all__ = [
     "ScenarioError",
     "parse_frequency",
     "parse_time",
+    "input_unit",
     "load_scenario",
     "parse_scenario",
     "build_scheme",
@@ -296,7 +297,8 @@ _PARAM_FIELDS = {
                      ("gamma", "frequency", True),
                      ("t2star_bare", "time", True),
                      ("cross_check", "bool", False)),
-    "gates": (("gate", "str", True), ("omega_g", "frequency", True),
+    "gates": (("gate", ("microwave", "raman"), True),
+              ("omega_g", "frequency", True),
               ("delta_r", "frequency", False)),
     "sense": (("variant", "str", False),
               ("signal_freq", "frequency", True),
@@ -311,6 +313,59 @@ _PARAM_FIELDS = {
 }
 
 _NEEDS_CONSTRUCTION = {"analyze", "evolve", "gates", "sense", "compare"}
+
+_UNITS = {"frequency": "rad/s", "time": "s", "scalar": ""}
+# A sweep varies one numeric error_budget input.
+_SWEEP_KINDS = {f"error_budget.{name}": kind
+                for name, kind, _ in _PARAM_FIELDS["error-budget"]
+                if kind in _UNITS}
+
+
+def input_unit(protocol: str, name: str) -> str:
+    """Unit of a parsed protocol input: "rad/s", "s" or "" (scalar)."""
+    return _UNITS[next(kind for key, kind, _ in _PARAM_FIELDS[protocol]
+                       if key == name)]
+
+
+def _parse_sweep(section, protocol) -> dict:
+    """A sweep over one numeric error_budget input.
+
+    values, or the start/stop grid, are parsed with the swept input's own
+    kind: a time takes "10 us", a scalar stays a bare number.
+    """
+    problems = section.problems
+    if protocol != "error-budget":
+        problems.append(f"{section.path}: only the error-budget protocol "
+                        "takes a sweep")
+    field = section.choice("field", _SWEEP_KINDS, required=True)
+    kind = _SWEEP_KINDS.get(field)
+    sweep = {"field": field, "values": None}
+    if kind is None:
+        # Without the input's kind its values cannot be read.
+        section.seen.update(("values", "start", "stop", "num", "spacing"))
+    elif "values" in section.data:
+        try:
+            sweep["values"] = [_PARSERS[kind](v)
+                               for v in section.get("values", "raw")]
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{section.path}.values: {exc}")
+    else:
+        start = section.get("start", kind, required=True)
+        stop = section.get("stop", kind, required=True)
+        num = section.get("num", "int", required=True)
+        spacing = section.choice("spacing", ("linear", "log"),
+                                 default="linear")
+        grid = None not in (start, stop, num)
+        if grid and spacing == "log" and min(start, stop) <= 0:
+            problems.append(f"{section.path}: log spacing needs positive "
+                            "start/stop")
+        elif grid and spacing == "log":
+            sweep["values"] = _logspace(start, stop, num)
+        elif grid:
+            step = (stop - start) / max(num - 1, 1)
+            sweep["values"] = [start + step * i for i in range(num)]
+    section.finish()
+    return sweep
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -342,48 +397,19 @@ def parse_scenario(data: dict) -> Scenario:
                             "required section")
         elif section is not None:
             for name, kind, required in fields:
-                value = section.get(name, kind, required=required)
+                if isinstance(kind, tuple):
+                    value = section.choice(name, kind, required=required)
+                else:
+                    value = section.get(name, kind, required=required)
                 if value is not None:
                     params[name] = value
+            if params.get("gate") == "raman" and "delta_r" not in section.data:
+                problems.append(f"{section.path}.delta_r: required for the "
+                                "raman gate (frequency)")
             section.finish()
 
     sweep_section = root.subsection("sweep")
-    sweep = None
-    if sweep_section is not None:
-        sweep = {
-            "field": sweep_section.get("field", "str", required=True),
-            "values": sweep_section.get("values", "raw"),
-        }
-        grid_keys = ("start", "stop", "num", "spacing")
-        if sweep["values"] is None:
-            grid = {k: sweep_section.get(
-                k, "int" if k == "num" else
-                   "str" if k == "spacing" else "frequency",
-                required=(k != "spacing")) for k in grid_keys}
-            spacing = grid["spacing"] or "linear"
-            if spacing not in ("linear", "log"):
-                problems.append("scenario.sweep.spacing: expected linear|log")
-            if None not in (grid["start"], grid["stop"], grid["num"]):
-                if spacing == "log":
-                    if grid["start"] <= 0 or grid["stop"] <= 0:
-                        problems.append(
-                            "scenario.sweep: log spacing needs positive "
-                            "start/stop")
-                    else:
-                        sweep["values"] = list(_logspace(
-                            grid["start"], grid["stop"], grid["num"]))
-                else:
-                    step = (grid["stop"] - grid["start"]) \
-                        / max(grid["num"] - 1, 1)
-                    sweep["values"] = [grid["start"] + step * i
-                                      for i in range(grid["num"])]
-        else:
-            try:
-                sweep["values"] = [parse_frequency(v)
-                                   for v in sweep["values"]]
-            except (TypeError, ValueError) as exc:
-                problems.append(f"scenario.sweep.values: {exc}")
-        sweep_section.finish()
+    sweep = _parse_sweep(sweep_section, protocol) if sweep_section else None
 
     root.finish()
     if problems:

@@ -88,17 +88,51 @@ class SensitivityReport:
     details: dict = field(default_factory=dict)
 
 
-def _signal_static(con: Construction, rabi: float, phase: float) -> np.ndarray:
-    jx = con.scheme.spin_operator(con.lower, "x")
-    jy = con.scheme.spin_operator(con.lower, "y")
-    return (rabi / 2.0) * (np.cos(phase) * jx + np.sin(phase) * jy)
+def _with_signal(con: Construction, operator: np.ndarray, rabi: float,
+                 freq: float, phase: float, rwa_cutoff: float,
+                 freq_atol: float | None = None):
+    """con.ip plus the lab field rabi cos(freq t + phase) operator.
+
+    to_rotating_frame moves the field into the construction's frame.
+    Returns the Hamiltonian and the ledger of the terms it dropped.
+    """
+    lab = TimeDependentHamiltonian(np.diag(con.frame)).plus_harmonic(
+        (rabi / 2.0) * operator, freq, phase)
+    rotated = to_rotating_frame(lab, con.frame, rwa_cutoff=rwa_cutoff,
+                                freq_atol=freq_atol)
+    signal = rotated.hamiltonian
+    ham = TimeDependentHamiltonian(con.ip.static + signal.static,
+                                   con.ip.harmonics + signal.harmonics)
+    ratios = [term.ratio for term in rotated.dropped]
+    return ham, {"dropped_terms": len(ratios),
+                 "rwa_worst_ratio": max(ratios, default=0.0)}
 
 
-def _qubit_rate(con: Construction, basis: np.ndarray, rabi: float,
-                phase: float, probe_scale: float) -> float:
-    ham = con.ip.plus_static(_signal_static(con, rabi, phase))
-    h_eff, _ = extract_effective_hamiltonian(ham, basis, 0.3 / probe_scale)
-    return float(abs(h_eff[0, 1]))
+def _optical_signal(con: Construction, rabi: float, freq: float,
+                    phase: float):
+    """_with_signal for the field rabi cos(freq t + phase) Jx_lower.
+
+    Its co-rotating part sits at |freq - gap| and stays; the
+    counter-rotating part at freq + gap is dropped.  A residual within
+    1e-9 of the gap counts as resonant.
+    """
+    gap = abs(con.scheme.manifold(con.lower).g * con.b)
+    return _with_signal(con, con.scheme.spin_operator(con.lower, "x"), rabi,
+                        freq, phase, rwa_cutoff=max(freq, gap),
+                        freq_atol=1e-9 * max(1.0, gap))
+
+
+def _report(rate: float, t2: float, attenuation: float,
+            details: dict) -> SensitivityReport:
+    """Report with sensitivity 1 / (rate sqrt(T2)); infinite at rate 0."""
+    sensitivity = 1.0 / (rate * math.sqrt(t2)) if rate > 0 else math.inf
+    return SensitivityReport(rate, t2, sensitivity, attenuation, details)
+
+
+def _zero_signal(protocol: SensingProtocol):
+    return (_report(0.0, protocol.interrogation_time, 1.0,
+                    {"flag": "zero signal"}),
+            SimulationTrace(times=np.array([0.0])))
 
 
 def run_ac_sensing(protocol: SensingProtocol, con: Construction,
@@ -107,31 +141,37 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
                    ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-induced rotation of the dark pair, with phase statistics.
 
-    The signal must sit at the lower manifold's Zeeman gap; a detuning
-    beyond the effective linewidth is flagged (zero-rotation regime) in
-    the report details rather than raised.  With noise given, T2 is fitted
-    from the mutual coherence of the pair under that noise; otherwise the
+    The signal is the lab field signal_rabi cos(signal_freq t + phase) Jx
+    on the lower manifold, taken into the construction's frame with its
+    counter-rotating part dropped (and reported in the RWA ledger).  It
+    must sit at the lower manifold's Zeeman gap; a detuning beyond the
+    effective linewidth is flagged (zero-rotation regime) in the report
+    details rather than raised.  With noise given, T2 is fitted from the
+    mutual coherence of the pair under that noise; otherwise the
     protocol's interrogation_time stands in as the coherence window.
     """
     if report is None:
         report = protected_report(con)
+    if protocol.signal_rabi == 0.0:
+        return _zero_signal(protocol)
     basis = np.column_stack(report.dark_states[:2])
     gap = abs(con.scheme.manifold(con.lower).g * con.b)
+    if gap == 0.0:
+        raise ValueError("optical sensing needs a finite Zeeman gap (b != 0)")
     detuning = protocol.signal_freq - gap
 
     jy = con.scheme.spin_operator(con.lower, "y")
     element = abs(basis[:, 1].conj() @ jy @ basis[:, 0])
     probe_scale = (protocol.signal_rabi / 2.0) * element
 
-    if protocol.signal_rabi == 0.0:
-        empty = SimulationTrace(times=np.array([0.0]))
-        return (SensitivityReport(0.0, protocol.interrogation_time,
-                                  math.inf, 1.0,
-                                  {"flag": "zero signal"}), empty)
+    def rate_at_gap(phase):
+        ham = _optical_signal(con, protocol.signal_rabi, gap, phase)[0]
+        h_eff, _ = extract_effective_hamiltonian(ham, basis,
+                                                 0.3 / probe_scale)
+        return float(abs(h_eff[0, 1]))
 
     off_resonant = abs(detuning) > 3.0 * probe_scale
-    locked_rate = _qubit_rate(con, basis, protocol.signal_rabi, np.pi / 2.0,
-                              probe_scale)
+    locked_rate = rate_at_gap(np.pi / 2.0)
 
     attenuation = 1.0
     effective = locked_rate
@@ -147,8 +187,7 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
         # matrix element; a handful of full extractions guard the shortcut.
         phase_rates = locked_rate * np.abs(np.sin(phases))
         for check_phase in phases[:4]:
-            direct = _qubit_rate(con, basis, protocol.signal_rabi,
-                                 check_phase, probe_scale)
+            direct = rate_at_gap(check_phase)
             expected = locked_rate * abs(np.sin(check_phase))
             if abs(direct - expected) > 1e-3 * locked_rate + 1e-12:
                 raise RuntimeError(
@@ -158,24 +197,10 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
         effective = locked_rate * math.sqrt(attenuation)
 
     # Reference trace at locked phase over one transfer period.  Off
-    # resonance the signal enters as a harmonic at the residual detuning
-    # instead of a static term.
-    horizon = np.pi / locked_rate
-    times = np.linspace(0.0, horizon, 400)
-    if abs(detuning) <= 1e-9 * max(1.0, gap):
-        ham = con.ip.plus_static(
-            _signal_static(con, protocol.signal_rabi, np.pi / 2.0))
-    else:
-        jplus = con.scheme.spin_operator(con.lower, "x") \
-            + 1j * con.scheme.spin_operator(con.lower, "y")
-        raising = 0.5 * jplus  # J+ / 2, the co-rotating part of Jx
-        amp = protocol.signal_rabi / 2.0
-        phase = np.pi / 2.0
-        if detuning > 0:
-            mat = amp * np.exp(-1j * phase) * raising
-        else:
-            mat = amp * np.exp(1j * phase) * raising.conj().T
-        ham = con.ip.plus_harmonic(mat, abs(detuning))
+    # resonance the signal enters as a harmonic at the residual detuning.
+    ham, ledger = _optical_signal(con, protocol.signal_rabi,
+                                   protocol.signal_freq, np.pi / 2.0)
+    times = np.linspace(0.0, np.pi / locked_rate, 400)
     states = evolve_unitary(ham, basis[:, 0], times)
     trace = _readout_trace(times, states, basis, protocol.readout_basis)
 
@@ -186,10 +211,6 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
             con, basis, noise, n_traj, 3.0 * _bare_dephasing_time(con, noise))
         t2_details = {"t2_bounded_below": bounded, "final_coherence": final}
 
-    if off_resonant:
-        effective = 0.0
-    sensitivity = 1.0 / (effective * math.sqrt(t2)) if effective > 0 \
-        else math.inf
     details = {
         "locked_rate": locked_rate,
         "expected_rate": probe_scale,
@@ -197,16 +218,16 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
         "n_draws": protocol.n_draws if phase_rates is not None else 0,
         "max_transfer": float(np.max(
             overlap_population(states, basis[:, 1]))),
+        **ledger,
         **t2_details,
     }
     if protocol.signal_freq > DEFAULT_MAX_ZEEMAN:
         details["window_flag"] = "signal above the default Zeeman ceiling"
     if off_resonant:
+        effective = 0.0
         details["flag"] = "signal off-resonant beyond linewidth; " \
                           "zero-rotation regime"
-    report_out = SensitivityReport(effective, t2, sensitivity, attenuation,
-                                   details)
-    return report_out, trace
+    return _report(effective, t2, attenuation, details), trace
 
 
 def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
@@ -355,38 +376,27 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     """
     if report is None:
         report = protected_report(con)
+    if protocol.signal_rabi == 0.0:
+        return _zero_signal(protocol)
     basis = np.column_stack(report.dark_states[:2])
     scheme = con.scheme
     s_x = hyperfine_signal_operator(scheme, con.lower, con.upper)
 
-    f_l = scheme.manifold(con.lower)
-    f_u = scheme.manifold(con.upper)
+    iu = scheme.index(con.upper, -scheme.manifold(con.upper).j)
+    il = scheme.index(con.lower, -scheme.manifold(con.lower).j)
     energies = np.diag(scheme.static_hamiltonian(con.b)).real
-    resonance = energies[scheme.index(con.upper, -f_u.j)] \
-        - energies[scheme.index(con.lower, -f_l.j)]
+    resonance = energies[iu] - energies[il]
 
     # Expected coupling: the resonant (stretched) element weighted by the
     # dark-state amplitudes it connects.
-    iu = scheme.index(con.upper, -f_u.j)
-    il = scheme.index(con.lower, -f_l.j)
     expected = (protocol.signal_rabi / 2.0) * abs(basis[iu, 1]) \
         * abs(basis[il, 0]) * abs(s_x[iu, il])
 
-    if protocol.signal_rabi == 0.0:
-        empty = SimulationTrace(times=np.array([0.0]))
-        return (SensitivityReport(0.0, protocol.interrogation_time,
-                                  math.inf, 1.0, {"flag": "zero signal"}),
-                empty)
-
     # In the construction's frame each signal element lands at its own
     # residual frequency; slow ones join the static interaction picture.
-    signal = TimeDependentHamiltonian(np.diag(con.frame)).plus_harmonic(
-        (protocol.signal_rabi / 2.0) * s_x, resonance + detuning)
-    rotated = to_rotating_frame(signal, con.frame,
+    ham, ledger = _with_signal(con, s_x, protocol.signal_rabi,
+                                resonance + detuning, 0.0,
                                 rwa_cutoff=10.0 * con.omega)
-    signal = rotated.hamiltonian
-    ham = TimeDependentHamiltonian(con.ip.static + signal.static,
-                                   con.ip.harmonics + signal.harmonics)
 
     rate_scale = max(expected, 1e-12)
     horizon = 1.2 * np.pi / rate_scale
@@ -395,35 +405,27 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     p2 = overlap_population(states, basis[:, 1])
     p1 = overlap_population(states, basis[:, 0])
 
+    # Off resonance no rate is fitted; the report carries rate 0.
+    rate, fit_info = 0.0, {"coefficient_vs_rabi": math.nan}
     if detuning == 0.0:
         fit = fit_decay(times, p2, "sin2")
         rate = float(abs(fit.params["rate"]))
-        fit_info = {"fit_rms": fit.rms_residual}
-    else:
-        rate = float("nan")
-        fit_info = {}
-    max_transfer = float(np.max(p2))
+        fit_info = {"coefficient_vs_rabi": rate / protocol.signal_rabi,
+                    "fit_rms": fit.rms_residual}
 
-    t2 = protocol.interrogation_time
-    sensitivity = 1.0 / (rate * math.sqrt(t2)) \
-        if rate and not math.isnan(rate) else math.inf
     details = {
         "expected_rate": expected,
-        "coefficient_vs_rabi": (rate / protocol.signal_rabi
-                                if not math.isnan(rate) else math.nan),
         "resonance": resonance,
         "detuning": detuning,
-        "max_transfer": max_transfer,
+        "max_transfer": float(np.max(p2)),
         "leakage": float(np.max(1.0 - p1 - p2)),
-        "dropped_terms": len(rotated.dropped),
-        "rwa_worst_ratio": max((term.ratio for term in rotated.dropped),
-                               default=0.0),
+        **ledger,
         **fit_info,
     }
     trace = SimulationTrace(times=times,
                             populations={"D1": p1, "D2": p2})
-    return (SensitivityReport(rate if not math.isnan(rate) else 0.0, t2,
-                              sensitivity, 1.0, details), trace)
+    return (_report(rate, protocol.interrogation_time, 1.0, details),
+            trace)
 
 
 def coherence_comparison(con: Construction, noise: NoiseProcess,

@@ -103,6 +103,21 @@ def test_one_point_grid_returns_initial_state(ham):
     assert np.array_equal(states[0], psi0)
 
 
+def test_all_zero_harmonic_takes_the_spectral_path():
+    # a harmonic with no nonzero element and a diagonal static part leave
+    # no link equation at all: the frame g = 0 makes the run static
+    static = np.diag([0.0, 0.4, 1.3]).astype(complex)
+    ham = TimeDependentHamiltonian(static, (Harmonic(np.zeros((3, 3)), 2.0),))
+    psi0 = np.array([0.6, 0.8j, 0.0])
+    times = np.linspace(0.5, 3.0, 5)
+    with mock.patch.object(dynamics, "solve_ivp") as solver:
+        states = evolve_unitary(ham, psi0, times)
+    assert not solver.called
+    want = np.exp(-1j * np.outer(times - times[0], np.diag(static).real)) \
+        * psi0
+    assert np.abs(states - want).max() < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
        n_harmonics=st.integers(1, 2),

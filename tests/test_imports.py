@@ -74,9 +74,6 @@ INERT_PARAMETERS = {
         "bench/jobs.py passes threads=1",
     ("cli.py", "run_scenario", "threads"):
         "bench/jobs.py passes threads=1; --threads feeds it",
-    **{("cli.py", runner, name): "_RUNNERS share one signature"
-       for runner in ("_run_analyze", "_run_gates", "_run_compare")
-       for name in ("out_dir", "fmt")},
 }
 
 

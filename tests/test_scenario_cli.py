@@ -183,8 +183,21 @@ def test_compare_requires_noise():
         parse_scenario(data)
 
 
+def _budget_data(**over):
+    data = {
+        "protocol": "error-budget",
+        "scheme": {"preset": "ca40_dp"},
+        "error_budget": {"omega": "2pi*100 MHz", "b": "2pi*6.25 MHz",
+                         "delta_b": "2pi*50 kHz", "epsilon": 1e-2,
+                         "eps_pol": 1e-3, "gamma": "2pi*10 MHz",
+                         "t2star_bare": "20 us"},
+    }
+    data.update(over)
+    return data
+
+
 def test_sweep_grids():
-    base = _analyze_data()
+    base = _budget_data()
     base["sweep"] = {"field": "error_budget.delta_b", "start": "2pi*10 kHz",
                     "stop": "2pi*100 kHz", "num": 5, "spacing": "log"}
     sc = parse_scenario(base)
@@ -208,6 +221,76 @@ def test_sweep_grids():
                     "stop": 1.0, "num": 3, "spacing": "log"}
     with pytest.raises(ScenarioError, match="positive"):
         parse_scenario(base)
+
+
+def test_sweep_values_use_the_swept_inputs_kind():
+    # a time input takes time units and a scalar bare numbers; both used
+    # to be read as frequencies ("unknown frequency unit 'us'")
+    base = _budget_data(sweep={"field": "error_budget.t2star_bare",
+                               "values": ["10 us", "2 ms", 0.5]})
+    assert parse_scenario(base).sweep["values"] == [10e-6, 2e-3, 0.5]
+    base["sweep"] = {"field": "error_budget.t2star_bare", "start": "10 us",
+                     "stop": "30 us", "num": 3}
+    assert parse_scenario(base).sweep["values"] == pytest.approx(
+        [10e-6, 20e-6, 30e-6], rel=1e-12)
+    base["sweep"] = {"field": "error_budget.epsilon",
+                     "values": [0.01, "3 kHz"]}
+    with pytest.raises(ScenarioError, match="dimensionless"):
+        parse_scenario(base)
+
+
+def test_sweep_hash_of_frequency_sweep_is_unchanged():
+    # the canonical form of a sweep is still {field, values}, so a sweep
+    # that parsed before hashes as it did
+    data = _budget_data(sweep={"field": "error_budget.delta_b",
+                               "start": "2pi*10 kHz", "stop": "2pi*100 kHz",
+                               "num": 3, "spacing": "log"})
+    assert parse_scenario(data).hash() == (
+        "0c9a66ee892e016c5e7648bc6e8ef711f79bd4f37146d4c20ba01409afc875cd")
+
+
+@pytest.mark.parametrize("over, problem", [
+    ({"protocol": "analyze",
+      "construction": {"kind": "compact", "omega": 1.0, "b": 0.3}},
+     "scenario.sweep: only the error-budget protocol takes a sweep"),
+    ({"sweep": {"field": "delta_b", "values": [1.0]}},
+     "scenario.sweep.field: 'delta_b' not one of"),
+    ({"sweep": {"field": "error_budget.cross_check", "values": [True]}},
+     "scenario.sweep.field: 'error_budget.cross_check' not one of"),
+], ids=["analyze", "bare-field", "bool-field"])
+def test_sweep_is_validated_at_parse_time(over, problem):
+    data = _budget_data(sweep={"field": "error_budget.delta_b",
+                               "values": [1.0]}, mystery_key=1)
+    data.update(over)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    joined = "\n".join(err.value.problems)
+    assert problem in joined
+    # reported together with the file's other problems
+    assert "scenario.mystery_key: unknown key" in joined
+
+
+def _gates_data(**gates):
+    return {
+        "protocol": "gates",
+        "scheme": {"preset": "ca40_dp"},
+        "construction": {"kind": "compact", "omega": 1.0, "b": 0.3,
+                         "mystery": 1},
+        "gates": {"omega_g": 0.05, **gates},
+    }
+
+
+@pytest.mark.parametrize("gates, problem", [
+    ({"gate": "ramen"},
+     "scenario.gates.gate: 'ramen' not one of ['microwave', 'raman']"),
+    ({"gate": "raman"},
+     "scenario.gates.delta_r: required for the raman gate (frequency)"),
+], ids=["unknown-gate", "raman-without-delta_r"])
+def test_gate_is_validated_at_parse_time(gates, problem):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_gates_data(**gates))
+    assert set(err.value.problems) == {
+        problem, "scenario.construction.mystery: unknown key"}
 
 
 def test_build_scheme_and_construction():
@@ -371,6 +454,29 @@ def test_cli_budget_sweep(tmp_path):
     ip = header.index("magnetic-offset.excited_population")
     pexc = [float(line.split(",")[ip]) for line in lines[1:]]
     assert pexc[-1] / pexc[0] == pytest.approx(100.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("field, values, axis_unit", [
+    ("delta_b", '["2pi*10 kHz", "2pi*20 kHz"]', "rad/s"),
+    ("epsilon", "[0.01, 0.02]", ""),
+    ("t2star_bare", '["10 us", "20 us"]', "s"),
+], ids=["frequency", "scalar", "time"])
+def test_cli_budget_sweep_units(tmp_path, field, values, axis_unit):
+    head = BUDGET_YAML[:BUDGET_YAML.index("sweep:")]
+    yaml_text = head + (f"sweep:\n  field: error_budget.{field}\n"
+                        f"  values: {values}\n")
+    code, out = _run(tmp_path, field, yaml_text, "error-budget")
+    assert code == 0
+    manifest = json.loads((out / "budget_sweep.manifest.json").read_text())
+    units = manifest["units"]
+    assert units[f"error_budget.{field}"] == axis_unit
+    assert units["gap_shift_total"] == "rad/s"
+    assert units["t1_limit"] == units["t2_limit"] == "s"
+    for name, unit in units.items():
+        if name.endswith(".gap_shift"):
+            assert unit == "rad/s"
+        elif name.endswith(".excited_population"):
+            assert unit == ""
 
 
 def test_cli_json_format(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 
 from darkqubit import dynamics, sensing
 from darkqubit.angular import clebsch_gordan
-from darkqubit.driving import compact_construction, hyperfine_construction
+from darkqubit.driving import (compact_construction, hyperfine_construction,
+                               ideal_construction)
 from darkqubit.gates import protected_report
-from darkqubit.levels import ca40_dp, hyperfine_f1f2
+from darkqubit.levels import ca40_dp, d52_p32, hyperfine_f1f2
 from darkqubit.noise import NoiseProcess, spectral_density
 from darkqubit.sensing import (
     DEFAULT_MAX_ZEEMAN,
@@ -98,6 +99,65 @@ def test_off_resonant_signal_flagged(optical):
     assert "off-resonant" in rep.details["flag"]
     # the reference trace still shows the suppressed transfer
     assert rep.details["max_transfer"] < 0.01
+
+
+def _hand_built_signal(con, rabi, freq, phase):
+    # The optical signal as it used to be written out: static on
+    # resonance, otherwise the co-rotating half of Jx, J+/2 above the gap
+    # and J-/2 below it, as one harmonic at |detuning|.
+    gap = abs(con.scheme.manifold(con.lower).g * con.b)
+    detuning = freq - gap
+    jx = con.scheme.spin_operator(con.lower, "x")
+    jy = con.scheme.spin_operator(con.lower, "y")
+    if abs(detuning) <= 1e-9 * max(1.0, gap):
+        return con.ip.plus_static(
+            (rabi / 2.0) * (np.cos(phase) * jx + np.sin(phase) * jy))
+    raising = 0.5 * (jx + 1j * jy)
+    if detuning > 0:
+        mat = (rabi / 2.0) * np.exp(-1j * phase) * raising
+    else:
+        mat = (rabi / 2.0) * np.exp(1j * phase) * raising.conj().T
+    return con.ip.plus_harmonic(mat, abs(detuning))
+
+
+@pytest.mark.parametrize("build, lower, upper", [
+    (lambda: compact_construction(ca40_dp(), 0.3, 1.0), "D3/2", "P1/2"),
+    (lambda: ideal_construction(ca40_dp(), 0.3, 1.0), "D3/2", "P1/2"),
+    (lambda: compact_construction(d52_p32(), 0.3, 1.0, lower="D5/2",
+                                  upper="P3/2"), "D5/2", "P3/2"),
+], ids=["compact", "ideal", "d52_p32"])
+def test_optical_signal_matches_hand_built_hamiltonian(build, lower, upper):
+    # the signal now goes through to_rotating_frame; the hand-built form
+    # it replaced is the reference, on resonance, above and below it, and
+    # at a detuning larger than the gap itself
+    con = build()
+    assert (con.lower, con.upper) == (lower, upper)
+    gap = abs(con.scheme.manifold(lower).g * con.b)
+    for freq in (gap, gap + 0.005, gap - 0.005, 0.3 * gap, 3.5 * gap):
+        for phase in (0.0, 0.4, np.pi / 2.0, 2.2, -1.0):
+            ham, ledger = sensing._optical_signal(con, 0.01, freq, phase)
+            want = _hand_built_signal(con, 0.01, freq, phase)
+            assert np.abs(ham.static - want.static).max() < 1e-12
+            assert len(ham.harmonics) == len(want.harmonics)
+            for got, ref in zip(ham.harmonics, want.harmonics):
+                assert abs(got.frequency - ref.frequency) < 1e-12
+                assert np.abs(got.matrix - ref.matrix).max() < 1e-12
+            # the counter-rotating half, one bucket at freq + gap
+            peak = 0.005 * np.abs(con.scheme.spin_operator(lower, "x")).max()
+            assert ledger == {"dropped_terms": 1, "rwa_worst_ratio":
+                              pytest.approx(peak / (freq + gap), rel=1e-12)}
+
+
+def test_optical_sensing_reports_rwa_ledger(optical):
+    # the harmonic-dynamics benchmark's point: the counter-rotating half of
+    # the signal, (rabi/2) max|Jx| = 0.005 at 0.245 + 0.24 rad/s, is dropped
+    proto = SensingProtocol("optical-D32", GAP + 0.005, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep, _ = run_ac_sensing(proto, optical)
+    assert rep.details["dropped_terms"] == 1
+    assert rep.details["rwa_worst_ratio"] == pytest.approx(
+        0.005 / (2.0 * GAP + 0.005), rel=1e-12)
 
 
 def test_zero_signal(optical):
