@@ -33,7 +33,8 @@ from .gates import (microwave_sigma_y, prepare_initial_state, protected_report,
                     raman_sigma_x)
 from .noise import evolve_noisy
 from .scenario import (Scenario, ScenarioError, build_construction,
-                       build_noise, build_scheme, input_unit, load_scenario)
+                       build_noise, build_scheme, input_unit, load_scenario,
+                       sense_variant)
 from .sensing import (SensingProtocol, coherence_comparison, frequency_window,
                       run_ac_sensing, run_hyperfine_sensing)
 from .subspace import ProtectionError
@@ -261,9 +262,7 @@ def _run_sense(scenario):
     scheme = build_scheme(scenario)
     con = build_construction(scenario, scheme)
     params = scenario.params
-    variant = params.get("variant") or (
-        "hyperfine" if scenario.construction["kind"] == "hyperfine"
-        else "optical-D32")
+    variant = sense_variant(params, scenario.construction)
     protocol = SensingProtocol(
         scheme=variant,
         signal_freq=params["signal_freq"],

@@ -25,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm, schur
-from scipy.optimize import curve_fit
 
 from .driving import TimeDependentHamiltonian, to_rotating_frame
 
@@ -135,6 +132,8 @@ def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
             return (phases * amps) @ vecs.T
         return (vecs * phases[:, None, :]) @ amps
 
+    from scipy.integrate import solve_ivp
+
     if y0.ndim == 1:
         def rhs(t, y):
             return -1j * (ham.evaluate(t) @ y)
@@ -201,6 +200,8 @@ def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
     without norm drift.  stride keeps every stride-th period only.
     Returns (times, states), times[0] = 0.
     """
+    from scipy.linalg import schur
+
     ham = _as_hamiltonian(ham)
     psi0 = np.asarray(psi0, dtype=complex)
     u_period = propagator(ham, period, 0.0)
@@ -253,6 +254,8 @@ def evolve_lindblad(ham, rho0: np.ndarray, collapse, times: np.ndarray,
     if np.linalg.eigvalsh(rho0).min() < -POSITIVITY_TOL:
         raise ValueError("rho0 must be positive semidefinite")
     times = np.asarray(times, dtype=float)
+
+    from scipy.linalg import expm
 
     sup = liouvillian(ham.static, collapse)
     out = np.empty((len(times), dim, dim), dtype=complex)
@@ -382,6 +385,8 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
     values = np.asarray(values, dtype=float)
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; have {sorted(_MODELS)}")
+    from scipy.optimize import curve_fit
+
     fn, guess, names = _MODELS[model](times, values)
     if p0 is not None:
         guess = p0

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import logm
 
 from .driving import Construction
 from .dynamics import (NumericalError, evolve_stroboscopic, evolve_unitary,
@@ -113,6 +112,8 @@ def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
     takes its principal branch, so t_probe must keep rotation angles below
     pi.  defect > LEAKAGE_TOL raises: the subspace is not preserved.
     """
+    from scipy.linalg import logm
+
     u_full = propagator(ham, t_probe)
     proj = basis.conj().T @ u_full @ basis
     smin = np.linalg.svd(proj, compute_uv=False).min()

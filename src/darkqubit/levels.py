@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,18 @@ __all__ = [
 # lower-state m changes by q on absorption.
 POLARIZATIONS = {"sigma+": 1, "pi": 0, "sigma-": -1}
 
+# Dipole matrices by structure: the manifolds' (name, j) in order, lower,
+# upper, polarization and the addressed lower-m set.  Offsets and g-factors
+# never enter the matrix, so schemes of one preset share entries; the key
+# space is bounded by the schemes in use.
+_DIPOLE_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, frozen: a shared cache entry no caller can mutate."""
+    arr.flags.writeable = False
+    return arr
+
 
 @dataclass(frozen=True)
 class Manifold:
@@ -54,11 +67,11 @@ class Manifold:
     def __post_init__(self):
         object.__setattr__(self, "j", angular.as_half_int(self.j))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(2 * self.j) + 1
 
-    @property
+    @cached_property
     def m_values(self) -> tuple[Fraction, ...]:
         return tuple(-self.j + k for k in range(self.dim))
 
@@ -149,11 +162,18 @@ class LevelScheme:
         return np.diag([float(m) for _, m in self.states()]).astype(complex)
 
     def zeeman_generator(self) -> np.ndarray:
-        """dH/db: g-weighted Jz over all manifolds.  Multiply by b = mu_B*B."""
+        """dH/db: g-weighted Jz over all manifolds.  Multiply by b = mu_B*B.
+
+        Built once per scheme and shared, so the array is read-only.
+        """
+        return self._zeeman
+
+    @cached_property
+    def _zeeman(self) -> np.ndarray:
         diag = []
         for man in self.manifolds:
             diag.extend(man.g * float(m) for m in man.m_values)
-        return np.diag(diag).astype(complex)
+        return _read_only(np.diag(diag).astype(complex))
 
     def static_hamiltonian(self, b: float) -> np.ndarray:
         """Manifold offsets plus Zeeman splitting at field b = mu_B*B (rad/s)."""
@@ -181,17 +201,23 @@ class LevelScheme:
         largest entry equals the largest coefficient of the family.
 
         transitions, if given, restricts the operator to the listed lower-m
-        values (idealized per-transition addressing).
+        values (idealized per-transition addressing).  The matrix is
+        memoised by structure and shared, so it is read-only.
         """
         try:
             q = POLARIZATIONS[polarization]
         except KeyError:
             raise ValueError(f"unknown polarization {polarization!r}") from None
-        low = self.manifold(lower)
-        up = self.manifold(upper)
         allowed = None
         if transitions is not None:
-            allowed = {angular.as_half_int(m) for m in transitions}
+            allowed = frozenset(angular.as_half_int(m) for m in transitions)
+        key = (tuple((man.name, man.j) for man in self.manifolds),
+               lower, upper, polarization, allowed)
+        out = _DIPOLE_CACHE.get(key)
+        if out is not None:
+            return out
+        low = self.manifold(lower)
+        up = self.manifold(upper)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for m in low.m_values:
             if allowed is not None and m not in allowed:
@@ -202,6 +228,7 @@ class LevelScheme:
             coeff = angular.clebsch_gordan(low.j, m, 1, q, up.j, mu)
             if coeff != 0.0:
                 out[self.index(upper, mu), self.index(lower, m)] = coeff
+        _DIPOLE_CACHE[key] = _read_only(out)
         return out
 
     def collapse_operators(self, channel: DecayChannel) -> list[np.ndarray]:

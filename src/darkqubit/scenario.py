@@ -408,6 +408,10 @@ def parse_scenario(data: dict) -> Scenario:
                                 "raman gate (frequency)")
             section.finish()
 
+    if protocol == "sense" and construction is not None:
+        problems.extend(_unread_sense_keys(
+            sense_variant(params, construction), params, noise))
+
     sweep_section = root.subsection("sweep")
     sweep = _parse_sweep(sweep_section, protocol) if sweep_section else None
 
@@ -419,6 +423,25 @@ def parse_scenario(data: dict) -> Scenario:
                     sweep=sweep, seed=seed, label=label or "")
 
 
+def sense_variant(params: dict, construction: dict) -> str:
+    """The sense variant a scenario runs: as written, else by construction."""
+    return params.get("variant") or (
+        "hyperfine" if construction["kind"] == "hyperfine" else "optical-D32")
+
+
+def _unread_sense_keys(variant: str, params: dict, noise: dict | None):
+    """Problems for keys the chosen sense variant would silently ignore."""
+    if variant == "hyperfine":
+        if noise is not None:
+            yield "scenario.noise: the hyperfine sense variant takes no noise"
+        if "n_traj" in params:
+            yield ("scenario.sense.n_traj: the hyperfine sense variant "
+                   "takes no noise trajectories")
+    elif variant == "optical-D32" and "detuning" in params:
+        yield ("scenario.sense.detuning: the optical sense variant takes "
+               "its detuning from signal_freq")
+
+
 def _logspace(start: float, stop: float, num: int) -> list[float]:
     """Log-spaced grid without importing numpy at parse time."""
     if num == 1:
@@ -428,9 +451,11 @@ def _logspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def load_scenario(path) -> Scenario:
+    # libyaml's parser when PyYAML was built with it; same safe constructors.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     with open(path, encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = (f" at line {mark.line + 1}, column {mark.column + 1}"

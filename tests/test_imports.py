@@ -1,5 +1,6 @@
-"""Every top-level import of the package is used in its module, and every
-function parameter is read in its function.
+"""Every top-level import of the package is used in its module, every
+function parameter is read in its function, and importing the CLI loads no
+scipy.
 
 No linter ships with the project, so this parses the sources with ``ast``.
 A name counts as used when the module reads it, lists it in ``__all__``
@@ -9,7 +10,10 @@ A name counts as used when the module reads it, lists it in ``__all__``
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -104,3 +108,17 @@ def test_every_parameter_is_read():
         f"parameters never read: {sorted(unread - set(INERT_PARAMETERS))}"
     assert set(INERT_PARAMETERS) <= unread, \
         f"allowlisted but read: {sorted(set(INERT_PARAMETERS) - unread)}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that call it: a run that
+    # never integrates, fits or takes a matrix function skips its ~0.6 s
+    # import.  A fresh interpreter, so nothing else has loaded scipy.
+    code = ("import sys, darkqubit, darkqubit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

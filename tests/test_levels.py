@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -176,3 +178,81 @@ def test_scheme_validation():
         LevelScheme((Manifold("A", "1/2", 2.0, 0.0),), (DecayChannel("B", "A", 0.1),))
     with pytest.raises(ValueError):
         Manifold("A", "0.3", 2.0, 0.0)
+
+
+# ------------------------------------------------------ memoised structure
+
+
+PRESETS = ("ca40_dp", "ca40_sdp", "d52_p32", "hyperfine_f1f2",
+           "hyperfine_f0f1")
+
+
+def _uncached_dipole(scheme, lower, upper, q, transitions):
+    low, up = scheme.manifold(lower), scheme.manifold(upper)
+    out = np.zeros((scheme.dim, scheme.dim), dtype=complex)
+    for m in low.m_values:
+        mu = m + q
+        if (transitions is None or m in transitions) and abs(mu) <= up.j:
+            out[scheme.index(upper, mu), scheme.index(lower, m)] = \
+                clebsch_gordan(low.j, m, 1, q, up.j, mu)
+    return out
+
+
+def _reshifted(scheme):
+    """The same structure with other offsets and g-factors."""
+    return LevelScheme(tuple(
+        dataclasses.replace(man, g=1.5 * man.g + 0.1,
+                            offset=man.offset + 7.0)
+        for man in scheme.manifolds), scheme.decays)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_memoised_dipole_coupling_matches_an_uncached_build(name):
+    first = preset(name)
+    second = _reshifted(first)
+    names = [man.name for man in first.manifolds]
+    for lower, upper in itertools.product(names, repeat=2):
+        m_lower = first.manifold(lower).m_values
+        for pol, q in POLARIZATIONS.items():
+            for transitions in [None] + [(m,) for m in m_lower]:
+                want = _uncached_dipole(first, lower, upper, q, transitions)
+                got = first.dipole_coupling(lower, upper, pol, transitions)
+                assert got.tobytes() == want.tobytes()
+                again = second.dipole_coupling(lower, upper, pol, transitions)
+                assert again is got
+                assert _uncached_dipole(second, lower, upper, q,
+                                        transitions).tobytes() == want.tobytes()
+                if transitions is not None:
+                    # another spelling of the same m set: the same entry
+                    spelled = [float(m) for m in transitions]
+                    assert first.dipole_coupling(lower, upper, pol,
+                                                 spelled) is got
+
+
+def test_shared_structure_arrays_are_read_only():
+    s = ca40_sdp(gamma_s=0.3, gamma_d=0.2)
+    for arr in (s.dipole_coupling("D3/2", "P1/2", "sigma+"),
+                s.dipole_coupling("S1/2", "P1/2", "pi", transitions=("1/2",)),
+                s.zeeman_generator()):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+    assert s.zeeman_generator() is s.zeeman_generator()
+    assert np.diag(s.zeeman_generator()).real == pytest.approx(
+        [-1.0, 1.0, -1.2, -0.4, 0.4, 1.2, -1.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+
+
+def test_collapse_operators_unchanged_by_memoisation():
+    for scheme in (ca40_sdp(gamma_s=0.3, gamma_d=0.2), d52_p32(gamma=0.25),
+                   ca40_dp(gamma=0.5)):
+        want = []
+        for chan in scheme.decays:
+            for q in POLARIZATIONS.values():
+                raising = _uncached_dipole(scheme, chan.lower, chan.upper, q,
+                                           None)
+                jump = np.sqrt(chan.rate) * raising.conj().T
+                if np.any(jump):
+                    want.append(jump)
+        got = scheme.all_collapse_operators()
+        assert [op.tobytes() for op in got] == [op.tobytes() for op in want]

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import textwrap
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -620,3 +623,74 @@ def test_emit_plot_data_leaves_no_temp_files(tmp_path):
     assert names == ["tbl.csv", "tbl.manifest.json"]
     assert all(not n.startswith(".tmp-") for n in names)
     assert [str(tmp_path / n) for n in names] == sorted(paths)
+
+
+# ------------------------------------------------------------ YAML loaders
+
+
+REPO_SCENARIOS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+FIXTURES = {"analyze": ANALYZE_YAML, "evolve": EVOLVE_YAML,
+            "budget": BUDGET_YAML, "sense": SENSE_ZERO_NOISE_YAML,
+            "compare": COMPARE_ZERO_NOISE_YAML}
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_give_equal_scenarios(tmp_path,
+                                                        monkeypatch):
+    assert REPO_SCENARIOS
+    paths = list(REPO_SCENARIOS)
+    for name, text in FIXTURES.items():
+        paths.append(tmp_path / f"{name}.yaml")
+        paths[-1].write_text(text)
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as spy:
+        fast = [load_scenario(p) for p in paths]
+    assert {call.kwargs["Loader"] for call in spy.call_args_list} == \
+        {yaml.CSafeLoader}
+    # Without libyaml the pure-Python SafeLoader takes over.
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    slow = [load_scenario(p) for p in paths]
+    assert fast == slow
+    assert [s.hash() for s in fast] == [s.hash() for s in slow]
+
+
+# ------------------------------------------------- keys a sense run ignores
+
+
+HYPERFINE_SENSE_YAML = textwrap.dedent("""\
+    protocol: sense
+    scheme:
+      preset: hyperfine_f1f2
+    construction:
+      kind: hyperfine
+      omega: 1.0
+      b: 30.0
+    sense:
+      signal_freq: 60.0
+      signal_rabi: 0.01
+    """)
+NOISE_SECTION = textwrap.dedent("""\
+    noise:
+      kind: quasi-static-gaussian
+      sigma: 5
+    """)
+
+
+@pytest.mark.parametrize("yaml_text, path", [
+    (HYPERFINE_SENSE_YAML + NOISE_SECTION, "scenario.noise"),
+    (HYPERFINE_SENSE_YAML.replace("sense:\n", "sense:\n  variant: hyperfine\n")
+     + NOISE_SECTION, "scenario.noise"),
+    (HYPERFINE_SENSE_YAML + "  n_traj: 16\n", "scenario.sense.n_traj"),
+    (SENSE_ZERO_NOISE_YAML.replace("signal_rabi: 0.01",
+                                   "signal_rabi: 0.01\n  detuning: 0.5"),
+     "scenario.sense.detuning"),
+], ids=["hyperfine-default-noise", "hyperfine-noise", "hyperfine-n_traj",
+        "optical-detuning"])
+def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
+                                                    yaml_text, path):
+    # the run would drop these keys, yet they would still move the hash
+    code, out = _run(tmp_path, "sense", yaml_text, "sense")
+    assert code == 2
+    assert f"{path}: the " in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
