@@ -55,6 +55,10 @@ _UNIFORM_RTOL = 1e-9
 # Time steps per block, both for OU sampling and for table propagation on
 # uniform grids.
 _BLOCK = 64
+# Complex entries of each [n_traj, dim, block] temporary of the
+# quasi-static branch: 64 kB, under the allocator's mmap threshold, so the
+# blocks reuse heap memory instead of raising peak RSS.
+_QUASI_STATIC_BLOCK = 4096
 # The table grows until its trailing coefficients fall below _TABLE_TOL;
 # then the longest tail whose sizes sum below _TABLE_FLOOR (roundoff from
 # the node propagators and the DCT) is dropped.
@@ -238,14 +242,18 @@ def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
     rho_sum[0] = n * np.outer(psi0, psi0.conj())
 
     if constant:
-        # One diagonalization per trajectory, exact phases on the grid.
+        # One diagonalization per trajectory, exact phases on the grid;
+        # the states of a block of times come from one batched product.
         hams = static[None, :, :] + traj[:, 0, None, None] * noise_op
         vals, vecs = np.linalg.eigh(hams)
         amps = np.einsum("nji,j->ni", vecs.conj(), psi0)
-        for k in range(1, nt):
-            phases = np.exp(-1j * vals * (times[k] - times[0]))
-            psi = np.einsum("nij,nj->ni", vecs, phases * amps)
-            rho_sum[k] = np.einsum("ni,nj->ij", psi, psi.conj())
+        block = max(1, _QUASI_STATIC_BLOCK // (n * dim))
+        for start in range(1, nt, block):
+            elapsed = times[start:start + block] - times[0]
+            phases = np.exp(-1j * vals[:, :, None] * elapsed)
+            states = (vecs @ (phases * amps[:, :, None])).transpose(2, 1, 0)
+            rho_sum[start:start + len(elapsed)] = \
+                states @ states.conj().transpose(0, 2, 1)
         return rho_sum
 
     for k in range(1, nt):

@@ -268,3 +268,37 @@ def test_step_table_gives_way_to_eigh_when_b_dt_is_large():
     traj = sample_trajectories(p, times, 8)
     assert np.array_equal(
         got, noise_mod._propagate_eigh(h, SX, traj, psi0, times, False) / 8)
+
+
+def _quasi_static_per_time(static, noise_op, traj, psi0, times):
+    # the per-time loop that the blocked quasi-static branch replaced
+    vals, vecs = np.linalg.eigh(static[None] + traj[:, 0, None, None]
+                                * noise_op)
+    amps = np.einsum("nji,j->ni", vecs.conj(), psi0)
+    rho_sum = np.empty((len(times),) + static.shape, dtype=complex)
+    for k, t in enumerate(times):
+        psi = np.einsum("nij,nj->ni", vecs,
+                        np.exp(-1j * vals * (t - times[0])) * amps)
+        rho_sum[k] = np.einsum("ni,nj->ij", psi, psi.conj())
+    return rho_sum
+
+
+@pytest.mark.parametrize("n_traj", [32, 1024])
+def test_quasi_static_blocks_match_per_time_loop(n_traj):
+    con = compact_construction(ca40_dp(), 0.3, 1.0)
+    report = protected_report(con)
+    psi0 = (report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
+    zeeman = con.scheme.zeeman_generator()
+    proc = NoiseProcess("quasi-static-gaussian", sigma=0.05, seed=3)
+    # blocks of this many times (one for 1024 trajectories) start at 1: a
+    # grid shorter than one block, one ending on a block edge, one a step
+    # past it, and many; the averaged density matrices agree to 1e-12
+    block = max(1, noise_mod._QUASI_STATIC_BLOCK // (n_traj * con.dim))
+    for nt in (2, block + 1, block + 2, 200):
+        times = 0.7 + np.linspace(0.0, 150.0, nt)
+        traj = sample_trajectories(proc, times, n_traj)
+        got = noise_mod._propagate_eigh(con.ip.static, zeeman, traj, psi0,
+                                        times, True)
+        want = _quasi_static_per_time(con.ip.static, zeeman, traj, psi0,
+                                      times)
+        assert np.abs(got - want).max() / n_traj < 1e-12
