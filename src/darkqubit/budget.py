@@ -108,7 +108,10 @@ def magnetic_shift_budget(omega: float, b: float, delta_b: float,
     g-factor, which refines the gap to (8/125)(b - 5 delta_b) delta_b^2
     / omega^2; cross_check reports agreement against both forms, and the
     refined one should track the diagonalization until delta_b stops
-    being small against b/15.
+    being small against b/15.  gap_numeric is the difference of two
+    near-zero eigenvalues of a matrix of scale omega, so cross_check also
+    reports its relative rounding scale, gap_numeric_rounding = eps *
+    max|eigenvalue| / gap_numeric.
     """
     if delta_b / omega > 0.1:
         warnings.warn("delta_b/omega above 0.1; perturbative budget is "
@@ -128,7 +131,10 @@ def magnetic_shift_budget(omega: float, b: float, delta_b: float,
         numeric = float(abs(pair[0] - pair[1]))
         refined = MAGNETIC_GAP_COEFF * abs(b - 5.0 * delta_b) \
             * delta_b ** 2 / omega ** 2
-        check = {"gap_numeric": numeric, "gap_analytic": gap,
+        check = {"gap_numeric": numeric,
+                 "gap_numeric_rounding":
+                     float(np.finfo(float).eps * np.abs(vals).max() / numeric),
+                 "gap_analytic": gap,
                  "gap_analytic_refined": refined,
                  "agreement": numeric / gap if gap else math.nan,
                  "agreement_refined":

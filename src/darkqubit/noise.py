@@ -14,18 +14,28 @@ Per-trajectory generators are derived from the master seed with a
 counter-keyed SeedSequence, so trajectory k is reproducible in isolation
 and the ensemble does not depend on execution order.
 
+OU trajectories are streamed: each generator fills its row of one reused
+buffer with the next _CHUNK unit normals, the OU update runs on the
+buffer, and the chunk's steps are propagated before the next chunk is
+drawn.  A generator's normals do not depend on how they are split into
+draws, so the values are those of one draw per trajectory, bit for bit,
+and ``sample_trajectories`` collects the same stream.  Memory is
+O(n_traj * _CHUNK + nt * d^2) whatever the horizon.
+
 Propagation holds b(t) piecewise constant over each grid interval and
 takes one of three paths:
 
 * quasi-static noise: one diagonalization per trajectory, exact phases.
 * OU noise on a uniform grid: a step-propagator table.  U(b) =
   exp(-i (H + b V) dt) is expanded in Chebyshev polynomials of b / beta,
-  beta = max |b| over the ensemble (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-  3967 (1984), applied to the noise amplitude rather than to time).  The
+  beta = max |b| over the chunks drawn so far (Tal-Ezer & Kosloff, J.
+  Chem. Phys. 81, 3967 (1984), applied to the noise amplitude rather than
+  to time); a chunk that raises the maximum rebuilds the table.  The
   coefficients come from exact propagators at Chebyshev nodes, and the
   propagators of a block of steps come from one real GEMM over the table.
-* OU noise on any other grid, or with b * dt too large for the table: one
-  batched diagonalization per step, the exact reference for the table.
+* OU noise on any other grid, or once b * dt grows too large for the
+  table: one batched diagonalization per step, the exact reference for
+  the table.
 
 The averaged density matrix is reduced in fixed trajectory and step order
 in one thread, so runs with the same seed agree bit for bit.
@@ -55,6 +65,14 @@ _UNIFORM_RTOL = 1e-9
 # Time steps per block, both for OU sampling and for table propagation on
 # uniform grids.
 _BLOCK = 64
+# Time steps per streamed chunk.  A multiple of _BLOCK, so the sampling
+# blocks start at 1 + 64 j and the propagation blocks at 64 j across the
+# whole grid, whatever the chunking.  At 384 trajectories its buffer takes
+# 6 MB.  At 1024 steps, glibc's dynamic trim threshold (twice the largest
+# buffer freed) stayed below what one call frees, so every call faulted
+# its buffers in afresh: 2.3k page faults and about 4% more time per
+# criterion-10 ensemble.
+_CHUNK = 32 * _BLOCK
 # Complex entries of each [n_traj, dim, block] temporary of the
 # quasi-static branch: 64 kB, under the allocator's mmap threshold, so the
 # blocks reuse heap memory instead of raising peak RSS.
@@ -113,6 +131,54 @@ def _uniform_step(times: np.ndarray) -> float | None:
     return None
 
 
+def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int):
+    """Yield the OU ensemble on the grid chunk by chunk.
+
+    Each chunk is a view [n_traj, 1 + width] of one reused buffer, width
+    <= _CHUNK: column 0 holds b at the last time of the previous chunk
+    (in the first chunk, the stationary start b(t0)) and the others b at
+    the next width times.  The next chunk overwrites the view.
+    """
+    nt = len(times)
+    gens = [_generator(noise, k) for k in range(n_traj)]
+    buf = np.empty((n_traj, 1 + _CHUNK))
+    dt = _uniform_step(times)
+    if dt is None:
+        decay = np.exp(-np.diff(times) / noise.tau_c)
+        kick = noise.sigma * np.sqrt(1.0 - decay ** 2)
+    else:
+        # Within a block the update is linear in the unit draws,
+        # x[s+i] = a^(i+1) x[s-1] + kick * sum_{j<=i} a^(i-j) w[s+j], so
+        # each block is one GEMM with a lower-triangular Toeplitz matrix.
+        a = math.exp(-dt / noise.tau_c)
+        lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+        toeplitz = np.where(lag >= 0, noise.sigma * math.sqrt(1.0 - a ** 2)
+                            * a ** np.maximum(lag, 0), 0.0)
+        carry = a ** np.arange(1, _BLOCK + 1)
+
+    for start in range(0, max(nt - 1, 1), _CHUNK):
+        width = min(_CHUNK, nt - 1 - start)
+        if start:  # the previous chunk's last value leads this one
+            buf[:, 0] = buf[:, _CHUNK]
+        first = 1 if start else 0
+        for k, gen in enumerate(gens):
+            gen.standard_normal(out=buf[k, first:1 + width])
+        if not start:
+            buf[:, 0] *= noise.sigma  # stationary start
+        # The update overwrites the unit draws in place, column by column.
+        if dt is None:
+            for k in range(1, width + 1):
+                buf[:, k] = buf[:, k - 1] * decay[start + k - 1] \
+                    + kick[start + k - 1] * buf[:, k]
+        else:
+            for s in range(1, width + 1, _BLOCK):
+                w = min(_BLOCK, width + 1 - s)
+                block = buf[:, s:s + w] @ toeplitz[:w, :w].T
+                block += buf[:, s - 1, None] * carry[:w]
+                buf[:, s:s + w] = block
+        yield buf[:, :1 + width]
+
+
 def sample_trajectories(noise: NoiseProcess, times: np.ndarray,
                         n_traj: int) -> np.ndarray:
     """Draw b(t) realizations on the given grid; returns [n_traj, nt]."""
@@ -125,34 +191,12 @@ def sample_trajectories(noise: NoiseProcess, times: np.ndarray,
             first[k] = _generator(noise, k).standard_normal()
         return noise.sigma * np.repeat(first, nt, axis=1)
 
-    draws = np.empty((n_traj, nt))
-    for k in range(n_traj):
-        draws[k] = _generator(noise, k).standard_normal(nt)
-
-    # The OU update overwrites the unit draws in place, column by column.
-    draws[:, 0] *= noise.sigma  # stationary start
-    dt = _uniform_step(times)
-    if dt is None:
-        decay = np.exp(-np.diff(times) / noise.tau_c)
-        kick = noise.sigma * np.sqrt(1.0 - decay ** 2)
-        for k in range(nt - 1):
-            draws[:, k + 1] = draws[:, k] * decay[k] + kick[k] * draws[:, k + 1]
-        return draws
-
-    # Uniform grid: within a block the update is linear in the unit draws,
-    # x[s+i] = a^(i+1) x[s-1] + kick * sum_{j<=i} a^(i-j) w[s+j], so each
-    # block is one GEMM with a lower-triangular Toeplitz matrix of decays.
-    decay = math.exp(-dt / noise.tau_c)
-    kick = noise.sigma * math.sqrt(1.0 - decay ** 2)
-    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-    toeplitz = np.where(lag >= 0, kick * decay ** np.maximum(lag, 0), 0.0)
-    carry = decay ** np.arange(1, _BLOCK + 1)
-    for start in range(1, nt, _BLOCK):
-        width = min(_BLOCK, nt - start)
-        block = draws[:, start:start + width] @ toeplitz[:width, :width].T
-        block += draws[:, start - 1, None] * carry[:width]
-        draws[:, start:start + width] = block
-    return draws
+    traj = np.empty((n_traj, nt))
+    start = 0
+    for chunk in _ou_chunks(noise, times, n_traj):
+        traj[:, start:start + chunk.shape[1]] = chunk
+        start += chunk.shape[1] - 1
+    return traj
 
 
 def _step_propagators(static: np.ndarray, noise_op: np.ndarray,
@@ -192,78 +236,142 @@ def _chebyshev_table(static: np.ndarray, noise_op: np.ndarray,
     return coeffs[:max(1, int(np.count_nonzero(tail >= _TABLE_FLOOR)))]
 
 
-def _propagate_table(table: np.ndarray, beta: float, traj: np.ndarray,
-                     psi0: np.ndarray) -> np.ndarray:
-    """Sum of |psi><psi| on a uniform grid, via the Chebyshev step table.
+class _StepTable:
+    """Chebyshev step propagators for n trajectories on a uniform grid.
 
-    Steps are processed in blocks: T_k(b / beta) by the three-term
-    recurrence, every propagator of the block from one real GEMM against
-    the table (real and imaginary parts interleaved), the states step by
-    step in a [d, n] layout, and the block's density matrices in one
-    batched matmul.  Returns [nt, d, d].
+    The table covers |b| <= beta, and ``cover`` rebuilds it when a chunk
+    raises the peak.  The work buffers live as long as the object, so
+    chunks and blocks allocate nothing large: allocated per chunk, they
+    were handed back to the system and faulted in again (7x the page
+    faults of a criterion-10 ensemble).
     """
-    n, nt = traj.shape
-    order, dim = table.shape[:2]
-    table = np.ascontiguousarray(table.reshape(order, dim * dim)).view(float)
 
-    rho_sum = np.empty((nt, dim, dim), dtype=complex)
-    rho_sum[0] = n * np.outer(psi0, psi0.conj())
-    psi = np.repeat(psi0[:, None], n, axis=1)
-    cheb = np.empty((order, _BLOCK * n))
-    for start in range(0, nt - 1, _BLOCK):
-        steps = min(_BLOCK, nt - 1 - start)
-        poly = cheb[:, :steps * n]
-        poly[0] = 1.0
-        if order > 1:
-            poly[1] = (traj[:, start:start + steps].T / beta).ravel()
-        for k in range(2, order):
-            np.multiply(poly[1], poly[k - 1], out=poly[k])
-            poly[k] *= 2.0
-            poly[k] -= poly[k - 2]
-        props = (poly.T @ table).view(complex).reshape(
-            steps, n, dim, dim).transpose(0, 2, 3, 1)
-        states = np.empty((steps, dim, n), dtype=complex)
-        for m in range(steps):
-            psi = (props[m] * psi).sum(axis=1)
-            states[m] = psi
-        rho_sum[start + 1:start + 1 + steps] = \
-            states @ states.conj().transpose(0, 2, 1)
-    return rho_sum
+    def __init__(self, static: np.ndarray, noise_op: np.ndarray, dt: float,
+                 n: int):
+        dim = static.shape[0]
+        self.static, self.noise_op, self.dt = static, noise_op, dt
+        self.beta, self.coeffs = 0.0, None
+        self.cheb = np.empty((0, _BLOCK * n))
+        self.props = np.empty((_BLOCK * n, 2 * dim * dim))
+        self.states = np.empty((_BLOCK, dim, n), dtype=complex)
+        self.bras = np.empty_like(self.states)
+
+    def cover(self, peak: float) -> bool:
+        """Make the table valid for |b| <= peak; False if it cannot be."""
+        if self.coeffs is not None and peak <= self.beta:
+            return True
+        self.beta = max(peak, self.beta) or 1.0
+        table = _chebyshev_table(self.static, self.noise_op, self.beta,
+                                 self.dt)
+        if table is None:
+            return False
+        order = len(table)
+        self.coeffs = np.ascontiguousarray(table.reshape(order, -1)).view(float)
+        if len(self.cheb) < order:
+            self.cheb = np.empty((order, self.cheb.shape[1]))
+        return True
+
+    def advance(self, amps: np.ndarray, psi: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+        """Advance psi [d, n] through one step per column of amps [n, steps].
+
+        Writes the sum of |psi><psi| after each step to out [steps, d, d].
+        Steps are processed in blocks: T_k(b / beta) by the three-term
+        recurrence, every propagator of the block from one real GEMM
+        against the table (real and imaginary parts interleaved), the
+        states step by step, and the block's density matrices in one
+        batched matmul.  Returns psi.
+        """
+        n, nt = amps.shape
+        order, dim = len(self.coeffs), psi.shape[0]
+        for start in range(0, nt, _BLOCK):
+            steps = min(_BLOCK, nt - start)
+            poly = self.cheb[:order, :steps * n]
+            poly[0] = 1.0
+            if order > 1:
+                np.divide(amps[:, start:start + steps].T, self.beta,
+                          out=poly[1].reshape(steps, n))
+            for k in range(2, order):
+                np.multiply(poly[1], poly[k - 1], out=poly[k])
+                poly[k] *= 2.0
+                poly[k] -= poly[k - 2]
+            props = np.matmul(poly.T, self.coeffs, out=self.props[:steps * n])
+            props = props.view(complex).reshape(
+                steps, n, dim, dim).transpose(0, 2, 3, 1)
+            states = self.states[:steps]
+            for m in range(steps):
+                psi = (props[m] * psi).sum(axis=1)
+                states[m] = psi
+            bras = np.conj(states, out=self.bras[:steps])
+            np.matmul(states, bras.transpose(0, 2, 1),
+                      out=out[start:start + steps])
+        return psi
 
 
 def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
-                    traj: np.ndarray, psi0: np.ndarray,
-                    times: np.ndarray, constant: bool) -> np.ndarray:
-    """Sum of |psi><psi| by exact diagonalization; returns [nt, d, d]."""
-    n, nt = traj.shape
-    dim = static.shape[0]
-    rho_sum = np.zeros((nt, dim, dim), dtype=complex)
-    psi = np.broadcast_to(psi0, (n, dim)).copy()
-    rho_sum[0] = n * np.outer(psi0, psi0.conj())
+                    amps: np.ndarray, steps: np.ndarray, psi: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Advance psi [d, n] by exact diagonalization, one step per column.
 
-    if constant:
-        # One diagonalization per trajectory, exact phases on the grid;
-        # the states of a block of times come from one batched product.
-        hams = static[None, :, :] + traj[:, 0, None, None] * noise_op
+    Step m lasts steps[m] under the amplitudes amps[:, m]; the sum of
+    |psi><psi| after it goes to out[m].  Returns psi.
+    """
+    psi = psi.T
+    for m in range(amps.shape[1]):
+        hams = static[None, :, :] + amps[:, m, None, None] * noise_op
         vals, vecs = np.linalg.eigh(hams)
-        amps = np.einsum("nji,j->ni", vecs.conj(), psi0)
-        block = max(1, _QUASI_STATIC_BLOCK // (n * dim))
-        for start in range(1, nt, block):
-            elapsed = times[start:start + block] - times[0]
-            phases = np.exp(-1j * vals[:, :, None] * elapsed)
-            states = (vecs @ (phases * amps[:, :, None])).transpose(2, 1, 0)
-            rho_sum[start:start + len(elapsed)] = \
-                states @ states.conj().transpose(0, 2, 1)
-        return rho_sum
+        coef = np.einsum("nji,nj->ni", vecs.conj(), psi)
+        psi = np.einsum("nij,nj->ni", vecs, np.exp(-1j * vals * steps[m]) * coef)
+        out[m] = np.einsum("ni,nj->ij", psi, psi.conj())
+    return psi.T
 
-    for k in range(1, nt):
-        dt = times[k] - times[k - 1]
-        hams = static[None, :, :] + traj[:, k - 1, None, None] * noise_op
-        vals, vecs = np.linalg.eigh(hams)
-        amps = np.einsum("nji,nj->ni", vecs.conj(), psi)
-        psi = np.einsum("nij,nj->ni", vecs, np.exp(-1j * vals * dt) * amps)
-        rho_sum[k] = np.einsum("ni,nj->ij", psi, psi.conj())
-    return rho_sum
+
+def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
+                            values: np.ndarray, psi0: np.ndarray,
+                            elapsed: np.ndarray, out: np.ndarray) -> None:
+    """Sum of |psi><psi| under the frozen amplitudes values [n].
+
+    One diagonalization per trajectory, exact phases: the sums at each
+    elapsed time go to out [len(elapsed), d, d], and the states of a block
+    of times come from one batched product.
+    """
+    n, dim = len(values), static.shape[0]
+    hams = static[None, :, :] + values[:, None, None] * noise_op
+    vals, vecs = np.linalg.eigh(hams)
+    amps = np.einsum("nji,j->ni", vecs.conj(), psi0)
+    block = max(1, _QUASI_STATIC_BLOCK // (n * dim))
+    for start in range(0, len(elapsed), block):
+        phases = np.exp(-1j * vals[:, :, None] * elapsed[start:start + block])
+        states = (vecs @ (phases * amps[:, :, None])).transpose(2, 1, 0)
+        out[start:start + block] = states @ states.conj().transpose(0, 2, 1)
+
+
+def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
+                  noise: NoiseProcess, n_traj: int, psi0: np.ndarray,
+                  times: np.ndarray, out: np.ndarray) -> None:
+    """Sum of |psi><psi| over OU trajectories; into out [nt - 1, d, d].
+
+    Each chunk is propagated before the next is drawn.  A chunk whose
+    table would need more than _TABLE_MAX_NODES nodes hands the rest of
+    the run to per-step diagonalization, from the states reached.
+    """
+    psi = np.repeat(psi0[:, None], n_traj, axis=1)
+    steps = np.diff(times)
+    dt = _uniform_step(times)
+    table = None if dt is None else _StepTable(static, noise_op, dt, n_traj)
+    done = 0
+    for chunk in _ou_chunks(noise, times, n_traj):
+        amps = chunk[:, :-1]  # b on each of the chunk's steps
+        here = slice(done, done + amps.shape[1])
+        if table is not None and not table.cover(
+                max(float(chunk.max()), -float(chunk.min()))):
+            table = None
+        if table is not None:
+            psi = table.advance(amps, psi, out[here])
+        else:
+            psi = _propagate_eigh(static, noise_op, amps, steps[here], psi,
+                                  out[here])
+        done = here.stop
 
 
 def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
@@ -273,11 +381,13 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
 
     b(t) is held piecewise constant over each grid interval (exact for the
     quasi-static process; for OU keep the grid step below tau_c and the
-    relevant dynamical periods).  OU noise on a uniform grid is propagated
-    with the Chebyshev step table, on any other grid (or when the table
-    would need more than _TABLE_MAX_NODES nodes) with exact per-step
-    diagonalization.  ``threads`` is accepted for compatibility and does
-    not change the work or the result.  Returns [nt, dim, dim].
+    relevant dynamical periods).  OU trajectories are drawn and propagated
+    _CHUNK steps at a time, so memory does not grow with n_traj * nt.  On
+    a uniform grid they are propagated with the Chebyshev step table, on
+    any other grid (and from the first chunk whose table would need more
+    than _TABLE_MAX_NODES nodes) with exact per-step diagonalization.
+    ``threads`` is accepted for compatibility and does not change the
+    work or the result.  Returns [nt, dim, dim].
     """
     if isinstance(ham, TimeDependentHamiltonian):
         if not ham.is_static:
@@ -292,13 +402,15 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
 
-    traj = sample_trajectories(noise, times, n_traj)
-    constant = noise.kind == "quasi-static-gaussian"
-    dt = None if constant else _uniform_step(times)
-    if dt is not None:
-        beta = max(float(traj.max()), -float(traj.min())) or 1.0
-        table = _chebyshev_table(static, noise_op, beta, dt)
-        if table is not None:
-            return _propagate_table(table, beta, traj, psi0) / n_traj
-    return _propagate_eigh(static, noise_op, traj, psi0, times,
-                           constant) / n_traj
+    dim = static.shape[0]
+    rho_sum = np.empty((len(times), dim, dim), dtype=complex)
+    rho_sum[0] = n_traj * np.outer(psi0, psi0.conj())
+    if noise.kind == "quasi-static-gaussian":
+        values = sample_trajectories(noise, times[:1], n_traj)[:, 0]
+        _propagate_quasi_static(static, noise_op, values, psi0,
+                                times[1:] - times[0], rho_sum[1:])
+    else:
+        _propagate_ou(static, noise_op, noise, n_traj, psi0, times,
+                      rho_sum[1:])
+    rho_sum /= n_traj
+    return rho_sum

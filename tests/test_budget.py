@@ -49,6 +49,22 @@ def test_magnetic_cross_check_tracks_eigensolver():
     assert coarse["worst_zero_distance"] < 2 * coarse["gap_numeric"]
 
 
+@pytest.mark.parametrize("delta_khz", [30.0, 50.0, 70.0])
+def test_magnetic_numeric_gap_reports_its_rounding(delta_khz):
+    # gap_numeric is a difference of two near-zero eigenvalues at scale
+    # omega; one ulp of delta_b moves it by less than the rounding scale
+    # reported beside it (the headline point of the error-budget scenarios)
+    omega, b, gamma = TWO_PI * 100e6, TWO_PI * 6.25e6, TWO_PI * 10e6
+    delta_b = TWO_PI * delta_khz * 1e3
+    check = magnetic_shift_budget(omega, b, delta_b, gamma).cross_check
+    bumped = magnetic_shift_budget(omega, b, np.nextafter(delta_b, np.inf),
+                                   gamma).cross_check
+    scale = check["gap_numeric_rounding"]
+    assert 1e-9 < scale < 1e-5
+    move = abs(bumped["gap_numeric"] - check["gap_numeric"])
+    assert move / check["gap_numeric"] < scale
+
+
 def test_magnetic_numeric_gap_quadratic_in_offset():
     # slope of the numerically extracted dark-level splitting vs offset;
     # b >> delta_b keeps the cubic correction out of the fit window

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,11 +167,40 @@ def _ou_reference(noise, times, n_traj):
     return traj
 
 
-@pytest.mark.parametrize("nt", [1, 2, 63, 64, 65, 130, 1001])
+def _one_shot_blocked(noise, times, n_traj):
+    """The sampler before streaming: one draw per trajectory, then blocked
+    Toeplitz GEMMs from column 1 over the whole [n_traj, nt] array."""
+    draws = np.array([noise_mod._generator(noise, k).standard_normal(len(times))
+                      for k in range(n_traj)])
+    draws[:, 0] *= noise.sigma
+    block = noise_mod._BLOCK
+    dt = noise_mod._uniform_step(times)
+    decay = math.exp(-dt / noise.tau_c)
+    kick = noise.sigma * math.sqrt(1.0 - decay**2)
+    lag = np.subtract.outer(np.arange(block), np.arange(block))
+    toeplitz = np.where(lag >= 0, kick * decay ** np.maximum(lag, 0), 0.0)
+    carry = decay ** np.arange(1, block + 1)
+    for start in range(1, len(times), block):
+        width = min(block, len(times) - start)
+        out = draws[:, start:start + width] @ toeplitz[:width, :width].T
+        out += draws[:, start - 1, None] * carry[:width]
+        draws[:, start:start + width] = out
+    return draws
+
+
+CHUNK = noise_mod._CHUNK
+
+
+@pytest.mark.parametrize("nt", [1, 2, 63, 64, 65, 130, 1001, CHUNK, CHUNK + 1,
+                                CHUNK + 2, 2 * CHUNK + 1, 3000])
 def test_blocked_ou_sampler_matches_recurrence(nt):
+    # the streamed sampler gives the one-shot values bit for bit, whichever
+    # chunk the grid ends in
     p = NoiseProcess("ornstein-uhlenbeck", sigma=0.8, tau_c=0.3, seed=19)
     times = np.linspace(0.0, 0.01 * nt, nt)
     got = sample_trajectories(p, times, 24)
+    if nt > 1:
+        assert np.array_equal(got, _one_shot_blocked(p, times, 24))
     assert np.abs(got - _ou_reference(p, times, 24)).max() < 1e-12
 
 
@@ -193,15 +223,31 @@ def test_uniform_grid_detection():
     assert noise_mod._uniform_step(bumped) is None
 
 
+def _kernel_run(advance, traj, psi0):
+    """Average state of one advance(amps, psi, out) over all of traj."""
+    n = len(traj)
+    rho = np.empty((traj.shape[1], len(psi0), len(psi0)), dtype=complex)
+    rho[0] = n * np.outer(psi0, psi0.conj())
+    advance(traj[:, :-1], np.repeat(psi0[:, None], n, axis=1), rho[1:])
+    return rho / n
+
+
+def _eigh_reference(static, noise_op, traj, psi0, times):
+    """Per-step exact propagation: the reference for every other path."""
+    def advance(amps, psi, out):
+        noise_mod._propagate_eigh(static, noise_op, amps, np.diff(times),
+                                  psi, out)
+    return _kernel_run(advance, traj, psi0)
+
+
 def _table_vs_eigh(static, noise_op, psi0, proc, times, n_traj):
     traj = sample_trajectories(proc, times, n_traj)
-    dt = noise_mod._uniform_step(times)
-    beta = float(np.abs(traj).max())
-    table = noise_mod._chebyshev_table(static, noise_op, beta, dt)
-    fast = noise_mod._propagate_table(table, beta, traj, psi0) / n_traj
-    exact = noise_mod._propagate_eigh(static, noise_op, traj, psi0, times,
-                                      False) / n_traj
-    return len(table), float(np.abs(fast - exact).max())
+    table = noise_mod._StepTable(static, noise_op,
+                                 noise_mod._uniform_step(times), n_traj)
+    assert table.cover(float(np.abs(traj).max()))
+    fast = _kernel_run(table.advance, traj, psi0)
+    exact = _eigh_reference(static, noise_op, traj, psi0, times)
+    return len(table.coeffs), float(np.abs(fast - exact).max())
 
 
 @pytest.mark.parametrize("x, sigma, n_traj", [(0.1, 1.2, 384), (1.0, 0.4, 512),
@@ -241,21 +287,21 @@ def test_evolve_noisy_chooses_path_by_grid(monkeypatch):
     psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)
     uniform = np.linspace(0.0, 4.0, 41)
     ragged = np.cumsum(np.linspace(0.05, 0.15, 41)) - 0.05
-    exact = noise_mod._propagate_eigh
 
     def forbidden(*args):
         raise AssertionError("wrong propagation path")
 
-    monkeypatch.setattr(noise_mod, "_propagate_table", forbidden)
+    monkeypatch.setattr(noise_mod._StepTable, "advance", forbidden)
     got = evolve_noisy(h, psi0, p, SX, ragged, n_traj=32)
     traj = sample_trajectories(p, ragged, 32)
-    assert np.array_equal(got, exact(h, SX, traj, psi0, ragged, False) / 32)
+    assert np.array_equal(got, _eigh_reference(h, SX, traj, psi0, ragged))
 
     monkeypatch.undo()
     monkeypatch.setattr(noise_mod, "_propagate_eigh", forbidden)
     fast = evolve_noisy(h, psi0, p, SX, uniform, n_traj=32)
+    monkeypatch.undo()
     traj = sample_trajectories(p, uniform, 32)
-    assert np.abs(fast - exact(h, SX, traj, psi0, uniform, False) / 32).max() < 1e-12
+    assert np.abs(fast - _eigh_reference(h, SX, traj, psi0, uniform)).max() < 1e-12
 
 
 def test_step_table_gives_way_to_eigh_when_b_dt_is_large():
@@ -266,8 +312,73 @@ def test_step_table_gives_way_to_eigh_when_b_dt_is_large():
     psi0 = np.array([1.0, 0.0], complex)
     got = evolve_noisy(h, psi0, p, SX, times, n_traj=8)
     traj = sample_trajectories(p, times, 8)
-    assert np.array_equal(
-        got, noise_mod._propagate_eigh(h, SX, traj, psi0, times, False) / 8)
+    assert np.array_equal(got, _eigh_reference(h, SX, traj, psi0, times))
+
+
+def _record_builds(monkeypatch):
+    """Wrap _chebyshev_table so each build's beta and result are kept."""
+    builds = []
+    build = noise_mod._chebyshev_table
+
+    def recorded(static, noise_op, beta, dt):
+        table = build(static, noise_op, beta, dt)
+        builds.append((beta, table))
+        return table
+    monkeypatch.setattr(noise_mod, "_chebyshev_table", recorded)
+    return builds
+
+
+def test_table_is_rebuilt_when_a_later_chunk_raises_the_peak(monkeypatch):
+    builds = _record_builds(monkeypatch)
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.4, tau_c=0.2, seed=23)
+    h = np.diag([2.5, -2.5]).astype(complex)
+    psi0 = np.array([1.0, 0.0], complex)
+    times = np.linspace(0.0, 0.025 * 4 * CHUNK, 4 * CHUNK + 1)
+    got = evolve_noisy(h, psi0, p, SX, times, n_traj=16)
+    traj = sample_trajectories(p, times, 16)
+    # one build per chunk that set a new running maximum of |b|, the last
+    # at the ensemble's peak
+    betas = [beta for beta, _ in builds]
+    assert len(betas) >= 2 and betas == sorted(set(betas))
+    assert betas[-1] == np.abs(traj).max()
+    assert np.abs(got - _eigh_reference(h, SX, traj, psi0, times)).max() < 1e-10
+
+
+def test_table_gives_way_to_eigh_mid_run(monkeypatch):
+    # the first chunk's |b| dt fits the table, a later chunk's does not:
+    # the rest of the run continues with eigh from the propagated states
+    h = np.diag([0.5, -0.5]).astype(complex)
+    builds = _record_builds(monkeypatch)
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=100.0, tau_c=0.5, seed=7)
+    psi0 = np.array([1.0, 0.0], complex)
+    times = np.arange(2 * CHUNK + 1, dtype=float)
+    got = evolve_noisy(h, psi0, p, SX, times, n_traj=4)
+    assert len(builds) >= 2
+    assert builds[0][1] is not None and builds[-1][1] is None
+    traj = sample_trajectories(p, times, 4)
+    assert np.abs(got - _eigh_reference(h, SX, traj, psi0, times)).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_memory_does_not_grow_with_n_traj_times_nt(kind):
+    # a [n_traj, nt] float array of this run would take 21 MB; the OU
+    # engine holds one chunk of it, the quasi-static one a value per
+    # trajectory, each plus the [nt, 2, 2] result
+    n_traj, nt = 96, 27307
+    p = NoiseProcess(kind, sigma=0.4, tau_c=0.2, seed=5)
+    h = np.diag([2.5, -2.5]).astype(complex)
+    times = np.linspace(0.0, 0.025 * (nt - 1), nt)
+    full = n_traj * nt * 8
+    assert full > 20e6
+    tracemalloc.start()
+    try:
+        rho = evolve_noisy(h, np.array([1.0, 0.0], complex), p, SX, times,
+                           n_traj=n_traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (nt, 2, 2)
+    assert peak < full / 3
 
 
 def _quasi_static_per_time(static, noise_op, traj, psi0, times):
@@ -297,8 +408,10 @@ def test_quasi_static_blocks_match_per_time_loop(n_traj):
     for nt in (2, block + 1, block + 2, 200):
         times = 0.7 + np.linspace(0.0, 150.0, nt)
         traj = sample_trajectories(proc, times, n_traj)
-        got = noise_mod._propagate_eigh(con.ip.static, zeeman, traj, psi0,
-                                        times, True)
+        got = np.empty((nt, con.dim, con.dim), dtype=complex)
+        got[0] = n_traj * np.outer(psi0, psi0.conj())
+        noise_mod._propagate_quasi_static(con.ip.static, zeeman, traj[:, 0],
+                                          psi0, times[1:] - times[0], got[1:])
         want = _quasi_static_per_time(con.ip.static, zeeman, traj, psi0,
                                       times)
         assert np.abs(got - want).max() / n_traj < 1e-12
