@@ -245,6 +245,14 @@ def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
     return ys.T.reshape(len(times), *y0.shape)
 
 
+def time_grid(times) -> np.ndarray:
+    """times as floats; ValueError unless a non-empty ascending 1-d grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a non-empty ascending 1-d grid")
+    return times
+
+
 def evolve_unitary(ham, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate a pure state over an ascending time grid; returns [nt, dim].
 
@@ -252,12 +260,10 @@ def evolve_unitary(ham, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     drifts beyond NORM_TOL anywhere on the grid.
     """
     ham = _as_hamiltonian(ham)
-    times = np.asarray(times, dtype=float)
+    times = time_grid(times)
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    if times.ndim != 1 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be an ascending 1-d grid")
 
     states = _integrate(ham, psi0, times)
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
@@ -345,7 +351,7 @@ def evolve_lindblad(ham, rho0: np.ndarray, collapse, times: np.ndarray,
         raise ValueError("rho0 must have unit trace")
     if np.linalg.eigvalsh(rho0).min() < -POSITIVITY_TOL:
         raise ValueError("rho0 must be positive semidefinite")
-    times = np.asarray(times, dtype=float)
+    times = time_grid(times)
 
     from scipy.linalg import expm
 
@@ -441,16 +447,6 @@ def _gaussian(times, values):
     return fn, p0, ("amplitude", "tau", "offset")
 
 
-def _damped_cosine(times, values):
-    base = values.mean()
-    p0 = (values[0] - base, 0.5 * (times[-1] - times[0]),
-          _guess_frequency(times, values), 0.0, base)
-
-    def fn(t, amp, tau, omega, phase, off):
-        return amp * np.exp(-t / tau) * np.cos(omega * t + phase) + off
-    return fn, p0, ("amplitude", "tau", "omega", "phase", "offset")
-
-
 def _sin2(times, values):
     # Population-transfer model p(t) = amp * sin^2(rate * t); the dominant
     # FFT component sits at 2*rate.
@@ -463,7 +459,7 @@ def _sin2(times, values):
 
 
 _MODELS = {"exponential": _exponential, "gaussian": _gaussian,
-           "damped-cosine": _damped_cosine, "sin2": _sin2}
+           "sin2": _sin2}
 
 
 def _gauss_newton_polish(fn, times, values, params):

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driving import TimeDependentHamiltonian
+from .dynamics import time_grid
 
 __all__ = [
     "NoiseProcess",
@@ -397,7 +398,7 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     else:
         static = np.asarray(ham, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
-    times = np.asarray(times, dtype=float)
+    times = time_grid(times)
     noise_op = np.asarray(noise_op, dtype=complex)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

@@ -5,11 +5,16 @@ construction, and one protocol (analyze, evolve, error-budget, gates,
 sense, compare), with every dimensioned value carrying an explicit unit.
 Frequencies normalize to rad/s ("100 MHz" and "2pi*100 MHz" are two
 spellings of the same angular frequency; "rad/s" suffixes are taken raw),
-times to seconds.  Unknown keys are rejected, and all problems in a file
-are reported together.  The canonical form (sorted keys, normalized
-numbers) feeds a sha256 hash that output files embed for provenance.
-"""
+times to seconds.
 
+What a file may hold is data: a field table per section gives each key's
+kind and whether it is required, _SECTIONS the sections each protocol
+reads, and _VARIANT_UNREAD what each sense variant never reads.  One
+reader, _Section.read, parses a section from its table.  A key or section
+the run would not read is rejected, and all problems in a file are
+reported together.  The canonical form (sorted keys, normalized numbers)
+feeds a sha256 hash that output files embed for provenance.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -25,6 +30,7 @@ from .driving import (Construction, compact_construction,
 from .levels import LevelScheme, preset
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseProcess
+from .sensing import PHASE_POLICIES, READOUT_BASES, SENSING_SCHEMES
 
 __all__ = [
     "Scenario",
@@ -124,8 +130,36 @@ def parse_scalar(value) -> float:
     return _scaled(m, 0)
 
 
+def _parse_int(value) -> int:
+    try:
+        if isinstance(value, bool) or int(value) != float(value):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def _parse_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true/false, got {value!r}")
+
+
 _PARSERS = {"frequency": parse_frequency, "time": parse_time,
-            "scalar": parse_scalar}
+            "scalar": parse_scalar, "int": _parse_int, "bool": _parse_bool,
+            "str": str}
+
+
+def _parse(kind, raw):
+    """raw read as kind: a _PARSERS name, a tuple of the strings allowed,
+    or [kind] for a list of values of that kind."""
+    if isinstance(kind, list):
+        return [_parse(kind[0], value) for value in raw]
+    if isinstance(kind, tuple):
+        if str(raw) not in kind:
+            raise ValueError(f"{str(raw)!r} not one of {sorted(kind)}")
+        return str(raw)
+    return _PARSERS[kind](raw)
 
 
 class _Section:
@@ -140,46 +174,24 @@ class _Section:
             problems.append(f"{path}: expected a mapping, got "
                             f"{type(data).__name__}")
 
-    def get(self, key, kind, default=None, required=False):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                self.problems.append(
-                    f"{self.path}.{key}: required ({kind})")
-            return default
-        raw = self.data[key]
-        if kind == "raw":
-            return raw
-        if kind == "str":
-            return str(raw)
-        if kind == "int":
-            try:
-                if isinstance(raw, bool) or int(raw) != float(raw):
-                    raise ValueError
-                return int(raw)
-            except (TypeError, ValueError):
-                self.problems.append(
-                    f"{self.path}.{key}: expected an integer, got {raw!r}")
-                return default
-        if kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            self.problems.append(
-                f"{self.path}.{key}: expected true/false, got {raw!r}")
-            return default
-        try:
-            return _PARSERS[kind](raw)
-        except ValueError as exc:
-            self.problems.append(f"{self.path}.{key}: {exc}")
-            return default
-
-    def choice(self, key, options, default=None, required=False):
-        value = self.get(key, "str", default=default, required=required)
-        if value is not None and value not in options:
-            self.problems.append(
-                f"{self.path}.{key}: {value!r} not one of {sorted(options)}")
-            return default
-        return value
+    def read(self, fields) -> dict:
+        """Parse the keys of a field table {key: (kind, required)}; a missing
+        required key, a bad value and an unnamed key are problems."""
+        out = {}
+        for key, (kind, required) in fields.items():
+            self.seen.add(key)
+            if key in self.data:
+                try:
+                    out[key] = _parse(kind, self.data[key])
+                except (TypeError, ValueError) as exc:
+                    self.problems.append(f"{self.path}.{key}: {exc}")
+            elif required:
+                what = kind if isinstance(kind, str) else \
+                    f"one of {sorted(kind)}"
+                self.problems.append(f"{self.path}.{key}: required ({what})")
+        for key in sorted(set(self.data) - self.seen):
+            self.problems.append(f"{self.path}.{key}: unknown key")
+        return out
 
     def subsection(self, key, required=False):
         self.seen.add(key)
@@ -188,10 +200,6 @@ class _Section:
                 self.problems.append(f"{self.path}.{key}: required section")
             return None
         return _Section(self.data[key], f"{self.path}.{key}", self.problems)
-
-    def finish(self):
-        for key in sorted(set(self.data) - self.seen):
-            self.problems.append(f"{self.path}.{key}: unknown key")
 
 
 @dataclass(frozen=True)
@@ -224,230 +232,205 @@ class Scenario:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+# ------------------------------------------------------------ field tables
+
+
+def _required(**kinds) -> dict:
+    return {key: (kind, True) for key, kind in kinds.items()}
+
+
+def _optional(**kinds) -> dict:
+    return {key: (kind, False) for key, kind in kinds.items()}
+
+
+_TOP_FIELDS = {**_required(protocol=PROTOCOLS),
+               **_optional(label="str", seed="int")}
+
+# The keyword arguments of each level-scheme preset.
 _SCHEME_KWARGS = {
-    # preset name -> (kwarg, parse kind)
-    "ca40_dp": (("omega0", "frequency"), ("gamma", "frequency")),
-    "ca40_sdp": (("omega0", "frequency"), ("gamma_s", "frequency"),
-                 ("gamma_d", "frequency"), ("omega_s", "frequency")),
-    "d52_p32": (("omega0", "frequency"), ("gamma", "frequency")),
-    "hyperfine_f1f2": (("omega_hf", "frequency"), ("g2", "scalar")),
-    "hyperfine_f0f1": (("omega_hf", "frequency"), ("g1", "scalar")),
+    "ca40_dp": _optional(omega0="frequency", gamma="frequency"),
+    "ca40_sdp": _optional(omega0="frequency", gamma_s="frequency",
+                          gamma_d="frequency", omega_s="frequency"),
+    "d52_p32": _optional(omega0="frequency", gamma="frequency"),
+    "hyperfine_f1f2": _optional(omega_hf="frequency", g2="scalar"),
+    "hyperfine_f0f1": _optional(omega_hf="frequency", g1="scalar"),
 }
 
-_CONSTRUCTION_KINDS = ("ideal", "compact", "hyperfine")
+_CONSTRUCTION_FIELDS = {
+    **_required(kind=("ideal", "compact", "hyperfine"), omega="frequency",
+                b="frequency"),
+    **_optional(lower="str", upper="str", amp_error="scalar",
+                pol_leak="scalar", rwa_cutoff="frequency"),
+}
+# Keys that act on the compact construction's two fields only.
+_COMPACT_ONLY = ("amp_error", "pol_leak")
 
+# An unset seed follows the scenario seed (build_noise).
+_NOISE_FIELDS = {**_required(kind=NOISE_KINDS, sigma="frequency"),
+                 **_optional(tau_c="time", seed="int")}
 
-def _parse_scheme(section) -> dict:
-    name = section.choice("preset", _SCHEME_KWARGS, required=True)
-    out = {"preset": name}
-    if name:
-        for kwarg, kind in _SCHEME_KWARGS[name]:
-            value = section.get(kwarg, kind)
-            if value is not None:
-                out[kwarg] = value
-    section.finish()
-    return out
-
-
-def _parse_construction(section) -> dict:
-    out = {
-        "kind": section.choice("kind", _CONSTRUCTION_KINDS, required=True),
-        "omega": section.get("omega", "frequency", required=True),
-        "b": section.get("b", "frequency", required=True),
-    }
-    for key, kind in (("lower", "str"), ("upper", "str"),
-                      ("amp_error", "scalar"), ("pol_leak", "scalar"),
-                      ("rwa_cutoff", "frequency")):
-        value = section.get(key, kind)
-        if value is not None:
-            out[key] = value
-    if out["kind"] in ("ideal", "hyperfine"):
-        for key in ("amp_error", "pol_leak"):
-            if key in out:
-                section.problems.append(f"{section.path}.{key}: only the "
-                                        "compact construction takes it")
-    section.finish()
-    return out
-
-
-def _parse_noise(section) -> dict:
-    out = {
-        "kind": section.choice("kind", NOISE_KINDS, required=True),
-        "sigma": section.get("sigma", "frequency", required=True),
-        "seed": section.get("seed", "int", default=0),
-    }
-    tau = section.get("tau_c", "time")
-    if tau is not None:
-        out["tau_c"] = tau
-    if out["kind"] == "ornstein-uhlenbeck" and tau is None:
-        section.problems.append(
-            f"{section.path}.tau_c: required for ornstein-uhlenbeck (time)")
-    section.finish()
-    return out
-
-
+# Each protocol's parameters, read from the section named after it.
 _PARAM_FIELDS = {
-    "analyze": (),
-    "evolve": (("initial", "str", True), ("duration", "time", True),
-               ("points", "int", False), ("n_traj", "int", False)),
-    "error-budget": (("omega", "frequency", True), ("b", "frequency", True),
-                     ("delta_b", "frequency", True),
-                     ("epsilon", "scalar", True),
-                     ("eps_pol", "scalar", True),
-                     ("gamma", "frequency", True),
-                     ("t2star_bare", "time", True),
-                     ("cross_check", "bool", False)),
-    "gates": (("gate", ("microwave", "raman"), True),
-              ("omega_g", "frequency", True),
-              ("delta_r", "frequency", False)),
-    "sense": (("variant", "str", False),
-              ("signal_freq", "frequency", True),
-              ("signal_rabi", "frequency", True),
-              ("phase_policy", "str", False),
-              ("interrogation_time", "time", False),
-              ("readout_basis", "str", False),
-              ("detuning", "frequency", False),
-              ("n_draws", "int", False), ("n_traj", "int", False)),
-    "compare": (("n_traj", "int", False),
-                ("horizon_in_bare_t2", "scalar", False)),
+    "analyze": {},
+    "evolve": {**_required(initial=("D1", "D2", "superposition"),
+                           duration="time"),
+               **_optional(points="int", n_traj="int")},
+    "error-budget": {**_required(omega="frequency", b="frequency",
+                                 delta_b="frequency", epsilon="scalar",
+                                 eps_pol="scalar", gamma="frequency",
+                                 t2star_bare="time"),
+                     **_optional(cross_check="bool")},
+    "gates": {**_required(gate=("microwave", "raman"), omega_g="frequency"),
+              **_optional(delta_r="frequency")},
+    "sense": {**_required(signal_freq="frequency", signal_rabi="frequency"),
+              **_optional(variant=SENSING_SCHEMES,
+                          phase_policy=PHASE_POLICIES,
+                          interrogation_time="time",
+                          readout_basis=READOUT_BASES, detuning="frequency",
+                          n_draws="int", n_traj="int")},
+    "compare": _optional(n_traj="int", horizon_in_bare_t2="scalar"),
 }
 
-_NEEDS_CONSTRUCTION = {"analyze", "evolve", "gates", "sense", "compare"}
+# The top-level sections each protocol reads -> whether it is required.
+# Every protocol also takes the scheme.
+_SECTIONS = {
+    "analyze": {"construction": True, "analyze": False},
+    "evolve": {"construction": True, "noise": False, "evolve": True},
+    "error-budget": {"error_budget": True, "sweep": False},
+    "gates": {"construction": True, "gates": True},
+    "sense": {"construction": True, "noise": False, "sense": True},
+    "compare": {"construction": True, "noise": True, "compare": False},
+}
+
+_SECTION_FIELDS = {
+    "construction": _CONSTRUCTION_FIELDS, "noise": _NOISE_FIELDS,
+    **{p.replace("-", "_"): fields for p, fields in _PARAM_FIELDS.items()}}
+
+# The sections and sense keys each sense variant never reads.
+_VARIANT_UNREAD = {
+    "hyperfine": (("noise",), ("n_traj", "phase_policy", "readout_basis",
+                               "n_draws")),
+    "optical-D32": ((), ("detuning",)),
+}
 
 _UNITS = {"frequency": "rad/s", "time": "s", "scalar": ""}
 # A sweep varies one numeric error_budget input.
 _SWEEP_KINDS = {f"error_budget.{name}": kind
-                for name, kind, _ in _PARAM_FIELDS["error-budget"]
+                for name, (kind, _) in _PARAM_FIELDS["error-budget"].items()
                 if kind in _UNITS}
 
 
 def input_unit(protocol: str, name: str) -> str:
     """Unit of a parsed protocol input: "rad/s", "s" or "" (scalar)."""
-    return _UNITS[next(kind for key, kind, _ in _PARAM_FIELDS[protocol]
-                       if key == name)]
+    return _UNITS[_PARAM_FIELDS[protocol][name][0]]
 
 
-def _parse_sweep(section, protocol) -> dict:
+def _parse_sweep(section) -> dict:
     """A sweep over one numeric error_budget input.
 
     values, or the start/stop grid, are parsed with the swept input's own
     kind: a time takes "10 us", a scalar stays a bare number.
     """
-    problems = section.problems
-    if protocol != "error-budget":
-        problems.append(f"{section.path}: only the error-budget protocol "
-                        "takes a sweep")
-    field = section.choice("field", _SWEEP_KINDS, required=True)
-    kind = _SWEEP_KINDS.get(field)
-    sweep = {"field": field, "values": None}
+    kind = _SWEEP_KINDS.get(str(section.data.get("field")))
     if kind is None:
         # Without the input's kind its values cannot be read.
         section.seen.update(("values", "start", "stop", "num", "spacing"))
+        grid = {}
     elif "values" in section.data:
-        try:
-            sweep["values"] = [_PARSERS[kind](v)
-                               for v in section.get("values", "raw")]
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{section.path}.values: {exc}")
+        grid = _required(values=[kind])
     else:
-        start = section.get("start", kind, required=True)
-        stop = section.get("stop", kind, required=True)
-        num = section.get("num", "int", required=True)
-        spacing = section.choice("spacing", ("linear", "log"),
-                                 default="linear")
-        grid = None not in (start, stop, num)
-        if grid and spacing == "log" and min(start, stop) <= 0:
-            problems.append(f"{section.path}: log spacing needs positive "
-                            "start/stop")
-        elif grid and spacing == "log":
-            sweep["values"] = _logspace(start, stop, num)
-        elif grid:
-            step = (stop - start) / max(num - 1, 1)
-            sweep["values"] = [start + step * i for i in range(num)]
-    section.finish()
-    return sweep
+        grid = {**_required(start=kind, stop=kind, num="int"),
+                **_optional(spacing=("linear", "log"))}
+    got = section.read({**_required(field=tuple(_SWEEP_KINDS)), **grid})
+    values = got.get("values")
+    start, stop, num = (got.get(key) for key in ("start", "stop", "num"))
+    log = got.get("spacing") == "log"
+    if None not in (start, stop, num) and log and min(start, stop) <= 0:
+        section.problems.append(f"{section.path}: log spacing needs "
+                                "positive start/stop")
+    elif None not in (start, stop, num):
+        values = _grid(start, stop, num, log)
+    return {"field": got.get("field"), "values": values}
 
 
 def parse_scenario(data: dict) -> Scenario:
     problems: list[str] = []
     root = _Section(data, "scenario", problems)
-    protocol = root.choice("protocol", PROTOCOLS, required=True)
-    label = root.get("label", "str", default="")
-    seed = root.get("seed", "int", default=0)
+    # Sections are read below; read() flags only the other unknown keys.
+    root.seen.update(("scheme", "sweep", *_SECTION_FIELDS))
+    top = root.read(_TOP_FIELDS)
+    protocol = top.get("protocol")
+    wanted = _SECTIONS.get(protocol, {})
 
-    scheme_section = root.subsection("scheme", required=True)
-    scheme = _parse_scheme(scheme_section) if scheme_section else {}
+    scheme = {}
+    section = root.subsection("scheme", required=True)
+    if section is not None:
+        kwargs = _SCHEME_KWARGS.get(str(section.data.get("preset")), {})
+        scheme = section.read({**_required(preset=tuple(_SCHEME_KWARGS)),
+                               **kwargs})
 
-    needs_con = protocol in _NEEDS_CONSTRUCTION if protocol else False
-    con_section = root.subsection("construction", required=needs_con)
-    construction = _parse_construction(con_section) if con_section else None
+    # With no valid protocol, every section is read for its own problems.
+    read = {}
+    for name in (*_SECTION_FIELDS, "sweep"):
+        section = root.subsection(name, required=wanted.get(name, False))
+        if section is None:
+            continue
+        if protocol and name not in wanted:
+            readers = [p for p, names in _SECTIONS.items() if name in names]
+            verb = "protocols take" if len(readers) > 1 else "protocol takes"
+            article = "an" if name[0] in "aeiou" else "a"
+            problems.append(f"scenario.{name}: only the {'/'.join(readers)} "
+                            f"{verb} {article} {name} section")
+        elif name == "sweep":
+            read[name] = _parse_sweep(section)
+        else:
+            read[name] = section.read(_SECTION_FIELDS[name])
+    construction, noise = read.get("construction"), read.get("noise")
+    params = read.get((protocol or "").replace("-", "_"), {})
 
-    noise_section = root.subsection("noise")
-    noise = _parse_noise(noise_section) if noise_section else None
-    if protocol == "compare" and noise is None:
-        problems.append("scenario.noise: required for the compare protocol")
+    if construction and construction.get("kind") in ("ideal", "hyperfine"):
+        problems += [f"scenario.construction.{key}: only the compact "
+                     "construction takes it"
+                     for key in _COMPACT_ONLY if key in construction]
+    if noise and noise.get("kind") == "ornstein-uhlenbeck" \
+            and "tau_c" not in noise:
+        problems.append("scenario.noise.tau_c: required for "
+                        "ornstein-uhlenbeck (time)")
+    if params.get("gate") == "raman" and "delta_r" not in params:
+        problems.append("scenario.gates.delta_r: required for the raman "
+                        "gate (frequency)")
+    if protocol == "sense" and construction:
+        variant = sense_variant(params, construction)
+        sections, keys = _VARIANT_UNREAD[variant]
+        unread = [f"scenario.{s}" for s in sections if s in read] + \
+            [f"scenario.sense.{k}" for k in keys if k in params]
+        problems += [f"{path}: the {variant} sense variant does not read it"
+                     for path in unread]
 
-    params: dict = {}
-    if protocol:
-        section = root.subsection(protocol.replace("-", "_"))
-        fields = _PARAM_FIELDS[protocol]
-        needs_section = any(required for _, _, required in fields)
-        if section is None and needs_section:
-            problems.append(f"scenario.{protocol.replace('-', '_')}: "
-                            "required section")
-        elif section is not None:
-            for name, kind, required in fields:
-                if isinstance(kind, tuple):
-                    value = section.choice(name, kind, required=required)
-                else:
-                    value = section.get(name, kind, required=required)
-                if value is not None:
-                    params[name] = value
-            if params.get("gate") == "raman" and "delta_r" not in section.data:
-                problems.append(f"{section.path}.delta_r: required for the "
-                                "raman gate (frequency)")
-            section.finish()
-
-    if protocol == "sense" and construction is not None:
-        problems.extend(_unread_sense_keys(
-            sense_variant(params, construction), params, noise))
-
-    sweep_section = root.subsection("sweep")
-    sweep = _parse_sweep(sweep_section, protocol) if sweep_section else None
-
-    root.finish()
     if problems:
         raise ScenarioError(problems)
     return Scenario(protocol=protocol, scheme=scheme,
                     construction=construction, params=params, noise=noise,
-                    sweep=sweep, seed=seed, label=label or "")
+                    sweep=read.get("sweep"), seed=top.get("seed", 0),
+                    label=top.get("label", ""))
 
 
 def sense_variant(params: dict, construction: dict) -> str:
     """The sense variant a scenario runs: as written, else by construction."""
     return params.get("variant") or (
-        "hyperfine" if construction["kind"] == "hyperfine" else "optical-D32")
+        "hyperfine" if construction.get("kind") == "hyperfine"
+        else "optical-D32")
 
 
-def _unread_sense_keys(variant: str, params: dict, noise: dict | None):
-    """Problems for keys the chosen sense variant would silently ignore."""
-    if variant == "hyperfine":
-        if noise is not None:
-            yield "scenario.noise: the hyperfine sense variant takes no noise"
-        if "n_traj" in params:
-            yield ("scenario.sense.n_traj: the hyperfine sense variant "
-                   "takes no noise trajectories")
-    elif variant == "optical-D32" and "detuning" in params:
-        yield ("scenario.sense.detuning: the optical sense variant takes "
-               "its detuning from signal_freq")
-
-
-def _logspace(start: float, stop: float, num: int) -> list[float]:
-    """Log-spaced grid without importing numpy at parse time."""
+def _grid(start: float, stop: float, num: int, log: bool) -> list[float]:
+    """Linear or log-spaced grid without importing numpy at parse time."""
     if num == 1:
         return [start]
-    ratio = (stop / start) ** (1.0 / (num - 1))
-    return [start * ratio ** i for i in range(num)]
+    if log:
+        ratio = (stop / start) ** (1.0 / (num - 1))
+        return [start * ratio ** i for i in range(num)]
+    step = (stop - start) / (num - 1)
+    return [start + step * i for i in range(num)]
 
 
 def load_scenario(path) -> Scenario:
@@ -479,20 +462,12 @@ def build_scheme(scenario: Scenario) -> LevelScheme:
 def build_construction(scenario: Scenario,
                        scheme: LevelScheme) -> Construction:
     spec = dict(scenario.construction)
-    kind = spec.pop("kind")
     builder = {"ideal": ideal_construction, "compact": compact_construction,
-               "hyperfine": hyperfine_construction}[kind]
-    omega = spec.pop("omega")
-    b = spec.pop("b")
-    if kind == "hyperfine":
-        spec.setdefault("lower", "F1")
-        spec.setdefault("upper", "F2")
-    return builder(scheme, b, omega, **spec)
+               "hyperfine": hyperfine_construction}[spec.pop("kind")]
+    return builder(scheme, **spec)
 
 
 def build_noise(scenario: Scenario) -> NoiseProcess | None:
     if scenario.noise is None:
         return None
-    spec = dict(scenario.noise)
-    spec.setdefault("seed", scenario.seed)
-    return NoiseProcess(**spec)
+    return NoiseProcess(**{"seed": scenario.seed, **scenario.noise})

@@ -145,6 +145,19 @@ def test_evolve_noisy_transverse_golden_rule():
     assert 1 / fit.params["tau"] == pytest.approx(rate, rel=0.3)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("times", [[], [[0.0, 1.0], [2.0, 3.0]],
+                                   [1.0, 0.5, 0.0]],
+                         ids=["empty", "two-d", "decreasing"])
+def test_evolve_noisy_rejects_bad_grids(kind, times):
+    # a decreasing OU grid used to give NaN density matrices, an empty one
+    # a bare IndexError
+    p = NoiseProcess(kind, sigma=0.5, tau_c=1.0, seed=3)
+    with pytest.raises(ValueError, match="non-empty ascending 1-d grid"):
+        evolve_noisy(np.zeros((2, 2), complex), np.array([1.0, 0.0], complex),
+                     p, SZ, times, n_traj=4)
+
+
 def test_evolve_noisy_threads_do_not_change_result():
     p = NoiseProcess("ornstein-uhlenbeck", sigma=0.3, tau_c=1.0, seed=5)
     psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import math
 import pathlib
@@ -13,7 +15,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkqubit import levels, scenario
+from darkqubit.budget import total_budget
 from darkqubit.cli import emit_plot_data, main
+from darkqubit.driving import (compact_construction, hyperfine_construction,
+                               ideal_construction)
+from darkqubit.noise import NoiseProcess
 from darkqubit.scenario import (
     ScenarioError,
     build_construction,
@@ -685,8 +692,14 @@ NOISE_SECTION = textwrap.dedent("""\
     (SENSE_ZERO_NOISE_YAML.replace("signal_rabi: 0.01",
                                    "signal_rabi: 0.01\n  detuning: 0.5"),
      "scenario.sense.detuning"),
+    (HYPERFINE_SENSE_YAML + "  phase_policy: random-averaged\n",
+     "scenario.sense.phase_policy"),
+    (HYPERFINE_SENSE_YAML + "  readout_basis: x\n",
+     "scenario.sense.readout_basis"),
+    (HYPERFINE_SENSE_YAML + "  n_draws: 64\n", "scenario.sense.n_draws"),
 ], ids=["hyperfine-default-noise", "hyperfine-noise", "hyperfine-n_traj",
-        "optical-detuning"])
+        "optical-detuning", "hyperfine-phase_policy",
+        "hyperfine-readout_basis", "hyperfine-n_draws"])
 def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
                                                     yaml_text, path):
     # the run would drop these keys, yet they would still move the hash
@@ -694,3 +707,100 @@ def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
     assert code == 2
     assert f"{path}: the " in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+GATES_YAML = textwrap.dedent("""\
+    protocol: gates
+    scheme:
+      preset: ca40_dp
+    construction:
+      kind: compact
+      omega: 1.0
+      b: 0.3
+    gates:
+      gate: microwave
+      omega_g: 0.05
+    """)
+CONSTRUCTION_SECTION = ANALYZE_YAML[ANALYZE_YAML.index("construction:"):]
+NOISE_ONLY_ELSEWHERE = ("scenario.noise: only the evolve/sense/compare "
+                        "protocols take a noise section")
+
+
+@pytest.mark.parametrize("command, yaml_text, problems", [
+    ("analyze", ANALYZE_YAML + NOISE_SECTION, [NOISE_ONLY_ELSEWHERE]),
+    ("gates", GATES_YAML + NOISE_SECTION, [NOISE_ONLY_ELSEWHERE]),
+    ("error-budget", BUDGET_YAML + NOISE_SECTION, [NOISE_ONLY_ELSEWHERE]),
+    ("error-budget", BUDGET_YAML + CONSTRUCTION_SECTION,
+     ["scenario.construction: only the analyze/evolve/gates/sense/compare "
+      "protocols take a construction section"]),
+    ("sense", SENSE_ZERO_NOISE_YAML.replace("variant: optical-D32",
+                                            "variant: optical"),
+     ["scenario.sense.variant: 'optical' not one of"]),
+    ("sense", SENSE_ZERO_NOISE_YAML.replace(
+        "signal_rabi: 0.01",
+        "signal_rabi: 0.01\n  phase_policy: random\n  readout_basis: w"),
+     ["scenario.sense.phase_policy: 'random' not one of",
+      "scenario.sense.readout_basis: 'w' not one of"]),
+    ("evolve", EVOLVE_YAML.replace("initial: D1", "initial: D3"),
+     ["scenario.evolve.initial: 'D3' not one of ['D1', 'D2', "
+      "'superposition']"]),
+], ids=["analyze-noise", "gates-noise", "budget-noise", "budget-construction",
+        "sense-variant", "sense-policy-and-basis", "evolve-initial"])
+def test_cli_rejects_inputs_the_run_would_drop_or_cannot_read(
+        tmp_path, capsys, command, yaml_text, problems):
+    # each is rejected at parse time, together with every other problem in
+    # the file, before anything is built
+    code, out = _run(tmp_path, "drop", yaml_text + "mystery_key: 1\n", command)
+    assert code == 2
+    err = capsys.readouterr().err
+    for problem in problems + ["scenario.mystery_key: unknown key"]:
+        assert problem in err
+    assert not (out / "summary.json").exists()
+
+
+OU_EVOLVE_YAML = EVOLVE_YAML.replace("points: 60", "points: 20\n  n_traj: 4") \
+    + textwrap.dedent("""\
+    noise:
+      kind: ornstein-uhlenbeck
+      sigma: 0.5
+      tau_c: 2.0
+    """)
+
+
+@pytest.mark.parametrize("noise_seed, same", [("", False),
+                                              ("  seed: 5\n", True)],
+                         ids=["unset", "set"])
+def test_unset_noise_seed_follows_the_scenario_seed(tmp_path, noise_seed,
+                                                    same):
+    assert "seed" not in parse_scenario(yaml.safe_load(OU_EVOLVE_YAML)).noise
+    traces = []
+    for seed in ("1", "2"):
+        code, out = _run(tmp_path, f"ou{seed}", OU_EVOLVE_YAML + noise_seed,
+                         "evolve", extra=("--seed", seed))
+        assert code == 0
+        traces.append((out / "evolve_trace.csv").read_bytes())
+    assert (traces[0] == traces[1]) is same
+
+
+def _keywords(fn) -> set[str]:
+    return {name for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_field_tables_match_their_callees():
+    # a key the table accepts must reach a parameter, and a preset or
+    # budget parameter must be settable from a scenario
+    for name, kwargs in scenario._SCHEME_KWARGS.items():
+        assert set(kwargs) == _keywords(getattr(levels, name)), name
+    assert set(scenario._PARAM_FIELDS["error-budget"]) == \
+        set(inspect.signature(total_budget).parameters)
+    assert set(scenario._NOISE_FIELDS) == \
+        {f.name for f in dataclasses.fields(NoiseProcess)}
+    builders = {"ideal": ideal_construction, "compact": compact_construction,
+                "hyperfine": hyperfine_construction}
+    assert set(builders) == set(scenario._CONSTRUCTION_FIELDS["kind"][0])
+    for kind, builder in builders.items():
+        receives = set(scenario._CONSTRUCTION_FIELDS) - {"kind"}
+        if kind != "compact":
+            receives -= set(scenario._COMPACT_ONLY)
+        assert receives <= set(inspect.signature(builder).parameters), kind
