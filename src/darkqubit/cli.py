@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -48,9 +47,13 @@ __all__ = ["main", "run_scenario", "emit_plot_data"]
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # Mode 0o666 less the umask, as open() would give; mkstemp's 0o600
+    # would survive the rename.
+    tmp = os.path.join(directory,
+                       f".tmp-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

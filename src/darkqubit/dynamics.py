@@ -24,6 +24,13 @@ Open-system evolution builds the Liouvillian as a dense superoperator
 (row-major vec(rho), so vec(A rho B) = (A kron B^T) vec(rho)) and
 exponentiates it per unique time step; system dimensions here are small
 enough that this is both exact and fast.
+
+Decay fits use variable projection: each model is amplitude * column
+(+ offset) with one nonlinear parameter, the linear ones are solved
+exactly at each value of it, and a bracketing secant search finds the
+zero of the residual's derivative to rounding.  Only DOP853, the
+Lindblad step (expm) and stroboscopic sampling (schur) import scipy,
+each on first use.
 """
 
 from __future__ import annotations
@@ -429,88 +436,200 @@ def _guess_frequency(times: np.ndarray, values: np.ndarray) -> float:
     return 2.0 * np.pi * freqs[peak]
 
 
-def _exponential(times, values):
-    base = _guess_baseline(values)
-    p0 = (values[0] - base, _guess_rate(times, values, base), base)
-
-    def fn(t, amp, tau, off):
-        return amp * np.exp(-t / tau) + off
-    return fn, p0, ("amplitude", "tau", "offset")
+def _decay_guess(times, values):
+    return _guess_rate(times, values, _guess_baseline(values))
 
 
-def _gaussian(times, values):
-    base = _guess_baseline(values)
-    p0 = (values[0] - base, _guess_rate(times, values, base), base)
-
-    def fn(t, amp, tau, off):
-        return amp * np.exp(-((t / tau) ** 2)) + off
-    return fn, p0, ("amplitude", "tau", "offset")
-
-
-def _sin2(times, values):
-    # Population-transfer model p(t) = amp * sin^2(rate * t); the dominant
-    # FFT component sits at 2*rate.
+def _sin2_guess(times, values):
+    # The dominant FFT component of sin^2(rate t) sits at 2 rate.
     rate = _guess_frequency(times, values) / 2.0
-    p0 = (values.max() or 1.0, rate or 1.0 / (times[-1] - times[0] or 1.0))
-
-    def fn(t, amp, rate):
-        return amp * np.sin(rate * t) ** 2
-    return fn, p0, ("amplitude", "rate")
+    return rate or 1.0 / (times[-1] - times[0] or 1.0)
 
 
-_MODELS = {"exponential": _exponential, "gaussian": _gaussian,
-           "sin2": _sin2}
+def _exponential_basis(t, tau):
+    col = np.exp(t * (-1.0 / tau))
+    return col, col * t * tau ** -2
 
 
-def _gauss_newton_polish(fn, times, values, params):
-    """Two Gauss-Newton steps from curve_fit's answer.
+def _gaussian_basis(t, tau):
+    arg = (t / tau) ** 2
+    col = np.exp(-arg)
+    return col, col * arg * (2.0 / tau)
 
-    curve_fit stops at relative tolerances of 1.5e-8, up to about 1e-6
-    relative from the minimum, wherever the data happen to put its last
-    iteration.  Gauss-Newton steps with a complex-step Jacobian (exact to
-    rounding: every model is analytic in its parameters) land on the
-    minimum, so data that move by 1e-11 move the fit by about as little.
-    The steps are dropped if they raise the residual beyond rounding.
+
+def _sin2_basis(t, rate):
+    phase = rate * t
+    col = np.sin(phase)
+    return col * col, np.sin(2.0 * phase) * t
+
+
+# name -> (basis(t, theta) -> (column, d column / d theta), guess of theta,
+# parameter names).  The model is amplitude * column (+ offset when three
+# names are given): tau or rate is its one nonlinear parameter.
+_MODELS = {
+    "exponential": (_exponential_basis, _decay_guess,
+                    ("amplitude", "tau", "offset")),
+    "gaussian": (_gaussian_basis, _decay_guess,
+                 ("amplitude", "tau", "offset")),
+    "sin2": (_sin2_basis, _sin2_guess, ("amplitude", "rate")),
+}
+# The secant search stops where dphi/dtheta is at its rounding level,
+# FIT_GTOL times 2 eps |amp| |dA/dtheta| (|y| + |amp A|), what rounding
+# the residual carries into it (0.4-3 times that on the benchmark's
+# fits), or where a step moves theta by no more than FIT_XTOL of it.  A
+# column that meets the constant at a squared sine below FIT_SINGULAR
+# (an exponential decaying by 3e-4 over the window) leaves amplitude and
+# offset undetermined.
+_EPS = np.finfo(float).eps
+FIT_GTOL = 8.0
+FIT_XTOL = 4.0 * _EPS
+FIT_SINGULAR = 1e-8
+FIT_MAX_EVALS = 100
+
+
+def _secant_minimum(grad, x0: float, g0: float, step: float,
+                    ) -> float | None:
+    """A zero of grad = dphi/dtheta where phi has a local minimum.
+
+    Starts from x0, where grad is g0, with a downhill step; then secant
+    steps on the last two points.  Until grad changes sign the search
+    walks downhill, each step at most half of theta, so theta keeps its
+    sign; where the secant points uphill the step doubles instead.  Once
+    grad changes sign, the two points bracket a minimum (grad < 0 below
+    it, > 0 above it), and a secant step that would leave the bracket
+    bisects it instead: the search keeps the basin it started in.  grad
+    returns 0 where it is indistinguishable from rounding.  Returns the
+    last point evaluated, or None after FIT_MAX_EVALS evaluations.
     """
-    def ssq(p):
-        return np.sum((values - fn(times, *p)) ** 2)
+    if g0 == 0.0:
+        return x0
+    bracket = None  # [lo, hi] with grad(lo) < 0 < grad(hi)
+    for _ in range(FIT_MAX_EVALS - 1):
+        x1 = x0 + step
+        g1 = grad(x1)
+        if g1 == 0.0 or abs(step) <= FIT_XTOL * abs(x1):
+            return x1
+        if bracket is not None:
+            bracket[int(g1 > 0.0)] = x1
+        elif (g1 > 0.0) != (g0 > 0.0):
+            bracket = sorted((x0, x1))
+        secant = -g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else np.nan
+        if bracket is None:
+            if not secant * step > 0.0:
+                secant = 2.0 * step
+            step = np.copysign(min(abs(secant), 0.5 * abs(x1)), step)
+        else:
+            lo, hi = bracket
+            step = secant if lo < x1 + secant < hi else 0.5 * (lo + hi) - x1
+        x0, g0 = x1, g1
+    return None
 
-    polished = params
-    for _ in range(2):
-        jac = np.column_stack([fn(times, *(polished + 1e-20j * unit)).imag
-                               for unit in np.eye(len(params))]) / 1e-20
-        resid = values - fn(times, *polished)
-        polished = polished + np.linalg.solve(jac.T @ jac, jac.T @ resid)
-    slack = 1e-14 * (ssq(params) + np.sum(values ** 2))
-    return polished if ssq(polished) <= ssq(params) + slack else params
+
+def _covariance_stderr(jac: np.ndarray, ssq: float) -> np.ndarray:
+    """sqrt(diag(inv(J^T J) ssq / (m - n))); inf if J^T J is singular."""
+    m, n = jac.shape
+    jtj = jac.T @ jac
+    scale = np.sqrt(np.diag(jtj))
+    if m <= n or not np.all(scale > 0.0):
+        return np.full(n, np.inf)
+    vals, vecs = np.linalg.eigh(jtj / np.outer(scale, scale))
+    if not vals[0] > n * _EPS * vals[-1]:
+        return np.full(n, np.inf)
+    var = ((vecs / vals) @ vecs.T).diagonal() / scale ** 2
+    return np.sqrt(var * ssq / (m - n))
 
 
 def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
               p0: tuple | None = None) -> FitResult:
     """Least-squares fit of a named decay model; see _MODELS for choices.
 
-    Raises NumericalError on non-convergence, with the residual of the
-    best attempt in the message.
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): at each value of the model's nonlinear parameter theta (tau
+    or rate) amplitude and offset solve their linear least-squares
+    problem exactly, and phi(theta), the squared residual left, is
+    minimised over theta alone.  Its derivative is -2 r^T (dA/dtheta) c
+    for residual r, basis A and linear parameters c; its zero is found
+    by _secant_minimum from the guess, or from p0 (in the model's
+    parameter order; only theta is read from it).  stderr is curve_fit's
+    sqrt(diag(inv(J^T J) ssq / (m - n))) at the minimum.
+
+    Raises ValueError on non-finite data or too few points, and
+    NumericalError when the search does not converge or the data show no
+    decay (the basis turns singular, or the amplitude is rounding), with
+    the residual of the best attempt in the message.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; have {sorted(_MODELS)}")
-    from scipy.optimize import curve_fit
+    basis, guess, names = _MODELS[model]
+    if not (times.ndim == 1 and times.shape == values.shape
+            and times.size > len(names)):
+        raise ValueError(f"times and values must be 1-d of equal length, "
+                         f"more than {len(names)} points")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValueError("times and values must be finite")
+    offset = len(names) == 3
+    # With an offset the column is centred, so the 2x2 normal equations
+    # reduce to one division; the residual r is the same.
+    target = values - values.mean() if offset else values
+    target_norm = np.sqrt(target @ target)
+    best = [np.inf]  # smallest squared residual seen
+    last = {}
 
-    fn, guess, names = _MODELS[model](times, values)
-    if p0 is not None:
-        guess = p0
-    try:
-        popt, pcov = curve_fit(fn, times, values, p0=guess, maxfev=20000)
-    except RuntimeError as exc:
-        resid = np.sqrt(np.mean((fn(times, *guess) - values) ** 2))
-        raise NumericalError(
-            f"{model} fit did not converge (guess rms {resid:.3e})") from exc
-    popt = _gauss_newton_polish(fn, times, values, popt)
-    resid = float(np.sqrt(np.mean((fn(times, *popt) - values) ** 2)))
-    err = np.sqrt(np.abs(np.diag(pcov)))
+    def rms(ssq):
+        return float(np.sqrt(ssq / times.size))
+
+    def failed(reason):
+        return NumericalError(f"{model} fit {reason} "
+                              f"(best rms {rms(best[0]):.3e})")
+
+    def grad(theta):
+        raw, dcol = basis(times, theta)
+        mean = raw.sum() / raw.size if offset else 0.0
+        col = raw - mean if offset else raw
+        norm2 = col @ col
+        raw2 = norm2 + col.size * mean ** 2  # raw @ raw
+        if not norm2 > FIT_SINGULAR * raw2:
+            raise failed(f"met a singular basis at {names[1]} = "
+                         f"{theta:.6g}: the data show no {model} decay")
+        amp = (col @ target) / norm2
+        resid = target - amp * col
+        best[0] = min(best[0], resid @ resid)
+        last.update(raw=raw, col=col, dcol=dcol, norm2=norm2, amp=amp,
+                    mean=mean, resid=resid)
+        slope = -2.0 * amp * (resid @ dcol)
+        noise = 2.0 * abs(amp) * _EPS * np.sqrt(dcol @ dcol) * (
+            target_norm + abs(amp) * np.sqrt(raw2))
+        return 0.0 if abs(slope) <= FIT_GTOL * noise else slope
+
+    theta = float(p0[1] if p0 is not None else guess(times, values))
+    g0 = grad(theta)
+    # First step: Gauss-Newton on phi, whose curvature it takes as
+    # 2 |P dA c|^2 with P the projector off the basis (Kaufman, BIT 15,
+    # 49 (1975)), at most half of theta.
+    col, dcol = last["col"], last["dcol"]
+    perp2 = dcol @ dcol - (col @ dcol) ** 2 / last["norm2"]
+    if offset:
+        perp2 -= dcol.sum() ** 2 / dcol.size
+    newton = g0 / (2.0 * last["amp"] ** 2 * perp2) if g0 else 0.0
+    step = -np.copysign(np.fmin(abs(newton), 0.5 * abs(theta)), g0)
+    theta = _secant_minimum(grad, theta, g0, step)
+    if theta is None:
+        raise failed(f"did not converge in {FIT_MAX_EVALS} evaluations")
+    amp, mean, resid = last["amp"], last["mean"], last["resid"]
+    if not abs(amp) * np.sqrt(last["norm2"]) > FIT_GTOL * _EPS * np.sqrt(
+            values @ values):
+        raise failed(f"found no amplitude above rounding at {names[1]} = "
+                     f"{theta:.6g}: the data show no {model} decay")
+    params = [amp, theta]
+    jac = [last["raw"], amp * last["dcol"]]
+    if offset:
+        params.append(values.mean() - amp * mean)
+        jac.append(np.ones_like(resid))
+    ssq = float(resid @ resid)
+    err = _covariance_stderr(np.column_stack(jac), ssq)
     return FitResult(model=model,
-                     params=dict(zip(names, map(float, popt))),
+                     params=dict(zip(names, map(float, params))),
                      stderr=dict(zip(names, map(float, err))),
-                     rms_residual=resid)
+                     rms_residual=rms(ssq))

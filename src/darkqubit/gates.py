@@ -18,6 +18,7 @@ is reported as a ratio against the numerics, never substituted for them.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +43,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Largest population an effective-Hamiltonian probe may lose from the pair.
 LEAKAGE_TOL = 0.05
+# |l+ - l-| / |l+ + l-| below which the logarithm's slope is a series.
+_LOG_SERIES = 1e-2
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,28 @@ def _axis_fidelity(matrix: np.ndarray, axis: np.ndarray) -> float:
                  (norm * np.linalg.norm(axis)))
 
 
+def _log_2x2(mat: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a 2x2 matrix with no eigenvalue on (-inf, 0].
+
+    With mu = tr/2, (M - mu I)^2 = d^2 I for the eigenvalues l+- = mu +- d,
+    so any function of M is (f(l+) + f(l-))/2 I + slope (M - mu I), slope
+    = (f(l+) - f(l-)) / (2d).  Near l+ = l- the log's slope is taken from
+    atanh(z) / (z mu) = (1 + z^2/3 + z^4/5 + ...) / mu, z = d / mu, which
+    also covers a Jordan block (d = 0).
+    """
+    mu = (mat[0, 0] + mat[1, 1]) / 2.0
+    half = (mat[0, 0] - mat[1, 1]) / 2.0
+    d = cmath.sqrt(half * half + mat[0, 1] * mat[1, 0])
+    log_p, log_m = cmath.log(mu + d), cmath.log(mu - d)
+    if abs(d) < _LOG_SERIES * abs(mu):
+        z2 = (d / mu) ** 2
+        series = 1.0 + z2 * (1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 / 9)))
+        slope = series / mu
+    else:
+        slope = (log_p - log_m) / (2.0 * d)
+    return slope * (mat - mu * np.eye(2)) + (log_p + log_m) / 2.0 * np.eye(2)
+
+
 def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
                                   ) -> tuple[np.ndarray, float]:
     """2x2 generator of the subspace-projected propagator.
@@ -112,8 +137,6 @@ def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
     takes its principal branch, so t_probe must keep rotation angles below
     pi.  defect > LEAKAGE_TOL raises: the subspace is not preserved.
     """
-    from scipy.linalg import logm
-
     u_full = propagator(ham, t_probe)
     proj = basis.conj().T @ u_full @ basis
     smin = np.linalg.svd(proj, compute_uv=False).min()
@@ -122,7 +145,7 @@ def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
         raise NumericalError(
             f"subspace leakage {defect:.3g} over t_probe exceeds "
             f"{LEAKAGE_TOL}; the subspace is not preserved")
-    gen = 1j * logm(proj) / t_probe
+    gen = 1j * _log_2x2(proj) / t_probe
     gen = (gen + gen.conj().T) / 2.0
     return gen, defect
 

@@ -9,7 +9,8 @@ times to seconds.
 
 What a file may hold is data: a field table per section gives each key's
 kind and whether it is required, _SECTIONS the sections each protocol
-reads, and _VARIANT_UNREAD what each sense variant never reads.  One
+reads, and _VARIANT_UNREAD what each sense variant never reads (the
+optical one also by whether noise is given, _OPTICAL_NOISE_UNREAD).  One
 reader, _Section.read, parses a section from its table.  A key or section
 the run would not read is rejected, and all problems in a file are
 reported together.  The canonical form (sorted keys, normalized numbers)
@@ -312,6 +313,10 @@ _VARIANT_UNREAD = {
                                "n_draws")),
     "optical-D32": ((), ("detuning",)),
 }
+# The sense keys the optical variant drops, by whether a noise section is
+# given: with one, T2 is fitted from trajectories and replaces
+# interrogation_time; without one, no trajectories run.
+_OPTICAL_NOISE_UNREAD = {True: "interrogation_time", False: "n_traj"}
 
 _UNITS = {"frequency": "rad/s", "time": "s", "scalar": ""}
 # A sweep varies one numeric error_budget input.
@@ -406,6 +411,13 @@ def parse_scenario(data: dict) -> Scenario:
             [f"scenario.sense.{k}" for k in keys if k in params]
         problems += [f"{path}: the {variant} sense variant does not read it"
                      for path in unread]
+        noisy = "noise" in read
+        key = _OPTICAL_NOISE_UNREAD[noisy]
+        if variant == "optical-D32" and key in params:
+            given = "with" if noisy else "without"
+            problems.append(f"scenario.sense.{key}: the {variant} sense "
+                            f"variant does not read it {given} a noise "
+                            "section")
 
     if problems:
         raise ScenarioError(problems)

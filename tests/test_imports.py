@@ -1,6 +1,6 @@
 """Every top-level import of the package is used in its module, every
-function parameter is read in its function, and importing the CLI loads no
-scipy.
+function parameter is read in its function, and importing the CLI, fitting
+decays or taking a gate's logarithm loads no scipy.
 
 No linter ships with the project, so this parses the sources with ``ast``.
 A name counts as used when the module reads it, lists it in ``__all__``
@@ -110,15 +110,82 @@ def test_every_parameter_is_read():
         f"allowlisted but read: {sorted(set(INERT_PARAMETERS) - unread)}"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that call it: a run that
-    # never integrates, fits or takes a matrix function skips its ~0.6 s
-    # import.  A fresh interpreter, so nothing else has loaded scipy.
-    code = ("import sys, darkqubit, darkqubit.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+def _scipy_loaded_by(code: str) -> list[str]:
+    """scipy modules a fresh interpreter holds after running code."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that call it: a run that
+    # never integrates, steps a Lindbladian or samples stroboscopically
+    # skips its import.  A fresh interpreter, so nothing else has loaded
+    # scipy.
+    assert _scipy_loaded_by("import darkqubit, darkqubit.cli") == []
+
+
+# Criterion 10's call sequence: OU ensembles whose relaxation fit_decay
+# fits.
+CRITERION_10_CALLS = """
+import math
+import numpy as np
+from darkqubit.dynamics import fit_decay
+from darkqubit.noise import NoiseProcess, evolve_noisy
+omega0 = 5.0
+sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
+h = np.diag([omega0 / 2.0, -omega0 / 2.0]).astype(complex)
+for x, sigma, n_traj in ((0.1, 1.2, 384), (1.0, 0.4, 512), (10.0, 0.25, 384)):
+    tau = x / omega0
+    proc = NoiseProcess("ornstein-uhlenbeck", sigma=sigma, tau_c=tau, seed=23)
+    rate = sigma ** 2 * tau / (1.0 + x ** 2)
+    dt = min(tau / 8.0, 2.0 * math.pi / omega0 / 8.0)
+    times = np.linspace(0.0, 1.2 / rate, int(math.ceil(1.2 / rate / dt)) + 1)
+    rho = evolve_noisy(h, np.array([1.0, 0.0], complex), proc, sx, times,
+                       n_traj=n_traj, threads=1)
+    fit_decay(times, 2.0 * rho[:, 0, 0].real - 1.0, "exponential",
+              p0=(1.0, 1.0 / rate, 0.0))
+"""
+CONSTRUCTION = """
+scheme:
+  preset: ca40_dp
+construction:
+  kind: compact
+  omega: 1.0
+  b: 0.3
+"""
+CLI_RUNS = {
+    "compare": "protocol: compare" + CONSTRUCTION + """
+noise:
+  kind: quasi-static-gaussian
+  sigma: 5e-4
+compare:
+  n_traj: 8
+  horizon_in_bare_t2: 20
+""",
+    "gates": "protocol: gates" + CONSTRUCTION + """
+gates:
+  gate: microwave
+  omega_g: 0.05
+""",
+}
+
+
+@pytest.mark.parametrize("run", ["criterion-10", "compare", "gates"])
+def test_fits_and_gate_logarithms_load_no_scipy(tmp_path, run):
+    # decay fits (variable projection) and the 2x2 gate logarithm are
+    # numpy only, so noise ensembles, compare and microwave gate runs
+    # never pay scipy's import
+    if run == "criterion-10":
+        code = CRITERION_10_CALLS
+    else:
+        scenario = tmp_path / f"{run}.yaml"
+        scenario.write_text(CLI_RUNS[run])
+        code = ("from darkqubit.cli import main\n"
+                f"assert main([{run!r}, '--scenario', {str(scenario)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _scipy_loaded_by(code) == []

@@ -4,7 +4,9 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import pathlib
+import stat
 import textwrap
 from decimal import Decimal
 from unittest import mock
@@ -632,6 +634,22 @@ def test_emit_plot_data_leaves_no_temp_files(tmp_path):
     assert [str(tmp_path / n) for n in names] == sorted(paths)
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cli_outputs_take_the_umask(tmp_path, umask):
+    # outputs are created as open() would create them, 0o666 less the
+    # umask, not with a temporary file's private 0o600
+    old = os.umask(umask)
+    try:
+        code, out = _run(tmp_path, "perm", ANALYZE_YAML, "analyze")
+    finally:
+        os.umask(old)
+    assert code == 0
+    files = sorted(out.iterdir())
+    assert files and not [f.name for f in files if f.name.startswith(".tmp-")]
+    for path in files:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
 # ------------------------------------------------------------ YAML loaders
 
 
@@ -682,6 +700,9 @@ NOISE_SECTION = textwrap.dedent("""\
       kind: quasi-static-gaussian
       sigma: 5
     """)
+# The optical run fits T2 from trajectories when noise is given, and
+# otherwise takes interrogation_time as its coherence window.
+OPTICAL_SENSE_YAML = SENSE_ZERO_NOISE_YAML.replace(ZERO_NOISE, "")
 
 
 @pytest.mark.parametrize("yaml_text, path", [
@@ -697,9 +718,14 @@ NOISE_SECTION = textwrap.dedent("""\
     (HYPERFINE_SENSE_YAML + "  readout_basis: x\n",
      "scenario.sense.readout_basis"),
     (HYPERFINE_SENSE_YAML + "  n_draws: 64\n", "scenario.sense.n_draws"),
+    (OPTICAL_SENSE_YAML + "  n_traj: 16\n", "scenario.sense.n_traj"),
+    (OPTICAL_SENSE_YAML + "  interrogation_time: 5\n" + NOISE_SECTION,
+     "scenario.sense.interrogation_time"),
 ], ids=["hyperfine-default-noise", "hyperfine-noise", "hyperfine-n_traj",
         "optical-detuning", "hyperfine-phase_policy",
-        "hyperfine-readout_basis", "hyperfine-n_draws"])
+        "hyperfine-readout_basis", "hyperfine-n_draws",
+        "optical-n_traj-without-noise",
+        "optical-interrogation_time-with-noise"])
 def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
                                                     yaml_text, path):
     # the run would drop these keys, yet they would still move the hash
@@ -707,6 +733,15 @@ def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
     assert code == 2
     assert f"{path}: the " in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("yaml_text", [
+    OPTICAL_SENSE_YAML + "  interrogation_time: 5\n",
+    OPTICAL_SENSE_YAML + "  n_traj: 16\n" + NOISE_SECTION,
+], ids=["interrogation_time-without-noise", "n_traj-with-noise"])
+def test_optical_sense_keeps_the_keys_it_reads(yaml_text):
+    params = parse_scenario(yaml.safe_load(yaml_text)).params
+    assert {"interrogation_time", "n_traj"} & set(params)
 
 
 GATES_YAML = textwrap.dedent("""\
