@@ -2,7 +2,7 @@
 
 Subcommands mirror the library modules one to one; every run is described
 by a scenario file, and flags only override bookkeeping (seed, output
-directory, trace format; --threads is accepted and ignored).  A JSON
+directory, trace format).  A JSON
 summary is always written; time traces and sweep tables go to CSV (or
 JSON with --format json) next to it, each with a small manifest naming
 axes and units.  Outputs are written to a temporary file and renamed
@@ -32,8 +32,7 @@ from .gates import (microwave_sigma_y, prepare_initial_state, protected_report,
                     raman_sigma_x)
 from .noise import evolve_noisy
 from .scenario import (Scenario, ScenarioError, build_construction,
-                       build_noise, build_scheme, input_unit, load_scenario,
-                       sense_variant)
+                       build_noise, input_unit, load_scenario, sense_variant)
 from .sensing import (SensingProtocol, coherence_comparison, frequency_window,
                       run_ac_sensing, run_hyperfine_sensing)
 from .subspace import ProtectionError
@@ -165,8 +164,7 @@ def _given(params, *keys) -> dict:
 
 
 def _run_analyze(scenario):
-    scheme = build_scheme(scenario)
-    con = build_construction(scenario, scheme)
+    con = build_construction(scenario)
     report = protected_report(con)
     window = frequency_window(construction=con)
     results = {
@@ -174,7 +172,7 @@ def _run_analyze(scenario):
         "gap": report.gap,
         "jz_residual": report.jz_residual,
         "degeneracy_residual": report.degeneracy_residual,
-        "dark_states": _state_table(scheme, report.dark_states),
+        "dark_states": _state_table(con.scheme, report.dark_states),
         "dropped_terms": len(con.dropped),
         "frequency_window": window,
     }
@@ -189,8 +187,7 @@ def _initial_state(params, report):
 
 
 def _run_evolve(scenario):
-    scheme = build_scheme(scenario)
-    con = build_construction(scenario, scheme)
+    con = build_construction(scenario)
     report = protected_report(con)
     params = scenario.params
     times = np.linspace(0.0, params["duration"], params.get("points", 400))
@@ -198,7 +195,7 @@ def _run_evolve(scenario):
     noise = build_noise(scenario)
     basis = np.column_stack(report.dark_states[:2])
     if noise is not None:
-        rho = evolve_noisy(con.ip, psi0, noise, scheme.zeeman_generator(),
+        rho = evolve_noisy(con.ip, psi0, noise, con.scheme.zeeman_generator(),
                            times, n_traj=params.get("n_traj", 256))
         p1 = np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
                        basis[:, 0]).real
@@ -212,7 +209,7 @@ def _run_evolve(scenario):
     else:
         states = evolve_unitary(con.ip, psi0, times)
         upper_pop = expectation(states,
-                                scheme.projector(con.upper)).real
+                                con.scheme.projector(con.upper)).real
         trace = SimulationTrace(
             times=times,
             populations={
@@ -253,8 +250,7 @@ def _run_error_budget(scenario):
 
 
 def _run_gates(scenario):
-    scheme = build_scheme(scenario)
-    con = build_construction(scenario, scheme)
+    con = build_construction(scenario)
     params = scenario.params
     if params["gate"] == "microwave":
         return microwave_sigma_y(params["omega_g"], con), {}
@@ -262,8 +258,7 @@ def _run_gates(scenario):
 
 
 def _run_sense(scenario):
-    scheme = build_scheme(scenario)
-    con = build_construction(scenario, scheme)
+    con = build_construction(scenario)
     params = scenario.params
     variant = sense_variant(params, scenario.construction)
     protocol = SensingProtocol(
@@ -284,8 +279,7 @@ def _run_sense(scenario):
 
 
 def _run_compare(scenario):
-    scheme = build_scheme(scenario)
-    con = build_construction(scenario, scheme)
+    con = build_construction(scenario)
     return coherence_comparison(
         con, build_noise(scenario),
         **_given(scenario.params, "n_traj", "horizon_in_bare_t2")), {}
@@ -346,8 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the scenario master seed")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and ignored")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="trace/table output format")
     return parser
@@ -363,8 +355,7 @@ def main(argv=None) -> int:
                  f"the {args.command!r} subcommand"])
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
-        summary = run_scenario(scenario, out_dir=args.out, fmt=args.format,
-                               threads=args.threads)
+        summary = run_scenario(scenario, out_dir=args.out, fmt=args.format)
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 2

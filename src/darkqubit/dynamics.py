@@ -429,9 +429,13 @@ def _guess_rate(times: np.ndarray, values: np.ndarray, base: float) -> float:
 
 
 def _guess_frequency(times: np.ndarray, values: np.ndarray) -> float:
-    dt = times[1] - times[0]
-    spectrum = np.fft.rfft(values - values.mean())
-    freqs = np.fft.rfftfreq(len(values), dt)
+    # Zero-padding to 8x interpolates the spectrum between its bins: on
+    # 1.5 or 2.35 periods of sin^2 the unpadded peak bin is 15-35% off.
+    # A power of two keeps the FFT fast: on a Raman gate's 1509 points,
+    # exactly 8x took 2.4 ms against 0.2 ms.
+    n = 1 << (8 * len(values) - 1).bit_length()
+    spectrum = np.fft.rfft(values - values.mean(), n)
+    freqs = np.fft.rfftfreq(n, times[1] - times[0])
     peak = np.argmax(np.abs(spectrum[1:])) + 1
     return 2.0 * np.pi * freqs[peak]
 

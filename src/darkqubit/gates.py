@@ -150,9 +150,7 @@ def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
     return gen, defect
 
 
-def microwave_sigma_y(omega_g: float, con: Construction,
-                      report: SubspaceReport | None = None,
-                      ) -> EffectiveQubitOp:
+def microwave_sigma_y(omega_g: float, con: Construction) -> EffectiveQubitOp:
     """Resonant microwave gate; interaction-picture term (omega_g/2) J_y.
 
     The lab field oscillates at the lower manifold's adjacent-sublevel
@@ -166,8 +164,7 @@ def microwave_sigma_y(omega_g: float, con: Construction,
     if omega_g > 0.1 * con.omega:
         warnings.warn("omega_g above 0.1 Omega; gate analysis assumes a "
                       "well-separated drive hierarchy", stacklevel=2)
-    if report is None:
-        report = protected_report(con)
+    report = protected_report(con)
     jy = con.scheme.spin_operator(con.lower, "y")
     ham = con.ip.plus_static((omega_g / 2.0) * jy)
     basis = np.column_stack(report.dark_states[:2])
@@ -198,9 +195,8 @@ def microwave_sigma_y(omega_g: float, con: Construction,
          "rate_over_expected": rate / expected})
 
 
-def raman_sigma_x(omega_g: float, delta_r: float, con: Construction,
-                  report: SubspaceReport | None = None,
-                  ) -> EffectiveQubitOp:
+def raman_sigma_x(omega_g: float, delta_r: float,
+                  con: Construction) -> EffectiveQubitOp:
     """Far-detuned Raman gate through one excited state.
 
     Both legs (the two lower states that share the chosen excited state
@@ -219,8 +215,7 @@ def raman_sigma_x(omega_g: float, delta_r: float, con: Construction,
         hierarchy.append("omega_g above Omega/5")
     for msg in hierarchy:
         warnings.warn(f"Raman hierarchy violated: {msg}", stacklevel=2)
-    if report is None:
-        report = protected_report(con)
+    report = protected_report(con)
     basis = np.column_stack(report.dark_states[:2])
     expected = 3.0 * omega_g ** 2 / (4.0 * delta_r)
     if omega_g == 0.0:

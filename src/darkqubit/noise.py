@@ -317,14 +317,11 @@ def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
     Step m lasts steps[m] under the amplitudes amps[:, m]; the sum of
     |psi><psi| after it goes to out[m].  Returns psi.
     """
-    psi = psi.T
     for m in range(amps.shape[1]):
-        hams = static[None, :, :] + amps[:, m, None, None] * noise_op
-        vals, vecs = np.linalg.eigh(hams)
-        coef = np.einsum("nji,nj->ni", vecs.conj(), psi)
-        psi = np.einsum("nij,nj->ni", vecs, np.exp(-1j * vals * steps[m]) * coef)
-        out[m] = np.einsum("ni,nj->ij", psi, psi.conj())
-    return psi.T
+        props = _step_propagators(static, noise_op, amps[:, m], steps[m])
+        psi = np.einsum("nij,jn->in", props, psi)
+        out[m] = psi @ psi.conj().T
+    return psi
 
 
 def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,

@@ -401,6 +401,14 @@ def parse_scenario(data: dict) -> Scenario:
             and "tau_c" not in noise:
         problems.append("scenario.noise.tau_c: required for "
                         "ornstein-uhlenbeck (time)")
+    if protocol == "error-budget":
+        # total_budget builds its own ca40_dp reference scheme.
+        if scheme.get("preset", "ca40_dp") != "ca40_dp":
+            problems.append("scenario.scheme.preset: the error-budget "
+                            "protocol takes only ca40_dp")
+        problems += [f"scenario.scheme.{key}: the error-budget protocol "
+                     "does not read it" for key in sorted(scheme)
+                     if key != "preset"]
     if params.get("gate") == "raman" and "delta_r" not in params:
         problems.append("scenario.gates.delta_r: required for the raman "
                         "gate (frequency)")
@@ -471,12 +479,12 @@ def build_scheme(scenario: Scenario) -> LevelScheme:
     return preset(scenario.scheme["preset"], **kwargs)
 
 
-def build_construction(scenario: Scenario,
-                       scheme: LevelScheme) -> Construction:
+def build_construction(scenario: Scenario) -> Construction:
+    """The scenario's construction on its own scheme (build_scheme)."""
     spec = dict(scenario.construction)
     builder = {"ideal": ideal_construction, "compact": compact_construction,
                "hyperfine": hyperfine_construction}[spec.pop("kind")]
-    return builder(scheme, **spec)
+    return builder(build_scheme(scenario), **spec)
 
 
 def build_noise(scenario: Scenario) -> NoiseProcess | None:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import clebsch_gordan
 from .driving import (Construction, TimeDependentHamiltonian,
                       to_rotating_frame)
 from .dynamics import (SimulationTrace, evolve_unitary, fit_decay,
@@ -32,7 +31,6 @@ from .dynamics import (SimulationTrace, evolve_unitary, fit_decay,
 from .gates import extract_effective_hamiltonian, protected_report
 from .levels import LevelScheme
 from .noise import NoiseProcess, evolve_noisy, spectral_density
-from .subspace import SubspaceReport
 
 __all__ = [
     "SensingProtocol",
@@ -136,8 +134,7 @@ def _zero_signal(protocol: SensingProtocol):
 
 
 def run_ac_sensing(protocol: SensingProtocol, con: Construction,
-                   noise: NoiseProcess | None = None,
-                   report: SubspaceReport | None = None, n_traj: int = 256,
+                   noise: NoiseProcess | None = None, n_traj: int = 256,
                    ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-induced rotation of the dark pair, with phase statistics.
 
@@ -150,8 +147,7 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
     mutual coherence of the pair under that noise; otherwise the
     protocol's interrogation_time stands in as the coherence window.
     """
-    if report is None:
-        report = protected_report(con)
+    report = protected_report(con)
     if protocol.signal_rabi == 0.0:
         return _zero_signal(protocol)
     basis = np.column_stack(report.dark_states[:2])
@@ -246,6 +242,18 @@ def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
                            coherences=coherences)
 
 
+def _pair_coherence(con, ham, a, b, noise, times, n_traj):
+    """|<a|rho(t)|b>| over times, normalised to its value at t = 0.
+
+    rho(t) averages (a + b)/sqrt(2) evolved under ham plus the Zeeman noise
+    on the construction's scheme.
+    """
+    rho = evolve_noisy(ham, (a + b) / np.sqrt(2.0), noise,
+                       con.scheme.zeeman_generator(), times, n_traj=n_traj)
+    coh = np.abs(np.einsum("i,tij,j->t", a.conj(), rho, b))
+    return coh / coh[0]
+
+
 def _fit_pair_coherence(con, basis, noise, n_traj, horizon):
     """T2 of the pair's mutual coherence under Zeeman noise.
 
@@ -253,13 +261,9 @@ def _fit_pair_coherence(con, basis, noise, n_traj, horizon):
     which the coherence drops below 1/e, or the horizon with bounded set
     (a lower bound) if it never does.
     """
-    psi0 = (basis[:, 0] + basis[:, 1]) / np.sqrt(2.0)
     times = np.linspace(0.0, horizon, 160)
-    rho = evolve_noisy(con.ip, psi0, noise, con.scheme.zeeman_generator(),
-                       times, n_traj=n_traj)
-    coh = np.abs(np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
-                           basis[:, 1]))
-    coh = coh / coh[0]
+    coh = _pair_coherence(con, con.ip, basis[:, 0], basis[:, 1], noise,
+                          times, n_traj)
     below = np.nonzero(coh < np.exp(-1.0))[0]
     if below.size:
         return float(times[below[0]]), False, float(coh[-1])
@@ -333,28 +337,17 @@ def hyperfine_signal_operator(scheme: LevelScheme, lower: str = "F1",
                               upper: str = "F2") -> np.ndarray:
     """Transverse magnetic-dipole signal operator between two F manifolds.
 
-    Built from the rank-1 spherical components T_q with elements
-    <F_u, m+q| T_q |F_l, m> given by the CG recoupling coefficient, combined
-    as S_x = (T_{-1} - T_{+1}) / sqrt(2) + h.c., then rescaled so the
+    T_{+1} and T_{-1} are the scheme's sigma+ and sigma- dipole couplings
+    (memoised and read-only; elements <F_l m; 1 q | F_u m+q>), combined as
+    S_x = (T_{-1} - T_{+1}) / sqrt(2) + h.c., then rescaled so the
     stretched element |<F_u, -F_u| S_x |F_l, -F_l>| equals 1.  The overall
     normalization of such an operator is conventional; this definition is
     the single point where it is fixed.
     """
     f_l = scheme.manifold(lower)
     f_u = scheme.manifold(upper)
-    dim = scheme.dim
-    t_comp = {}
-    for q in (-1, 1):
-        op = np.zeros((dim, dim), dtype=complex)
-        for m in f_l.m_values:
-            target = m + q
-            if abs(target) > f_u.j:
-                continue
-            amp = clebsch_gordan(f_l.j, m, 1, q, f_u.j, target)
-            if amp:
-                op[scheme.index(upper, target), scheme.index(lower, m)] = amp
-        t_comp[q] = op
-    raising = (t_comp[-1] - t_comp[+1]) / np.sqrt(2.0)
+    raising = (scheme.dipole_coupling(lower, upper, "sigma-")
+               - scheme.dipole_coupling(lower, upper, "sigma+")) / np.sqrt(2.0)
     s_x = raising + raising.conj().T
     ref = abs(s_x[scheme.index(upper, -f_u.j), scheme.index(lower, -f_l.j)])
     if ref == 0:
@@ -364,7 +357,6 @@ def hyperfine_signal_operator(scheme: LevelScheme, lower: str = "F1",
 
 def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
                           detuning: float = 0.0,
-                          report: SubspaceReport | None = None,
                           ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-driven rotation of the hyperfine protected pair.
 
@@ -374,8 +366,7 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     its rate is extracted from the D1 <-> D2 population transfer and
     reported against (Omega_g/2) x (the dark-state amplitude product).
     """
-    if report is None:
-        report = protected_report(con)
+    report = protected_report(con)
     if protocol.signal_rabi == 0.0:
         return _zero_signal(protocol)
     basis = np.column_stack(report.dark_states[:2])
@@ -440,7 +431,6 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     a lower bound (the honest desk-scale outcome for a protected qubit).
     """
     scheme = con.scheme
-    zee = scheme.zeeman_generator()
     report = protected_report(con)
     basis = np.column_stack(report.dark_states[:2])
 
@@ -448,19 +438,14 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     m_lo, m_hi = d_man.m_values[0], d_man.m_values[-1]
     # Bare pair: the dark states' main support pair (adjacent-but-one), so
     # the comparison is against the same stored information.
-    bare_a = scheme.basis_state(con.lower, m_lo + 1) \
-        if len(d_man.m_values) > 3 else scheme.basis_state(con.lower, m_lo)
-    bare_b = scheme.basis_state(con.lower, m_hi)
-    delta_m = float(m_hi - (m_lo + 1 if len(d_man.m_values) > 3 else m_lo))
-    t2_bare_analytic = _bare_dephasing_time(con, noise, delta_m)
+    m_a = m_lo + 1 if len(d_man.m_values) > 3 else m_lo
+    t2_bare_analytic = _bare_dephasing_time(con, noise, float(m_hi - m_a))
 
     times_bare = np.linspace(0.0, 3.0 * t2_bare_analytic, 120)
-    psi_bare = (bare_a + bare_b) / np.sqrt(2.0)
-    rho_bare = evolve_noisy(np.zeros((scheme.dim, scheme.dim)), psi_bare,
-                            noise, zee, times_bare, n_traj=n_traj)
-    coh_bare = np.abs(np.einsum("i,tij,j->t", bare_a.conj(), rho_bare,
-                                bare_b))
-    coh_bare = coh_bare / coh_bare[0]
+    coh_bare = _pair_coherence(con, np.zeros((scheme.dim, scheme.dim)),
+                               scheme.basis_state(con.lower, m_a),
+                               scheme.basis_state(con.lower, m_hi), noise,
+                               times_bare, n_traj)
     fit = fit_decay(times_bare, coh_bare, "gaussian")
     t2_bare = float(abs(fit.params["tau"]))
 

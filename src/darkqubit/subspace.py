@@ -68,10 +68,6 @@ class SubspaceReport:
     def dim(self) -> int:
         return len(self.dark_states)
 
-    def projector(self) -> np.ndarray:
-        basis = np.column_stack(self.dark_states)
-        return basis @ basis.conj().T
-
 
 @dataclass(frozen=True)
 class DressedState:

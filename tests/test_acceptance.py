@@ -210,14 +210,14 @@ def test_criterion_07_gates():
     rep = protected_report(con)
 
     omegas = np.logspace(-3, -2, 5)
-    rates = [microwave_sigma_y(w, con, rep).rate for w in omegas]
+    rates = [microwave_sigma_y(w, con).rate for w in omegas]
     s_y = float(np.polyfit(np.log(omegas), np.log(rates), 1)[0])
 
-    raman = raman_sigma_x(0.05, 20.0, con, rep)  # omega_g = Omega/20
+    raman = raman_sigma_x(0.05, 20.0, con)  # omega_g = Omega/20
     raman_ratio = raman.details["rate_over_expected"]
 
     detunings = np.array([15.0, 20.0, 30.0, 40.0, 60.0])
-    drates = [raman_sigma_x(0.05, d, con, rep).rate for d in detunings]
+    drates = [raman_sigma_x(0.05, d, con).rate for d in detunings]
     s_d = float(np.polyfit(np.log(detunings), np.log(drates), 1)[0])
     elapsed = time.monotonic() - t0
     _verdict(7, [
@@ -279,14 +279,14 @@ def test_criterion_09_hyperfine_scheme():
     spec_err = float(np.abs(vals - want).max())
 
     proto = SensingProtocol("hyperfine", 1.0, 0.02)
-    on_res, _ = run_hyperfine_sensing(proto, con, report=rep)
+    on_res, _ = run_hyperfine_sensing(proto, con)
     rate = on_res.effective_rabi
     coeff = on_res.details["coefficient_vs_rabi"]
 
     rabis = np.logspace(np.log10(5e-3), np.log10(4e-2), 5)
     rr = [run_hyperfine_sensing(
-        SensingProtocol("hyperfine", 1.0, w), con,
-        report=rep)[0].effective_rabi for w in rabis]
+        SensingProtocol("hyperfine", 1.0, w), con)[0].effective_rabi
+        for w in rabis]
     s_g = float(np.polyfit(np.log(rabis), np.log(rr), 1)[0])
 
     # detuned suppression: two-level transfer obeys 1 + (delta/2r)^2,
@@ -295,8 +295,7 @@ def test_criterion_09_hyperfine_scheme():
     print("[criterion  9] detuned-transfer suppression factors:", flush=True)
     suppression_at_10 = None
     for mult in (4.0, 10.0, 20.0, 32.0):
-        det, _ = run_hyperfine_sensing(proto, con, detuning=mult * rate,
-                                       report=rep)
+        det, _ = run_hyperfine_sensing(proto, con, detuning=mult * rate)
         factor = on_res.details["max_transfer"] / det.details["max_transfer"]
         law = 1.0 + (mult / 2.0) ** 2
         print(f"    delta = {mult:4.0f} x rate: factor {factor:8.1f}  "

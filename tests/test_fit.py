@@ -210,6 +210,15 @@ def test_fit_ends_where_the_gradient_is_rounding(model, points, amp, negative,
     assert np.all(np.abs(cols.T @ resid) <= level)
 
 
+@pytest.mark.parametrize("periods", [1.5, 2.35])
+def test_sin2_fit_keeps_the_true_basin(periods):
+    # at these window lengths an unpadded FFT peak starts the fit 15-35%
+    # off, in the neighbouring basin (rate 0.45 or 1.99)
+    t = np.linspace(0.0, periods * np.pi, 400)
+    fit = fit_decay(t, np.sin(t) ** 2, "sin2")
+    assert fit.params["rate"] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_fit_rejects_non_finite_data():
     t = np.linspace(0.0, 5.0, 50)
     y = np.exp(-t)

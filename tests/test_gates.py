@@ -73,17 +73,17 @@ def test_microwave_rate_is_three_quarters(builder):
 def test_microwave_validation(ideal):
     con, rep = ideal
     with pytest.raises(ValueError, match="nonnegative"):
-        microwave_sigma_y(-0.01, con, rep)
-    zero = microwave_sigma_y(0.0, con, rep)
+        microwave_sigma_y(-0.01, con)
+    zero = microwave_sigma_y(0.0, con)
     assert zero.rate == 0.0
     assert np.all(zero.matrix == 0)
     with pytest.warns(UserWarning, match="0.1 Omega"):
-        microwave_sigma_y(0.5, con, rep)
+        microwave_sigma_y(0.5, con)
 
 
 def test_raman_rate_second_order(ideal):
     con, rep = ideal
-    op = raman_sigma_x(0.05, 20.0, con, rep)
+    op = raman_sigma_x(0.05, 20.0, con)
     expected = 3.0 * 0.05**2 / (4.0 * 20.0)
     assert op.details["expected_second_order"] == pytest.approx(expected)
     # extracted rate carries the next correction 1 + (Omega/delta_r)^2
@@ -101,8 +101,8 @@ def test_raman_rate_second_order(ideal):
 
 def test_raman_detuning_scaling(ideal):
     con, rep = ideal
-    near = raman_sigma_x(0.05, 20.0, con, rep)
-    far = raman_sigma_x(0.05, 40.0, con, rep)
+    near = raman_sigma_x(0.05, 20.0, con)
+    far = raman_sigma_x(0.05, 40.0, con)
     # rate ~ 1/delta_r at fixed omega_g
     assert near.rate / far.rate == pytest.approx(2.0, abs=0.01)
     # leakage is a virtual population ~ (omega_g/delta_r)^2
@@ -112,13 +112,13 @@ def test_raman_detuning_scaling(ideal):
 def test_raman_validation(ideal):
     con, rep = ideal
     with pytest.raises(ValueError):
-        raman_sigma_x(0.05, 0.0, con, rep)
+        raman_sigma_x(0.05, 0.0, con)
     with pytest.raises(ValueError):
-        raman_sigma_x(-0.05, 20.0, con, rep)
+        raman_sigma_x(-0.05, 20.0, con)
     with pytest.warns(UserWarning, match="delta_r below 5 Omega"):
-        raman_sigma_x(0.01, 3.0, con, rep)
+        raman_sigma_x(0.01, 3.0, con)
     with pytest.warns(UserWarning, match="omega_g above Omega/5"):
-        raman_sigma_x(0.3, 20.0, con, rep)
+        raman_sigma_x(0.3, 20.0, con)
 
 
 def test_extract_effective_hamiltonian_two_level_oracle():

@@ -77,7 +77,7 @@ INERT_PARAMETERS = {
     ("noise.py", "evolve_noisy", "threads"):
         "bench/jobs.py passes threads=1",
     ("cli.py", "run_scenario", "threads"):
-        "bench/jobs.py passes threads=1; --threads feeds it",
+        "bench/jobs.py passes threads=1",
 }
 
 

@@ -314,7 +314,7 @@ def test_build_scheme_and_construction():
     sc = parse_scenario(data)
     scheme = build_scheme(sc)
     assert scheme.manifold("P1/2").offset == pytest.approx(TWO_PI * 346e12)
-    con = build_construction(sc, scheme)
+    con = build_construction(sc)
     assert con.omega == pytest.approx(TWO_PI * 1e6)
     assert con.b == pytest.approx(TWO_PI * 50e3)
 
@@ -779,8 +779,16 @@ NOISE_ONLY_ELSEWHERE = ("scenario.noise: only the evolve/sense/compare "
     ("evolve", EVOLVE_YAML.replace("initial: D1", "initial: D3"),
      ["scenario.evolve.initial: 'D3' not one of ['D1', 'D2', "
       "'superposition']"]),
+    ("error-budget", BUDGET_YAML.replace("preset: ca40_dp",
+                                         "preset: d52_p32"),
+     ["scenario.scheme.preset: the error-budget protocol takes only "
+      "ca40_dp"]),
+    ("error-budget", BUDGET_YAML.replace(
+        "preset: ca40_dp", "preset: ca40_dp\n  gamma: 2pi*1 MHz"),
+     ["scenario.scheme.gamma: the error-budget protocol does not read it"]),
 ], ids=["analyze-noise", "gates-noise", "budget-noise", "budget-construction",
-        "sense-variant", "sense-policy-and-basis", "evolve-initial"])
+        "sense-variant", "sense-policy-and-basis", "evolve-initial",
+        "other-preset", "preset-keyword"])
 def test_cli_rejects_inputs_the_run_would_drop_or_cannot_read(
         tmp_path, capsys, command, yaml_text, problems):
     # each is rejected at parse time, together with every other problem in
