@@ -30,10 +30,10 @@ from .levels import (DecayChannel, LevelScheme, Manifold, ca40_dp, ca40_sdp,
 from .noise import (NoiseProcess, evolve_noisy, sample_trajectories,
                     spectral_density)
 from .scenario import Scenario, ScenarioError, load_scenario, parse_frequency
-from .sensing import (SensingProtocol, SensitivityReport,
-                      coherence_comparison, frequency_window,
-                      hyperfine_signal_operator, run_ac_sensing,
-                      run_hyperfine_sensing, sensitivity_compare)
+from .sensing import (SensitivityReport, coherence_comparison,
+                      frequency_window, hyperfine_signal_operator,
+                      run_ac_sensing, run_hyperfine_sensing,
+                      sensitivity_compare)
 from .subspace import (DressedState, ProtectionError, SubspaceReport,
                        canonical_order, dressed_decomposition,
                        find_protected_subspace)
@@ -60,7 +60,7 @@ __all__ = [
     "relative_amplitude_budget", "polarization_budget", "total_budget",
     "EffectiveQubitOp", "protected_report", "prepare_initial_state",
     "extract_effective_hamiltonian", "microwave_sigma_y", "raman_sigma_x",
-    "SensingProtocol", "SensitivityReport", "run_ac_sensing",
+    "SensitivityReport", "run_ac_sensing",
     "frequency_window", "hyperfine_signal_operator",
     "run_hyperfine_sensing", "coherence_comparison", "sensitivity_compare",
     "Scenario", "ScenarioError", "load_scenario", "parse_frequency",

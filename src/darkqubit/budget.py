@@ -77,6 +77,11 @@ def _reference_scheme(omega: float, b: float):
     return ca40_dp(omega0=omega0)
 
 
+def _check_omega(omega: float) -> None:
+    if omega == 0:
+        raise ValueError("omega must be nonzero: the budget divides by it")
+
+
 def _ip_static(scheme, b, omega, **kwargs) -> np.ndarray:
     con = compact_construction(scheme, b, omega, **kwargs)
     if not con.ip.is_static:
@@ -113,6 +118,7 @@ def magnetic_shift_budget(omega: float, b: float, delta_b: float,
     reports its relative rounding scale, gap_numeric_rounding = eps *
     max|eigenvalue| / gap_numeric.
     """
+    _check_omega(omega)
     if delta_b / omega > 0.1:
         warnings.warn("delta_b/omega above 0.1; perturbative budget is "
                       "unreliable", stacklevel=2)
@@ -188,6 +194,7 @@ def polarization_budget(eps_pol: float, b: float, omega: float,
     """
     if not 0 <= eps_pol < 0.1:
         raise ValueError("polarization leakage must satisfy 0 <= eps < 0.1")
+    _check_omega(omega)
     scheme = _reference_scheme(omega, b)
     g_lower = scheme.manifold("D3/2").g
     delta = 2.0 * g_lower * abs(b)
@@ -219,6 +226,8 @@ def total_budget(omega: float, b: float, delta_b: float, epsilon: float,
     coherence_gain_orders = log10(min(T1, T2) / T2*_bare), the improvement
     over the bare (unprotected) qubit; inf inputs propagate as inf.
     """
+    if not t2star_bare > 0:
+        raise ValueError("t2star_bare must be positive")
     mechanisms = (
         magnetic_shift_budget(omega, b, delta_b, gamma, cross_check),
         relative_amplitude_budget(epsilon, t2star_bare, omega, cross_check),

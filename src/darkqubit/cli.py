@@ -33,8 +33,8 @@ from .gates import (microwave_sigma_y, prepare_initial_state, protected_report,
 from .noise import evolve_noisy
 from .scenario import (Scenario, ScenarioError, build_construction,
                        build_noise, input_unit, load_scenario, sense_variant)
-from .sensing import (SensingProtocol, coherence_comparison, frequency_window,
-                      run_ac_sensing, run_hyperfine_sensing)
+from .sensing import (coherence_comparison, frequency_window, run_ac_sensing,
+                      run_hyperfine_sensing)
 from .subspace import ProtectionError
 
 __all__ = ["main", "run_scenario", "emit_plot_data"]
@@ -155,12 +155,9 @@ def _state_table(scheme, vectors) -> dict:
 #
 # A runner takes a scenario and returns (results, tables): results is
 # anything _json_safe takes, and tables maps a results key ("trace_files",
-# "sweep_files") to the (name, columns, units) of one table.
-
-
-def _given(params, *keys) -> dict:
-    """The keys the scenario sets; the callee's defaults fill the rest."""
-    return {key: params[key] for key in keys if key in params}
+# "sweep_files") to the (name, columns, units) of one table.  The gates,
+# sense and compare sections are their callee's keyword arguments; the
+# callee's defaults fill what the scenario leaves unset.
 
 
 def _run_analyze(scenario):
@@ -250,39 +247,29 @@ def _run_error_budget(scenario):
 
 
 def _run_gates(scenario):
-    con = build_construction(scenario)
-    params = scenario.params
-    if params["gate"] == "microwave":
-        return microwave_sigma_y(params["omega_g"], con), {}
-    return raman_sigma_x(params["omega_g"], params["delta_r"], con), {}
+    params = dict(scenario.params)
+    gate = {"microwave": microwave_sigma_y,
+            "raman": raman_sigma_x}[params.pop("gate")]
+    return gate(con=build_construction(scenario), **params), {}
 
 
 def _run_sense(scenario):
     con = build_construction(scenario)
-    params = scenario.params
-    variant = sense_variant(params, scenario.construction)
-    protocol = SensingProtocol(
-        scheme=variant,
-        signal_freq=params["signal_freq"],
-        signal_rabi=params["signal_rabi"],
-        seed=scenario.seed,
-        **_given(params, "phase_policy", "interrogation_time",
-                 "readout_basis", "n_draws"))
-    if variant == "hyperfine":
-        report, trace = run_hyperfine_sensing(protocol, con,
-                                              **_given(params, "detuning"))
+    params = dict(scenario.params)
+    if sense_variant(params.pop("variant", None),
+                     scenario.construction) == "hyperfine":
+        # Required by the format; the drive sits at the stretched resonance.
+        del params["signal_freq"]
+        report, trace = run_hyperfine_sensing(con, **params)
     else:
-        report, trace = run_ac_sensing(protocol, con,
-                                       noise=build_noise(scenario),
-                                       **_given(params, "n_traj"))
+        report, trace = run_ac_sensing(con, seed=scenario.seed,
+                                       noise=build_noise(scenario), **params)
     return report, {"trace_files": ("sense_trace", *_trace_columns(trace))}
 
 
 def _run_compare(scenario):
-    con = build_construction(scenario)
-    return coherence_comparison(
-        con, build_noise(scenario),
-        **_given(scenario.params, "n_traj", "horizon_in_bare_t2")), {}
+    return coherence_comparison(build_construction(scenario),
+                                build_noise(scenario), **scenario.params), {}
 
 
 _RUNNERS = {

@@ -11,10 +11,12 @@ What a file may hold is data: a field table per section gives each key's
 kind and whether it is required, _SECTIONS the sections each protocol
 reads, and _VARIANT_UNREAD what each sense variant never reads (the
 optical one also by whether noise is given, _OPTICAL_NOISE_UNREAD).  One
-reader, _Section.read, parses a section from its table.  A key or section
-the run would not read is rejected, and all problems in a file are
-reported together.  The canonical form (sorted keys, normalized numbers)
-feeds a sha256 hash that output files embed for provenance.
+reader, _Section.read, parses a section from its table.  The gates,
+sense and compare sections are the keyword arguments of the function the
+CLI hands them to.  A key or section the run would not read is rejected,
+and all problems in a file are reported together.  The canonical form
+(sorted keys, normalized numbers) feeds a sha256 hash that output files
+embed for provenance.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .driving import (Construction, compact_construction,
 from .levels import LevelScheme, preset
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseProcess
-from .sensing import PHASE_POLICIES, READOUT_BASES, SENSING_SCHEMES
+from .sensing import PHASE_POLICIES, READOUT_BASES
 
 __all__ = [
     "Scenario",
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 PROTOCOLS = ("analyze", "evolve", "error-budget", "gates", "sense", "compare")
+SENSING_SCHEMES = ("optical-D32", "hyperfine")
 
 # Unit prefixes as powers of ten.
 _FREQ_SCALES = {"hz": 0, "khz": 3, "mhz": 6, "ghz": 9, "thz": 12}
@@ -412,8 +415,11 @@ def parse_scenario(data: dict) -> Scenario:
     if params.get("gate") == "raman" and "delta_r" not in params:
         problems.append("scenario.gates.delta_r: required for the raman "
                         "gate (frequency)")
+    if params.get("gate") == "microwave" and "delta_r" in params:
+        problems.append("scenario.gates.delta_r: the microwave gate does "
+                        "not read it")
     if protocol == "sense" and construction:
-        variant = sense_variant(params, construction)
+        variant = sense_variant(params.get("variant"), construction)
         sections, keys = _VARIANT_UNREAD[variant]
         unread = [f"scenario.{s}" for s in sections if s in read] + \
             [f"scenario.sense.{k}" for k in keys if k in params]
@@ -435,11 +441,10 @@ def parse_scenario(data: dict) -> Scenario:
                     label=top.get("label", ""))
 
 
-def sense_variant(params: dict, construction: dict) -> str:
+def sense_variant(variant: str | None, construction: dict) -> str:
     """The sense variant a scenario runs: as written, else by construction."""
-    return params.get("variant") or (
-        "hyperfine" if construction.get("kind") == "hyperfine"
-        else "optical-D32")
+    return variant or ("hyperfine" if construction.get("kind") == "hyperfine"
+                       else "optical-D32")
 
 
 def _grid(start: float, stop: float, num: int, log: bool) -> list[float]:

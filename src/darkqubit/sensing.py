@@ -33,7 +33,6 @@ from .levels import LevelScheme
 from .noise import NoiseProcess, evolve_noisy, spectral_density
 
 __all__ = [
-    "SensingProtocol",
     "SensitivityReport",
     "run_ac_sensing",
     "frequency_window",
@@ -44,37 +43,10 @@ __all__ = [
 ]
 
 PHASE_POLICIES = ("locked", "random-averaged")
-SENSING_SCHEMES = ("optical-D32", "hyperfine")
 READOUT_BASES = ("x", "y", "z")
 DEFAULT_MAX_ZEEMAN = 2.0 * np.pi * 100e6  # rad/s
 DEFAULT_T1_TARGET = 1.0  # s
 DEFAULT_THRESHOLD = 0.1  # dimensionless S_BB(gap) * T1_target bound
-
-
-@dataclass(frozen=True)
-class SensingProtocol:
-    scheme: str  # "optical-D32" or "hyperfine"
-    signal_freq: float  # rad/s
-    signal_rabi: float  # rad/s
-    phase_policy: str = "locked"
-    interrogation_time: float = 1.0  # s
-    readout_basis: str = "z"
-    n_draws: int = 1024
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.scheme not in SENSING_SCHEMES:
-            raise ValueError(f"scheme must be one of {SENSING_SCHEMES}")
-        if self.phase_policy not in PHASE_POLICIES:
-            raise ValueError(f"phase_policy must be one of {PHASE_POLICIES}")
-        if self.readout_basis not in READOUT_BASES:
-            raise ValueError(f"readout_basis must be one of {READOUT_BASES}")
-        if self.interrogation_time <= 0:
-            raise ValueError("interrogation_time must be positive")
-        if self.signal_rabi < 0:
-            raise ValueError("signal_rabi must be nonnegative")
-        if self.n_draws < 1:
-            raise ValueError("n_draws must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,13 +99,22 @@ def _report(rate: float, t2: float, attenuation: float,
     return SensitivityReport(rate, t2, sensitivity, attenuation, details)
 
 
-def _zero_signal(protocol: SensingProtocol):
-    return (_report(0.0, protocol.interrogation_time, 1.0,
-                    {"flag": "zero signal"}),
+def _check_signal(signal_rabi: float, interrogation_time: float) -> None:
+    if interrogation_time <= 0:
+        raise ValueError("interrogation_time must be positive")
+    if signal_rabi < 0:
+        raise ValueError("signal_rabi must be nonnegative")
+
+
+def _zero_signal(interrogation_time: float):
+    return (_report(0.0, interrogation_time, 1.0, {"flag": "zero signal"}),
             SimulationTrace(times=np.array([0.0])))
 
 
-def run_ac_sensing(protocol: SensingProtocol, con: Construction,
+def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
+                   phase_policy: str = "locked",
+                   interrogation_time: float = 1.0, readout_basis: str = "z",
+                   n_draws: int = 1024, seed: int = 0,
                    noise: NoiseProcess | None = None, n_traj: int = 256,
                    ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-induced rotation of the dark pair, with phase statistics.
@@ -145,23 +126,32 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
     effective linewidth is flagged (zero-rotation regime) in the report
     details rather than raised.  With noise given, T2 is fitted from the
     mutual coherence of the pair under that noise; otherwise the
-    protocol's interrogation_time stands in as the coherence window.
+    interrogation_time stands in as the coherence window.  With
+    phase_policy "random-averaged", n_draws phases drawn from seed give
+    the attenuation; readout_basis picks the trace's coherence column.
     """
+    if phase_policy not in PHASE_POLICIES:
+        raise ValueError(f"phase_policy must be one of {PHASE_POLICIES}")
+    if readout_basis not in READOUT_BASES:
+        raise ValueError(f"readout_basis must be one of {READOUT_BASES}")
+    _check_signal(signal_rabi, interrogation_time)
+    if n_draws < 1:
+        raise ValueError("n_draws must be positive")
     report = protected_report(con)
-    if protocol.signal_rabi == 0.0:
-        return _zero_signal(protocol)
+    if signal_rabi == 0.0:
+        return _zero_signal(interrogation_time)
     basis = np.column_stack(report.dark_states[:2])
     gap = abs(con.scheme.manifold(con.lower).g * con.b)
     if gap == 0.0:
         raise ValueError("optical sensing needs a finite Zeeman gap (b != 0)")
-    detuning = protocol.signal_freq - gap
+    detuning = signal_freq - gap
 
     jy = con.scheme.spin_operator(con.lower, "y")
     element = abs(basis[:, 1].conj() @ jy @ basis[:, 0])
-    probe_scale = (protocol.signal_rabi / 2.0) * element
+    probe_scale = (signal_rabi / 2.0) * element
 
     def rate_at_gap(phase):
-        ham = _optical_signal(con, protocol.signal_rabi, gap, phase)[0]
+        ham = _optical_signal(con, signal_rabi, gap, phase)[0]
         h_eff, _ = extract_effective_hamiltonian(ham, basis,
                                                  0.3 / probe_scale)
         return float(abs(h_eff[0, 1]))
@@ -172,10 +162,10 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
     attenuation = 1.0
     effective = locked_rate
     phase_rates = None
-    if protocol.phase_policy == "random-averaged" and not off_resonant:
+    if phase_policy == "random-averaged" and not off_resonant:
         rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=protocol.seed)))
-        phases = rng.uniform(0.0, 2.0 * np.pi, protocol.n_draws)
+            np.random.SeedSequence(entropy=seed)))
+        phases = rng.uniform(0.0, 2.0 * np.pi, n_draws)
         # |H_eff[0,1]| = locked_rate * |sin(phase)| exactly: the Jx
         # quadrature has no elements inside the pair, and its second-order
         # correction through the complement cancels between the +Omega and
@@ -194,13 +184,12 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
 
     # Reference trace at locked phase over one transfer period.  Off
     # resonance the signal enters as a harmonic at the residual detuning.
-    ham, ledger = _optical_signal(con, protocol.signal_rabi,
-                                   protocol.signal_freq, np.pi / 2.0)
+    ham, ledger = _optical_signal(con, signal_rabi, signal_freq, np.pi / 2.0)
     times = np.linspace(0.0, np.pi / locked_rate, 400)
     states = evolve_unitary(ham, basis[:, 0], times)
-    trace = _readout_trace(times, states, basis, protocol.readout_basis)
+    trace = _readout_trace(times, states, basis, readout_basis)
 
-    t2 = protocol.interrogation_time
+    t2 = interrogation_time
     t2_details = {}
     if noise is not None:
         t2, bounded, final = _fit_pair_coherence(
@@ -211,13 +200,13 @@ def run_ac_sensing(protocol: SensingProtocol, con: Construction,
         "locked_rate": locked_rate,
         "expected_rate": probe_scale,
         "detuning": detuning,
-        "n_draws": protocol.n_draws if phase_rates is not None else 0,
+        "n_draws": n_draws if phase_rates is not None else 0,
         "max_transfer": float(np.max(
             overlap_population(states, basis[:, 1]))),
         **ledger,
         **t2_details,
     }
-    if protocol.signal_freq > DEFAULT_MAX_ZEEMAN:
+    if signal_freq > DEFAULT_MAX_ZEEMAN:
         details["window_flag"] = "signal above the default Zeeman ceiling"
     if off_resonant:
         effective = 0.0
@@ -355,8 +344,9 @@ def hyperfine_signal_operator(scheme: LevelScheme, lower: str = "F1",
     return s_x / ref
 
 
-def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
+def run_hyperfine_sensing(con: Construction, signal_rabi: float,
                           detuning: float = 0.0,
+                          interrogation_time: float = 1.0,
                           ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-driven rotation of the hyperfine protected pair.
 
@@ -365,10 +355,12 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     pair) plus the given detuning.  Exactly one S_x element is resonant;
     its rate is extracted from the D1 <-> D2 population transfer and
     reported against (Omega_g/2) x (the dark-state amplitude product).
+    interrogation_time stands in as the coherence window.
     """
+    _check_signal(signal_rabi, interrogation_time)
     report = protected_report(con)
-    if protocol.signal_rabi == 0.0:
-        return _zero_signal(protocol)
+    if signal_rabi == 0.0:
+        return _zero_signal(interrogation_time)
     basis = np.column_stack(report.dark_states[:2])
     scheme = con.scheme
     s_x = hyperfine_signal_operator(scheme, con.lower, con.upper)
@@ -380,12 +372,12 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
 
     # Expected coupling: the resonant (stretched) element weighted by the
     # dark-state amplitudes it connects.
-    expected = (protocol.signal_rabi / 2.0) * abs(basis[iu, 1]) \
+    expected = (signal_rabi / 2.0) * abs(basis[iu, 1]) \
         * abs(basis[il, 0]) * abs(s_x[iu, il])
 
     # In the construction's frame each signal element lands at its own
     # residual frequency; slow ones join the static interaction picture.
-    ham, ledger = _with_signal(con, s_x, protocol.signal_rabi,
+    ham, ledger = _with_signal(con, s_x, signal_rabi,
                                 resonance + detuning, 0.0,
                                 rwa_cutoff=10.0 * con.omega)
 
@@ -401,7 +393,7 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     if detuning == 0.0:
         fit = fit_decay(times, p2, "sin2")
         rate = float(abs(fit.params["rate"]))
-        fit_info = {"coefficient_vs_rabi": rate / protocol.signal_rabi,
+        fit_info = {"coefficient_vs_rabi": rate / signal_rabi,
                     "fit_rms": fit.rms_residual}
 
     details = {
@@ -415,7 +407,7 @@ def run_hyperfine_sensing(protocol: SensingProtocol, con: Construction,
     }
     trace = SimulationTrace(times=times,
                             populations={"D1": p1, "D2": p2})
-    return (_report(rate, protocol.interrogation_time, 1.0, details),
+    return (_report(rate, interrogation_time, 1.0, details),
             trace)
 
 
@@ -430,6 +422,8 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     dephasing times; if its coherence never reaches 1/e, T2 is reported as
     a lower bound (the honest desk-scale outcome for a protected qubit).
     """
+    if not horizon_in_bare_t2 > 0:
+        raise ValueError("horizon_in_bare_t2 must be positive")
     scheme = con.scheme
     report = protected_report(con)
     basis = np.column_stack(report.dark_states[:2])

@@ -179,7 +179,8 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
     that fails too).  Eigenvalues within DEGENERACY_RTOL of the spectral
     scale count as degenerate, |projected Jz| within JZ_TOL as zero.
     Passing the scheme enables the canonical basis/order inside degenerate
-    blocks; jz is typically scheme.jz_total().
+    blocks; jz is typically scheme.zeeman_generator(), the g-weighted Jz
+    that field noise couples to.
     """
     ham = np.asarray(hamiltonian, dtype=complex)
     vals, vecs = np.linalg.eigh(ham)

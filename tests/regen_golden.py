@@ -3,9 +3,10 @@
 Each scenario in GOLDEN_SCENARIOS is run through ``run_scenario`` and its
 summary (less ``generated_at``) and every trace or sweep column are
 stored in tests/golden/<scenario>.json.  Regenerate only when a change
-is meant to move these outputs, and say why in CHANGES.md:
+is meant to move these outputs, and say why in CHANGES.md.  With names
+given, only those scenarios are rewritten:
 
-    PYTHONPATH=src python tests/regen_golden.py
+    PYTHONPATH=src python tests/regen_golden.py [SCENARIO ...]
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ from darkqubit.scenario import load_scenario
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_SCENARIOS = ("gates_microwave", "gates_raman", "sense_optical_noise",
-                    "sense_hyperfine", "compare")
+                    "sense_hyperfine", "compare", "evolve_static",
+                    "evolve_quasi_static", "evolve_ou", "evolve_pol_leak",
+                    "error_budget_sweep")
 
 
 def record(name: str, out_dir) -> dict:
@@ -39,8 +42,12 @@ def record(name: str, out_dir) -> dict:
     return {"summary": summary, "tables": tables}
 
 
-def main() -> int:
-    for name in GOLDEN_SCENARIOS:
+def main(names) -> int:
+    unknown = sorted(set(names) - set(GOLDEN_SCENARIOS))
+    if unknown:
+        print(f"not golden scenarios: {unknown}", file=sys.stderr)
+        return 2
+    for name in names or GOLDEN_SCENARIOS:
         with tempfile.TemporaryDirectory() as tmp:
             golden = record(name, tmp)
         path = GOLDEN_DIR / f"{name}.json"
@@ -51,4 +58,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

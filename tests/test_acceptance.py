@@ -25,9 +25,9 @@ from darkqubit.dynamics import evolve_lindblad, evolve_unitary, fit_decay
 from darkqubit.gates import microwave_sigma_y, protected_report, raman_sigma_x
 from darkqubit.levels import ca40_dp, hyperfine_f1f2
 from darkqubit.noise import NoiseProcess, evolve_noisy, spectral_density
-from darkqubit.sensing import (SensingProtocol, coherence_comparison,
-                               frequency_window, run_ac_sensing,
-                               run_hyperfine_sensing, sensitivity_compare)
+from darkqubit.sensing import (coherence_comparison, frequency_window,
+                               run_ac_sensing, run_hyperfine_sensing,
+                               sensitivity_compare)
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,10 +235,9 @@ def test_criterion_07_gates():
 def test_criterion_08_sensing():
     scheme = ca40_dp()
     con = compact_construction(scheme, 0.3, 1.0)
-    proto = SensingProtocol("optical-D32", 0.8 * 0.3, 0.01,
+    rep, _ = run_ac_sensing(con, 0.8 * 0.3, 0.01,
                             phase_policy="random-averaged", n_draws=1024,
                             seed=0)
-    rep, _ = run_ac_sensing(proto, con)
 
     win = frequency_window(NoiseProcess(
         "ornstein-uhlenbeck", sigma=TWO_PI * 700.0, tau_c=1e-3))
@@ -278,15 +277,12 @@ def test_criterion_09_hyperfine_scheme():
     want = np.array([-2.0, -1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 2.0])
     spec_err = float(np.abs(vals - want).max())
 
-    proto = SensingProtocol("hyperfine", 1.0, 0.02)
-    on_res, _ = run_hyperfine_sensing(proto, con)
+    on_res, _ = run_hyperfine_sensing(con, 0.02)
     rate = on_res.effective_rabi
     coeff = on_res.details["coefficient_vs_rabi"]
 
     rabis = np.logspace(np.log10(5e-3), np.log10(4e-2), 5)
-    rr = [run_hyperfine_sensing(
-        SensingProtocol("hyperfine", 1.0, w), con)[0].effective_rabi
-        for w in rabis]
+    rr = [run_hyperfine_sensing(con, w)[0].effective_rabi for w in rabis]
     s_g = float(np.polyfit(np.log(rabis), np.log(rr), 1)[0])
 
     # detuned suppression: two-level transfer obeys 1 + (delta/2r)^2,
@@ -295,7 +291,7 @@ def test_criterion_09_hyperfine_scheme():
     print("[criterion  9] detuned-transfer suppression factors:", flush=True)
     suppression_at_10 = None
     for mult in (4.0, 10.0, 20.0, 32.0):
-        det, _ = run_hyperfine_sensing(proto, con, detuning=mult * rate)
+        det, _ = run_hyperfine_sensing(con, 0.02, detuning=mult * rate)
         factor = on_res.details["max_transfer"] / det.details["max_transfer"]
         law = 1.0 + (mult / 2.0) ** 2
         print(f"    delta = {mult:4.0f} x rate: factor {factor:8.1f}  "

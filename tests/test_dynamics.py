@@ -30,7 +30,7 @@ from darkqubit.dynamics import (
 )
 from darkqubit.gates import protected_report, raman_sigma_x
 from darkqubit.levels import ca40_dp
-from darkqubit.sensing import SensingProtocol, run_ac_sensing
+from darkqubit.sensing import run_ac_sensing
 
 
 def _random_hermitian(rng, dim):
@@ -212,8 +212,7 @@ _TWO_PI = 2.0 * np.pi
 # The single-harmonic runs of the benchmark's harmonic-dynamics workload.
 HARMONIC_RUNS = {
     "sense_optical": lambda: run_ac_sensing(
-        SensingProtocol("optical-D32", 0.8 * 0.3 + 0.005, 0.01),
-        compact_construction(ca40_dp(), 0.3, 1.0)),
+        compact_construction(ca40_dp(), 0.3, 1.0), 0.8 * 0.3 + 0.005, 0.01),
     "pol_leak": _pol_leak_evolve,
     "budget_cross_check": lambda: polarization_budget(
         1e-3, _TWO_PI * 6.25e6, _TWO_PI * 100e6, _TWO_PI * 10e6),

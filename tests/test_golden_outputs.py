@@ -1,4 +1,5 @@
-"""Checked-in outputs of the gate, sense and compare protocols.
+"""Checked-in outputs of the evolve, error-budget, gates, sense and
+compare protocols.
 
 Each scenario is run afresh and every summary value and table column is
 compared with tests/golden/<scenario>.json: ints, strings, booleans and

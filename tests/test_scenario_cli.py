@@ -17,11 +17,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkqubit import levels, scenario
+from darkqubit import cli, levels, scenario
 from darkqubit.budget import total_budget
 from darkqubit.cli import emit_plot_data, main
 from darkqubit.driving import (compact_construction, hyperfine_construction,
                                ideal_construction)
+from darkqubit.dynamics import SimulationTrace
 from darkqubit.noise import NoiseProcess
 from darkqubit.scenario import (
     ScenarioError,
@@ -297,7 +298,9 @@ def _gates_data(**gates):
      "scenario.gates.gate: 'ramen' not one of ['microwave', 'raman']"),
     ({"gate": "raman"},
      "scenario.gates.delta_r: required for the raman gate (frequency)"),
-], ids=["unknown-gate", "raman-without-delta_r"])
+    ({"gate": "microwave", "delta_r": 20.0},
+     "scenario.gates.delta_r: the microwave gate does not read it"),
+], ids=["unknown-gate", "raman-without-delta_r", "microwave-with-delta_r"])
 def test_gate_is_validated_at_parse_time(gates, problem):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(_gates_data(**gates))
@@ -847,3 +850,93 @@ def test_field_tables_match_their_callees():
         if kind != "compact":
             receives -= set(scenario._COMPACT_ONLY)
         assert receives <= set(inspect.signature(builder).parameters), kind
+
+
+# A value of each field kind, to probe which keys a section takes.
+_SAMPLES = {"frequency": 0.5, "time": 2.0, "scalar": 10.0, "int": 4}
+COMPARE_YAML = COMPARE_ZERO_NOISE_YAML.replace(ZERO_NOISE, NOISE_SECTION)
+# Per case: the scenarios probed (the optical variant reads
+# interrogation_time without noise and n_traj with it), the key that picks
+# the callee, the callee's name in darkqubit.cli, the parameters the CLI
+# fills from outside the section, and the section keys it drops
+# (signal_freq: the hyperfine drive sits at the stretched resonance).
+SECTION_CALLEES = {
+    "sense-optical": ((OPTICAL_SENSE_YAML, OPTICAL_SENSE_YAML + NOISE_SECTION),
+                      "variant", "run_ac_sensing", {"con", "seed", "noise"},
+                      set()),
+    "sense-hyperfine": ((HYPERFINE_SENSE_YAML,), "variant",
+                        "run_hyperfine_sensing", {"con"}, {"signal_freq"}),
+    "gates-microwave": ((GATES_YAML,), "gate", "microwave_sigma_y", {"con"},
+                        set()),
+    "gates-raman": ((GATES_YAML.replace("gate: microwave", "gate: raman"),),
+                    "gate", "raman_sigma_x", {"con"}, set()),
+    "compare": ((COMPARE_YAML,), None, "coherence_comparison",
+                {"con", "noise"}, set()),
+}
+
+
+def _accepted_keys(data: dict, section: str, fields: dict, skip) -> dict:
+    """The section as written plus every other key the parser accepts in
+    it, each tried alone with a sample value."""
+    keys = dict(data[section])
+    for key, (kind, _) in fields.items():
+        if key in keys or key == skip:
+            continue
+        value = kind[0] if isinstance(kind, tuple) else _SAMPLES[kind]
+        probe = {**data, section: {**data[section], key: value}}
+        try:
+            parse_scenario(probe)
+        except ScenarioError:
+            continue
+        keys[key] = value
+    return keys
+
+
+@pytest.mark.parametrize("case", SECTION_CALLEES)
+def test_sections_are_their_callees_keyword_arguments(case):
+    # every key a gates, sense or compare section accepts reaches a
+    # parameter of the function the CLI calls, and every parameter is
+    # set from the section or by the CLI
+    texts, selector, name, supplied, dropped = SECTION_CALLEES[case]
+    real = getattr(cli, name)
+    reached = set()
+    for text in texts:
+        data = yaml.safe_load(text)
+        protocol = data["protocol"]
+        section = protocol.replace("-", "_")
+        keys = _accepted_keys(data, section, scenario._PARAM_FIELDS[protocol],
+                              selector)
+        parsed = parse_scenario({**data, section: keys})
+        with mock.patch.object(
+                cli, name, autospec=True,
+                return_value=(None, SimulationTrace(times=np.zeros(1)))) \
+                as callee:
+            cli._RUNNERS[protocol](parsed)
+        args = inspect.signature(real).bind(*callee.call_args.args,
+                                            **callee.call_args.kwargs)
+        passed = set(args.arguments)
+        assert passed - supplied == set(keys) - {selector} - dropped, text
+        reached |= passed
+    assert reached == set(inspect.signature(real).parameters)
+
+
+@pytest.mark.parametrize("command, yaml_text, field", [
+    ("error-budget", BUDGET_YAML.replace("omega: 2pi*100 MHz", "omega: 0"),
+     "omega"),
+    ("error-budget", BUDGET_YAML.replace("t2star_bare: 20 us",
+                                         "t2star_bare: 0"), "t2star_bare"),
+    ("error-budget", BUDGET_YAML.replace("t2star_bare: 20 us",
+                                         "t2star_bare: -1"), "t2star_bare"),
+    ("compare", COMPARE_YAML.replace("n_traj: 8",
+                                     "n_traj: 8\n  horizon_in_bare_t2: 0"),
+     "horizon_in_bare_t2"),
+], ids=["budget-omega-0", "budget-t2star-0", "budget-t2star-negative",
+        "compare-horizon-0"])
+def test_cli_rejects_inputs_outside_their_domain_by_name(
+        tmp_path, capsys, command, yaml_text, field):
+    # a validation error naming the input, not a traceback or a bare
+    # "math domain error"
+    code, out = _run(tmp_path, "domain", yaml_text, command)
+    assert code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

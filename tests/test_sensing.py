@@ -16,7 +16,6 @@ from darkqubit.levels import ca40_dp, d52_p32, hyperfine_f1f2
 from darkqubit.noise import NoiseProcess, spectral_density
 from darkqubit.sensing import (
     DEFAULT_MAX_ZEEMAN,
-    SensingProtocol,
     coherence_comparison,
     frequency_window,
     hyperfine_signal_operator,
@@ -42,26 +41,26 @@ def hyperfine():
         return hyperfine_construction(hyperfine_f1f2(), 30.0, 1.0)
 
 
-def test_protocol_validation():
-    with pytest.raises(ValueError, match="scheme"):
-        SensingProtocol("nope", 1.0, 0.01)
+def test_protocol_validation(optical, hyperfine):
     with pytest.raises(ValueError, match="phase_policy"):
-        SensingProtocol("optical-D32", 1.0, 0.01, phase_policy="chaotic")
+        run_ac_sensing(optical, 1.0, 0.01, phase_policy="chaotic")
     with pytest.raises(ValueError, match="readout_basis"):
-        SensingProtocol("optical-D32", 1.0, 0.01, readout_basis="w")
+        run_ac_sensing(optical, 1.0, 0.01, readout_basis="w")
     with pytest.raises(ValueError, match="interrogation_time"):
-        SensingProtocol("optical-D32", 1.0, 0.01, interrogation_time=0.0)
+        run_ac_sensing(optical, 1.0, 0.01, interrogation_time=0.0)
     with pytest.raises(ValueError, match="signal_rabi"):
-        SensingProtocol("optical-D32", 1.0, -0.01)
+        run_ac_sensing(optical, 1.0, -0.01)
     with pytest.raises(ValueError, match="n_draws"):
-        SensingProtocol("optical-D32", 1.0, 0.01, n_draws=0)
+        run_ac_sensing(optical, 1.0, 0.01, n_draws=0)
+    with pytest.raises(ValueError, match="interrogation_time"):
+        run_hyperfine_sensing(hyperfine, 0.02, interrogation_time=0.0)
+    with pytest.raises(ValueError, match="signal_rabi"):
+        run_hyperfine_sensing(hyperfine, -0.02)
 
 
 def test_locked_phase_rate(optical):
     # the J_y quadrature drives the pair at (rabi/2)|<D2|J_y|D1>| = 3 rabi/4
-    proto = SensingProtocol("optical-D32", GAP, 0.01,
-                            interrogation_time=2.0)
-    rep, trace = run_ac_sensing(proto, optical)
+    rep, trace = run_ac_sensing(optical, GAP, 0.01, interrogation_time=2.0)
     assert rep.effective_rabi == pytest.approx(0.75 * 0.01, rel=1e-9)
     assert rep.attenuation_factor == 1.0
     assert rep.details["detuning"] == pytest.approx(0.0, abs=1e-15)
@@ -76,10 +75,8 @@ def test_locked_phase_rate(optical):
 def test_random_phase_attenuation(optical):
     # mean of sin^2 over uniform phase is 1/2; the sampled estimate must
     # land inside the binomial-ish band around it
-    proto = SensingProtocol("optical-D32", GAP, 0.01,
-                            phase_policy="random-averaged", n_draws=1024,
-                            seed=0)
-    rep, _ = run_ac_sensing(proto, optical)
+    proto = dict(phase_policy="random-averaged", n_draws=1024, seed=0)
+    rep, _ = run_ac_sensing(optical, GAP, 0.01, **proto)
     assert rep.attenuation_factor == pytest.approx(0.5, abs=0.03)
     assert rep.effective_rabi == pytest.approx(
         rep.details["locked_rate"] * math.sqrt(rep.attenuation_factor),
@@ -87,13 +84,12 @@ def test_random_phase_attenuation(optical):
     )
     assert rep.details["n_draws"] == 1024
     # deterministic given the seed
-    rep2, _ = run_ac_sensing(proto, optical)
+    rep2, _ = run_ac_sensing(optical, GAP, 0.01, **proto)
     assert rep2.attenuation_factor == rep.attenuation_factor
 
 
 def test_off_resonant_signal_flagged(optical):
-    proto = SensingProtocol("optical-D32", GAP + 0.1, 0.01)
-    rep, _ = run_ac_sensing(proto, optical)
+    rep, _ = run_ac_sensing(optical, GAP + 0.1, 0.01)
     assert rep.effective_rabi == 0.0
     assert rep.sensitivity == math.inf
     assert "off-resonant" in rep.details["flag"]
@@ -151,18 +147,16 @@ def test_optical_signal_matches_hand_built_hamiltonian(build, lower, upper):
 def test_optical_sensing_reports_rwa_ledger(optical):
     # the harmonic-dynamics benchmark's point: the counter-rotating half of
     # the signal, (rabi/2) max|Jx| = 0.005 at 0.245 + 0.24 rad/s, is dropped
-    proto = SensingProtocol("optical-D32", GAP + 0.005, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep, _ = run_ac_sensing(proto, optical)
+        rep, _ = run_ac_sensing(optical, GAP + 0.005, 0.01)
     assert rep.details["dropped_terms"] == 1
     assert rep.details["rwa_worst_ratio"] == pytest.approx(
         0.005 / (2.0 * GAP + 0.005), rel=1e-12)
 
 
 def test_zero_signal(optical):
-    proto = SensingProtocol("optical-D32", GAP, 0.0)
-    rep, trace = run_ac_sensing(proto, optical)
+    rep, trace = run_ac_sensing(optical, GAP, 0.0)
     assert rep.effective_rabi == 0.0
     assert rep.sensitivity == math.inf
     assert rep.details["flag"] == "zero signal"
@@ -173,8 +167,11 @@ def test_noise_fitted_t2(optical):
     con = compact_construction(ca40_dp(), 0.05, 1.0)
     noise = NoiseProcess("quasi-static-gaussian", sigma=5e-4, tau_c=0.0,
                          seed=11)
-    proto = SensingProtocol("optical-D32", 0.8 * 0.05, 0.01)
-    rep, _ = run_ac_sensing(proto, con, noise=noise, n_traj=64)
+    # the weak field b = 0.05 leaves the counter-rotating signal term at
+    # 1/16 of its frequency, above the rotating-wave warning threshold
+    with pytest.warns(UserWarning, match="rotating-wave"):
+        rep, _ = run_ac_sensing(con, 0.8 * 0.05, 0.01, noise=noise,
+                                n_traj=64)
     # dark-pair coherence survives the whole horizon: T2 reported as a
     # lower bound, at the horizon of 3 bare dephasing times
     assert rep.details["t2_bounded_below"] is True
@@ -232,8 +229,7 @@ def test_hyperfine_signal_operator_structure():
 
 
 def test_hyperfine_sensing_rate(hyperfine):
-    proto = SensingProtocol("hyperfine", 1.0, 0.02)
-    rep, trace = run_hyperfine_sensing(proto, hyperfine)
+    rep, trace = run_hyperfine_sensing(hyperfine, 0.02)
     # one resonant element: (rabi/2) x |<D2|2,-2>| x |<1,-1|D1>| x 1
     #                     = (rabi/2) sqrt(3/8) (1/sqrt2) = sqrt(3)/8 rabi
     assert rep.details["coefficient_vs_rabi"] == pytest.approx(
@@ -250,10 +246,9 @@ def test_hyperfine_sensing_rate(hyperfine):
 
 @pytest.mark.parametrize("mult,law", [(4.0, 1.0 / 5.0), (10.0, 1.0 / 26.0)])
 def test_hyperfine_detuned_suppression(hyperfine, mult, law):
-    proto = SensingProtocol("hyperfine", 1.0, 0.02)
-    on_res, _ = run_hyperfine_sensing(proto, hyperfine)
+    on_res, _ = run_hyperfine_sensing(hyperfine, 0.02)
     rate = on_res.effective_rabi
-    detuned, _ = run_hyperfine_sensing(proto, hyperfine, detuning=mult * rate)
+    detuned, _ = run_hyperfine_sensing(hyperfine, 0.02, detuning=mult * rate)
     # two-level transfer: max p = 1 / (1 + (delta / 2 rate)^2)
     assert detuned.details["max_transfer"] == pytest.approx(law, rel=0.01)
     assert detuned.effective_rabi == 0.0
@@ -267,8 +262,7 @@ def test_hyperfine_detuned_runs_match_dop853(hyperfine):
     # forced DOP853 run is the reference.  D1 lies in F1 and D2 in F2, so
     # (D1 + D2)/sqrt(2) on a grid shifted off t = 0 also checks the frame's
     # relative phase at the first time.
-    proto = SensingProtocol("hyperfine", 1.0, 0.02)
-    rate = run_hyperfine_sensing(proto, hyperfine)[0].effective_rabi
+    rate = run_hyperfine_sensing(hyperfine, 0.02)[0].effective_rabi
     runs = []
 
     def spy(ham, psi0, times):
@@ -277,7 +271,7 @@ def test_hyperfine_detuned_runs_match_dop853(hyperfine):
 
     with mock.patch.object(sensing, "evolve_unitary", spy):
         for mult in (4.0, 10.0, 20.0, 32.0):
-            run_hyperfine_sensing(proto, hyperfine, detuning=mult * rate)
+            run_hyperfine_sensing(hyperfine, 0.02, detuning=mult * rate)
     dark = protected_report(hyperfine).dark_states
     psi0 = (dark[0] + dark[1]) / math.sqrt(2.0)
     for ham, times in runs:
@@ -293,8 +287,7 @@ def test_hyperfine_detuned_runs_match_dop853(hyperfine):
 def test_hyperfine_sensing_reports_rwa_ledger(hyperfine):
     # criterion 9's point: the signal's rotation into the construction
     # frame drops seven buckets above 10 omega, and the summary says so
-    proto = SensingProtocol("hyperfine", 1.0, 0.02)
-    rep, _ = run_hyperfine_sensing(proto, hyperfine)
+    rep, _ = run_hyperfine_sensing(hyperfine, 0.02)
     assert rep.details["dropped_terms"] == 7
     assert rep.details["rwa_worst_ratio"] == pytest.approx(2.36e-4, rel=5e-3)
 
