@@ -22,15 +22,15 @@ tried in this order:
 
 Open-system evolution builds the Liouvillian as a dense superoperator
 (row-major vec(rho), so vec(A rho B) = (A kron B^T) vec(rho)) and
-exponentiates it per unique time step; system dimensions here are small
-enough that this is both exact and fast.
+exponentiates it per unique time step (Pade-13 with scaling and
+squaring); system dimensions here are small enough that this is both
+exact and fast.
 
 Decay fits use variable projection: each model is amplitude * column
 (+ offset) with one nonlinear parameter, the linear ones are solved
 exactly at each value of it, and a bracketing secant search finds the
-zero of the residual's derivative to rounding.  Only DOP853, the
-Lindblad step (expm) and stroboscopic sampling (schur) import scipy,
-each on first use.
+zero of the residual's derivative to rounding.  Only DOP853 imports
+scipy, on first use.
 """
 
 from __future__ import annotations
@@ -299,18 +299,20 @@ def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
 
     One period is integrated once; later samples are powers of the
     single-period propagator, so the cost is independent of n_periods.
-    The powers come from the propagator's spectral decomposition (a
-    unitary is normal, so a Schur factorization diagonalizes it) with
+    The powers come from the propagator's spectral decomposition with
     eigenvalues clamped to the unit circle: arbitrary period counts
-    without norm drift.  stride keeps every stride-th period only.
-    Returns (times, states), times[0] = 0.
+    without norm drift.  A unitary is normal, so its distinct
+    eigenspaces are orthogonal: a QR of eig's eigenvectors only
+    orthonormalizes within a degenerate cluster, and every column of Z
+    stays an eigenvector.  Z^H U Z must then be diagonal; an off-diagonal
+    above 1e-8 means unitarity was lost.  stride keeps every stride-th
+    period only.  Returns (times, states), times[0] = 0.
     """
-    from scipy.linalg import schur
-
     ham = _as_hamiltonian(ham)
     psi0 = np.asarray(psi0, dtype=complex)
     u_period = propagator(ham, period, 0.0)
-    tri, z = schur(u_period, output="complex")
+    z = np.linalg.qr(np.linalg.eig(u_period)[1])[0]
+    tri = z.conj().T @ u_period @ z
     if np.abs(tri - np.diag(np.diag(tri))).max() > 1e-8:
         raise NumericalError("period propagator is not normal; "
                              "unitarity was lost")
@@ -320,6 +322,39 @@ def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
     states = np.einsum("ij,kj->ki", z,
                        np.exp(1j * np.outer(ks, theta)) * amps)
     return ks * period, states
+
+
+# Higham's degree-13 Pade coefficients b_0..b_13 of exp, and the 1-norm
+# up to which that approximant meets double precision without scaling
+# (SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: the Pade-13 approximant of exp(a / 2^s), with
+    s the fewest halvings that bring ||a||_1 to _THETA13, squared s times.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = int(np.ceil(np.log2(norm / _THETA13))) \
+        if norm > _THETA13 else 0
+    a = a * 2.0 ** -squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def liouvillian(ham_static: np.ndarray,
@@ -360,8 +395,6 @@ def evolve_lindblad(ham, rho0: np.ndarray, collapse, times: np.ndarray,
         raise ValueError("rho0 must be positive semidefinite")
     times = time_grid(times)
 
-    from scipy.linalg import expm
-
     sup = liouvillian(ham.static, collapse)
     out = np.empty((len(times), dim, dim), dtype=complex)
     out[0] = rho0
@@ -372,7 +405,7 @@ def evolve_lindblad(ham, rho0: np.ndarray, collapse, times: np.ndarray,
         key = float(f"{dt:.12e}")
         step = cache.get(key)
         if step is None:
-            step = expm(sup * dt)
+            step = _expm(sup * dt)
             cache[key] = step
         vec = step @ vec
         out[k] = vec.reshape(dim, dim)
@@ -380,10 +413,11 @@ def evolve_lindblad(ham, rho0: np.ndarray, collapse, times: np.ndarray,
     traces = np.einsum("tii->t", out).real
     if np.abs(traces - traces[0]).max() > TRACE_TOL:
         raise NumericalError("Lindblad trace drift exceeds tolerance")
-    herm = max(np.abs(r - r.conj().T).max() for r in out)
+    adjoint = out.conj().transpose(0, 2, 1)
+    herm = np.abs(out - adjoint).max()
     if herm > 1e-10:
         raise NumericalError("Lindblad output lost Hermiticity")
-    min_eig = min(np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in out)
+    min_eig = np.linalg.eigvalsh((out + adjoint) / 2).min()
     if min_eig < -POSITIVITY_TOL:
         raise NumericalError(f"Lindblad positivity violated: {min_eig:.3e}")
     return out

@@ -400,6 +400,13 @@ def parse_scenario(data: dict) -> Scenario:
         problems += [f"scenario.construction.{key}: only the compact "
                      "construction takes it"
                      for key in _COMPACT_ONLY if key in construction]
+    elif construction and construction.get("amp_error", 0.0) != 0.0:
+        # The tilted dark pair carries <Jz> ~ 3 eps/4 (budget.py), far
+        # above the dark-pair finder's JZ_TOL.
+        problems.append("scenario.construction.amp_error: a nonzero "
+                        "amplitude error leaves no Jz-dark pair for any "
+                        "protocol to find; the error-budget protocol "
+                        "models it (error_budget.epsilon)")
     if noise and noise.get("kind") == "ornstein-uhlenbeck" \
             and "tau_c" not in noise:
         problems.append("scenario.noise.tau_c: required for "

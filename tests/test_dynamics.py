@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from darkqubit import dynamics
 from darkqubit.budget import polarization_budget
@@ -318,6 +318,67 @@ def test_stroboscopic_matches_dense_sampling():
     assert np.allclose(states, dense, atol=1e-7)
 
 
+def _random_unitary(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("levels", [[0.0, 5.0, 10.0, -5.0],
+                                    [0.0, 2.5, 5.0, 7.5]],
+                         ids=["identity", "plus-minus-one"])
+def test_stroboscopic_degenerate_period_propagator(levels):
+    # every level a multiple of 2 pi / period (identity), or of half of
+    # it (a +-1 spectrum): one or two exactly degenerate eigenspaces,
+    # each spanned by non-orthogonal eig vectors before the QR
+    rng = np.random.default_rng(5)
+    q = _random_unitary(rng, len(levels))
+    ham = (q * np.array(levels)) @ q.conj().T
+    psi0 = rng.normal(size=len(levels)) + 1j * rng.normal(size=len(levels))
+    psi0 /= np.linalg.norm(psi0)
+    times, states = evolve_stroboscopic(ham, psi0, 2 * np.pi / 5.0, 40)
+    dense = evolve_unitary(ham, psi0, times)
+    assert np.abs(states - dense).max() < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+       cluster=st.integers(1, 8), split=st.sampled_from([0.0, 1e-12, 1e-9,
+                                                         1e-6]))
+def test_stroboscopic_matches_schur_reference(seed, dim, cluster, split):
+    # a period propagator with one cluster of `cluster` eigenphases, equal
+    # or split by `split`; the Schur factorization is the reference
+    rng = np.random.default_rng(seed)
+    q = _random_unitary(rng, dim)
+    phases = rng.uniform(-np.pi, np.pi, dim)
+    size = min(cluster, dim)
+    phases[:size] = phases[0] + split * np.arange(size)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    with mock.patch.object(dynamics, "propagator", return_value=u):
+        _, states = evolve_stroboscopic(np.zeros((dim, dim), complex), psi0,
+                                        1.0, 50)
+    tri, z = schur(u, output="complex")
+    want = np.einsum("ij,kj->ki", z, np.exp(1j * np.outer(
+        np.arange(51), np.angle(np.diag(tri)))) * (z.conj().T @ psi0))
+    assert np.abs(states - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("u", [[[1.0, 0.5], [0.0, 1.0]],
+                               [[1.0, 5e-8], [0.0, 1j]]],
+                         ids=["defective", "triangular"])
+def test_stroboscopic_rejects_non_normal_period_propagator(u):
+    # a defective one, and a triangular one within propagator's own
+    # unitarity bound (1e-7) whose orthonormalized eigenbasis leaves
+    # 5e-8 off the diagonal
+    u = np.array(u, dtype=complex)
+    with mock.patch.object(dynamics, "propagator", return_value=u), \
+            pytest.raises(NumericalError, match="not normal"):
+        evolve_stroboscopic(np.zeros((2, 2), complex),
+                            np.array([1.0, 0.0], complex), 1.0, 10)
+
+
 def test_stroboscopic_stride():
     h = np.diag([0.0, 1.0]).astype(complex)
     times, states = evolve_stroboscopic(h, np.array([1.0, 0], complex), 0.5, 10, stride=5)
@@ -385,6 +446,36 @@ def test_liouvillian_generates_lindblad_evolution():
     want = (expm(lv * t) @ rho0.reshape(-1)).reshape(3, 3)
     got = evolve_lindblad(h, rho0, [c.astype(complex)], np.array([0.0, t]))[-1]
     assert np.allclose(got, want, atol=1e-8)
+
+
+def _assert_expm_matches_scipy(a):
+    want = expm(a)
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(dynamics._expm(a) - want).max() < 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+       n_collapse=st.integers(0, 4), log_norm=st.floats(-3.0, 3.0))
+def test_expm_matches_scipy_on_liouvillians(seed, dim, n_collapse, log_norm):
+    # dt scaled so that dt * ||L||_1 spans 1e-3 to 1e3: no squaring up to
+    # about 5.4, and up to 8 squarings above it
+    rng = np.random.default_rng(seed)
+    collapse = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                for _ in range(n_collapse)]
+    lv = liouvillian(_random_hermitian(rng, dim), collapse)
+    _assert_expm_matches_scipy(lv * (10.0 ** log_norm
+                                     / np.abs(lv).sum(axis=0).max()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 40),
+       log_norm=st.floats(-3.0, 1.5))
+def test_expm_matches_scipy_on_generic_matrices(seed, dim, log_norm):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    _assert_expm_matches_scipy(a * (10.0 ** log_norm
+                                    / np.abs(a).sum(axis=0).max()))
 
 
 BAD_GRIDS = {"empty": [], "two-d": [[0.0, 1.0], [2.0, 3.0]],

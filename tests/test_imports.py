@@ -1,6 +1,7 @@
 """Every top-level import of the package is used in its module, every
 function parameter is read in its function, and importing the CLI, fitting
-decays or taking a gate's logarithm loads no scipy.
+decays, taking a gate's logarithm, sampling a Raman gate stroboscopically
+or stepping a Lindbladian loads no scipy.
 
 No linter ships with the project, so this parses the sources with ``ast``.
 A name counts as used when the module reads it, lists it in ``__all__``
@@ -122,10 +123,9 @@ def _scipy_loaded_by(code: str) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that call it: a run that
-    # never integrates, steps a Lindbladian or samples stroboscopically
-    # skips its import.  A fresh interpreter, so nothing else has loaded
-    # scipy.
+    # scipy is imported only inside the function that calls DOP853: a
+    # run that never integrates with it skips the import.  A fresh
+    # interpreter, so nothing else has loaded scipy.
     assert _scipy_loaded_by("import darkqubit, darkqubit.cli") == []
 
 
@@ -150,6 +150,26 @@ for x, sigma, n_traj in ((0.1, 1.2, 384), (1.0, 0.4, 512), (10.0, 0.25, 384)):
     fit_decay(times, 2.0 * rho[:, 0, 0].real - 1.0, "exponential",
               p0=(1.0, 1.0 / rate, 0.0))
 """
+# Criterion 4's call sequence: the Lindblad decay of a dark state that
+# fit_decay fits.
+CRITERION_4_CALLS = """
+import numpy as np
+from darkqubit.driving import compact_construction
+from darkqubit.dynamics import evolve_lindblad, fit_decay
+from darkqubit.gates import protected_report
+from darkqubit.levels import ca40_dp
+gamma, delta_b = 0.1, 0.05
+scheme = ca40_dp(gamma=gamma)
+con = compact_construction(scheme, 0.3, 1.0)
+dark = protected_report(con).dark_states[0]
+t1_pred = 1.0 / (gamma * (12.0 / 25.0) * delta_b ** 2)
+times = np.linspace(0.0, 2.0 * t1_pred, 40)
+rho = evolve_lindblad(con.ip.static + delta_b * scheme.zeeman_generator(),
+                      np.outer(dark, dark.conj()),
+                      scheme.all_collapse_operators(), times)
+survival = np.einsum("i,tij,j->t", dark.conj(), rho, dark).real
+fit_decay(times, survival, "exponential")
+"""
 CONSTRUCTION = """
 scheme:
   preset: ca40_dp
@@ -172,7 +192,27 @@ gates:
   gate: microwave
   omega_g: 0.05
 """,
+    "raman-gates": "protocol: gates" + CONSTRUCTION + """
+gates:
+  gate: raman
+  omega_g: 0.05
+  delta_r: 20.0
+""",
 }
+LIBRARY_CALLS = {"criterion-10": CRITERION_10_CALLS,
+                 "criterion-4": CRITERION_4_CALLS}
+
+
+def _run_code(tmp_path, run: str) -> str:
+    """Python code making a library call sequence or one CLI run."""
+    if run in LIBRARY_CALLS:
+        return LIBRARY_CALLS[run]
+    scenario = tmp_path / f"{run}.yaml"
+    scenario.write_text(CLI_RUNS[run])
+    protocol = run.split("-")[-1]
+    return ("from darkqubit.cli import main\n"
+            f"assert main([{protocol!r}, '--scenario', {str(scenario)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
 
 
 @pytest.mark.parametrize("run", ["criterion-10", "compare", "gates"])
@@ -180,12 +220,12 @@ def test_fits_and_gate_logarithms_load_no_scipy(tmp_path, run):
     # decay fits (variable projection) and the 2x2 gate logarithm are
     # numpy only, so noise ensembles, compare and microwave gate runs
     # never pay scipy's import
-    if run == "criterion-10":
-        code = CRITERION_10_CALLS
-    else:
-        scenario = tmp_path / f"{run}.yaml"
-        scenario.write_text(CLI_RUNS[run])
-        code = ("from darkqubit.cli import main\n"
-                f"assert main([{run!r}, '--scenario', {str(scenario)!r}, "
-                f"'--out', {str(tmp_path / 'out')!r}]) == 0")
-    assert _scipy_loaded_by(code) == []
+    assert _scipy_loaded_by(_run_code(tmp_path, run)) == []
+
+
+@pytest.mark.parametrize("run", ["raman-gates", "criterion-4"])
+def test_raman_gates_and_lindblad_steps_load_no_scipy(tmp_path, run):
+    # the stroboscopic eigenbasis (eig + QR) and the Lindblad step (Pade
+    # expm) are numpy only, so Raman gate runs and Lindblad decays never
+    # pay scipy's import either
+    assert _scipy_loaded_by(_run_code(tmp_path, run)) == []

@@ -313,7 +313,7 @@ def test_build_scheme_and_construction():
     data["scheme"] = {"preset": "ca40_dp", "omega0": "2pi*346 THz",
                       "gamma": "2pi*10 MHz"}
     data["construction"] = {"kind": "compact", "omega": "2pi*1 MHz",
-                            "b": "2pi*50 kHz", "amp_error": 0.01}
+                            "b": "2pi*50 kHz", "pol_leak": 0.01}
     sc = parse_scenario(data)
     scheme = build_scheme(sc)
     assert scheme.manifold("P1/2").offset == pytest.approx(TWO_PI * 346e12)
@@ -625,6 +625,28 @@ def test_cli_rejects_compact_only_construction_options(tmp_path, capsys,
                 "construction takes it") in err
     assert "scenario.mystery_key: unknown key" in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("amp_error", [0.001, 0.02])
+def test_cli_rejects_nonzero_amp_error_before_any_work(tmp_path, capsys,
+                                                       amp_error):
+    # a tilted dark pair carries |<Jz>| ~ 3 eps/4, so the run used to
+    # parse, build the construction and exit 3 finding no Jz-dark pair
+    yaml_text = ANALYZE_YAML + f"  amp_error: {amp_error}\nmystery_key: 1\n"
+    code, out = _run(tmp_path, "amp", yaml_text, "analyze")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario.construction.amp_error: a nonzero amplitude error" in err
+    assert "error-budget" in err
+    assert "scenario.mystery_key: unknown key" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_zero_amp_error_stays_legal(tmp_path):
+    code, out = _run(tmp_path, "amp0", ANALYZE_YAML + "  amp_error: 0\n",
+                     "analyze")
+    assert code == 0
+    assert (out / "summary.json").exists()
 
 
 def test_emit_plot_data_leaves_no_temp_files(tmp_path):
