@@ -66,12 +66,16 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _csv_text(columns: dict[str, np.ndarray]) -> str:
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    lines = [",".join(names)]
-    for row in zip(*arrays):
-        lines.append(",".join(f"{float(v):.12g}" for v in row))
-    return "\n".join(lines) + "\n"
+    """Header line, then one %.12g row per index of equal-length columns."""
+    arrays = [np.asarray(col, dtype=float) for col in columns.values()]
+    lengths = {name: len(col) for name, col in zip(columns, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    # One % over the row-major table formats each value as f"{v:.12g}".
+    table = np.column_stack(arrays) if arrays else np.empty((0, 0))
+    row = ",".join(["%.12g"] * len(arrays)) + "\n"
+    return (",".join(columns) + "\n"
+            + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def emit_plot_data(out_dir: str, name: str, columns: dict,
@@ -320,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _RUNNERS:
-        p = sub.add_parser(name, help=f"run a {name} scenario")
+        article = "an" if name[0] in "aeiou" else "a"
+        p = sub.add_parser(name, help=f"run {article} {name} scenario")
         p.add_argument("--scenario", required=True,
                        help="path to the scenario YAML file")
         p.add_argument("--seed", type=int, default=None,

@@ -13,8 +13,13 @@ tried in this order:
 * Floquet, for any other Hamiltonian with exactly one harmonic term: the
   spectral path on the static Sambe-space Hamiltonian of its sidebands
   |n| <= N, with N grown until a truncation bound is below FLOQUET_TOL.
+  A sideband gauge takes the phase of the harmonic's largest element
+  into the sideband phases; when H0 and the gauged harmonic are real,
+  the Sambe matrix is real symmetric and its eigh runs in float64.  On
+  uniform grids the phases come from one table of in-block offsets.
   It gives way when (2N + 1) dim would pass FLOQUET_MAX_DIM, where one
-  eigh costs more than a typical DOP853 run (a strong, slow drive);
+  complex eigh costs as much as a typical DOP853 run (a strong, slow
+  drive);
 * DOP853 for every other harmonic Hamiltonian (several harmonics, or one
   the Floquet path gave up on), an adaptive integration whose maximum
   step is capped at a quarter period of the fastest harmonic so
@@ -64,13 +69,17 @@ POSITIVITY_TOL = 1e-8
 # Floquet path: bound on the sideband-truncation error of each propagated
 # unit-norm column (DOP853's RTOL; the bound runs 100-1000x above the
 # error measured against DOP853 at rtol 1e-13), and the largest Sambe
-# dimension worth one eigh.  At 500, one complex eigh takes about 0.19 s
+# dimension worth one eigh.  At 500, one complex eigh takes about 0.2 s
 # (2-vCPU Xeon, one BLAS thread), as long as DOP853 took on the
-# benchmark's long harmonic runs (0.12-0.25 s).
+# benchmark's long harmonic runs (0.12-0.25 s); a real one (real H0 and
+# gauged harmonic) takes 0.04 s.  The cap stays at 500 for real inputs
+# too: past it lie strong, slow drives such as criterion 3's, whose
+# Floquet cost and bound at that size have not been measured.
 FLOQUET_TOL = 1e-10
 FLOQUET_MAX_DIM = 500
 # Output times formed per block on the Floquet path.
 _TIME_BLOCK = 64
+_EPS = np.finfo(float).eps
 
 
 class NumericalError(RuntimeError):
@@ -124,6 +133,40 @@ def _static_frame(ham: TimeDependentHamiltonian) -> np.ndarray | None:
     return g if np.abs(rows @ g - want).max(initial=0.0) <= tol else None
 
 
+def _grid_step(times: np.ndarray) -> float | None:
+    """dt when every time is times[0] + k dt to 4 ulp of max |t|, else None.
+
+    linspace grids pass.  Phases then drift from e^{-iEt} by at most
+    |E| 4 ulp(t), the rounding of Et itself; a relative tolerance on the
+    steps would let them drift by |E| t rtol.
+    """
+    dt = (times[-1] - times[0]) / max(len(times) - 1, 1)
+    ideal = times[0] + dt * np.arange(len(times))
+    tol = 4.0 * np.spacing(np.abs(times).max())
+    return dt if np.abs(times - ideal).max() <= tol else None
+
+
+def _phase_blocks(rates: np.ndarray, bias: np.ndarray, times: np.ndarray,
+                  step: float | None):
+    """Yield e^{-i (rates t + bias)}, [len(rates), block], for each
+    _TIME_BLOCK times of the grid.
+
+    With the grid's _grid_step, each block is its first time's phase
+    times one table of in-block offsets j step, built once: one complex
+    product per entry instead of one exp.
+    """
+    if step is not None:
+        offsets = step * np.arange(min(_TIME_BLOCK, len(times)))
+        table = np.exp(-1j * np.outer(rates, offsets))
+    for start in range(0, len(times), _TIME_BLOCK):
+        t = times[start:start + _TIME_BLOCK]
+        if step is None:
+            yield np.exp(-1j * (np.outer(rates, t) + bias[:, None]))
+        else:
+            first = np.exp(-1j * (rates * t[0] + bias))
+            yield first[:, None] * table[:, :len(t)]
+
+
 def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
              times: np.ndarray) -> np.ndarray | None:
     """Sambe-space propagation of H0 + M e^{-iwt} + M^dag e^{iwt}.
@@ -134,6 +177,15 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     spectral path from c_n(t0) = delta_{n0} y0 (Shirley, Phys. Rev. 138,
     B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)).
 
+    Sideband gauge: with phi the phase of M's largest entry and
+    R = e^{-i phi} M, the amplitudes d_n = e^{-in phi} c_n obey the same
+    equations with R in place of M, from the same d_n(t0), and
+    y(t) = sum_n e^{-in(wt - phi)} d_n(t).  When H0 is real and R is
+    real to rounding (4 eps |M|, dropped), H_F is real symmetric: its
+    eigh runs in float64, 2-3x faster than the complex one, and its real
+    eigenvectors act on the complex amplitudes as one real GEMM on their
+    interleaved float view.
+
     N starts as the smallest n whose Bessel tail (x/2)^n / n!, x = 2|M|/w,
     times max(1, |M| span) is below FLOQUET_TOL.  Truncation feeds back at
     most |M| (|c_N| + |c_{-N}|) per unit time, and the edge amplitudes are
@@ -143,6 +195,11 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     """
     dim = h0.shape[0]
     norm_m = np.linalg.norm(m, 2)
+    phi = np.angle(m.flat[np.abs(m).argmax()])
+    r = m * np.exp(-1j * phi)
+    real = not np.any(h0.imag) and np.abs(r.imag).max() <= 4 * _EPS * norm_m
+    if real:
+        h0, r = h0.real, r.real
     span = times[-1] - times[0]
     tail, cutoff = max(1.0, norm_m * span), 0
     while tail >= FLOQUET_TOL and (2 * cutoff + 1) * dim <= FLOQUET_MAX_DIM:
@@ -151,13 +208,13 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     while (2 * cutoff + 1) * dim <= FLOQUET_MAX_DIM:
         bands = 2 * cutoff + 1
         size = bands * dim
-        h_f = np.zeros((size, size), dtype=complex)
+        h_f = np.zeros((size, size), dtype=r.dtype)
         blocks = h_f.reshape(bands, dim, bands, dim)
         for k in range(bands):
             blocks[k, :, k] = h0
             if k:
-                blocks[k, :, k - 1] = m
-                blocks[k - 1, :, k] = m.conj().T
+                blocks[k, :, k - 1] = r
+                blocks[k - 1, :, k] = r.conj().T
         sidebands = np.arange(-cutoff, cutoff + 1) * freq
         h_f[np.diag_indices(size)] -= np.repeat(sidebands, dim)
         vals, vecs = np.linalg.eigh(h_f)
@@ -180,16 +237,24 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     else:
         return None
 
-    # c(t) = V e^{-iE(t - t0)} amps, then y(t) = sum_n e^{-inwt} c_n(t);
-    # formed per time block to keep memory O(size^2 + block * size).
+    # d(t) = V e^{-iE(t - t0)} amps, then y(t) = sum_n e^{-in(wt - phi)}
+    # d_n(t); formed per time block to keep memory O(size^2 + block size).
     amps = amps.reshape(size, 1, -1)
     out = np.empty((len(times), dim, amps.shape[2]), dtype=complex)
-    for start in range(0, len(times), _TIME_BLOCK):
-        t = times[start:start + _TIME_BLOCK]
-        coef = np.exp(-1j * np.outer(vals, t - times[0]))[:, :, None] * amps
-        sambe = (vecs @ coef.reshape(size, -1)).reshape(bands, dim, len(t), -1)
-        out[start:start + len(t)] = np.einsum(
-            "tn,ndtk->tdk", np.exp(-1j * np.outer(t, sidebands)), sambe)
+    rel, step = times - times[0], _grid_step(times)
+    shift = sidebands * times[0] - np.arange(-cutoff, cutoff + 1) * phi
+    start = 0
+    for eigen, side in zip(_phase_blocks(vals, np.zeros(size), rel, step),
+                           _phase_blocks(sidebands, shift, rel, step)):
+        width = side.shape[1]
+        coef = (eigen[:, :, None] * amps).reshape(size, -1)
+        if real:
+            sambe = (vecs @ coef.view(float)).view(complex)
+        else:
+            sambe = vecs @ coef
+        out[start:start + width] = np.einsum(
+            "nt,ndtk->tdk", side, sambe.reshape(bands, dim, width, -1))
+        start += width
     return out.reshape(len(times), *y0.shape)
 
 
@@ -518,7 +583,6 @@ _MODELS = {
 # column that meets the constant at a squared sine below FIT_SINGULAR
 # (an exponential decaying by 3e-4 over the window) leaves amplitude and
 # offset undetermined.
-_EPS = np.finfo(float).eps
 FIT_GTOL = 8.0
 FIT_XTOL = 4.0 * _EPS
 FIT_SINGULAR = 1e-8

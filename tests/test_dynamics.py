@@ -222,6 +222,18 @@ HARMONIC_RUNS = {
 }
 
 
+class _EighSpy:
+    """np.linalg.eigh that records the size and dtype of each matrix."""
+
+    def __init__(self):
+        self.calls = []
+        self.eigh = np.linalg.eigh
+
+    def __call__(self, a, *args, **kwargs):
+        self.calls.append((a.shape[-1], a.dtype))
+        return self.eigh(a, *args, **kwargs)
+
+
 @pytest.mark.parametrize("name", HARMONIC_RUNS)
 def test_floquet_path_matches_dop853_on_benchmark_runs(name):
     # every propagation of the run that no static frame covers takes the
@@ -235,48 +247,83 @@ def test_floquet_path_matches_dop853_on_benchmark_runs(name):
         return real(ham, y0, times)
 
     with mock.patch.object(dynamics, "_integrate", spy), \
+            mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
             mock.patch.object(integrate, "solve_ivp") as solver:
         HARMONIC_RUNS[name]()
     assert not solver.called
     (ham, y0, times), = calls
+    # H0 is real and M real up to a phase on all of these: the sideband
+    # gauge makes every Sambe matrix real symmetric
+    sambe = [dtype for size, dtype in eigh.calls if size > ham.dim]
+    assert sambe and all(dtype == np.float64 for dtype in sambe)
     got = dynamics._integrate(ham, y0, times)
     assert np.abs(got - _tight_dop853(ham, y0, times)).max() < 1e-10
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
        log_ratio=st.floats(-3.0, np.log10(3.0)),
-       diagonal=st.booleans(), matrix=st.booleans(),
+       diagonal=st.booleans(),
+       gauge=st.sampled_from([None, "0", "pi/2", "uniform"]),
+       grid=st.sampled_from(["propagator", "uniform", "long uniform",
+                             "nonuniform"]),
        t0=st.floats(0.3, 4.0), span=st.floats(0.2, 2.0))
-def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, matrix,
-                                     t0, span):
+def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
+                                     grid, t0, span):
     # H0 + M e^{-iwt} + h.c. with a dense H0 and M, |M| / w from 1e-3 to
-    # 3: no diagonal frame makes it static.  The size cap, a cost choice
-    # tested below, is lifted so that every example takes the Floquet path.
+    # 3: no diagonal frame makes it static.  With a gauge, H0 is real
+    # symmetric and M = e^{i phi} R with R real: the sideband gauge makes
+    # the Sambe matrix real, and its eigh runs in float64.  Uniform grids
+    # take the block phase tables, over several blocks when long.  The
+    # size cap, a cost choice tested below, is lifted so that every
+    # example takes the Floquet path.
     rng = np.random.default_rng(seed)
     freq = rng.uniform(0.5, 2.0)
+    h0 = _random_hermitian(rng, dim)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if gauge is not None:
+        phi = {"0": 0.0, "pi/2": np.pi / 2,
+               "uniform": rng.uniform(0.0, 2.0 * np.pi)}[gauge]
+        h0, m = h0.real, m.real * np.exp(1j * phi)
     if not diagonal:
         np.fill_diagonal(m, 0.0)
     m *= 10.0 ** log_ratio * freq / np.linalg.norm(m, 2)
-    ham = TimeDependentHamiltonian(_random_hermitian(rng, dim),
-                                   (Harmonic(m, freq),))
-    if matrix:
+    ham = TimeDependentHamiltonian(h0, (Harmonic(m, freq),))
+    if grid == "propagator":
         times = np.array([t0, t0 + span])
         y0 = np.eye(dim, dtype=complex)
     else:
-        times = t0 + np.linspace(0.0, span, 7)
+        times = t0 + {
+            "uniform": np.linspace(0.0, span, 7),
+            "long uniform": np.linspace(0.0, span, 150),
+            "nonuniform": np.append(0.0, np.sort(rng.uniform(0, span, 20))),
+        }[grid]
+        assert (dynamics._grid_step(times) is None) == (grid == "nonuniform")
         y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         y0 /= np.linalg.norm(y0)
     with mock.patch.object(integrate, "solve_ivp") as solver, \
+            mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
             mock.patch.object(dynamics, "FLOQUET_MAX_DIM", 10**4):
-        if matrix:
+        if grid == "propagator":
             got = propagator(ham, times[-1], t0)[None]
         else:
             got = evolve_unitary(ham, y0, times)
     assert not solver.called
+    sambe = float if gauge is not None else complex
+    assert eigh.calls and all(dtype == sambe for _, dtype in eigh.calls)
     want = _tight_dop853(ham, y0, times)[-len(got):]
     assert np.abs(got - want).max() < 1e-10
+
+
+def test_grid_step_takes_linspace_grids_to_4_ulp():
+    for t0, span, n in [(0.0, 1.0, 2), (3.7, 1000.0, 1500), (1e4, 0.3, 65),
+                        (-5.0, 10.0, 401)]:
+        times = t0 + np.linspace(0.0, span, n)
+        assert dynamics._grid_step(times) == (times[-1] - t0) / (n - 1)
+        if n > 2:
+            # a time 8 ulp off falls back to one exp per time
+            times[n // 2] += 8 * np.spacing(np.abs(times).max())
+            assert dynamics._grid_step(times) is None
 
 
 def test_strong_slow_drive_goes_straight_to_dop853():
@@ -286,22 +333,16 @@ def test_strong_slow_drive_goes_straight_to_dop853():
     con = ideal_construction(ca40_dp(), 0.3, 1.0)
     dark = protected_report(con).dark_states
     ham = con.ip.plus_harmonic(0.1 * con.ip.static, 0.003)
-    sizes = []
-    real_eigh = np.linalg.eigh
-
-    def eigh(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return real_eigh(a, *args, **kwargs)
 
     class Reached(Exception):
         pass
 
-    with mock.patch.object(np.linalg, "eigh", eigh), \
+    with mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
             mock.patch.object(integrate, "solve_ivp", side_effect=Reached):
         with pytest.raises(Reached):
             evolve_unitary(ham, (dark[0] + dark[1]) / np.sqrt(2.0),
                            np.linspace(0.0, 1000.0, 201))
-    assert max(sizes, default=0) <= ham.dim
+    assert max((size for size, _ in eigh.calls), default=0) <= ham.dim
 
 
 def test_stroboscopic_matches_dense_sampling():

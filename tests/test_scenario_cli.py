@@ -659,6 +659,57 @@ def test_emit_plot_data_leaves_no_temp_files(tmp_path):
     assert [str(tmp_path / n) for n in names] == sorted(paths)
 
 
+def _per_value_csv_text(columns):
+    # the formatter _csv_text replaced: one f-string per value
+    lines = [",".join(columns)]
+    for row in zip(*(np.asarray(col) for col in columns.values())):
+        lines.append(",".join(f"{float(v):.12g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16,
+                     0.1, 1.0 / 3.0, 123456789012.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 9), kinds=st.lists(
+    st.sampled_from(["float", "int", "int64", "bool"]), max_size=4),
+       data=st.data())
+def test_csv_text_matches_per_value_formatting(rows, kinds, data):
+    # one % over the row-major table writes the same bytes as formatting
+    # each value on its own: inf, nan, -0.0, integer columns, no rows
+    columns = {}
+    for j, kind in enumerate(kinds):
+        if kind == "float":
+            col = data.draw(st.lists(_CSV_VALUES, min_size=rows,
+                                     max_size=rows))
+        elif kind == "bool":
+            col = np.array(data.draw(st.lists(
+                st.booleans(), min_size=rows, max_size=rows)))
+        else:
+            col = data.draw(st.lists(st.integers(-2**62, 2**62),
+                                     min_size=rows, max_size=rows))
+            if kind == "int64":
+                col = np.array(col, dtype=np.int64)
+        columns[f"c{j}%"] = col
+    assert cli._csv_text(columns) == _per_value_csv_text(columns)
+
+
+def test_csv_text_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._csv_text({"t": np.arange(3.0), "p": np.arange(2.0)})
+
+
+def test_cli_help_names_each_protocol_with_its_article():
+    text = cli._build_parser().format_help()
+    for name, article in [("analyze", "an"), ("evolve", "an"),
+                          ("error-budget", "an"), ("gates", "a"),
+                          ("sense", "a"), ("compare", "a")]:
+        assert f"run {article} {name} scenario" in text
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_cli_outputs_take_the_umask(tmp_path, umask):
     # outputs are created as open() would create them, 0o666 less the
