@@ -34,8 +34,7 @@ from .sensing import (SensitivityReport, coherence_comparison,
                       frequency_window, hyperfine_signal_operator,
                       run_ac_sensing, run_hyperfine_sensing,
                       sensitivity_compare)
-from .subspace import (DressedState, ProtectionError, SubspaceReport,
-                       canonical_order, dressed_decomposition,
+from .subspace import (ProtectionError, SubspaceReport, canonical_order,
                        find_protected_subspace)
 
 __version__ = "0.1.0"
@@ -48,8 +47,8 @@ __all__ = [
     "DriveField", "Harmonic", "TimeDependentHamiltonian", "DroppedTerm",
     "Construction", "build_lab_hamiltonian", "to_rotating_frame",
     "ideal_construction", "compact_construction", "hyperfine_construction",
-    "SubspaceReport", "DressedState", "ProtectionError",
-    "find_protected_subspace", "canonical_order", "dressed_decomposition",
+    "SubspaceReport", "ProtectionError",
+    "find_protected_subspace", "canonical_order",
     "SimulationTrace", "FitResult", "NumericalError",
     "evolve_unitary", "evolve_stroboscopic", "evolve_lindblad",
     "liouvillian", "propagator", "expectation", "overlap_population",

@@ -41,8 +41,7 @@ def as_half_int(value) -> Fraction:
     if isinstance(value, str):
         value = Fraction(value)  # accepts "3/2", "-1/2", "2"
     if isinstance(value, Fraction):
-        doubled = 2 * value
-        if doubled.denominator != 1:
+        if value.denominator not in (1, 2):  # 2 * value is not an integer
             raise ValueError(f"not a multiple of 1/2: {value}")
         return value
     doubled = 2.0 * float(value)

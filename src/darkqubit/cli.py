@@ -44,8 +44,9 @@ __all__ = ["main", "run_scenario", "emit_plot_data"]
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a renamed temporary file; the directory
+    must exist."""
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
     # Mode 0o666 less the umask, as open() would give; mkstemp's 0o600
     # would survive the rename.
     tmp = os.path.join(directory,
@@ -81,7 +82,11 @@ def _csv_text(columns: dict[str, np.ndarray]) -> str:
 def emit_plot_data(out_dir: str, name: str, columns: dict,
                    units: dict | None = None, label: str = "",
                    fmt: str = "csv") -> list[str]:
-    """Write one trace/sweep table plus its manifest; returns the paths."""
+    """Write one trace/sweep table plus its manifest; returns the paths.
+
+    out_dir is created if missing.
+    """
+    os.makedirs(out_dir or ".", exist_ok=True)
     units = units or {}
     manifest = {
         "axes": list(columns),
@@ -296,6 +301,7 @@ def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
     """
     results, tables = _RUNNERS[scenario.protocol](scenario)
     results = _json_safe(results)
+    os.makedirs(out_dir or ".", exist_ok=True)
     for key, (name, columns, units) in tables.items():
         files = emit_plot_data(out_dir, name, columns, units,
                                label=scenario.label, fmt=fmt)

@@ -136,9 +136,14 @@ class TimeDependentHamiltonian:
     def plus_harmonic(self, mat: np.ndarray, frequency: float,
                       phase: float = 0.0) -> "TimeDependentHamiltonian":
         """Add mat * e^{-i(frequency t + phase)} + h.c. as a harmonic term."""
-        term = Harmonic(np.asarray(mat, dtype=complex) * np.exp(-1j * phase),
-                        frequency)
-        return TimeDependentHamiltonian(self.static, self.harmonics + (term,))
+        return TimeDependentHamiltonian(
+            self.static, self.harmonics + (_phased(mat, frequency, phase),))
+
+
+def _phased(mat: np.ndarray, frequency: float, phase: float) -> Harmonic:
+    """The harmonic mat * e^{-i(frequency t + phase)} + h.c."""
+    return Harmonic(np.asarray(mat, dtype=complex) * np.exp(-1j * phase),
+                    frequency)
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def build_lab_hamiltonian(scheme: LevelScheme, b: float,
                           drives: tuple[DriveField, ...] | list[DriveField],
                           ) -> TimeDependentHamiltonian:
     """Static Zeeman/offset Hamiltonian plus one harmonic per drive component."""
-    ham = TimeDependentHamiltonian(scheme.static_hamiltonian(b))
+    harmonics = []
     for drive in drives:
         amp = drive.rabi * (1.0 + drive.amp_error)
         parts = [(drive.polarization, amp * (1.0 - drive.pol_leak))]
@@ -175,9 +180,10 @@ def build_lab_hamiltonian(scheme: LevelScheme, b: float,
                                         transitions=drive.transitions)
             if not np.any(op):
                 continue
-            ham = ham.plus_harmonic((part_amp / 2.0) * (op + op.conj().T),
-                                    drive.frequency, phase=drive.phase)
-    return ham
+            harmonics.append(_phased((part_amp / 2.0) * (op + op.conj().T),
+                                     drive.frequency, drive.phase))
+    return TimeDependentHamiltonian(scheme.static_hamiltonian(b),
+                                    tuple(harmonics))
 
 
 # ------------------------------------------------------------ frame algebra
@@ -341,6 +347,7 @@ def ideal_construction(scheme: LevelScheme, b: float, omega: float,
     the interaction picture (in the bare-energy frame) is fully static.
     """
     c_ref = _reference_coupling(scheme, lower, upper)
+    # The bare energies are both the drive resonances and the frame.
     energies = np.diag(scheme.static_hamiltonian(b)).real
     drives = []
     for pol, q in (("sigma+", 1), ("sigma-", -1)):
@@ -356,10 +363,9 @@ def ideal_construction(scheme: LevelScheme, b: float, omega: float,
                 raise ValueError("upper manifold must lie above the lower one")
             drives.append(DriveField(lower, upper, pol, frequency=freq,
                                      rabi=omega / c_ref, transitions=(m,)))
-    generator = np.diag(scheme.static_hamiltonian(b)).real
     return _finish_construction(scheme, b, omega, lower, upper, drives,
                                 build_lab_hamiltonian(scheme, b, drives),
-                                generator, rwa_cutoff)
+                                energies, rwa_cutoff)
 
 
 def compact_construction(scheme: LevelScheme, b: float, omega: float,
@@ -388,14 +394,13 @@ def compact_construction(scheme: LevelScheme, b: float, omega: float,
         DriveField(lower, upper, "sigma-", frequency=center - low.g * b,
                    rabi=rabi, pol_leak=pol_leak),
     ]
+    lab = build_lab_hamiltonian(scheme, b, drives)
     # Frame: true Zeeman everywhere except the upper manifold, which rotates
     # with the lower manifold's g-factor.
-    generator = np.diag(scheme.static_hamiltonian(b)).real.copy()
-    up_slice = scheme.slice(upper)
+    generator = np.diag(lab.static).real.copy()
     m_up = np.array([float(m) for m in up.m_values])
-    generator[up_slice] = up.offset + b * low.g * m_up
-    return _finish_construction(scheme, b, omega, lower, upper, drives,
-                                build_lab_hamiltonian(scheme, b, drives),
+    generator[scheme.slice(upper)] = up.offset + b * low.g * m_up
+    return _finish_construction(scheme, b, omega, lower, upper, drives, lab,
                                 generator, rwa_cutoff)
 
 

@@ -13,13 +13,25 @@ and builds the operators everything else consumes:
 All energies and rates are angular frequencies (rad/s).  Nothing in this
 module fixes a unit scale; tests and scenarios typically run with the drive
 Rabi frequency of order one.
+
+What is shared, and how widely:
+
+* per j, one tuple of m values (``Manifold.m_values``);
+* per scheme, the Zeeman generator (read-only), the diagonals of offsets
+  and Zeeman slopes that ``static_hamiltonian`` adds up into a fresh,
+  writable matrix on every call, and the name -> position table behind
+  ``index`` and ``slice``;
+* per structure (manifold names and j), the dipole matrices (read-only).
+
+State lookups work in doubled-integer m; an m a caller passes in is still
+validated by ``angular.as_half_int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,8 +54,8 @@ __all__ = [
 # lower-state m changes by q on absorption.
 POLARIZATIONS = {"sigma+": 1, "pi": 0, "sigma-": -1}
 
-# Dipole matrices by structure: the manifolds' (name, j) in order, lower,
-# upper, polarization and the addressed lower-m set.  Offsets and g-factors
+# Dipole matrices by structure: the manifolds' (name, 2j) in order, lower,
+# upper, polarization and the addressed set of 2m.  Offsets and g-factors
 # never enter the matrix, so schemes of one preset share entries; the key
 # space is bounded by the schemes in use.
 _DIPOLE_CACHE: dict[tuple, np.ndarray] = {}
@@ -53,6 +65,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     """arr, frozen: a shared cache entry no caller can mutate."""
     arr.flags.writeable = False
     return arr
+
+
+def _twice(m) -> int:
+    """2m as an int, for an m that as_half_int validates."""
+    mm = angular.as_half_int(m)
+    return 2 * mm.numerator // mm.denominator
+
+
+@lru_cache(maxsize=None)
+def _m_values(j: Fraction) -> tuple[Fraction, ...]:
+    return tuple(-j + k for k in range(int(2 * j) + 1))
 
 
 @dataclass(frozen=True)
@@ -68,12 +91,17 @@ class Manifold:
         object.__setattr__(self, "j", angular.as_half_int(self.j))
 
     @cached_property
+    def two_j(self) -> int:
+        return 2 * self.j.numerator // self.j.denominator
+
+    @cached_property
     def dim(self) -> int:
-        return int(2 * self.j) + 1
+        return self.two_j + 1
 
     @cached_property
     def m_values(self) -> tuple[Fraction, ...]:
-        return tuple(-self.j + k for k in range(self.dim))
+        """m = -j ... j ascending; one tuple shared by every manifold of this j."""
+        return _m_values(self.j)
 
 
 @dataclass(frozen=True)
@@ -105,11 +133,23 @@ class LevelScheme:
     def dim(self) -> int:
         return sum(man.dim for man in self.manifolds)
 
-    def manifold(self, name: str) -> Manifold:
+    @cached_property
+    def _places(self) -> dict[str, tuple[int, Manifold]]:
+        """Manifold name -> (index of its m = -j state, manifold)."""
+        places, base = {}, 0
         for man in self.manifolds:
-            if man.name == name:
-                return man
-        raise KeyError(f"no manifold named {name!r}")
+            places[man.name] = (base, man)
+            base += man.dim
+        return places
+
+    def _place(self, name: str) -> tuple[int, Manifold]:
+        try:
+            return self._places[name]
+        except KeyError:
+            raise KeyError(f"no manifold named {name!r}") from None
+
+    def manifold(self, name: str) -> Manifold:
+        return self._place(name)[1]
 
     def states(self) -> list[tuple[str, Fraction]]:
         """All (manifold name, m) labels in basis order (manifold, then m ascending)."""
@@ -119,15 +159,12 @@ class LevelScheme:
         return out
 
     def index(self, name: str, m) -> int:
-        mm = angular.as_half_int(m)
-        base = 0
-        for man in self.manifolds:
-            if man.name == name:
-                if abs(mm) > man.j:
-                    raise ValueError(f"|m|={mm} exceeds j={man.j} in {name}")
-                return base + int(mm + man.j)
-            base += man.dim
-        raise KeyError(f"no manifold named {name!r}")
+        two_m = _twice(m)
+        base, man = self._place(name)
+        if abs(two_m) > man.two_j:
+            raise ValueError(
+                f"|m|={Fraction(two_m, 2)} exceeds j={man.j} in {name}")
+        return base + (two_m + man.two_j) // 2
 
     def basis_state(self, name: str, m) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
@@ -135,12 +172,8 @@ class LevelScheme:
         return vec
 
     def slice(self, name: str) -> slice:
-        base = 0
-        for man in self.manifolds:
-            if man.name == name:
-                return slice(base, base + man.dim)
-            base += man.dim
-        raise KeyError(f"no manifold named {name!r}")
+        base, man = self._place(name)
+        return slice(base, base + man.dim)
 
     def projector(self, *names: str) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -170,16 +203,25 @@ class LevelScheme:
 
     @cached_property
     def _zeeman(self) -> np.ndarray:
-        diag = []
-        for man in self.manifolds:
-            diag.extend(man.g * float(m) for m in man.m_values)
-        return _read_only(np.diag(diag).astype(complex))
+        return _read_only(np.diag(self._zeeman_diagonal).astype(complex))
+
+    @cached_property
+    def _zeeman_diagonal(self) -> np.ndarray:
+        return _read_only(np.array([man.g * float(m) for man in self.manifolds
+                                    for m in man.m_values]))
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        return _read_only(np.concatenate(
+            [np.full(man.dim, man.offset) for man in self.manifolds]))
 
     def static_hamiltonian(self, b: float) -> np.ndarray:
-        """Manifold offsets plus Zeeman splitting at field b = mu_B*B (rad/s)."""
-        offsets = np.concatenate(
-            [np.full(man.dim, man.offset) for man in self.manifolds])
-        return np.diag(offsets).astype(complex) + b * self.zeeman_generator()
+        """Manifold offsets plus Zeeman splitting at field b = mu_B*B (rad/s).
+
+        A fresh array on every call; the diagonals it is built from are
+        computed once per scheme.
+        """
+        return np.diag(self._offsets + b * self._zeeman_diagonal).astype(complex)
 
     def spin_operator(self, name: str, component: str) -> np.ndarray:
         """Embedded single-manifold spin matrix; component in {x, y, z, +, -}."""
@@ -210,26 +252,30 @@ class LevelScheme:
             raise ValueError(f"unknown polarization {polarization!r}") from None
         allowed = None
         if transitions is not None:
-            allowed = frozenset(angular.as_half_int(m) for m in transitions)
-        key = (tuple((man.name, man.j) for man in self.manifolds),
-               lower, upper, polarization, allowed)
+            allowed = frozenset(_twice(m) for m in transitions)
+        key = (self._structure, lower, upper, polarization, allowed)
         out = _DIPOLE_CACHE.get(key)
         if out is not None:
             return out
-        low = self.manifold(lower)
-        up = self.manifold(upper)
+        low_base, low = self._place(lower)
+        up_base, up = self._place(upper)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m in low.m_values:
-            if allowed is not None and m not in allowed:
+        for k, m in enumerate(low.m_values):
+            two_m = 2 * k - low.two_j
+            if allowed is not None and two_m not in allowed:
                 continue
-            mu = m + q
-            if abs(mu) > up.j:
+            two_mu = two_m + 2 * q
+            if abs(two_mu) > up.two_j:
                 continue
-            coeff = angular.clebsch_gordan(low.j, m, 1, q, up.j, mu)
+            coeff = angular.clebsch_gordan(low.j, m, 1, q, up.j, m + q)
             if coeff != 0.0:
-                out[self.index(upper, mu), self.index(lower, m)] = coeff
+                out[up_base + (two_mu + up.two_j) // 2, low_base + k] = coeff
         _DIPOLE_CACHE[key] = _read_only(out)
         return out
+
+    @cached_property
+    def _structure(self) -> tuple[tuple[str, int], ...]:
+        return tuple((man.name, man.two_j) for man in self.manifolds)
 
     def collapse_operators(self, channel: DecayChannel) -> list[np.ndarray]:
         """Lindblad jump operators (one per photon polarization) for a decay channel.

@@ -1,4 +1,4 @@
-"""Protected-subspace discovery and dressed-state decomposition.
+"""Protected-subspace discovery: the dark-pair finder and its canonical basis.
 
 A protected qubit subspace is a set of eigenstates of the (static,
 interaction-picture) Hamiltonian that share one eigenvalue and on which the
@@ -8,29 +8,31 @@ projected magnetic moment operator vanishes as a block:
 
 The first condition removes sensitivity to global drive-amplitude errors
 (no relative dynamical phase), the second removes first-order magnetic
-sensitivity.  The search is exhaustive: eigenvalues are clustered, the
-projected Jz is diagonalized inside every cluster, and its zero directions
-are collected.  Inside degenerate blocks the basis returned by the
-eigensolver is arbitrary, so candidates are canonicalized against two
-diagonal bookkeeping operators (manifold ordinal, then the parity of m
-within its manifold) before a deterministic phase and ordering convention
-is applied.  This makes golden-file comparisons meaningful.
+sensitivity.  The search is exhaustive: eigenvalues are clustered, Jz is
+projected once into the whole eigenbasis, and every cluster's diagonal
+block of that projection is searched for zero directions (read off the
+diagonal for a single eigenvalue, diagonalized for a degenerate cluster).
+Inside degenerate blocks the basis returned by the eigensolver is
+arbitrary, so candidates are canonicalized against two diagonal
+bookkeeping operators (manifold ordinal, then the parity of m within its
+manifold) before a deterministic phase and ordering convention is
+applied.  This makes golden-file comparisons meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .driving import _check_hermitian
 from .levels import LevelScheme
 
 __all__ = [
     "SubspaceReport",
-    "DressedState",
     "ProtectionError",
     "find_protected_subspace",
-    "dressed_decomposition",
     "canonical_order",
 ]
 
@@ -69,47 +71,40 @@ class SubspaceReport:
         return len(self.dark_states)
 
 
-@dataclass(frozen=True)
-class DressedState:
-    eigenvalue: float
-    state: np.ndarray
-    excited_fraction: float | None = None
-    bright_component: np.ndarray | None = None
+def _cluster_bounds(sorted_values: np.ndarray, tol: float) -> list[int]:
+    """Start of each cluster of ascending values, then len(values).
+
+    A value joins the current cluster when it lies within tol of the
+    previous one.
+    """
+    vals = sorted_values.tolist()
+    return [0, *[k for k in range(1, len(vals)) if vals[k] - vals[k - 1] > tol],
+            len(vals)]
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(values)
-    clusters: list[list[int]] = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [np.array(c) for c in clusters]
-
-
-def _split_degenerate(vectors: np.ndarray, operator: np.ndarray,
+def _split_degenerate(vectors: np.ndarray, diagonal: np.ndarray,
                       tol: float) -> list[np.ndarray]:
-    """Rotate columns to diagonalize a projected operator; group by eigenvalue."""
-    proj = vectors.conj().T @ operator @ vectors
+    """Rotate columns to diagonalize a projected diagonal operator; group
+    by eigenvalue.  A single column is returned as it is."""
+    if vectors.shape[1] == 1:
+        return [vectors]
+    proj = (vectors.conj().T * diagonal) @ vectors
     proj = (proj + proj.conj().T) / 2.0
     vals, rot = np.linalg.eigh(proj)
     rotated = vectors @ rot
-    scale = max(1.0, np.abs(vals).max()) if vals.size else 1.0
-    return [rotated[:, idx] for idx in _cluster(vals, tol * scale)]
+    bounds = _cluster_bounds(vals, tol * max(1.0, *np.abs(vals).tolist()))
+    return [rotated[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _bookkeeping_operators(scheme: LevelScheme | None,
-                           dim: int) -> list[np.ndarray]:
-    if scheme is None:
-        return []
-    manifold_ord = np.zeros(dim)
-    parity = np.zeros(dim)
-    for k, man in enumerate(scheme.manifolds):
-        sl = scheme.slice(man.name)
-        manifold_ord[sl] = k
-        parity[sl] = [(-1) ** i for i in range(man.dim)]
-    return [np.diag(manifold_ord), np.diag(parity)]
+@lru_cache(maxsize=None)
+def _bookkeeping_diagonals(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Manifold ordinal and parity of m within the manifold, per basis
+    state, for manifolds of these dimensions in order."""
+    ordinal = np.repeat(np.arange(len(dims), dtype=float), dims)
+    parity = np.concatenate([1.0 - 2.0 * (np.arange(d) % 2) for d in dims])
+    for shared in (ordinal, parity):
+        shared.flags.writeable = False
+    return ordinal, parity
 
 
 def canonical_order(vectors: np.ndarray, scheme: LevelScheme | None = None,
@@ -121,14 +116,14 @@ def canonical_order(vectors: np.ndarray, scheme: LevelScheme | None = None,
     component real positive) and sorts by dominant basis index.
     """
     blocks = [vectors]
-    for op in _bookkeeping_operators(scheme, vectors.shape[0]):
-        blocks = [sub for blk in blocks
-                  for sub in _split_degenerate(blk, op, _BLOCK_TOL)]
-    cols = []
-    for blk in blocks:
-        for j in range(blk.shape[1]):
-            cols.append(_fix_phase(blk[:, j]))
-    cols.sort(key=lambda v: (_lead_index(v),))
+    if scheme is not None:
+        dims = tuple(man.dim for man in scheme.manifolds)
+        for diagonal in _bookkeeping_diagonals(dims):
+            blocks = [sub for blk in blocks
+                      for sub in _split_degenerate(blk, diagonal, _BLOCK_TOL)]
+    cols = [_fix_phase(blk[:, j]) for blk in blocks
+            for j in range(blk.shape[1])]
+    cols.sort(key=_lead_index)
     return np.column_stack(cols)
 
 
@@ -168,6 +163,14 @@ def _pair_states(vectors: np.ndarray, mu: np.ndarray, needed: int,
     return out
 
 
+def _square_operator(mat, what: str) -> np.ndarray:
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(
+            f"{what} must be a non-empty square matrix, got shape {mat.shape}")
+    return _check_hermitian(mat, what)
+
+
 def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
                             scheme: LevelScheme | None = None,
                             ) -> SubspaceReport:
@@ -180,38 +183,45 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
     scale count as degenerate, |projected Jz| within JZ_TOL as zero.
     Passing the scheme enables the canonical basis/order inside degenerate
     blocks; jz is typically scheme.zeeman_generator(), the g-weighted Jz
-    that field noise couples to.
+    that field noise couples to.  ValueError if either matrix is empty,
+    not square, not Hermitian, or of a different shape from the other.
     """
-    ham = np.asarray(hamiltonian, dtype=complex)
-    vals, vecs = np.linalg.eigh(ham)
-    scale = np.abs(vals).max() if vals.size else 0.0
-    deg_tol = max(DEGENERACY_RTOL * scale, 1e-12)
+    ham = _square_operator(hamiltonian, "hamiltonian")
+    jz = _square_operator(jz, "jz")
+    if jz.shape != ham.shape:
+        raise ValueError(f"jz has shape {jz.shape}, the hamiltonian "
+                         f"{ham.shape}")
+    vals, vecs = np.linalg.eigh(ham)  # eigenvalues ascending
+    deg_tol = max(DEGENERACY_RTOL * np.abs(vals).max(), 1e-12)
+    bounds = _cluster_bounds(vals, deg_tol)
+    # Jz in the eigenbasis; each cluster's block sits on its diagonal.
+    jz_eig = vecs.conj().T @ jz @ vecs
 
-    clusters = _cluster(vals, deg_tol)
-    candidates = []  # (states, lambda_d, gap, cluster_index)
-    diagnostics = []
-    for ci, idx in enumerate(clusters):
-        block = vecs[:, idx]
-        proj = block.conj().T @ jz @ block
-        proj = (proj + proj.conj().T) / 2.0
-        mu, rot = np.linalg.eigh(proj)
-        rotated = block @ rot
-        zero = np.abs(mu) <= JZ_TOL
-        states = [rotated[:, j] for j in range(len(mu)) if zero[j]]
-        n_zero = len(states)
-        if n_zero < PAIR_DIM:
-            states += _pair_states(rotated[:, ~zero], mu[~zero],
-                                   PAIR_DIM - n_zero)
-        lam = float(np.mean(vals[idx]))
-        diagnostics.append({
-            "eigenvalue": lam, "size": len(idx), "jz_dark": len(states),
-            "min_abs_mu": float(np.abs(mu).min()) if len(mu) else 0.0})
+    clusters = []  # (lo, hi, lambda, mu, dark states)
+    candidates = []  # (states, lambda, gap, lo, hi)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo == 1:
+            mu = jz_eig[lo:hi, lo].real
+            lam = float(vals[lo])
+            states = [vecs[:, lo]] if abs(mu[0]) <= JZ_TOL else []
+        else:
+            proj = jz_eig[lo:hi, lo:hi]
+            mu, rot = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+            rotated = vecs[:, lo:hi] @ rot
+            zero = np.abs(mu) <= JZ_TOL
+            states = [rotated[:, j] for j in np.flatnonzero(zero)]
+            if len(states) < PAIR_DIM:
+                states += _pair_states(rotated[:, ~zero], mu[~zero],
+                                       PAIR_DIM - len(states))
+            lam = float(np.mean(vals[lo:hi]))
+        clusters.append((lo, hi, lam, mu, states))
         if states:
-            others = np.delete(vals, idx)
-            gap = float(np.abs(others - lam).min()) if others.size else 0.0
-            candidates.append((states, lam, gap, ci))
+            # The nearest other eigenvalues are the sorted neighbours.
+            near = [abs(float(vals[k]) - lam) for k in (lo - 1, hi)
+                    if 0 <= k < len(vals)]
+            candidates.append((states, lam, min(near, default=0.0), lo, hi))
 
-    def finish(states, lam, gap, ci):
+    def finish(states, lam, gap, lo, hi):
         basis = np.column_stack(states)
         if scheme is not None:
             basis = canonical_order(basis, scheme)
@@ -221,9 +231,8 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
         dark = tuple(basis[:, j] for j in range(basis.shape[1]))
         jz_block = basis.conj().T @ jz @ basis
         h_block = basis.conj().T @ ham @ basis
-        comp_idx = [j for cj, idx in enumerate(clusters) if cj != ci
-                    for j in idx]
-        complement = tuple((float(vals[j]), vecs[:, j]) for j in comp_idx)
+        complement = tuple((float(vals[j]), vecs[:, j])
+                           for j in [*range(lo), *range(hi, len(vals))])
         return SubspaceReport(
             dark_states=dark, dark_eigenvalue=lam, gap=gap,
             jz_residual=float(np.abs(jz_block).max()),
@@ -246,33 +255,11 @@ def find_protected_subspace(hamiltonian: np.ndarray, jz: np.ndarray,
     if candidates:
         best = max(candidates, key=lambda c: len(c[0]))
         best_report = finish(*best)
+    diagnostics = [
+        {"eigenvalue": lam, "size": hi - lo, "jz_dark": len(states),
+         "min_abs_mu": float(np.abs(mu).min())}
+        for lo, hi, lam, mu, states in clusters]
     raise ProtectionError(
         f"no degenerate cluster supports a {PAIR_DIM}-dimensional Jz-dark "
         f"subspace; cluster summary: {diagnostics}",
         best_report, diagnostics)
-
-
-def dressed_decomposition(hamiltonian: np.ndarray,
-                          excited_projector: np.ndarray | None = None,
-                          ) -> list[DressedState]:
-    """Full eigendecomposition, sorted by eigenvalue.
-
-    With an excited-state projector, each eigenstate is annotated with its
-    excited population and the normalized ground-manifold component (the
-    bright state for the h/l dressed pairs of a Lambda block).
-    """
-    ham = np.asarray(hamiltonian, dtype=complex)
-    vals, vecs = np.linalg.eigh(ham)
-    out = []
-    for j in range(len(vals)):
-        vec = _fix_phase(vecs[:, j])
-        if excited_projector is None:
-            out.append(DressedState(float(vals[j]), vec))
-            continue
-        upper = excited_projector @ vec
-        frac = float(np.vdot(upper, upper).real)
-        ground = vec - upper
-        norm = np.linalg.norm(ground)
-        bright = ground / norm if norm > 1e-12 else None
-        out.append(DressedState(float(vals[j]), vec, frac, bright))
-    return out

@@ -256,3 +256,32 @@ def test_collapse_operators_unchanged_by_memoisation():
                     want.append(jump)
         got = scheme.all_collapse_operators()
         assert [op.tobytes() for op in got] == [op.tobytes() for op in want]
+
+
+def test_static_hamiltonian_is_a_fresh_array_over_shared_diagonals():
+    s = ca40_sdp()
+    want = np.diag(s.static_hamiltonian(0.4)).copy()
+    first = s.static_hamiltonian(0.4)
+    assert first.flags.writeable
+    first[:] = 5.0
+    second = s.static_hamiltonian(0.4)
+    assert second is not first
+    assert np.array_equal(np.diag(second), want)
+    assert np.count_nonzero(second - np.diag(want)) == 0
+    # b = 0 leaves the offsets alone
+    assert np.array_equal(np.diag(s.static_hamiltonian(0.0)).real,
+                          [-1500.0] * 2 + [0.0] * 4 + [1000.0] * 2)
+
+
+@pytest.mark.parametrize("m", [Fraction(1, 3), 1.0 / 3.0, "1/3", 0.25])
+def test_index_rejects_m_off_the_half_integers(m):
+    with pytest.raises(ValueError, match="multiple of 1/2"):
+        ca40_dp().index("D3/2", m)
+
+
+@pytest.mark.parametrize("name, m", [("D3/2", Fraction(5, 2)),
+                                     ("D3/2", -2.5), ("P1/2", "3/2"),
+                                     ("P1/2", 1)])
+def test_index_rejects_m_beyond_j(name, m):
+    with pytest.raises(ValueError, match="exceeds j"):
+        ca40_dp().index(name, m)
