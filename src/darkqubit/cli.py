@@ -25,16 +25,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .budget import total_budget
 from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
                        expectation, overlap_population)
-from .gates import (microwave_sigma_y, prepare_initial_state, protected_report,
-                    raman_sigma_x)
+from .gates import prepare_initial_state, protected_report
 from .noise import evolve_noisy
 from .scenario import (Scenario, ScenarioError, build_construction,
-                       build_noise, input_unit, load_scenario, sense_variant)
-from .sensing import (coherence_comparison, frequency_window, run_ac_sensing,
-                      run_hyperfine_sensing)
+                       build_noise, callee, input_unit, load_scenario,
+                       sense_variant)
+from .sensing import frequency_window
 from .subspace import ProtectionError
 
 __all__ = ["main", "run_scenario", "emit_plot_data"]
@@ -164,9 +162,9 @@ def _state_table(scheme, vectors) -> dict:
 #
 # A runner takes a scenario and returns (results, tables): results is
 # anything _json_safe takes, and tables maps a results key ("trace_files",
-# "sweep_files") to the (name, columns, units) of one table.  The gates,
-# sense and compare sections are their callee's keyword arguments; the
-# callee's defaults fill what the scenario leaves unset.
+# "sweep_files") to the (name, columns, units) of one table.  A section
+# that feeds a function reaches it through scenario.callee as keyword
+# arguments; the function's defaults fill what the scenario leaves unset.
 
 
 def _run_analyze(scenario):
@@ -231,13 +229,14 @@ def _run_evolve(scenario):
 
 def _run_error_budget(scenario):
     params = scenario.params
+    total_budget = callee("error_budget")
     budget = total_budget(**params)
     if not scenario.sweep:
         return budget, {}
     field = scenario.sweep["field"]
     key = field.removeprefix("error_budget.")
     rows = {field: []}
-    units = {field: input_unit("error-budget", key),
+    units = {field: input_unit(key),
              "gap_shift_total": "rad/s", "t1_limit": "s", "t2_limit": "s"}
     for value in scenario.sweep["values"]:
         swept = total_budget(**dict(params, **{key: value}))
@@ -257,28 +256,27 @@ def _run_error_budget(scenario):
 
 def _run_gates(scenario):
     params = dict(scenario.params)
-    gate = {"microwave": microwave_sigma_y,
-            "raman": raman_sigma_x}[params.pop("gate")]
+    gate = callee("gates", params.pop("gate"))
     return gate(con=build_construction(scenario), **params), {}
 
 
 def _run_sense(scenario):
     con = build_construction(scenario)
     params = dict(scenario.params)
-    if sense_variant(params.pop("variant", None),
-                     scenario.construction) == "hyperfine":
+    variant = sense_variant(params.pop("variant", None),
+                            scenario.construction)
+    if variant == "hyperfine":
         # Required by the format; the drive sits at the stretched resonance.
         del params["signal_freq"]
-        report, trace = run_hyperfine_sensing(con, **params)
     else:
-        report, trace = run_ac_sensing(con, seed=scenario.seed,
-                                       noise=build_noise(scenario), **params)
+        params.update(seed=scenario.seed, noise=build_noise(scenario))
+    report, trace = callee("sense", variant)(con, **params)
     return report, {"trace_files": ("sense_trace", *_trace_columns(trace))}
 
 
 def _run_compare(scenario):
-    return coherence_comparison(build_construction(scenario),
-                                build_noise(scenario), **scenario.params), {}
+    return callee("compare")(build_construction(scenario),
+                             build_noise(scenario), **scenario.params), {}
 
 
 _RUNNERS = {

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driving import TimeDependentHamiltonian
-from .dynamics import time_grid
+from .driving import _check_hermitian
+from .dynamics import _as_hamiltonian, time_grid
 
 __all__ = [
     "NoiseProcess",
@@ -182,8 +182,10 @@ def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int):
 
 def sample_trajectories(noise: NoiseProcess, times: np.ndarray,
                         n_traj: int) -> np.ndarray:
-    """Draw b(t) realizations on the given grid; returns [n_traj, nt]."""
-    times = np.asarray(times, dtype=float)
+    """Draw b(t) realizations on an ascending 1-d grid; [n_traj, nt]."""
+    times = time_grid(times)
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
     nt = len(times)
     if noise.kind == "quasi-static-gaussian":
         # One value per trajectory: the first normal of its stream.
@@ -385,18 +387,17 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     any other grid (and from the first chunk whose table would need more
     than _TABLE_MAX_NODES nodes) with exact per-step diagonalization.
     ``threads`` is accepted for compatibility and does not change the
-    work or the result.  Returns [nt, dim, dim].
+    work or the result.  Returns [nt, dim, dim]; ValueError if ham or
+    noise_op is not Hermitian.
     """
-    if isinstance(ham, TimeDependentHamiltonian):
-        if not ham.is_static:
-            raise NotImplementedError(
-                "evolve_noisy requires a static base Hamiltonian")
-        static = ham.static
-    else:
-        static = np.asarray(ham, dtype=complex)
+    ham = _as_hamiltonian(ham)
+    if not ham.is_static:
+        raise NotImplementedError(
+            "evolve_noisy requires a static base Hamiltonian")
+    static = ham.static
     psi0 = np.asarray(psi0, dtype=complex)
     times = time_grid(times)
-    noise_op = np.asarray(noise_op, dtype=complex)
+    noise_op = _check_hermitian(noise_op, "noise_op")
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
 

@@ -7,20 +7,27 @@ Frequencies normalize to rad/s ("100 MHz" and "2pi*100 MHz" are two
 spellings of the same angular frequency; "rad/s" suffixes are taken raw),
 times to seconds.
 
-What a file may hold is data: a field table per section gives each key's
-kind and whether it is required, _SECTIONS the sections each protocol
-reads, and _VARIANT_UNREAD what each sense variant never reads (the
-optical one also by whether noise is given, _OPTICAL_NOISE_UNREAD).  One
-reader, _Section.read, parses a section from its table.  The gates,
-sense and compare sections are the keyword arguments of the function the
-CLI hands them to.  A key or section the run would not read is rejected,
-and all problems in a file are reported together.  The canonical form
+What a file may hold follows one rule.  A section that feeds a function
+(_CALLEES) takes that function's parameters as keys, less the arguments
+the CLI supplies itself, and requires those without a default.  Its
+selector (preset, kind, gate or variant) picks the function, and a key
+that only another choice takes is rejected.  Signatures are read once,
+at import; _KINDS gives each key's kind, the one fact a signature cannot
+carry, and _SECTIONS the sections each protocol reads.  The exceptions
+are written out: sense.signal_freq is required though the hyperfine
+variant drops it; the optical sense variant's interrogation_time and
+n_traj depend on a noise section (_OPTICAL_NOISE_UNREAD); error-budget
+takes only ``scheme: {preset: ca40_dp}``; a nonzero amp_error is
+rejected; OU noise requires tau_c; and the sweep section and the evolve
+keys (_EVOLVE_KEYS, read by the CLI itself) have tables of their own.
+All problems in a file are reported together.  The canonical form
 (sorted keys, normalized numbers) feeds a sha256 hash that output files
 embed for provenance.
 """
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -28,12 +35,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .driving import (Construction, compact_construction,
-                      hyperfine_construction, ideal_construction)
-from .levels import LevelScheme, preset
-from .noise import KINDS as NOISE_KINDS
-from .noise import NoiseProcess
-from .sensing import PHASE_POLICIES, READOUT_BASES
+from . import budget, driving, gates, levels, noise, sensing
 
 __all__ = [
     "Scenario",
@@ -49,7 +51,6 @@ __all__ = [
 ]
 
 PROTOCOLS = ("analyze", "evolve", "error-budget", "gates", "sense", "compare")
-SENSING_SCHEMES = ("optical-D32", "hyperfine")
 
 # Unit prefixes as powers of ten.
 _FREQ_SCALES = {"hz": 0, "khz": 3, "mhz": 6, "ghz": 9, "thz": 12}
@@ -166,6 +167,10 @@ def _parse(kind, raw):
     return _PARSERS[kind](raw)
 
 
+def _what(kind) -> str:
+    return kind if isinstance(kind, str) else f"one of {sorted(kind)}"
+
+
 class _Section:
     """Strict mapping reader that accumulates problems instead of raising."""
 
@@ -190,9 +195,8 @@ class _Section:
                 except (TypeError, ValueError) as exc:
                     self.problems.append(f"{self.path}.{key}: {exc}")
             elif required:
-                what = kind if isinstance(kind, str) else \
-                    f"one of {sorted(kind)}"
-                self.problems.append(f"{self.path}.{key}: required ({what})")
+                self.problems.append(
+                    f"{self.path}.{key}: required ({_what(kind)})")
         for key in sorted(set(self.data) - self.seen):
             self.problems.append(f"{self.path}.{key}: unknown key")
         return out
@@ -236,7 +240,7 @@ class Scenario:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-# ------------------------------------------------------------ field tables
+# ------------------------------------------------------------- section keys
 
 
 def _required(**kinds) -> dict:
@@ -250,50 +254,69 @@ def _optional(**kinds) -> dict:
 _TOP_FIELDS = {**_required(protocol=PROTOCOLS),
                **_optional(label="str", seed="int")}
 
-# The keyword arguments of each level-scheme preset.
-_SCHEME_KWARGS = {
-    "ca40_dp": _optional(omega0="frequency", gamma="frequency"),
-    "ca40_sdp": _optional(omega0="frequency", gamma_s="frequency",
-                          gamma_d="frequency", omega_s="frequency"),
-    "d52_p32": _optional(omega0="frequency", gamma="frequency"),
-    "hyperfine_f1f2": _optional(omega_hf="frequency", g2="scalar"),
-    "hyperfine_f0f1": _optional(omega_hf="frequency", g1="scalar"),
+# The kind of each key a section may hold, the one fact a signature does
+# not carry: a _PARSERS name or a tuple of the strings allowed.
+_KINDS = {
+    **dict.fromkeys(("omega0", "gamma", "gamma_s", "gamma_d", "omega_s",
+                     "omega_hf", "omega", "b", "rwa_cutoff", "sigma",
+                     "delta_b", "omega_g", "delta_r", "signal_freq",
+                     "signal_rabi", "detuning"), "frequency"),
+    **dict.fromkeys(("tau_c", "t2star_bare", "interrogation_time",
+                     "duration"), "time"),
+    **dict.fromkeys(("g1", "g2", "amp_error", "pol_leak", "epsilon",
+                     "eps_pol", "horizon_in_bare_t2"), "scalar"),
+    **dict.fromkeys(("seed", "n_draws", "n_traj", "points"), "int"),
+    "cross_check": "bool", "lower": "str", "upper": "str",
+    "kind": noise.KINDS, "phase_policy": sensing.PHASE_POLICIES,
+    "readout_basis": sensing.READOUT_BASES,
+    "initial": ("D1", "D2", "superposition"),
 }
 
-_CONSTRUCTION_FIELDS = {
-    **_required(kind=("ideal", "compact", "hyperfine"), omega="frequency",
-                b="frequency"),
-    **_optional(lower="str", upper="str", amp_error="scalar",
-                pol_leak="scalar", rwa_cutoff="frequency"),
-}
-# Keys that act on the compact construction's two fields only.
-_COMPACT_ONLY = ("amp_error", "pol_leak")
 
-# An unset seed follows the scenario seed (build_noise).
-_NOISE_FIELDS = {**_required(kind=NOISE_KINDS, sigma="frequency"),
-                 **_optional(tau_c="time", seed="int")}
-
-# Each protocol's parameters, read from the section named after it.
-_PARAM_FIELDS = {
-    "analyze": {},
-    "evolve": {**_required(initial=("D1", "D2", "superposition"),
-                           duration="time"),
-               **_optional(points="int", n_traj="int")},
-    "error-budget": {**_required(omega="frequency", b="frequency",
-                                 delta_b="frequency", epsilon="scalar",
-                                 eps_pol="scalar", gamma="frequency",
-                                 t2star_bare="time"),
-                     **_optional(cross_check="bool")},
-    "gates": {**_required(gate=("microwave", "raman"), omega_g="frequency"),
-              **_optional(delta_r="frequency")},
-    "sense": {**_required(signal_freq="frequency", signal_rabi="frequency"),
-              **_optional(variant=SENSING_SCHEMES,
-                          phase_policy=PHASE_POLICIES,
-                          interrogation_time="time",
-                          readout_basis=READOUT_BASES, detuning="frequency",
-                          n_draws="int", n_traj="int")},
-    "compare": _optional(n_traj="int", horizon_in_bare_t2="scalar"),
+# {section: (selector, {choice: function}, the arguments the CLI supplies
+# from outside the section, wording)}; a lone function's choice is None.
+# The parser reads a section's keys from its functions' signatures, and
+# the CLI calls the one chosen (callee).  A section with a wording reads
+# any choice's keys; the wording is how a problem names a key only other
+# choices take, and what a choice is.  A scheme reads its preset's keys
+# alone, and another preset's are unknown keys.
+_CALLEES = {
+    "scheme": ("preset", levels._PRESETS, (), None),
+    "construction": ("kind", {"ideal": driving.ideal_construction,
+                              "compact": driving.compact_construction,
+                              "hyperfine": driving.hyperfine_construction},
+                     ("scheme",), ("only the {kind} construction takes it",
+                                   "construction")),
+    # An unset seed follows the scenario seed (build_noise).
+    "noise": (None, {None: noise.NoiseProcess}, (), None),
+    "error_budget": (None, {None: budget.total_budget}, (), None),
+    "gates": ("gate", {"microwave": gates.microwave_sigma_y,
+                       "raman": gates.raman_sigma_x}, ("con",),
+              ("the {choice} gate does not read it", "gate")),
+    "sense": ("variant", {"optical-D32": sensing.run_ac_sensing,
+                          "hyperfine": sensing.run_hyperfine_sensing},
+              ("con", "noise", "seed"),
+              ("the {choice} sense variant does not read it",
+               "sense variant")),
+    "compare": (None, {None: sensing.coherence_comparison}, ("con", "noise"),
+                None),
 }
+
+# {section: {choice: {parameter: required}}}, read once at import; a
+# parameter without a default is required.
+_PARAMETERS = {name: {choice: {param: p.default is p.empty for param, p in
+                               inspect.signature(fn).parameters.items()}
+                      for choice, fn in functions.items()}
+               for name, (_, functions, _, _) in _CALLEES.items()}
+# The hyperfine drive sits at the stretched resonance, so
+# run_hyperfine_sensing takes no signal_freq; a sense section requires it
+# all the same, because the benchmark's hyperfine sense template sets it.
+_PARAMETERS["sense"]["hyperfine"]["signal_freq"] = True
+
+# cli._run_evolve reads the evolve section itself, so no signature gives
+# its keys: {key: required}.
+_EVOLVE_KEYS = {"initial": True, "duration": True, "points": False,
+                "n_traj": False}
 
 # The top-level sections each protocol reads -> whether it is required.
 # Every protocol also takes the scheme.
@@ -305,17 +328,10 @@ _SECTIONS = {
     "sense": {"construction": True, "noise": False, "sense": True},
     "compare": {"construction": True, "noise": True, "compare": False},
 }
+# The sense section comes after the construction and noise it depends on.
+_READ_ORDER = ("scheme", *dict.fromkeys(
+    name for names in _SECTIONS.values() for name in names))
 
-_SECTION_FIELDS = {
-    "construction": _CONSTRUCTION_FIELDS, "noise": _NOISE_FIELDS,
-    **{p.replace("-", "_"): fields for p, fields in _PARAM_FIELDS.items()}}
-
-# The sections and sense keys each sense variant never reads.
-_VARIANT_UNREAD = {
-    "hyperfine": (("noise",), ("n_traj", "phase_policy", "readout_basis",
-                               "n_draws")),
-    "optical-D32": ((), ("detuning",)),
-}
 # The sense keys the optical variant drops, by whether a noise section is
 # given: with one, T2 is fitted from trajectories and replaces
 # interrogation_time; without one, no trajectories run.
@@ -323,14 +339,79 @@ _OPTICAL_NOISE_UNREAD = {True: "interrogation_time", False: "n_traj"}
 
 _UNITS = {"frequency": "rad/s", "time": "s", "scalar": ""}
 # A sweep varies one numeric error_budget input.
-_SWEEP_KINDS = {f"error_budget.{name}": kind
-                for name, (kind, _) in _PARAM_FIELDS["error-budget"].items()
-                if kind in _UNITS}
+_SWEEP_KINDS = {f"error_budget.{key}": _KINDS[key]
+                for key in _PARAMETERS["error_budget"][None]
+                if _KINDS[key] in _UNITS}
 
 
-def input_unit(protocol: str, name: str) -> str:
-    """Unit of a parsed protocol input: "rad/s", "s" or "" (scalar)."""
-    return _UNITS[_PARAM_FIELDS[protocol][name][0]]
+def callee(section: str, choice: str | None = None):
+    """The function a section's keys go to, looked up on its module at
+    each call, so that a wrapper installed there after import is run."""
+    fn = _CALLEES[section][1][choice]
+    return getattr(inspect.getmodule(fn), fn.__name__)
+
+
+def input_unit(name: str) -> str:
+    """Unit of a parsed scenario input: "rad/s", "s" or "" (scalar)."""
+    return _UNITS[_KINDS[name]]
+
+
+def _section_fields(name: str, choice) -> dict:
+    """{key: (kind, required)} of a _CALLEES section for a choice (None:
+    no valid one).  A section with a wording reads any choice's keys, each
+    required if every choice requires it; a scheme its preset's alone."""
+    selector, functions, supplied, wording = _CALLEES[name]
+    pool = _PARAMETERS[name].values() if wording else [
+        _PARAMETERS[name].get(choice, {})]
+    fields = {key: (_KINDS[key], all(params.get(key, False)
+                                     for params in pool))
+              for params in pool for key in params if key not in supplied}
+    if selector:
+        # An unset sense variant follows the construction (sense_variant).
+        fields[selector] = (tuple(functions), name != "sense")
+    return fields
+
+
+# The field tables by section and choice, built at import: building them
+# per parse would double parse_scenario's time.
+_FIELDS = {name: {choice: _section_fields(name, choice)
+                  for choice in (*functions, None)}
+           for name, (_, functions, _, _) in _CALLEES.items()}
+
+
+def _read_callee(section, name: str, read: dict):
+    """(choice, keys) of a _CALLEES section; read holds those before it."""
+    selector, functions, supplied, wording = _CALLEES[name]
+    choice = str(section.data.get(selector)) if selector else None
+    choice = choice if choice in functions else None
+    if name == "sense":
+        # An unset variant follows the construction (sense_variant).
+        construction = read.get("construction")
+        choice = sense_variant(choice, construction) if construction else None
+    fields = _FIELDS[name][choice]
+    out = section.read(fields)
+    if choice is None or wording is None:
+        return choice, out
+    own, (unread, noun) = _PARAMETERS[name][choice], wording
+    for key in [key for key in out if key not in own and key != selector]:
+        del out[key]
+        takers = "/".join(c for c, params in _PARAMETERS[name].items()
+                          if key in params)
+        section.problems.append(f"{section.path}.{key}: "
+                                + unread.format(choice=choice, kind=takers))
+    for key, required in own.items():
+        # Required by this choice and not by every one.
+        if required and key in fields and not fields[key][1] \
+                and key not in out:
+            section.problems.append(f"{section.path}.{key}: required for the "
+                                    f"{choice} {noun} "
+                                    f"({_what(fields[key][0])})")
+    for arg in supplied:
+        # A section passed as an argument the function does not take.
+        if arg in read and arg not in own:
+            section.problems.append(f"scenario.{arg}: "
+                                    + unread.format(choice=choice))
+    return choice, out
 
 
 def _parse_sweep(section) -> dict:
@@ -365,21 +446,14 @@ def parse_scenario(data: dict) -> Scenario:
     problems: list[str] = []
     root = _Section(data, "scenario", problems)
     # Sections are read below; read() flags only the other unknown keys.
-    root.seen.update(("scheme", "sweep", *_SECTION_FIELDS))
+    root.seen.update(_READ_ORDER)
     top = root.read(_TOP_FIELDS)
     protocol = top.get("protocol")
-    wanted = _SECTIONS.get(protocol, {})
-
-    scheme = {}
-    section = root.subsection("scheme", required=True)
-    if section is not None:
-        kwargs = _SCHEME_KWARGS.get(str(section.data.get("preset")), {})
-        scheme = section.read({**_required(preset=tuple(_SCHEME_KWARGS)),
-                               **kwargs})
+    wanted = {"scheme": True, **_SECTIONS.get(protocol, {})}
 
     # With no valid protocol, every section is read for its own problems.
-    read = {}
-    for name in (*_SECTION_FIELDS, "sweep"):
+    read, choices = {}, {}
+    for name in _READ_ORDER:
         section = root.subsection(name, required=wanted.get(name, False))
         if section is None:
             continue
@@ -391,24 +465,25 @@ def parse_scenario(data: dict) -> Scenario:
                             f"{verb} {article} {name} section")
         elif name == "sweep":
             read[name] = _parse_sweep(section)
-        else:
-            read[name] = section.read(_SECTION_FIELDS[name])
-    construction, noise = read.get("construction"), read.get("noise")
+        elif name in _CALLEES:
+            choices[name], read[name] = _read_callee(section, name, read)
+        else:  # evolve, or analyze, which takes no keys
+            keys = _EVOLVE_KEYS if name == "evolve" else {}
+            read[name] = section.read({key: (_KINDS[key], required)
+                                       for key, required in keys.items()})
+    scheme, construction = read.get("scheme", {}), read.get("construction")
     params = read.get((protocol or "").replace("-", "_"), {})
 
-    if construction and construction.get("kind") in ("ideal", "hyperfine"):
-        problems += [f"scenario.construction.{key}: only the compact "
-                     "construction takes it"
-                     for key in _COMPACT_ONLY if key in construction]
-    elif construction and construction.get("amp_error", 0.0) != 0.0:
+    if construction and construction.get("amp_error", 0.0) != 0.0:
         # The tilted dark pair carries <Jz> ~ 3 eps/4 (budget.py), far
         # above the dark-pair finder's JZ_TOL.
         problems.append("scenario.construction.amp_error: a nonzero "
                         "amplitude error leaves no Jz-dark pair for any "
                         "protocol to find; the error-budget protocol "
                         "models it (error_budget.epsilon)")
-    if noise and noise.get("kind") == "ornstein-uhlenbeck" \
-            and "tau_c" not in noise:
+    if read.get("noise", {}).get("kind") == "ornstein-uhlenbeck" \
+            and "tau_c" not in read["noise"]:
+        # tau_c defaults to None, which only the quasi-static kind takes.
         problems.append("scenario.noise.tau_c: required for "
                         "ornstein-uhlenbeck (time)")
     if protocol == "error-budget":
@@ -419,33 +494,21 @@ def parse_scenario(data: dict) -> Scenario:
         problems += [f"scenario.scheme.{key}: the error-budget protocol "
                      "does not read it" for key in sorted(scheme)
                      if key != "preset"]
-    if params.get("gate") == "raman" and "delta_r" not in params:
-        problems.append("scenario.gates.delta_r: required for the raman "
-                        "gate (frequency)")
-    if params.get("gate") == "microwave" and "delta_r" in params:
-        problems.append("scenario.gates.delta_r: the microwave gate does "
-                        "not read it")
-    if protocol == "sense" and construction:
-        variant = sense_variant(params.get("variant"), construction)
-        sections, keys = _VARIANT_UNREAD[variant]
-        unread = [f"scenario.{s}" for s in sections if s in read] + \
-            [f"scenario.sense.{k}" for k in keys if k in params]
-        problems += [f"{path}: the {variant} sense variant does not read it"
-                     for path in unread]
+    if choices.get("sense") == "optical-D32":
         noisy = "noise" in read
         key = _OPTICAL_NOISE_UNREAD[noisy]
-        if variant == "optical-D32" and key in params:
+        if key in read["sense"]:
             given = "with" if noisy else "without"
-            problems.append(f"scenario.sense.{key}: the {variant} sense "
+            problems.append(f"scenario.sense.{key}: the optical-D32 sense "
                             f"variant does not read it {given} a noise "
                             "section")
 
     if problems:
         raise ScenarioError(problems)
     return Scenario(protocol=protocol, scheme=scheme,
-                    construction=construction, params=params, noise=noise,
-                    sweep=read.get("sweep"), seed=top.get("seed", 0),
-                    label=top.get("label", ""))
+                    construction=construction, params=params,
+                    noise=read.get("noise"), sweep=read.get("sweep"),
+                    seed=top.get("seed", 0), label=top.get("label", ""))
 
 
 def sense_variant(variant: str | None, construction: dict) -> str:
@@ -486,20 +549,19 @@ def load_scenario(path) -> Scenario:
 # ------------------------------------------------------- object construction
 
 
-def build_scheme(scenario: Scenario) -> LevelScheme:
-    kwargs = {k: v for k, v in scenario.scheme.items() if k != "preset"}
-    return preset(scenario.scheme["preset"], **kwargs)
+def build_scheme(scenario: Scenario) -> levels.LevelScheme:
+    kwargs = dict(scenario.scheme)
+    return callee("scheme", kwargs.pop("preset"))(**kwargs)
 
 
-def build_construction(scenario: Scenario) -> Construction:
+def build_construction(scenario: Scenario) -> driving.Construction:
     """The scenario's construction on its own scheme (build_scheme)."""
-    spec = dict(scenario.construction)
-    builder = {"ideal": ideal_construction, "compact": compact_construction,
-               "hyperfine": hyperfine_construction}[spec.pop("kind")]
-    return builder(build_scheme(scenario), **spec)
+    kwargs = dict(scenario.construction)
+    return callee("construction", kwargs.pop("kind"))(
+        build_scheme(scenario), **kwargs)
 
 
-def build_noise(scenario: Scenario) -> NoiseProcess | None:
+def build_noise(scenario: Scenario) -> noise.NoiseProcess | None:
     if scenario.noise is None:
         return None
-    return NoiseProcess(**{"seed": scenario.seed, **scenario.noise})
+    return callee("noise")(**{"seed": scenario.seed, **scenario.noise})

@@ -147,7 +147,8 @@ def _pair_states(vectors: np.ndarray, mu: np.ndarray, needed: int,
     For mu_+ > 0 > mu_-, the combination sqrt(-mu_-) u_+ + sqrt(mu_+) u_-
     (normalized) has exactly zero Jz expectation, and states built from
     distinct eigen-pairs have zero mutual Jz elements.  Largest magnitudes
-    are paired first so the output is reproducible.
+    are paired first and each u gets _fix_phase's phase before it is
+    combined, so the output does not depend on the eigensolver's basis.
     """
     pos = sorted([i for i in range(len(mu)) if mu[i] > 0],
                  key=lambda i: -mu[i])
@@ -158,7 +159,8 @@ def _pair_states(vectors: np.ndarray, mu: np.ndarray, needed: int,
         if len(out) >= needed:
             break
         wp, wm = mu[ip], -mu[im]
-        vec = (np.sqrt(wm) * vectors[:, ip] + np.sqrt(wp) * vectors[:, im])
+        vec = (np.sqrt(wm) * _fix_phase(vectors[:, ip])
+               + np.sqrt(wp) * _fix_phase(vectors[:, im]))
         out.append(vec / np.linalg.norm(vec))
     return out
 

@@ -1,5 +1,6 @@
 """Every top-level import of the package is used in its module, every
-function parameter is read in its function, and importing the CLI, fitting
+function parameter is read in its function, every module-level private
+name is referenced somewhere in the package, and importing the CLI, fitting
 decays, taking a gate's logarithm, sampling a Raman gate stroboscopically
 or stepping a Lindbladian loads no scipy.
 
@@ -109,6 +110,50 @@ def test_every_parameter_is_read():
         f"parameters never read: {sorted(unread - set(INERT_PARAMETERS))}"
     assert set(INERT_PARAMETERS) <= unread, \
         f"allowlisted but read: {sorted(set(INERT_PARAMETERS) - unread)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level private names a module binds: functions, classes and
+    assignment targets whose names start with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, attributes it takes and names it imports."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_name_has_a_reference():
+    # a private table or helper that nothing in the package reads is dead
+    # code: its callers went away and it stayed
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*map(_references, trees.values()))
+    orphans = sorted(f"{name}:{private}" for name, tree in trees.items()
+                     for private in _private_definitions(tree)
+                     if private not in referenced)
+    assert not orphans, f"private names nothing references: {orphans}"
 
 
 def _scipy_loaded_by(code: str) -> list[str]:

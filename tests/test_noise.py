@@ -158,6 +158,34 @@ def test_evolve_noisy_rejects_bad_grids(kind, times):
                      p, SZ, times, n_traj=4)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("times, n_traj, match", [
+    ([], 4, "non-empty ascending 1-d grid"),
+    ([[0.0, 0.1]], 4, "non-empty ascending 1-d grid"),
+    ([1.0, 0.5, 0.0], 4, "non-empty ascending 1-d grid"),
+    ([0.0, 1.0], 0, "n_traj"),
+], ids=["empty", "two-d", "decreasing", "no-trajectories"])
+def test_sample_trajectories_rejects_bad_input(kind, times, n_traj, match):
+    # a decreasing OU grid used to give NaN after the first column, and a
+    # 2-d one an array of the wrong shape, as evolve_noisy's inputs did
+    p = NoiseProcess(kind, sigma=0.5, tau_c=1.0, seed=3)
+    with pytest.raises(ValueError, match=match):
+        sample_trajectories(p, times, n_traj)
+
+
+@pytest.mark.parametrize("ham, noise_op, what", [
+    ([[0.0, 1.0], [0.0, 0.0]], SZ, "static part"),
+    (np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]], "noise_op"),
+], ids=["ham", "noise_op"])
+def test_evolve_noisy_rejects_non_hermitian_operators(ham, noise_op, what):
+    # both used to be read from their lower triangle: the upper coupling
+    # of ham was dropped and the population stayed 1.0
+    p = NoiseProcess("quasi-static-gaussian", sigma=0.5, seed=3)
+    with pytest.raises(ValueError, match=f"{what} is not Hermitian"):
+        evolve_noisy(ham, np.array([1.0, 0.0], complex), p, noise_op,
+                     np.linspace(0.0, 1.0, 5), n_traj=4)
+
+
 def test_evolve_noisy_threads_do_not_change_result():
     p = NoiseProcess("ornstein-uhlenbeck", sigma=0.3, tau_c=1.0, seed=5)
     psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 import math
@@ -17,13 +16,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkqubit import cli, levels, scenario
-from darkqubit.budget import total_budget
+from darkqubit import cli, gates, levels, scenario, sensing
 from darkqubit.cli import emit_plot_data, main
-from darkqubit.driving import (compact_construction, hyperfine_construction,
-                               ideal_construction)
 from darkqubit.dynamics import SimulationTrace
-from darkqubit.noise import NoiseProcess
 from darkqubit.scenario import (
     ScenarioError,
     build_construction,
@@ -901,58 +896,62 @@ def test_unset_noise_seed_follows_the_scenario_seed(tmp_path, noise_seed,
     assert (traces[0] == traces[1]) is same
 
 
-def _keywords(fn) -> set[str]:
-    return {name for name, p in inspect.signature(fn).parameters.items()
-            if p.default is not inspect.Parameter.empty}
+# Every argument the CLI passes from outside a section.
+CLI_SUPPLIED = {"scheme", "con", "noise", "seed"}
 
 
-def test_field_tables_match_their_callees():
-    # a key the table accepts must reach a parameter, and a preset or
-    # budget parameter must be settable from a scenario
-    for name, kwargs in scenario._SCHEME_KWARGS.items():
-        assert set(kwargs) == _keywords(getattr(levels, name)), name
-    assert set(scenario._PARAM_FIELDS["error-budget"]) == \
-        set(inspect.signature(total_budget).parameters)
-    assert set(scenario._NOISE_FIELDS) == \
-        {f.name for f in dataclasses.fields(NoiseProcess)}
-    builders = {"ideal": ideal_construction, "compact": compact_construction,
-                "hyperfine": hyperfine_construction}
-    assert set(builders) == set(scenario._CONSTRUCTION_FIELDS["kind"][0])
-    for kind, builder in builders.items():
-        receives = set(scenario._CONSTRUCTION_FIELDS) - {"kind"}
-        if kind != "compact":
-            receives -= set(scenario._COMPACT_ONLY)
-        assert receives <= set(inspect.signature(builder).parameters), kind
+def test_every_section_key_has_one_kind():
+    # a section's keys are its functions' parameters and their kinds come
+    # from one table: each parameter a scenario sets has a kind, and each
+    # kind belongs to such a parameter or to an evolve key
+    keys = set(scenario._EVOLVE_KEYS)
+    for name, (_, functions, supplied, _) in scenario._CALLEES.items():
+        assert set(supplied) <= CLI_SUPPLIED, name
+        for choice, fn in functions.items():
+            params = set(inspect.signature(fn).parameters) - set(supplied)
+            assert params <= set(scenario._KINDS), (name, choice)
+            keys |= params
+    assert set(scenario._KINDS) == keys
+
+
+def test_callee_is_looked_up_when_called():
+    # a wrapper installed on the module after import is the one called
+    assert scenario.callee("gates", "raman") is gates.raman_sigma_x
+    with mock.patch.object(levels, "ca40_dp", wraps=levels.ca40_dp) as spy:
+        build_scheme(parse_scenario(_analyze_data()))
+    spy.assert_called_once_with()
 
 
 # A value of each field kind, to probe which keys a section takes.
-_SAMPLES = {"frequency": 0.5, "time": 2.0, "scalar": 10.0, "int": 4}
+_SAMPLES = {"frequency": 0.5, "time": 2.0, "scalar": 10.0, "int": 4,
+            "bool": True, "str": "x"}
 COMPARE_YAML = COMPARE_ZERO_NOISE_YAML.replace(ZERO_NOISE, NOISE_SECTION)
 # Per case: the scenarios probed (the optical variant reads
 # interrogation_time without noise and n_traj with it), the key that picks
-# the callee, the callee's name in darkqubit.cli, the parameters the CLI
-# fills from outside the section, and the section keys it drops
-# (signal_freq: the hyperfine drive sits at the stretched resonance).
+# the callee, the module the CLI looks the callee up on and its name
+# there, the parameters the CLI fills from outside the section, and the
+# section keys it drops (signal_freq: the hyperfine drive sits at the
+# stretched resonance).
 SECTION_CALLEES = {
     "sense-optical": ((OPTICAL_SENSE_YAML, OPTICAL_SENSE_YAML + NOISE_SECTION),
-                      "variant", "run_ac_sensing", {"con", "seed", "noise"},
-                      set()),
-    "sense-hyperfine": ((HYPERFINE_SENSE_YAML,), "variant",
+                      "variant", sensing, "run_ac_sensing",
+                      {"con", "seed", "noise"}, set()),
+    "sense-hyperfine": ((HYPERFINE_SENSE_YAML,), "variant", sensing,
                         "run_hyperfine_sensing", {"con"}, {"signal_freq"}),
-    "gates-microwave": ((GATES_YAML,), "gate", "microwave_sigma_y", {"con"},
-                        set()),
+    "gates-microwave": ((GATES_YAML,), "gate", gates, "microwave_sigma_y",
+                        {"con"}, set()),
     "gates-raman": ((GATES_YAML.replace("gate: microwave", "gate: raman"),),
-                    "gate", "raman_sigma_x", {"con"}, set()),
-    "compare": ((COMPARE_YAML,), None, "coherence_comparison",
+                    "gate", gates, "raman_sigma_x", {"con"}, set()),
+    "compare": ((COMPARE_YAML,), None, sensing, "coherence_comparison",
                 {"con", "noise"}, set()),
 }
 
 
-def _accepted_keys(data: dict, section: str, fields: dict, skip) -> dict:
-    """The section as written plus every other key the parser accepts in
-    it, each tried alone with a sample value."""
+def _accepted_keys(data: dict, section: str, skip) -> dict:
+    """The section as written plus every other key of the kinds table
+    that the parser accepts in it, each tried alone with a sample value."""
     keys = dict(data[section])
-    for key, (kind, _) in fields.items():
+    for key, kind in scenario._KINDS.items():
         if key in keys or key == skip:
             continue
         value = kind[0] if isinstance(kind, tuple) else _SAMPLES[kind]
@@ -970,18 +969,17 @@ def test_sections_are_their_callees_keyword_arguments(case):
     # every key a gates, sense or compare section accepts reaches a
     # parameter of the function the CLI calls, and every parameter is
     # set from the section or by the CLI
-    texts, selector, name, supplied, dropped = SECTION_CALLEES[case]
-    real = getattr(cli, name)
+    texts, selector, module, name, supplied, dropped = SECTION_CALLEES[case]
+    real = getattr(module, name)
     reached = set()
     for text in texts:
         data = yaml.safe_load(text)
         protocol = data["protocol"]
         section = protocol.replace("-", "_")
-        keys = _accepted_keys(data, section, scenario._PARAM_FIELDS[protocol],
-                              selector)
+        keys = _accepted_keys(data, section, selector)
         parsed = parse_scenario({**data, section: keys})
         with mock.patch.object(
-                cli, name, autospec=True,
+                module, name, autospec=True,
                 return_value=(None, SimulationTrace(times=np.zeros(1)))) \
                 as callee:
             cli._RUNNERS[protocol](parsed)
