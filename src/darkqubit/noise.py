@@ -33,6 +33,11 @@ takes one of three paths:
   to time); a chunk that raises the maximum rebuilds the table.  The
   coefficients come from exact propagators at Chebyshev nodes, and the
   propagators of a block of steps come from one real GEMM over the table.
+  A block takes as many steps as keep its work buffers within
+  _TABLE_BYTES, so that they stay in cache from the GEMM to the step
+  loop, and the steps update the states in place.  Every value is
+  computed the same way whatever block its step falls in, so the block
+  size moves no result.
 * OU noise on any other grid, or once b * dt grows too large for the
   table: one batched diagonalization per step, the exact reference for
   the table.
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driving import _check_hermitian
-from .dynamics import _as_hamiltonian, time_grid
+from .dynamics import NORM_TOL, _as_hamiltonian, time_grid
 
 __all__ = [
     "NoiseProcess",
@@ -63,12 +68,11 @@ KINDS = ("ornstein-uhlenbeck", "quasi-static-gaussian")
 # A grid is uniform when every step matches the mean step to this relative
 # tolerance; np.linspace deviates by a few 1e-12.
 _UNIFORM_RTOL = 1e-9
-# Time steps per block, both for OU sampling and for table propagation on
-# uniform grids.
+# Time steps per block of OU sampling on a uniform grid: one Toeplitz GEMM
+# each.  Table propagation sizes its own blocks (_table_block).
 _BLOCK = 64
 # Time steps per streamed chunk.  A multiple of _BLOCK, so the sampling
-# blocks start at 1 + 64 j and the propagation blocks at 64 j across the
-# whole grid, whatever the chunking.  At 384 trajectories its buffer takes
+# blocks start at 1 + 64 j across the whole grid, whatever the chunking.  At 384 trajectories its buffer takes
 # 6 MB.  At 1024 steps, glibc's dynamic trim threshold (twice the largest
 # buffer freed) stayed below what one call frees, so every call faulted
 # its buffers in afresh: 2.3k page faults and about 4% more time per
@@ -85,6 +89,15 @@ _TABLE_TOL = 1e-13
 _TABLE_FLOOR = 1e-14
 _TABLE_MIN_NODES = 8
 _TABLE_MAX_NODES = 256
+# Bytes of a _StepTable's work buffers.  Each block of table propagation
+# takes as many steps as fit, so that the block's Chebyshev values,
+# propagators and states stay in a core's L2 cache between the GEMM that
+# writes them and the step loop and density products that read them.  On
+# a 2-vCPU Xeon with 2 MB of L2 per core, criterion 10's three ensembles
+# took 1.25 s in 64-step blocks, 1.09-1.16 s at budgets of 0.75-3 MB,
+# 1.19 s at 4 MB and 1.38 s at 256 kB; 128 trajectories at d = 6 were
+# fastest at 1 MB (47 ms, 57 ms in 64-step blocks).
+_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -239,25 +252,43 @@ def _chebyshev_table(static: np.ndarray, noise_op: np.ndarray,
     return coeffs[:max(1, int(np.count_nonzero(tail >= _TABLE_FLOOR)))]
 
 
+def _table_block(n: int, dim: int, order: int) -> int:
+    """Steps per block of table propagation for n trajectories.
+
+    A block of s steps holds s * n Chebyshev rows of order + 1 values and
+    s propagators, states and bras of n trajectories; the table and one
+    step's products take (order + n) * dim^2 complex entries more.  The
+    block is the most steps that keep all of it within _TABLE_BYTES, at
+    least 1 and at most 64: past 64 steps the per-block work is already a
+    small share of the step loop's.
+    """
+    per_step = n * (8 * (order + 1) + 16 * dim * dim + 32 * dim)
+    fixed = 16 * dim * dim * (order + n)
+    return max(1, min(64, (_TABLE_BYTES - fixed) // per_step))
+
+
 class _StepTable:
     """Chebyshev step propagators for n trajectories on a uniform grid.
 
     The table covers |b| <= beta, and ``cover`` rebuilds it when a chunk
     raises the peak.  The work buffers live as long as the object, so
-    chunks and blocks allocate nothing large: allocated per chunk, they
-    were handed back to the system and faulted in again (7x the page
-    faults of a criterion-10 ensemble).
+    chunks, blocks and steps allocate nothing large: allocated per chunk,
+    they were handed back to the system and faulted in again (7x the page
+    faults of a criterion-10 ensemble).  They are sized for the table's
+    order at _table_block steps, and only a rebuild that changes the
+    order resizes them.
     """
 
     def __init__(self, static: np.ndarray, noise_op: np.ndarray, dt: float,
                  n: int):
         dim = static.shape[0]
-        self.static, self.noise_op, self.dt = static, noise_op, dt
-        self.beta, self.coeffs = 0.0, None
-        self.cheb = np.empty((0, _BLOCK * n))
-        self.props = np.empty((_BLOCK * n, 2 * dim * dim))
-        self.states = np.empty((_BLOCK, dim, n), dtype=complex)
-        self.bras = np.empty_like(self.states)
+        self.static, self.noise_op, self.dt, self.n = static, noise_op, dt, n
+        self.beta, self.coeffs, self.block = 0.0, None, 0
+        self.cheb = np.empty((0, 0))
+        # One step's products props[m][i, j] * psi[j], in C order as numpy
+        # lays out the fresh product props[m] * psi, so that their sum over
+        # j adds in the order that (props[m] * psi).sum(axis=1) does.
+        self.terms = np.empty((dim, dim, n), dtype=complex)
 
     def cover(self, peak: float) -> bool:
         """Make the table valid for |b| <= peak; False if it cannot be."""
@@ -268,10 +299,15 @@ class _StepTable:
                                  self.dt)
         if table is None:
             return False
-        order = len(table)
+        order, dim = len(table), self.static.shape[0]
         self.coeffs = np.ascontiguousarray(table.reshape(order, -1)).view(float)
-        if len(self.cheb) < order:
-            self.cheb = np.empty((order, self.cheb.shape[1]))
+        if len(self.cheb) != order + 1:
+            block = self.block = _table_block(self.n, dim, order)
+            # Rows 0 to order - 1 hold T_k(b / beta), the last 2 b / beta.
+            self.cheb = np.empty((order + 1, block * self.n))
+            self.props = np.empty((block * self.n, 2 * dim * dim))
+            self.states = np.empty((block, dim, self.n), dtype=complex)
+            self.bras = np.empty_like(self.states)
         return True
 
     def advance(self, amps: np.ndarray, psi: np.ndarray,
@@ -279,36 +315,40 @@ class _StepTable:
         """Advance psi [d, n] through one step per column of amps [n, steps].
 
         Writes the sum of |psi><psi| after each step to out [steps, d, d].
-        Steps are processed in blocks: T_k(b / beta) by the three-term
-        recurrence, every propagator of the block from one real GEMM
-        against the table (real and imaginary parts interleaved), the
-        states step by step, and the block's density matrices in one
-        batched matmul.  Returns psi.
+        Steps are processed in blocks of self.block: T_k(b / beta) by the
+        three-term recurrence, every propagator of the block from one real
+        GEMM against the table (real and imaginary parts interleaved), the
+        states step by step in place, and the block's density matrices in
+        one batched matmul.  Returns psi in an array of its own, which
+        later calls do not overwrite.
         """
         n, nt = amps.shape
         order, dim = len(self.coeffs), psi.shape[0]
-        for start in range(0, nt, _BLOCK):
-            steps = min(_BLOCK, nt - start)
+        terms = self.terms
+        for start in range(0, nt, self.block):
+            steps = min(self.block, nt - start)
             poly = self.cheb[:order, :steps * n]
             poly[0] = 1.0
             if order > 1:
                 np.divide(amps[:, start:start + steps].T, self.beta,
                           out=poly[1].reshape(steps, n))
+                # Doubling is exact, so 2z T_{k-1} is 2 (z T_{k-1}).
+                twice = np.multiply(poly[1], 2.0,
+                                    out=self.cheb[order, :steps * n])
             for k in range(2, order):
-                np.multiply(poly[1], poly[k - 1], out=poly[k])
-                poly[k] *= 2.0
+                np.multiply(twice, poly[k - 1], out=poly[k])
                 poly[k] -= poly[k - 2]
             props = np.matmul(poly.T, self.coeffs, out=self.props[:steps * n])
             props = props.view(complex).reshape(
                 steps, n, dim, dim).transpose(0, 2, 3, 1)
             states = self.states[:steps]
             for m in range(steps):
-                psi = (props[m] * psi).sum(axis=1)
-                states[m] = psi
+                np.multiply(props[m], psi, out=terms)
+                psi = np.add.reduce(terms, axis=1, out=states[m])
             bras = np.conj(states, out=self.bras[:steps])
             np.matmul(states, bras.transpose(0, 2, 1),
                       out=out[start:start + steps])
-        return psi
+        return psi.copy()
 
 
 def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
@@ -388,20 +428,29 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     than _TABLE_MAX_NODES nodes) with exact per-step diagonalization.
     ``threads`` is accepted for compatibility and does not change the
     work or the result.  Returns [nt, dim, dim]; ValueError if ham or
-    noise_op is not Hermitian.
+    noise_op is not Hermitian, if noise_op's shape differs from ham's, or
+    if psi0 is not a state of length dim normalized to NORM_TOL.
     """
     ham = _as_hamiltonian(ham)
     if not ham.is_static:
         raise NotImplementedError(
             "evolve_noisy requires a static base Hamiltonian")
     static = ham.static
+    dim = static.shape[0]
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (dim,):
+        raise ValueError(f"psi0 has shape {psi0.shape}; ham needs ({dim},)")
+    if abs(np.linalg.norm(psi0) - 1.0) > NORM_TOL:
+        raise ValueError("psi0 must be normalized")
     times = time_grid(times)
+    noise_op = np.asarray(noise_op, dtype=complex)
+    if noise_op.shape != static.shape:
+        raise ValueError(f"noise_op has shape {noise_op.shape}, ham has "
+                         f"{static.shape}")
     noise_op = _check_hermitian(noise_op, "noise_op")
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
 
-    dim = static.shape[0]
     rho_sum = np.empty((len(times), dim, dim), dtype=complex)
     rho_sum[0] = n_traj * np.outer(psi0, psi0.conj())
     if noise.kind == "quasi-static-gaussian":

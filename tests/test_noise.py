@@ -186,6 +186,24 @@ def test_evolve_noisy_rejects_non_hermitian_operators(ham, noise_op, what):
                      np.linspace(0.0, 1.0, 5), n_traj=4)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("psi0, noise_op, match", [
+    ([2.0, 0.0], SZ, "psi0 must be normalized"),
+    ([1.0, 2e-4], SZ, "psi0 must be normalized"),
+    ([1.0, 0.0, 0.0], SZ, r"psi0 has shape \(3,\)"),
+    ([[1.0, 0.0]], SZ, r"psi0 has shape \(1, 2\)"),
+    ([1.0, 0.0], np.eye(3), r"noise_op has shape \(3, 3\), ham has \(2, 2\)"),
+], ids=["trace-4", "off-by-2e-8", "long", "two-d", "noise-op-3x3"])
+def test_evolve_noisy_rejects_bad_state_and_noise_op(kind, psi0, noise_op,
+                                                     match):
+    # psi0 = [2, 0] used to give density matrices of trace 4, and a 3x3
+    # noise_op a broadcast error from inside numpy
+    p = NoiseProcess(kind, sigma=0.5, tau_c=1.0, seed=3)
+    with pytest.raises(ValueError, match=match):
+        evolve_noisy(np.zeros((2, 2), complex), np.array(psi0, complex), p,
+                     noise_op, np.linspace(0.0, 1.0, 5), n_traj=4)
+
+
 def test_evolve_noisy_threads_do_not_change_result():
     p = NoiseProcess("ornstein-uhlenbeck", sigma=0.3, tau_c=1.0, seed=5)
     psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)
@@ -309,17 +327,155 @@ def test_step_table_matches_eigh_on_golden_rule_ensembles(x, sigma, n_traj):
     assert dev <= 1e-10
 
 
-def test_step_table_matches_eigh_on_compact_ca40():
+def _compact_ca40_case():
+    """Static part, Zeeman generator and dark superposition at d = 6."""
     scheme = ca40_dp()
     con = compact_construction(scheme, 0.3, 1.0)
     report = protected_report(con)
     psi0 = (report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
+    return con.ip.static, scheme.zeeman_generator(), psi0
+
+
+def test_step_table_matches_eigh_on_compact_ca40():
+    static, zeeman, psi0 = _compact_ca40_case()
     proc = NoiseProcess("ornstein-uhlenbeck", sigma=0.02, tau_c=2.0, seed=5)
     times = np.linspace(0.0, 200.0, 1001)
-    order, dev = _table_vs_eigh(con.ip.static, scheme.zeeman_generator(),
-                                psi0, proc, times, 64)
+    order, dev = _table_vs_eigh(static, zeeman, psi0, proc, times, 64)
     assert order >= 2
     assert dev <= 1e-10
+
+
+_REF_BLOCK = 64
+
+
+def _ref_advance(self, amps, psi, out):
+    """Table propagation in fixed 64-step blocks with a fresh array per
+    step: the reference that _StepTable.advance matches bit for bit.  It
+    makes the buffers that a table of 64-step blocks would hold."""
+    n, nt = amps.shape
+    order, dim = len(self.coeffs), psi.shape[0]
+    cheb = np.empty((order, _REF_BLOCK * n))
+    props_buf = np.empty((_REF_BLOCK * n, 2 * dim * dim))
+    states_buf = np.empty((_REF_BLOCK, dim, n), dtype=complex)
+    bras_buf = np.empty_like(states_buf)
+    for start in range(0, nt, _REF_BLOCK):
+        steps = min(_REF_BLOCK, nt - start)
+        poly = cheb[:order, :steps * n]
+        poly[0] = 1.0
+        if order > 1:
+            np.divide(amps[:, start:start + steps].T, self.beta,
+                      out=poly[1].reshape(steps, n))
+        for k in range(2, order):
+            np.multiply(poly[1], poly[k - 1], out=poly[k])
+            poly[k] *= 2.0
+            poly[k] -= poly[k - 2]
+        props = np.matmul(poly.T, self.coeffs, out=props_buf[:steps * n])
+        props = props.view(complex).reshape(
+            steps, n, dim, dim).transpose(0, 2, 3, 1)
+        states = states_buf[:steps]
+        for m in range(steps):
+            psi = (props[m] * psi).sum(axis=1)
+            states[m] = psi
+        bras = np.conj(states, out=bras_buf[:steps])
+        np.matmul(states, bras.transpose(0, 2, 1),
+                  out=out[start:start + steps])
+    return psi
+
+
+def _random_table(dim, n, seed):
+    """A _StepTable over random Hermitian operators, covering |b| <= 3."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    static, noise_op = a + a.conj().transpose(0, 2, 1)
+    table = noise_mod._StepTable(static, noise_op / 4.0, 0.05, n)
+    assert table.cover(3.0)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return table, psi0 / np.linalg.norm(psi0), rng
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+@pytest.mark.parametrize("n", [1, 5, 384, 1024])
+def test_cache_sized_blocks_match_64_step_blocks(dim, n):
+    # every grid length around the derived block and past one chunk gives
+    # the 64-step reference's density matrices and states bit for bit
+    table, psi0, rng = _random_table(dim, n, seed=10 * dim + n)
+    block = table.block
+    assert 1 <= block <= 64
+    psi = np.repeat(psi0[:, None], n, axis=1)
+    for nt in sorted({1, max(1, block - 1), block, block + 1, CHUNK + 1}):
+        amps = rng.uniform(-3.0, 3.0, size=(n, nt))
+        want = np.empty((nt, dim, dim), dtype=complex)
+        got = np.empty_like(want)
+        want_psi = _ref_advance(table, amps, psi, want)
+        got_psi = table.advance(amps, psi, got)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_psi, want_psi)
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_rebuilt_table_run_matches_64_step_blocks(monkeypatch, dim):
+    # a run long enough for later chunks to raise the peak and rebuild
+    # the table gives what 64-step blocks give, bit for bit
+    if dim == 2:
+        h, op, psi0 = (np.diag([2.5, -2.5]).astype(complex), SX,
+                       np.array([1.0, 0.0], complex))
+        p = NoiseProcess("ornstein-uhlenbeck", sigma=0.4, tau_c=0.2, seed=23)
+        n_traj, dt = 128, 0.025
+    else:
+        h, op, psi0 = _compact_ca40_case()
+        p = NoiseProcess("ornstein-uhlenbeck", sigma=0.02, tau_c=2.0, seed=5)
+        n_traj, dt = 32, 0.2
+    times = np.linspace(0.0, dt * 4 * CHUNK, 4 * CHUNK + 1)
+    builds = _record_builds(monkeypatch)
+    got = evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
+    assert len(builds) >= 2 and all(table is not None for _, table in builds)
+    assert noise_mod._table_block(n_traj, dim, len(builds[-1][1])) < 64
+    monkeypatch.setattr(noise_mod._StepTable, "advance", _ref_advance)
+    want = evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, dim", [(1024, 6), (384, 2)])
+def test_step_table_work_buffers_fit_the_byte_budget(n, dim):
+    # all that a table holds fits _TABLE_BYTES unless one step alone does
+    # not, a block one step longer would not fit, and advancing keeps
+    # nothing but the state it returns (numpy's iterators still take
+    # scratch memory for the strided operands while a step runs)
+    budget = noise_mod._TABLE_BYTES
+    _random_table(dim, 1, seed=0)  # numpy.linalg allocates on first use
+    tracemalloc.start()
+    try:
+        table, psi0, rng = _random_table(dim, n, seed=n)
+        held = tracemalloc.get_traced_memory()[0]
+        amps = rng.uniform(-3.0, 3.0, size=(n, 3 * table.block + 1))
+        psi = np.repeat(psi0[:, None], n, axis=1)
+        out = np.empty((amps.shape[1], dim, dim), dtype=complex)
+        before = tracemalloc.get_traced_memory()[0]
+        last = table.advance(amps, psi, out)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_step = sum(buf.nbytes for buf in (table.cheb, table.props,
+                                          table.states, table.bras)) \
+        // table.block
+    assert held <= budget or table.block == 1
+    assert held + per_step > budget
+    assert kept <= last.nbytes + 1024
+    # 1024 six-level trajectories take the minimum block
+    assert table.block == 1 if dim == 6 else table.block > 1
+
+
+def test_table_block_rule():
+    # between 1 and 64 steps, fewer as trajectories or levels are added
+    ns = [1, 2, 5, 32, 128, 384, 1024, 4096, 65536]
+    dims = [1, 2, 4, 6, 8, 16, 32]
+    blocks = np.array([[noise_mod._table_block(n, dim, 8) for dim in dims]
+                       for n in ns])
+    assert blocks.min() == 1 and blocks.max() == 64
+    assert np.all(np.diff(blocks, axis=0) <= 0)
+    assert np.all(np.diff(blocks, axis=1) <= 0)
+    assert noise_mod._table_block(1, 2, 8) == 64
+    assert noise_mod._table_block(1024, 6, 8) == 1
 
 
 def test_evolve_noisy_chooses_path_by_grid(monkeypatch):
