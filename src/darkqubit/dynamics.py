@@ -627,10 +627,17 @@ def _secant_minimum(grad, x0: float, g0: float, step: float,
     return None
 
 
-def _covariance_stderr(jac: np.ndarray, ssq: float) -> np.ndarray:
-    """sqrt(diag(inv(J^T J) ssq / (m - n))); inf if J^T J is singular."""
-    m, n = jac.shape
-    jtj = jac.T @ jac
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """a . b of 1-d arrays by numpy's pairwise sum: BLAS would split a long
+    sum across its threads, and each thread count adds in its own order."""
+    return np.add.reduce(a * b)
+
+
+def _covariance_stderr(jac_t: np.ndarray, ssq: float) -> np.ndarray:
+    """sqrt(diag(inv(J^T J) ssq / (m - n))) from J^T, [n, m]; inf if J^T J
+    is singular.  J^T J is summed as in _dot."""
+    n, m = jac_t.shape
+    jtj = np.array([[_dot(row, col) for col in jac_t] for row in jac_t])
     scale = np.sqrt(np.diag(jtj))
     if m <= n or not np.all(scale > 0.0):
         return np.full(n, np.inf)
@@ -675,7 +682,7 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
     # With an offset the column is centred, so the 2x2 normal equations
     # reduce to one division; the residual r is the same.
     target = values - values.mean() if offset else values
-    target_norm = np.sqrt(target @ target)
+    target_norm = np.sqrt(_dot(target, target))
     best = [np.inf]  # smallest squared residual seen
     last = {}
 
@@ -690,18 +697,18 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
         raw, dcol = basis(times, theta)
         mean = raw.sum() / raw.size if offset else 0.0
         col = raw - mean if offset else raw
-        norm2 = col @ col
+        norm2 = _dot(col, col)
         raw2 = norm2 + col.size * mean ** 2  # raw @ raw
         if not norm2 > FIT_SINGULAR * raw2:
             raise failed(f"met a singular basis at {names[1]} = "
                          f"{theta:.6g}: the data show no {model} decay")
-        amp = (col @ target) / norm2
+        amp = _dot(col, target) / norm2
         resid = target - amp * col
-        best[0] = min(best[0], resid @ resid)
+        best[0] = min(best[0], _dot(resid, resid))
         last.update(raw=raw, col=col, dcol=dcol, norm2=norm2, amp=amp,
                     mean=mean, resid=resid)
-        slope = -2.0 * amp * (resid @ dcol)
-        noise = 2.0 * abs(amp) * _EPS * np.sqrt(dcol @ dcol) * (
+        slope = -2.0 * amp * _dot(resid, dcol)
+        noise = 2.0 * abs(amp) * _EPS * np.sqrt(_dot(dcol, dcol)) * (
             target_norm + abs(amp) * np.sqrt(raw2))
         return 0.0 if abs(slope) <= FIT_GTOL * noise else slope
 
@@ -711,7 +718,7 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
     # 2 |P dA c|^2 with P the projector off the basis (Kaufman, BIT 15,
     # 49 (1975)), at most half of theta.
     col, dcol = last["col"], last["dcol"]
-    perp2 = dcol @ dcol - (col @ dcol) ** 2 / last["norm2"]
+    perp2 = _dot(dcol, dcol) - _dot(col, dcol) ** 2 / last["norm2"]
     if offset:
         perp2 -= dcol.sum() ** 2 / dcol.size
     newton = g0 / (2.0 * last["amp"] ** 2 * perp2) if g0 else 0.0
@@ -721,7 +728,7 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
         raise failed(f"did not converge in {FIT_MAX_EVALS} evaluations")
     amp, mean, resid = last["amp"], last["mean"], last["resid"]
     if not abs(amp) * np.sqrt(last["norm2"]) > FIT_GTOL * _EPS * np.sqrt(
-            values @ values):
+            _dot(values, values)):
         raise failed(f"found no amplitude above rounding at {names[1]} = "
                      f"{theta:.6g}: the data show no {model} decay")
     params = [amp, theta]
@@ -729,8 +736,8 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
     if offset:
         params.append(values.mean() - amp * mean)
         jac.append(np.ones_like(resid))
-    ssq = float(resid @ resid)
-    err = _covariance_stderr(np.column_stack(jac), ssq)
+    ssq = float(_dot(resid, resid))
+    err = _covariance_stderr(np.array(jac), ssq)
     return FitResult(model=model,
                      params=dict(zip(names, map(float, params))),
                      stderr=dict(zip(names, map(float, err))),

@@ -10,9 +10,16 @@ amplitude noise).  Two processes are supported:
 * quasi-static-gaussian: one Gaussian draw per trajectory, constant in time
   (the tau_c -> infinity limit).
 
-Per-trajectory generators are derived from the master seed with a
-counter-keyed SeedSequence, so trajectory k is reproducible in isolation
-and the ensemble does not depend on execution order.
+Trajectory k draws from Generator(PCG64(SeedSequence(entropy=seed,
+spawn_key=(k,)))), NumPy's policy for independent streams (NEP 19), so
+trajectory k is reproducible in isolation and the ensemble does not
+depend on execution order.  The SeedSequences are not built one by one
+(about 20 us per trajectory with its PCG64): the seed words of all n
+trajectories come from one pass of SeedSequence's hashing (O'Neill,
+HMC-CS-2014-0905).  Its pool mixing does not involve k and runs once on
+ints; the key word and the output hashing run on uint32 arrays over k.
+Each PCG64 is built from its row of words, so every stream is the
+SeedSequence's, bit for bit.
 
 OU trajectories are streamed: each generator fills its row of one reused
 buffer with the next _CHUNK unit normals, the OU update runs on the
@@ -25,7 +32,11 @@ O(n_traj * _CHUNK + nt * d^2) whatever the horizon.
 Propagation holds b(t) piecewise constant over each grid interval and
 takes one of three paths:
 
-* quasi-static noise: one diagonalization per trajectory, exact phases.
+* quasi-static noise: one diagonalization per trajectory, in real
+  arithmetic when H + b V is real, and exact phases.  On a uniform grid
+  the phases of a block of times are e^{-i lambda t} at the block's first
+  time times one table of e^{-i lambda j dt}: one exp per eigenvalue and
+  block, not per eigenvalue and time.
 * OU noise on a uniform grid: a step-propagator table.  U(b) =
   exp(-i (H + b V) dt) is expanded in Chebyshev polynomials of b / beta,
   beta = max |b| over the chunks drawn so far (Tal-Ezer & Kosloff, J.
@@ -48,7 +59,9 @@ in one thread, so runs with the same seed agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +143,108 @@ def spectral_density(noise: NoiseProcess, omega) -> np.ndarray:
     return np.where(omega == 0.0, noise.sigma ** 2, 0.0)
 
 
-def _generator(noise: NoiseProcess, index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=noise.seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(seq))
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx), after O'Neill,
+# HMC-CS-2014-0905: hash constants and multipliers of the pool and of the
+# output, and the mix multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # pool words; generate_state(4, uint64) reads each twice
+
+
+def _constants(const: int, mult: int, count: int) -> list[int]:
+    """const and the count hash constants after it, each the last * mult."""
+    out = [const]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hash(value, xor, mul):
+    """One hash of 32-bit words (ints or uint32 arrays): XOR with the
+    current constant, multiply by the next, fold the high half down."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or uint32 arrays)."""
+    result = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_words(seed, n: int) -> np.ndarray:
+    """Row k is SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(
+    4, np.uint64), for k < n; [n, 4].
+
+    The seed's words, padded with zeros to the pool size, fill and mix the
+    pool the same way for every k, so that runs once on ints.  The key
+    word k, mixed into each pool word last, and the output hashing run
+    on uint32 arrays over k.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> shift & _MASK32
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL - len(entropy))
+    hashes = _POOL + _POOL * (_POOL - 1) + _POOL * (len(entropy) - _POOL)
+    consts = _constants(_INIT_A, _MULT_A, hashes + _POOL)
+    pairs = zip(consts, consts[1:])
+
+    def hashmix(value):
+        return _hash(value, *next(pairs))
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # The key word is hashed under the last _POOL constants, one for each
+    # pool word it is mixed into.
+    keyed = np.array(consts[hashes:], dtype=np.uint32)
+    keys = np.arange(n, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32),
+                _hash(keys, keyed[:-1], keyed[1:]))
+    out = np.array(_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+    words = _hash(np.concatenate((pool, pool), axis=1), out[:-1], out[1:])
+    # Pairs of 32-bit words, little end first, as generate_state joins them.
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64,
+                                                             copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 precomputed words.  Built on
+    first use, because numpy imports numpy.random only when it is first
+    used, and a run without noise should not pay for it."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """Words for PCG64, which asks for generate_state(4, uint64) once,
+        when it is built."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds {len(self.words)} uint64 words, "
+                                 f"not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return SeedWords
+
+
+def _generators(noise: NoiseProcess, n: int) -> list[np.random.Generator]:
+    """The generators of trajectories 0 to n - 1: trajectory k's is
+    Generator(PCG64(SeedSequence(entropy=noise.seed, spawn_key=(k,))))."""
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(words)))
+            for words in _seed_words(noise.seed, n)]
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -140,7 +252,9 @@ def _uniform_step(times: np.ndarray) -> float | None:
     if len(times) < 2:
         return None
     dt = (times[-1] - times[0]) / (len(times) - 1)
-    if dt > 0 and np.allclose(np.diff(times), dt, rtol=_UNIFORM_RTOL, atol=0.0):
+    steps = np.diff(times)
+    if dt > 0 and steps.max() - dt <= _UNIFORM_RTOL * dt \
+            and dt - steps.min() <= _UNIFORM_RTOL * dt:
         return float(dt)
     return None
 
@@ -154,7 +268,7 @@ def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int):
     the next width times.  The next chunk overwrites the view.
     """
     nt = len(times)
-    gens = [_generator(noise, k) for k in range(n_traj)]
+    gens = _generators(noise, n_traj)
     buf = np.empty((n_traj, 1 + _CHUNK))
     dt = _uniform_step(times)
     if dt is None:
@@ -202,10 +316,8 @@ def sample_trajectories(noise: NoiseProcess, times: np.ndarray,
     nt = len(times)
     if noise.kind == "quasi-static-gaussian":
         # One value per trajectory: the first normal of its stream.
-        first = np.empty((n_traj, 1))
-        for k in range(n_traj):
-            first[k] = _generator(noise, k).standard_normal()
-        return noise.sigma * np.repeat(first, nt, axis=1)
+        first = [gen.standard_normal() for gen in _generators(noise, n_traj)]
+        return noise.sigma * np.repeat(np.array(first)[:, None], nt, axis=1)
 
     traj = np.empty((n_traj, nt))
     start = 0
@@ -368,22 +480,41 @@ def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
 
 def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
                             values: np.ndarray, psi0: np.ndarray,
-                            elapsed: np.ndarray, out: np.ndarray) -> None:
+                            times: np.ndarray, out: np.ndarray) -> None:
     """Sum of |psi><psi| under the frozen amplitudes values [n].
 
-    One diagonalization per trajectory, exact phases: the sums at each
-    elapsed time go to out [len(elapsed), d, d], and the states of a block
-    of times come from one batched product.
+    One diagonalization per trajectory, real when H + b V has no
+    imaginary part, and exact phases: the sums at times[1:] go to out
+    [nt - 1, d, d], and the states of a block of times come from one
+    batched product.  On a uniform grid of step dt, a block's phases are
+    e^{-i lambda t} at its first time t times one table of
+    e^{-i lambda j dt}, j below the block length.
     """
     n, dim = len(values), static.shape[0]
-    hams = static[None, :, :] + values[:, None, None] * noise_op
-    vals, vecs = np.linalg.eigh(hams)
-    amps = np.einsum("nji,j->ni", vecs.conj(), psi0)
+    if static.imag.any() or noise_op.imag.any():
+        vals, vecs = np.linalg.eigh(static + values[:, None, None] * noise_op)
+    else:
+        vals, vecs = np.linalg.eigh(static.real + values[:, None, None]
+                                    * noise_op.real)
+        vecs = vecs.astype(complex)
+    amps = np.einsum("nji,j->ni", vecs.conj(), psi0)[:, :, None]
+    elapsed = times[1:] - times[0]
     block = max(1, _QUASI_STATIC_BLOCK // (n * dim))
+    dt = _uniform_step(times)
+    if dt is not None:
+        lags = dt * np.arange(min(block, len(elapsed)))
+        within = amps * np.exp(-1j * vals[:, :, None] * lags)
     for start in range(0, len(elapsed), block):
-        phases = np.exp(-1j * vals[:, :, None] * elapsed[start:start + block])
-        states = (vecs @ (phases * amps[:, :, None])).transpose(2, 1, 0)
-        out[start:start + block] = states @ states.conj().transpose(0, 2, 1)
+        stop = min(start + block, len(elapsed))
+        if dt is None:
+            states = vecs @ (amps * np.exp(-1j * vals[:, :, None]
+                                           * elapsed[start:stop]))
+        else:  # the lead phases scale the columns of vecs
+            lead = np.exp(-1j * elapsed[start] * vals)[:, None, :]
+            states = (vecs * lead) @ within[:, :, :stop - start]
+        states = states.transpose(2, 1, 0)
+        np.matmul(states, states.conj().transpose(0, 2, 1),
+                  out=out[start:stop])
 
 
 def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
@@ -455,8 +586,8 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     rho_sum[0] = n_traj * np.outer(psi0, psi0.conj())
     if noise.kind == "quasi-static-gaussian":
         values = sample_trajectories(noise, times[:1], n_traj)[:, 0]
-        _propagate_quasi_static(static, noise_op, values, psi0,
-                                times[1:] - times[0], rho_sum[1:])
+        _propagate_quasi_static(static, noise_op, values, psi0, times,
+                                rho_sum[1:])
     else:
         _propagate_ou(static, noise_op, noise, n_traj, psi0, times,
                       rho_sum[1:])

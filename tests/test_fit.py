@@ -10,7 +10,11 @@ J^T r = 0, which reaches the minimum to rounding.
 from __future__ import annotations
 
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -294,3 +298,31 @@ def test_cli_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
                  "--out", str(out)]) == 3
     assert "gaussian fit did not converge" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+# Criterion 10's x = 0.1 ensemble has 16,835 points to fit; OpenBLAS
+# splits a dot product of more than 10,000 across its threads.
+_THREAD_COUNT_FIT = """
+import numpy as np
+from darkqubit.dynamics import fit_decay
+rng = np.random.default_rng(7)
+times = np.linspace(0.0, 60.8, 16835)
+values = np.exp(-times / 50.7) + 0.02 * rng.standard_normal(times.size)
+fit = fit_decay(times, values, "exponential", p0=(1.0, 50.0, 0.0))
+print(repr(fit.params), repr(fit.stderr))
+"""
+
+
+def test_fit_does_not_depend_on_the_blas_thread_count():
+    # each thread count added the long sums in its own order, so the
+    # fits differed in their last digits
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _THREAD_COUNT_FIT], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert len(outputs) == 1

@@ -2,7 +2,8 @@
 function parameter is read in its function, every module-level private
 name is referenced somewhere in the package, and importing the CLI, fitting
 decays, taking a gate's logarithm, sampling a Raman gate stroboscopically
-or stepping a Lindbladian loads no scipy.
+or stepping a Lindbladian loads no scipy, and importing the CLI leaves
+numpy.random unloaded.
 
 No linter ships with the project, so this parses the sources with ``ast``.
 A name counts as used when the module reads it, lists it in ``__all__``
@@ -165,6 +166,19 @@ def _scipy_loaded_by(code: str) -> list[str]:
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy imports numpy.random on first use, and only noise sampling and
+    # the Monte Carlo sensitivity use it; loading it with the CLI raised
+    # set-up time and the peak memory of runs without noise
+    code = ("import sys\nimport darkqubit, darkqubit.cli\n"
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkqubit import noise as noise_mod
 from darkqubit.driving import compact_construction
@@ -20,6 +23,13 @@ from darkqubit.noise import (
 
 SZ = np.diag([0.5, -0.5]).astype(complex)
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], complex)
+
+
+def _generator(noise, index):
+    """Trajectory index's generator, built the documented way: the
+    reference for the batch-seeded generators."""
+    seq = np.random.SeedSequence(entropy=noise.seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def test_process_validation():
@@ -64,10 +74,48 @@ def test_quasi_static_trajectories():
 def test_quasi_static_value_is_first_normal_of_each_stream(seed):
     p = NoiseProcess("quasi-static-gaussian", sigma=0.7, seed=seed)
     t = np.linspace(0.0, 5.0, 37)
-    first = np.stack([noise_mod._generator(p, k).standard_normal(len(t))
+    first = np.stack([_generator(p, k).standard_normal(len(t))
                       for k in range(24)])[:, :1]
     want = 0.7 * np.repeat(first, len(t), axis=1)
     assert np.array_equal(sample_trajectories(p, t, 24), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                      st.integers(2**128 + 1, 2**256)),
+       n=st.integers(1, 1024))
+def test_batch_seed_words_match_seed_sequence(seed, n):
+    want = np.array([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+                     .generate_state(4, np.uint64) for k in range(n)])
+    got = noise_mod._seed_words(seed, n)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 23, 2**40 + 7, 2**150 + 9])
+def test_batch_generators_give_the_reference_streams(seed):
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.5, tau_c=1.0, seed=seed)
+    got = [gen.standard_normal(4) for gen in noise_mod._generators(p, 300)]
+    want = [_generator(p, k).standard_normal(4) for k in range(300)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_negative_seed_raises_as_seed_sequence_does(kind):
+    with pytest.raises(ValueError) as raised:
+        np.random.SeedSequence(entropy=-1, spawn_key=(0,))
+    p = NoiseProcess(kind, sigma=0.5, tau_c=1.0, seed=-1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+        sample_trajectories(p, np.linspace(0.0, 1.0, 5), 4)
+
+
+def test_seed_words_serve_only_pcg64s_request():
+    words = noise_mod._seed_words(5, 1)[0]
+    seq = noise_mod._seed_words_type()(words)
+    assert seq.generate_state(4, np.uint64) is words
+    for args in ((4,), (4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            seq.generate_state(*args)
 
 
 def test_trajectory_seed_determinism():
@@ -215,7 +263,7 @@ def test_evolve_noisy_threads_do_not_change_result():
 
 def _ou_reference(noise, times, n_traj):
     """The step-by-step OU recurrence on the same unit draws."""
-    draws = np.array([noise_mod._generator(noise, k).standard_normal(len(times))
+    draws = np.array([_generator(noise, k).standard_normal(len(times))
                       for k in range(n_traj)])
     decay = np.exp(-np.diff(times) / noise.tau_c)
     kick = noise.sigma * np.sqrt(1.0 - decay**2)
@@ -229,7 +277,7 @@ def _ou_reference(noise, times, n_traj):
 def _one_shot_blocked(noise, times, n_traj):
     """The sampler before streaming: one draw per trajectory, then blocked
     Toeplitz GEMMs from column 1 over the whole [n_traj, nt] array."""
-    draws = np.array([noise_mod._generator(noise, k).standard_normal(len(times))
+    draws = np.array([_generator(noise, k).standard_normal(len(times))
                       for k in range(n_traj)])
     draws[:, 0] *= noise.sigma
     block = noise_mod._BLOCK
@@ -280,6 +328,16 @@ def test_uniform_grid_detection():
     bumped = np.linspace(0.0, 1.0, 101)
     bumped[50] += 1e-8
     assert noise_mod._uniform_step(bumped) is None
+
+
+@pytest.mark.parametrize("off, uniform", [(0.5e-9, True), (-0.5e-9, True),
+                                         (2e-9, False), (-2e-9, False)])
+def test_uniform_grid_tolerance_boundary(off, uniform):
+    # one step longer or shorter by |off| relative: it lies 0.99 |off|
+    # from the mean step, which the rule allows within _UNIFORM_RTOL = 1e-9
+    times = np.linspace(0.0, 1.0, 101)
+    times[51:] += off * 0.01
+    assert (noise_mod._uniform_step(times) is not None) == uniform
 
 
 def _kernel_run(advance, traj, psi0):
@@ -591,6 +649,18 @@ def _quasi_static_per_time(static, noise_op, traj, psi0, times):
     return rho_sum
 
 
+def _quasi_static_deviation(static, noise_op, psi0, proc, times, n_traj):
+    """Largest deviation of the blocked quasi-static branch from the
+    per-time loop, per trajectory."""
+    traj = sample_trajectories(proc, times, n_traj)
+    got = np.empty((len(times),) + static.shape, dtype=complex)
+    got[0] = n_traj * np.outer(psi0, psi0.conj())
+    noise_mod._propagate_quasi_static(static, noise_op, traj[:, 0], psi0,
+                                      times, got[1:])
+    want = _quasi_static_per_time(static, noise_op, traj, psi0, times)
+    return np.abs(got - want).max() / n_traj
+
+
 @pytest.mark.parametrize("n_traj", [32, 1024])
 def test_quasi_static_blocks_match_per_time_loop(n_traj):
     con = compact_construction(ca40_dp(), 0.3, 1.0)
@@ -598,17 +668,37 @@ def test_quasi_static_blocks_match_per_time_loop(n_traj):
     psi0 = (report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
     zeeman = con.scheme.zeeman_generator()
     proc = NoiseProcess("quasi-static-gaussian", sigma=0.05, seed=3)
+    assert not (con.ip.static.imag.any() or zeeman.imag.any())  # real eigh
     # blocks of this many times (one for 1024 trajectories) start at 1: a
     # grid shorter than one block, one ending on a block edge, one a step
-    # past it, and many; the averaged density matrices agree to 1e-12
+    # past it, and many; uniform grids from t0 = 0.7 take the phase
+    # table, and the averaged density matrices agree to 1e-12
     block = max(1, noise_mod._QUASI_STATIC_BLOCK // (n_traj * con.dim))
     for nt in (2, block + 1, block + 2, 200):
         times = 0.7 + np.linspace(0.0, 150.0, nt)
-        traj = sample_trajectories(proc, times, n_traj)
-        got = np.empty((nt, con.dim, con.dim), dtype=complex)
-        got[0] = n_traj * np.outer(psi0, psi0.conj())
-        noise_mod._propagate_quasi_static(con.ip.static, zeeman, traj[:, 0],
-                                          psi0, times[1:] - times[0], got[1:])
-        want = _quasi_static_per_time(con.ip.static, zeeman, traj, psi0,
-                                      times)
-        assert np.abs(got - want).max() / n_traj < 1e-12
+        assert noise_mod._uniform_step(times) is not None
+        assert _quasi_static_deviation(con.ip.static, zeeman, psi0, proc,
+                                       times, n_traj) < 1e-12
+    # a complex Hermitian static part takes the complex eigh
+    rng = np.random.default_rng(n_traj)
+    a = rng.normal(size=(con.dim, con.dim)) \
+        + 1j * rng.normal(size=(con.dim, con.dim))
+    twisted = con.ip.static + 0.1 * (a + a.conj().T)
+    times = 0.7 + np.linspace(0.0, 150.0, 200)
+    assert _quasi_static_deviation(twisted, zeeman, psi0, proc, times,
+                                   n_traj) < 1e-12
+    # a non-uniform grid from t0 = 12.3 takes the per-time phases
+    ragged = 12.3 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.2,
+                                                                 199))])
+    assert noise_mod._uniform_step(ragged) is None
+    for static in (con.ip.static, twisted):
+        assert _quasi_static_deviation(static, zeeman, psi0, proc, ragged,
+                                       n_traj) < 1e-12
+    # a horizon where max |lambda t| is about 1e4: each phase, here and in
+    # the loop, is off by a few eps |lambda t| (about 1e-12), so the bound
+    # is 16 eps max |lambda t|
+    times = 0.7 + np.linspace(0.0, 1e4, 400)
+    phase = np.abs(np.linalg.eigvalsh(con.ip.static)).max() * 1e4
+    assert 0.9e4 < phase < 1.1e4
+    assert _quasi_static_deviation(con.ip.static, zeeman, psi0, proc, times,
+                                   n_traj) < 16 * np.finfo(float).eps * phase
