@@ -10,16 +10,17 @@ tried in this order:
   e^{-iGt} back to the lab.  G is one least-squares solve of the link
   equations g_a = g_b (each static coupling) and g_a - g_b = w (each
   harmonic element at w), kept when it meets all of them;
-* Floquet, for any other Hamiltonian with exactly one harmonic term: the
-  spectral path on the static Sambe-space Hamiltonian of its sidebands
-  |n| <= N, with N grown until a truncation bound is below FLOQUET_TOL.
-  A sideband gauge takes the phase of the harmonic's largest element
-  into the sideband phases; when H0 and the gauged harmonic are real,
-  the Sambe matrix is real symmetric and its eigh runs in float64.  On
-  uniform grids the phases come from one table of in-block offsets.
-  It gives way when (2N + 1) dim would pass FLOQUET_MAX_DIM, where one
-  complex eigh costs as much as a typical DOP853 run (a strong, slow
-  drive);
+* Floquet, for any other Hamiltonian with exactly one harmonic term: one
+  eigh of the static Sambe-space Hamiltonian of its sidebands |n| <= N,
+  whose dim Floquet modes of one Brillouin zone then carry the state:
+  (2N + 1) dim^2 work per output time, not ((2N + 1) dim)^2.  N grows
+  until a bound on what the cut sidebands feed back, plus the unitarity
+  defect of the modes at t0, is below FLOQUET_TOL.  A sideband gauge
+  takes the phase of the harmonic's largest element into the sideband
+  phases; when H0 and the gauged harmonic are real, the Sambe matrix is
+  real symmetric and its eigh runs in float64.  It gives way when
+  (2N + 1) dim would pass FLOQUET_MAX_DIM, where one complex eigh costs
+  as much as a typical DOP853 run (a strong, slow drive);
 * DOP853 for every other harmonic Hamiltonian (several harmonics, or one
   the Floquet path gave up on), an adaptive integration whose maximum
   step is capped at a quarter period of the fastest harmonic so
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driving import TimeDependentHamiltonian, to_rotating_frame
+from .subspace import _cluster_bounds, _split_degenerate
 
 __all__ = [
     "SimulationTrace",
@@ -67,9 +69,11 @@ NORM_TOL = 1e-8
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
 # Floquet path: bound on the sideband-truncation error of each propagated
-# unit-norm column (DOP853's RTOL; the bound runs 100-1000x above the
-# error measured against DOP853 at rtol 1e-13), and the largest Sambe
-# dimension worth one eigh.  At 500, one complex eigh takes about 0.2 s
+# unit-norm column (DOP853's RTOL), and the largest Sambe dimension worth
+# one eigh.  The bound runs 6-650x (median 22x) above the error against
+# DOP853 at rtol 1e-13 wherever truncation, not rounding, sets that error
+# (1e-11 and up: the benchmark's runs and random ones, at looser
+# tolerances).  At 500, one complex eigh takes about 0.2 s
 # (2-vCPU Xeon, one BLAS thread), as long as DOP853 took on the
 # benchmark's long harmonic runs (0.12-0.25 s); a real one (real H0 and
 # gauged harmonic) takes 0.04 s.  The cap stays at 500 for real inputs
@@ -77,8 +81,6 @@ POSITIVITY_TOL = 1e-8
 # Floquet cost and bound at that size have not been measured.
 FLOQUET_TOL = 1e-10
 FLOQUET_MAX_DIM = 500
-# Output times formed per block on the Floquet path.
-_TIME_BLOCK = 64
 _EPS = np.finfo(float).eps
 
 
@@ -133,65 +135,46 @@ def _static_frame(ham: TimeDependentHamiltonian) -> np.ndarray | None:
     return g if np.abs(rows @ g - want).max(initial=0.0) <= tol else None
 
 
-def _grid_step(times: np.ndarray) -> float | None:
-    """dt when every time is times[0] + k dt to 4 ulp of max |t|, else None.
-
-    linspace grids pass.  Phases then drift from e^{-iEt} by at most
-    |E| 4 ulp(t), the rounding of Et itself; a relative tolerance on the
-    steps would let them drift by |E| t rtol.
-    """
-    dt = (times[-1] - times[0]) / max(len(times) - 1, 1)
-    ideal = times[0] + dt * np.arange(len(times))
-    tol = 4.0 * np.spacing(np.abs(times).max())
-    return dt if np.abs(times - ideal).max() <= tol else None
-
-
-def _phase_blocks(rates: np.ndarray, bias: np.ndarray, times: np.ndarray,
-                  step: float | None):
-    """Yield e^{-i (rates t + bias)}, [len(rates), block], for each
-    _TIME_BLOCK times of the grid.
-
-    With the grid's _grid_step, each block is its first time's phase
-    times one table of in-block offsets j step, built once: one complex
-    product per entry instead of one exp.
-    """
-    if step is not None:
-        offsets = step * np.arange(min(_TIME_BLOCK, len(times)))
-        table = np.exp(-1j * np.outer(rates, offsets))
-    for start in range(0, len(times), _TIME_BLOCK):
-        t = times[start:start + _TIME_BLOCK]
-        if step is None:
-            yield np.exp(-1j * (np.outer(rates, t) + bias[:, None]))
-        else:
-            first = np.exp(-1j * (rates * t[0] + bias))
-            yield first[:, None] * table[:, :len(t)]
-
-
 def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
              times: np.ndarray) -> np.ndarray | None:
-    """Sambe-space propagation of H0 + M e^{-iwt} + M^dag e^{iwt}.
+    """Floquet-mode propagation of H0 + M e^{-iwt} + M^dag e^{iwt}.
 
     With y(t) = sum_n e^{-inwt} c_n(t), the sideband amplitudes obey
     i dc_n/dt = (H0 - n w) c_n + M c_{n-1} + M^dag c_{n+1}: one static
-    block-tridiagonal H_F, here truncated to |n| <= N and solved on the
-    spectral path from c_n(t0) = delta_{n0} y0 (Shirley, Phys. Rev. 138,
-    B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)).
+    block-tridiagonal H_F, here truncated to |n| <= N (Shirley, Phys.
+    Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)).  Each
+    eigenvector v_a of H_F, at quasienergy e_a, is a Floquet mode
+    P_a(t) = sum_n e^{-inwt} v_{a,n}, and its translate by k sidebands
+    is the same mode at e_a + k w.  One translate per mode suffices:
+    the dim eigenvectors whose sideband centre sum_n n |v_{a,n}|^2 lies
+    in [-1/2, 1/2) give
+    y(t) = sum_a e^{-ie_a(t - t0)} P_a(t) <P_a(t0)|y0>,
+    dim modes per output time instead of every Sambe eigenvector.
+    Centres are rounded to 1e-6: a mode split evenly between two
+    sidebands sits at +-1/2 up to rounding, and keeps one translate, not
+    both or none.  Each exactly degenerate cluster (eigenvalues within
+    size eps max|e|, their own rounding) is first rotated to diagonalize
+    the band index in it: eigh may return any mix of translates of
+    different modes there, whose centres say nothing.  On the optical AC
+    signal (D = 174, 400 times) the path takes 6 ms, 3.7 of them in the
+    eigh (2-vCPU Xeon, one BLAS thread).
 
     Sideband gauge: with phi the phase of M's largest entry and
-    R = e^{-i phi} M, the amplitudes d_n = e^{-in phi} c_n obey the same
-    equations with R in place of M, from the same d_n(t0), and
-    y(t) = sum_n e^{-in(wt - phi)} d_n(t).  When H0 is real and R is
+    R = e^{-i phi} M, H_F is built with R in place of M and
+    P_a(t) = sum_n e^{-in(wt - phi)} v_{a,n}.  When H0 is real and R is
     real to rounding (4 eps |M|, dropped), H_F is real symmetric: its
-    eigh runs in float64, 2-3x faster than the complex one, and its real
-    eigenvectors act on the complex amplitudes as one real GEMM on their
-    interleaved float view.
+    eigh runs in float64, 2-3x faster than the complex one, and the real
+    modes meet the sideband phases in one real GEMM on their interleaved
+    float view.
 
     N starts as the smallest n whose Bessel tail (x/2)^n / n!, x = 2|M|/w,
-    times max(1, |M| span) is below FLOQUET_TOL.  Truncation feeds back at
-    most |M| (|c_N| + |c_{-N}|) per unit time, and the edge amplitudes are
-    bounded by sum_a |amp_a| |V[edge rows, a]| at all times; N grows until
-    that bound over max(span, 1/w) is below FLOQUET_TOL.  Returns None
-    when the Sambe dimension (2N + 1) dim would pass FLOQUET_MAX_DIM.
+    times max(1, |M| span) is below FLOQUET_TOL.  Truncation feeds back
+    at most |M| (|v_{a,N}| + |v_{a,-N}|) |<P_a(t0)|y0>| per unit time
+    through mode a, and the selected P(t0) must be unitary; N grows until
+    that bound over max(span, 1/w), plus the unitarity defect of P(t0),
+    is below FLOQUET_TOL.  Returns None when no Sambe dimension
+    (2N + 1) dim up to FLOQUET_MAX_DIM selects exactly dim modes that
+    pass.
     """
     dim = h0.shape[0]
     norm_m = np.linalg.norm(m, 2)
@@ -201,11 +184,15 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     if real:
         h0, r = h0.real, r.real
     span = times[-1] - times[0]
+    reach = max(span, 1.0 / freq)
+    top = (FLOQUET_MAX_DIM // dim - 1) // 2  # the largest N that fits
     tail, cutoff = max(1.0, norm_m * span), 0
-    while tail >= FLOQUET_TOL and (2 * cutoff + 1) * dim <= FLOQUET_MAX_DIM:
-        cutoff += 1
-        tail *= norm_m / freq / cutoff
-    while (2 * cutoff + 1) * dim <= FLOQUET_MAX_DIM:
+    while True:
+        while tail >= FLOQUET_TOL and cutoff <= top:
+            cutoff += 1
+            tail *= norm_m / freq / cutoff
+        if cutoff > top:
+            return None
         bands = 2 * cutoff + 1
         size = bands * dim
         h_f = np.zeros((size, size), dtype=r.dtype)
@@ -215,46 +202,53 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
             if k:
                 blocks[k, :, k - 1] = r
                 blocks[k - 1, :, k] = r.conj().T
-        sidebands = np.arange(-cutoff, cutoff + 1) * freq
-        h_f[np.diag_indices(size)] -= np.repeat(sidebands, dim)
+        orders = np.arange(-cutoff, cutoff + 1)
+        band = np.repeat(orders, dim)
+        h_f[np.diag_indices(size)] -= band * freq
         vals, vecs = np.linalg.eigh(h_f)
         del h_f, blocks  # peak memory: keep only the eigenvectors
 
-        amps = vecs[cutoff * dim:(cutoff + 1) * dim].conj().T @ y0
-        edge = (np.linalg.norm(vecs[:dim], axis=0)
-                + np.linalg.norm(vecs[-dim:], axis=0))
-        bound = (edge @ np.abs(amps)).max() * norm_m * max(span, 1.0 / freq)
-        if bound <= FLOQUET_TOL:
-            break
-        del vals, vecs  # and none of them into the next, larger round
-        # Past N the bound falls about as the tail x^n / n! does.  N grows
-        # by at least one, also when the bound is not a number.
-        while True:
-            cutoff += 1
-            bound *= 2.0 * norm_m / freq / cutoff
-            if not bound > FLOQUET_TOL:
+        bounds = _cluster_bounds(vals, size * _EPS * np.abs(vals).max())
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1:  # its columns rotated, whatever their grouping
+                vecs[:, lo:hi] = np.hstack(
+                    _split_degenerate(vecs[:, lo:hi], band, 0.5))
+        weight = np.abs(vecs) ** 2
+        centre = np.round(band @ weight, 6)
+        keep = (centre >= -0.5) & (centre < 0.5)
+        bound = np.nan
+        if np.count_nonzero(keep) == dim:
+            quasi, modes = vals[keep], vecs[:, keep].reshape(bands, dim * dim)
+            lift = np.exp(-1j * orders * (freq * times[0] - phi))
+            start = (lift @ modes).reshape(dim, dim)
+            coef = start.conj().T @ y0
+            edge = (np.sqrt(weight[:dim, keep].sum(axis=0))
+                    + np.sqrt(weight[-dim:, keep].sum(axis=0)))
+            defect = np.abs(start.conj().T @ start - np.eye(dim)).max()
+            bound = (edge @ np.abs(coef)).max() * norm_m * reach + defect
+            if bound <= FLOQUET_TOL:
                 break
-    else:
-        return None
+        del vals, vecs, weight  # and none of them into the next round
+        # Past N the bound falls about as the tail does.  N grows by at
+        # least one, also when the bound is not a number.
+        cutoff += 1
+        tail = bound * norm_m / freq / cutoff
 
-    # d(t) = V e^{-iE(t - t0)} amps, then y(t) = sum_n e^{-in(wt - phi)}
-    # d_n(t); formed per time block to keep memory O(size^2 + block size).
-    amps = amps.reshape(size, 1, -1)
-    out = np.empty((len(times), dim, amps.shape[2]), dtype=complex)
-    rel, step = times - times[0], _grid_step(times)
-    shift = sidebands * times[0] - np.arange(-cutoff, cutoff + 1) * phi
-    start = 0
-    for eigen, side in zip(_phase_blocks(vals, np.zeros(size), rel, step),
-                           _phase_blocks(sidebands, shift, rel, step)):
-        width = side.shape[1]
-        coef = (eigen[:, :, None] * amps).reshape(size, -1)
-        if real:
-            sambe = (vecs @ coef.view(float)).view(complex)
-        else:
-            sambe = vecs @ coef
-        out[start:start + width] = np.einsum(
-            "nt,ndtk->tdk", side, sambe.reshape(bands, dim, width, -1))
-        start += width
+    # The sideband phases e^{-in(wt - phi)} as powers of n = 1's, then P(t)
+    # for every time in one GEMM over the sidebands, and each time's
+    # dim x dim mode matrix on its phased coefficients.
+    side = np.ones((bands, len(times)), dtype=complex)
+    side[cutoff + 1] = np.exp(-1j * (freq * times - phi))
+    for k in range(cutoff + 2, bands):
+        side[k] = side[k - 1] * side[cutoff + 1]
+    side[:cutoff] = side[:cutoff:-1].conj()
+    if real:
+        mode_t = (modes.T @ side.view(float)).view(complex)
+    else:
+        mode_t = modes.T @ side
+    phases = np.exp(-1j * np.outer(times - times[0], quasi))
+    out = np.einsum("dat,tak->tdk", mode_t.reshape(dim, dim, -1),
+                    phases[:, :, None] * coef.reshape(dim, -1))
     return out.reshape(len(times), *y0.shape)
 
 

@@ -57,8 +57,10 @@ POLARIZATIONS = {"sigma+": 1, "pi": 0, "sigma-": -1}
 # Dipole matrices by structure: the manifolds' (name, 2j) in order, lower,
 # upper, polarization and the addressed set of 2m.  Offsets and g-factors
 # never enter the matrix, so schemes of one preset share entries; the key
-# space is bounded by the schemes in use.
+# space is bounded by the schemes in use.  Spin matrices likewise, by
+# structure, manifold and component.
 _DIPOLE_CACHE: dict[tuple, np.ndarray] = {}
+_SPIN_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -224,7 +226,14 @@ class LevelScheme:
         return np.diag(self._offsets + b * self._zeeman_diagonal).astype(complex)
 
     def spin_operator(self, name: str, component: str) -> np.ndarray:
-        """Embedded single-manifold spin matrix; component in {x, y, z, +, -}."""
+        """Embedded single-manifold spin matrix; component in {x, y, z, +, -}.
+
+        Memoised by structure and shared, so it is read-only.
+        """
+        key = (self._structure, name, component)
+        out = _SPIN_CACHE.get(key)
+        if out is not None:
+            return out
         j = self.manifold(name).j
         ops = {"x": angular.jx, "y": angular.jy, "z": angular.jz,
                "+": angular.jplus, "-": angular.jminus}
@@ -232,7 +241,8 @@ class LevelScheme:
             block = ops[component](j)
         except KeyError:
             raise ValueError(f"unknown component {component!r}") from None
-        return self._embed(name, block)
+        out = _SPIN_CACHE[key] = _read_only(self._embed(name, block))
+        return out
 
     def dipole_coupling(self, lower: str, upper: str, polarization: str,
                         transitions=None) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import expm, schur
 
-from darkqubit import dynamics
+from darkqubit import dynamics, subspace
 from darkqubit.budget import polarization_budget
 from darkqubit.driving import (
     Harmonic,
@@ -234,10 +234,18 @@ class _EighSpy:
         return self.eigh(a, *args, **kwargs)
 
 
+# The Sambe dimension of each eigh on those runs.  One solve each but
+# pol_leak's, whose Bessel-tail cutoff N = 5 leaves a bound of 1e-9.
+SAMBE_SIZES = {"sense_optical": [174], "pol_leak": [66, 78],
+               "budget_cross_check": [66], "raman_15": [54],
+               "raman_30": [54], "raman_60": [54]}
+
+
 @pytest.mark.parametrize("name", HARMONIC_RUNS)
 def test_floquet_path_matches_dop853_on_benchmark_runs(name):
     # every propagation of the run that no static frame covers takes the
-    # Floquet path, and agrees with tight-tolerance DOP853
+    # Floquet path with SAMBE_SIZES' solves, and agrees with
+    # tight-tolerance DOP853
     calls = []
     real = dynamics._integrate
 
@@ -254,8 +262,8 @@ def test_floquet_path_matches_dop853_on_benchmark_runs(name):
     (ham, y0, times), = calls
     # H0 is real and M real up to a phase on all of these: the sideband
     # gauge makes every Sambe matrix real symmetric
-    sambe = [dtype for size, dtype in eigh.calls if size > ham.dim]
-    assert sambe and all(dtype == np.float64 for dtype in sambe)
+    sambe = [(size, dtype) for size, dtype in eigh.calls if size > ham.dim]
+    assert sambe == [(size, np.float64) for size in SAMBE_SIZES[name]]
     got = dynamics._integrate(ham, y0, times)
     assert np.abs(got - _tight_dop853(ham, y0, times)).max() < 1e-10
 
@@ -273,10 +281,9 @@ def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
     # H0 + M e^{-iwt} + h.c. with a dense H0 and M, |M| / w from 1e-3 to
     # 3: no diagonal frame makes it static.  With a gauge, H0 is real
     # symmetric and M = e^{i phi} R with R real: the sideband gauge makes
-    # the Sambe matrix real, and its eigh runs in float64.  Uniform grids
-    # take the block phase tables, over several blocks when long.  The
-    # size cap, a cost choice tested below, is lifted so that every
-    # example takes the Floquet path.
+    # the Sambe matrix real, and its eigh runs in float64.  The size cap,
+    # a cost choice tested below, is lifted so that every example takes
+    # the Floquet path.
     rng = np.random.default_rng(seed)
     freq = rng.uniform(0.5, 2.0)
     h0 = _random_hermitian(rng, dim)
@@ -298,7 +305,6 @@ def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
             "long uniform": np.linspace(0.0, span, 150),
             "nonuniform": np.append(0.0, np.sort(rng.uniform(0, span, 20))),
         }[grid]
-        assert (dynamics._grid_step(times) is None) == (grid == "nonuniform")
         y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         y0 /= np.linalg.norm(y0)
     with mock.patch.object(integrate, "solve_ivp") as solver, \
@@ -315,15 +321,89 @@ def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
     assert np.abs(got - want).max() < 1e-10
 
 
-def test_grid_step_takes_linspace_grids_to_4_ulp():
-    for t0, span, n in [(0.0, 1.0, 2), (3.7, 1000.0, 1500), (1e4, 0.3, 65),
-                        (-5.0, 10.0, 401)]:
-        times = t0 + np.linspace(0.0, span, n)
-        assert dynamics._grid_step(times) == (times[-1] - t0) / (n - 1)
-        if n > 2:
-            # a time 8 ulp off falls back to one exp per time
-            times[n // 2] += 8 * np.spacing(np.abs(times).max())
-            assert dynamics._grid_step(times) is None
+class _ScrambledEigh:
+    """np.linalg.eigh that turns each degenerate cluster of eigenvectors
+    (eigenvalues within 1e-12 of the spectral scale) by a random unitary,
+    orthogonal for a real matrix: a basis as valid as eigh's own."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.eigh = np.linalg.eigh
+        self.turned = 0
+
+    def __call__(self, a, *args, **kwargs):
+        vals, vecs = self.eigh(a, *args, **kwargs)
+        tol = 1e-12 * max(1.0, np.abs(vals).max())
+        bounds = subspace._cluster_bounds(vals, tol)
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1:
+                shape = (hi - lo, hi - lo)
+                turn = self.rng.normal(size=shape)
+                if np.iscomplexobj(vecs):
+                    turn = turn + 1j * self.rng.normal(size=shape)
+                vecs[:, lo:hi] = vecs[:, lo:hi] @ np.linalg.qr(turn)[0]
+                self.turned += 1
+        return vals, vecs
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+@pytest.mark.parametrize("rotate", [True, False])
+def test_floquet_modes_survive_scrambled_degenerate_clusters(seed, phi,
+                                                             rotate):
+    # Levels 2 and 3, at 0 and w and coupled to nothing, make the Sambe
+    # states (2, n) and (3, n + 1) exactly degenerate: eigh may return any
+    # mix of the two sidebands, whose centre is then anywhere in [n, n+1].
+    # The driven pair {0, 1} has a diagonal harmonic element, so no static
+    # frame applies.  Rotating each cluster to a diagonal band index gives
+    # translates again and the right answer; without the rotation the
+    # selection or the unitarity of P(t0) must fail and give None, never
+    # a wrong number.
+    freq = 1.3
+    h0 = np.diag([0.2, -0.5, 0.0, freq]).astype(complex)
+    h0[0, 1] = h0[1, 0] = 0.3
+    m = np.zeros((4, 4), complex)
+    m[0, 0], m[1, 0] = 0.25, 0.4
+    m *= np.exp(1j * phi)
+    ham = TimeDependentHamiltonian(h0, (Harmonic(m, freq),))
+    assert dynamics._static_frame(ham) is None
+    times = 0.4 + np.linspace(0.0, 3.0, 31)
+    y0 = np.array([0.6, 0.0, 0.48, 0.64j])
+    scrambled = _ScrambledEigh(seed)
+    with mock.patch.object(np.linalg, "eigh", scrambled):
+        if rotate:
+            got = dynamics._floquet(h0, m, freq, y0, times)
+        else:
+            with mock.patch.object(dynamics, "_split_degenerate",
+                                   lambda vecs, *_: [vecs]):
+                got = dynamics._floquet(h0, m, freq, y0, times)
+    assert scrambled.turned
+    if rotate:
+        assert got is not None
+    if got is not None:
+        want = _tight_dop853(ham, y0, times)
+        assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_floquet_mode_split_between_two_sidebands_takes_one_solve(seed):
+    # levels 0 and 1 at exact sideband resonance, coupled by the harmonic:
+    # each dressed mode is split evenly between two sidebands, so its two
+    # nearest translates are centred at -1/2 and 1/2 up to rounding.
+    # Exactly one of them is kept, at the first cutoff.  Level 2's
+    # diagonal harmonic element rules out a static frame.
+    rng = np.random.default_rng(seed)
+    freq = rng.uniform(0.5, 2.0)
+    h0 = np.diag([0.0, freq, rng.uniform(-1.0, 1.0)]).astype(complex)
+    m = np.zeros((3, 3), complex)
+    m[1, 0], m[2, 2] = rng.uniform(0.05, 0.5, size=2)
+    ham = TimeDependentHamiltonian(h0, (Harmonic(m, freq),))
+    times = np.linspace(0.0, rng.uniform(1.0, 10.0), 11)
+    y0 = np.array([1.0, 0.0, 0.0], complex)
+    with mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh:
+        got = dynamics._floquet(h0, m, freq, y0, times)
+    assert len(eigh.calls) == 1
+    assert np.abs(got - _tight_dop853(ham, y0, times)).max() < 1e-10
 
 
 def test_strong_slow_drive_goes_straight_to_dop853():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from darkqubit.angular import clebsch_gordan, jx
+from darkqubit.angular import clebsch_gordan, jminus, jplus, jx, jy, jz
 from darkqubit.levels import (
     POLARIZATIONS,
     DecayChannel,
@@ -165,6 +165,23 @@ def test_spin_operator_embedding():
     assert np.allclose(op[mask], 0.0, atol=0)
 
 
+def test_spin_operator_is_shared_by_structure():
+    # offsets and g-factors never enter a spin matrix: schemes of one
+    # preset share it, and the shared entry equals a fresh embedding
+    first, second = ca40_sdp(), ca40_sdp(omega0=2000.0, gamma_s=0.3)
+    for name in ("S1/2", "D3/2", "P1/2"):
+        for comp in "xyz+-":
+            got = first.spin_operator(name, comp)
+            assert second.spin_operator(name, comp) is got
+            op = {"x": jx, "y": jy, "z": jz, "+": jplus, "-": jminus}[comp]
+            block = op(first.manifold(name).j)
+            assert np.array_equal(got, first._embed(name, block))
+    with pytest.raises(ValueError, match="unknown component"):
+        first.spin_operator("D3/2", "q")
+    with pytest.raises(KeyError):
+        first.spin_operator("F7/2", "x")
+
+
 def test_projector():
     s = ca40_sdp()
     p = s.projector("S1/2", "P1/2")
@@ -233,7 +250,7 @@ def test_shared_structure_arrays_are_read_only():
     s = ca40_sdp(gamma_s=0.3, gamma_d=0.2)
     for arr in (s.dipole_coupling("D3/2", "P1/2", "sigma+"),
                 s.dipole_coupling("S1/2", "P1/2", "pi", transitions=("1/2",)),
-                s.zeeman_generator()):
+                s.spin_operator("D3/2", "+"), s.zeeman_generator()):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
         with pytest.raises(ValueError):
