@@ -22,9 +22,9 @@ from .dynamics import (FitResult, NumericalError, SimulationTrace,
                        evolve_lindblad, evolve_stroboscopic, evolve_unitary,
                        expectation, fit_decay, liouvillian,
                        overlap_population, propagator)
-from .gates import (EffectiveQubitOp, extract_effective_hamiltonian,
-                    microwave_sigma_y, prepare_initial_state,
-                    protected_report, raman_sigma_x)
+from .gates import (EffectiveQubitOp, evolve_dark_pair,
+                    extract_effective_hamiltonian, microwave_sigma_y,
+                    prepare_initial_state, protected_report, raman_sigma_x)
 from .levels import (DecayChannel, LevelScheme, Manifold, ca40_dp, ca40_sdp,
                      d52_p32, hyperfine_f0f1, hyperfine_f1f2, preset)
 from .noise import (NoiseProcess, evolve_noisy, sample_trajectories,
@@ -58,7 +58,8 @@ __all__ = [
     "MechanismBudget", "ErrorBudget", "magnetic_shift_budget",
     "relative_amplitude_budget", "polarization_budget", "total_budget",
     "EffectiveQubitOp", "protected_report", "prepare_initial_state",
-    "extract_effective_hamiltonian", "microwave_sigma_y", "raman_sigma_x",
+    "evolve_dark_pair", "extract_effective_hamiltonian",
+    "microwave_sigma_y", "raman_sigma_x",
     "SensitivityReport", "run_ac_sensing",
     "frequency_window", "hyperfine_signal_operator",
     "run_hyperfine_sensing", "coherence_comparison", "sensitivity_compare",

@@ -25,13 +25,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
-                       expectation, overlap_population)
-from .gates import prepare_initial_state, protected_report
-from .noise import evolve_noisy
-from .scenario import (Scenario, ScenarioError, build_construction,
-                       build_noise, callee, input_unit, load_scenario,
-                       sense_variant)
+from .dynamics import NumericalError, SimulationTrace
+from .gates import protected_report
+from .scenario import (PROTOCOLS, Scenario, ScenarioError,
+                       build_construction, build_noise, call, callee,
+                       input_unit, load_scenario, select)
 from .sensing import frequency_window
 from .subspace import ProtectionError
 
@@ -127,7 +125,9 @@ def _json_safe(value):
     if isinstance(value, (np.integer,)):
         return int(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _json_safe(dataclasses.asdict(value))
+        # Field by field: dataclasses.asdict would deep-copy each first.
+        return {f.name: _json_safe(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return value
 
 
@@ -162,9 +162,7 @@ def _state_table(scheme, vectors) -> dict:
 #
 # A runner takes a scenario and returns (results, tables): results is
 # anything _json_safe takes, and tables maps a results key ("trace_files",
-# "sweep_files") to the (name, columns, units) of one table.  A section
-# that feeds a function reaches it through scenario.callee as keyword
-# arguments; the function's defaults fill what the scenario leaves unset.
+# "sweep_files") to the (name, columns, units) of one table.
 
 
 def _run_analyze(scenario):
@@ -181,50 +179,6 @@ def _run_analyze(scenario):
         "frequency_window": window,
     }
     return results, {}
-
-
-def _initial_state(params, report):
-    name = params["initial"]
-    if name == "superposition":
-        return (report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
-    return prepare_initial_state(report, name)
-
-
-def _run_evolve(scenario):
-    con = build_construction(scenario)
-    report = protected_report(con)
-    params = scenario.params
-    times = np.linspace(0.0, params["duration"], params.get("points", 400))
-    psi0 = _initial_state(params, report)
-    noise = build_noise(scenario)
-    basis = np.column_stack(report.dark_states[:2])
-    if noise is not None:
-        rho = evolve_noisy(con.ip, psi0, noise, con.scheme.zeeman_generator(),
-                           times, n_traj=params.get("n_traj", 256))
-        p1 = np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
-                       basis[:, 0]).real
-        p2 = np.einsum("i,tij,j->t", basis[:, 1].conj(), rho,
-                       basis[:, 1]).real
-        coh = np.abs(np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
-                               basis[:, 1]))
-        trace = SimulationTrace(times=times,
-                                populations={"D1": p1, "D2": p2},
-                                coherences={"pair": coh})
-    else:
-        states = evolve_unitary(con.ip, psi0, times)
-        upper_pop = expectation(states,
-                                con.scheme.projector(con.upper)).real
-        trace = SimulationTrace(
-            times=times,
-            populations={
-                "D1": overlap_population(states, basis[:, 0]),
-                "D2": overlap_population(states, basis[:, 1]),
-                "upper": upper_pop})
-    results = {
-        "final": {k: float(v[-1]) for k, v in trace.populations.items()},
-        "noise_averaged": noise is not None,
-    }
-    return results, {"trace_files": ("evolve_trace", *_trace_columns(trace))}
 
 
 def _run_error_budget(scenario):
@@ -254,39 +208,26 @@ def _run_error_budget(scenario):
     return budget, {"sweep_files": ("budget_sweep", rows, units)}
 
 
-def _run_gates(scenario):
-    params = dict(scenario.params)
-    gate = callee("gates", params.pop("gate"))
-    return gate(con=build_construction(scenario), **params), {}
+# The trace table of each protocol whose function returns (results, trace).
+_TRACES = {"evolve": "evolve_trace", "sense": "sense_trace"}
 
 
-def _run_sense(scenario):
-    con = build_construction(scenario)
-    params = dict(scenario.params)
-    variant = sense_variant(params.pop("variant", None),
-                            scenario.construction)
-    if variant == "hyperfine":
-        # Required by the format; the drive sits at the stretched resonance.
-        del params["signal_freq"]
-    else:
-        params.update(seed=scenario.seed, noise=build_noise(scenario))
-    report, trace = callee("sense", variant)(con, **params)
-    return report, {"trace_files": ("sense_trace", *_trace_columns(trace))}
+def _run_section(scenario):
+    """The protocol section's function (scenario.call), given the section's
+    keys and whichever of the construction, noise and seed it takes."""
+    name = scenario.protocol
+    results = call(name, select(name, scenario.params, scenario.construction),
+                   {**scenario.params, "con": build_construction(scenario),
+                    "noise": build_noise(scenario), "seed": scenario.seed})
+    if name not in _TRACES:
+        return results, {}
+    results, trace = results
+    return results, {"trace_files": (_TRACES[name], *_trace_columns(trace))}
 
 
-def _run_compare(scenario):
-    return callee("compare")(build_construction(scenario),
-                             build_noise(scenario), **scenario.params), {}
-
-
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "evolve": _run_evolve,
-    "error-budget": _run_error_budget,
-    "gates": _run_gates,
-    "sense": _run_sense,
-    "compare": _run_compare,
-}
+# Every protocol but analyze and error-budget calls its section's function.
+_RUNNERS = {**dict.fromkeys(PROTOCOLS, _run_section),
+            "analyze": _run_analyze, "error-budget": _run_error_budget}
 
 
 def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",

@@ -12,8 +12,10 @@ Two native operations exist for the dark-state qubit:
   same excited state, giving a second-order sigma_x rotation at
   ~ 3 Omega_g^2 / (4 delta_R).
 
-Extracted rates are authoritative everywhere: every closed-form coefficient
-is reported as a ratio against the numerics, never substituted for them.
+evolve_dark_pair follows the pair with no gate drive, with or without
+field noise.  Extracted rates are authoritative everywhere: every
+closed-form coefficient is reported as a ratio against the numerics,
+never substituted for them.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driving import Construction
-from .dynamics import (NumericalError, evolve_stroboscopic, evolve_unitary,
-                       fit_decay, overlap_population, propagator)
+from .dynamics import (NumericalError, SimulationTrace, evolve_stroboscopic,
+                       evolve_unitary, expectation, fit_decay,
+                       overlap_population, propagator)
+from .noise import NoiseProcess, evolve_noisy
 from .subspace import SubspaceReport, find_protected_subspace
 
 __all__ = [
     "EffectiveQubitOp",
     "prepare_initial_state",
+    "evolve_dark_pair",
     "microwave_sigma_y",
     "raman_sigma_x",
     "extract_effective_hamiltonian",
@@ -93,6 +98,45 @@ def prepare_initial_state(report: SubspaceReport, target) -> np.ndarray:
     if norm == 0:
         raise ValueError("target amplitudes are all zero")
     return vec / norm
+
+
+def evolve_dark_pair(con: Construction, initial: str, duration: float,
+                     points: int = 400, noise: NoiseProcess | None = None,
+                     n_traj: int = 256) -> tuple[dict, SimulationTrace]:
+    """Free evolution of the dark pair from "D1", "D2" or "superposition"
+    ((D1 + D2)/sqrt 2), prepared ideally, at points times on [0, duration].
+
+    Without noise the state evolves unitarily, and the trace holds the D1,
+    D2 and upper-manifold populations.  With noise on the Zeeman generator,
+    n_traj trajectories are averaged, and the trace holds the D1 and D2
+    populations and the pair's coherence magnitude.  Returns ({"final":
+    each population at duration, "noise_averaged": noise given}, trace).
+    """
+    report = protected_report(con)
+    psi0 = ((report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
+            if initial == "superposition"
+            else prepare_initial_state(report, initial))
+    times = np.linspace(0.0, duration, points)
+    basis = np.column_stack(report.dark_states[:2])
+    if noise is not None:
+        rho = evolve_noisy(con.ip, psi0, noise, con.scheme.zeeman_generator(),
+                           times, n_traj=n_traj)
+        p1, p2 = (np.einsum("i,tij,j->t", vec.conj(), rho, vec).real
+                  for vec in basis.T)
+        coh = np.abs(np.einsum("i,tij,j->t", basis[:, 0].conj(), rho,
+                               basis[:, 1]))
+        trace = SimulationTrace(times=times,
+                                populations={"D1": p1, "D2": p2},
+                                coherences={"pair": coh})
+    else:
+        states = evolve_unitary(con.ip, psi0, times)
+        trace = SimulationTrace(times=times, populations={
+            "D1": overlap_population(states, basis[:, 0]),
+            "D2": overlap_population(states, basis[:, 1]),
+            "upper": expectation(states,
+                                 con.scheme.projector(con.upper)).real})
+    return {"final": {k: float(v[-1]) for k, v in trace.populations.items()},
+            "noise_averaged": noise is not None}, trace
 
 
 def _axis_fidelity(matrix: np.ndarray, axis: np.ndarray) -> float:

@@ -10,16 +10,16 @@ times to seconds.
 What a file may hold follows one rule.  A section that feeds a function
 (_CALLEES) takes that function's parameters as keys, less the arguments
 the CLI supplies itself, and requires those without a default.  Its
-selector (preset, kind, gate or variant) picks the function, and a key
-that only another choice takes is rejected.  Signatures are read once,
-at import; _KINDS gives each key's kind, the one fact a signature cannot
-carry, and _SECTIONS the sections each protocol reads.  The exceptions
-are written out: sense.signal_freq is required though the hyperfine
-variant drops it; the optical sense variant's interrogation_time and
-n_traj depend on a noise section (_OPTICAL_NOISE_UNREAD); error-budget
+selector (preset, kind, gate or variant) picks the function (select),
+and a key that only another choice takes is rejected.  Signatures are
+read once, at import, and a call passes the function its own parameters
+alone (call); _KINDS gives each key's kind, the one fact a signature
+cannot carry, and _SECTIONS the sections each protocol reads.  The
+exceptions are written out: sense.signal_freq is required though the
+hyperfine variant drops it; the optical sense variant's interrogation_time
+and n_traj depend on a noise section (_OPTICAL_NOISE_UNREAD); error-budget
 takes only ``scheme: {preset: ca40_dp}``; a nonzero amp_error is
-rejected; OU noise requires tau_c; and the sweep section and the evolve
-keys (_EVOLVE_KEYS, read by the CLI itself) have tables of their own.
+rejected; OU noise requires tau_c; and the sweep section has its own table.
 All problems in a file are reported together.  The canonical form
 (sorted keys, normalized numbers) feeds a sha256 hash that output files
 embed for provenance.
@@ -276,7 +276,7 @@ _KINDS = {
 # {section: (selector, {choice: function}, the arguments the CLI supplies
 # from outside the section, wording)}; a lone function's choice is None.
 # The parser reads a section's keys from its functions' signatures, and
-# the CLI calls the one chosen (callee).  A section with a wording reads
+# the CLI calls the one chosen (call).  A section with a wording reads
 # any choice's keys; the wording is how a problem names a key only other
 # choices take, and what a choice is.  A scheme reads its preset's keys
 # alone, and another preset's are unknown keys.
@@ -300,6 +300,7 @@ _CALLEES = {
                "sense variant")),
     "compare": (None, {None: sensing.coherence_comparison}, ("con", "noise"),
                 None),
+    "evolve": (None, {None: gates.evolve_dark_pair}, ("con", "noise"), None),
 }
 
 # {section: {choice: {parameter: required}}}, read once at import; a
@@ -308,15 +309,16 @@ _PARAMETERS = {name: {choice: {param: p.default is p.empty for param, p in
                                inspect.signature(fn).parameters.items()}
                       for choice, fn in functions.items()}
                for name, (_, functions, _, _) in _CALLEES.items()}
+# {section: {choice: the parameters a call passes}}, copied before the
+# entry below.  A call reads them here, not from the function it runs, so
+# a wrapper or mock installed later (callee) receives the same call.
+_ARGUMENTS = {name: {choice: tuple(params) for choice, params in
+                     choices.items()} for name, choices in _PARAMETERS.items()}
 # The hyperfine drive sits at the stretched resonance, so
 # run_hyperfine_sensing takes no signal_freq; a sense section requires it
 # all the same, because the benchmark's hyperfine sense template sets it.
+# It reaches no call, as _ARGUMENTS keeps the function's own parameters.
 _PARAMETERS["sense"]["hyperfine"]["signal_freq"] = True
-
-# cli._run_evolve reads the evolve section itself, so no signature gives
-# its keys: {key: required}.
-_EVOLVE_KEYS = {"initial": True, "duration": True, "points": False,
-                "n_traj": False}
 
 # The top-level sections each protocol reads -> whether it is required.
 # Every protocol also takes the scheme.
@@ -351,6 +353,27 @@ def callee(section: str, choice: str | None = None):
     return getattr(inspect.getmodule(fn), fn.__name__)
 
 
+def select(name: str, section: dict, construction: dict | None):
+    """The choice a _CALLEES section's selector makes, None for no valid
+    one.  An unset sense variant follows the construction: hyperfine on a
+    hyperfine construction, else optical-D32 (None without one)."""
+    selector, functions = _CALLEES[name][:2]
+    choice = str(section.get(selector)) if selector else None
+    choice = choice if choice in functions else None
+    if name == "sense":
+        choice = (choice or ("hyperfine" if construction.get("kind")
+                             == "hyperfine" else "optical-D32")) \
+            if construction else None
+    return choice
+
+
+def call(name: str, choice, given: dict):
+    """Call the function a section's choice picks (callee) with each of its
+    parameters that given holds; the others keep their defaults."""
+    return callee(name, choice)(**{key: given[key] for key in
+                                   _ARGUMENTS[name][choice] if key in given})
+
+
 def input_unit(name: str) -> str:
     """Unit of a parsed scenario input: "rad/s", "s" or "" (scalar)."""
     return _UNITS[_KINDS[name]]
@@ -367,7 +390,7 @@ def _section_fields(name: str, choice) -> dict:
                                      for params in pool))
               for params in pool for key in params if key not in supplied}
     if selector:
-        # An unset sense variant follows the construction (sense_variant).
+        # An unset sense variant follows the construction (select).
         fields[selector] = (tuple(functions), name != "sense")
     return fields
 
@@ -381,13 +404,8 @@ _FIELDS = {name: {choice: _section_fields(name, choice)
 
 def _read_callee(section, name: str, read: dict):
     """(choice, keys) of a _CALLEES section; read holds those before it."""
-    selector, functions, supplied, wording = _CALLEES[name]
-    choice = str(section.data.get(selector)) if selector else None
-    choice = choice if choice in functions else None
-    if name == "sense":
-        # An unset variant follows the construction (sense_variant).
-        construction = read.get("construction")
-        choice = sense_variant(choice, construction) if construction else None
+    selector, _, supplied, wording = _CALLEES[name]
+    choice = select(name, section.data, read.get("construction"))
     fields = _FIELDS[name][choice]
     out = section.read(fields)
     if choice is None or wording is None:
@@ -467,10 +485,8 @@ def parse_scenario(data: dict) -> Scenario:
             read[name] = _parse_sweep(section)
         elif name in _CALLEES:
             choices[name], read[name] = _read_callee(section, name, read)
-        else:  # evolve, or analyze, which takes no keys
-            keys = _EVOLVE_KEYS if name == "evolve" else {}
-            read[name] = section.read({key: (_KINDS[key], required)
-                                       for key, required in keys.items()})
+        else:  # analyze, which takes no keys
+            read[name] = section.read({})
     scheme, construction = read.get("scheme", {}), read.get("construction")
     params = read.get((protocol or "").replace("-", "_"), {})
 
@@ -511,12 +527,6 @@ def parse_scenario(data: dict) -> Scenario:
                     seed=top.get("seed", 0), label=top.get("label", ""))
 
 
-def sense_variant(variant: str | None, construction: dict) -> str:
-    """The sense variant a scenario runs: as written, else by construction."""
-    return variant or ("hyperfine" if construction.get("kind") == "hyperfine"
-                       else "optical-D32")
-
-
 def _grid(start: float, stop: float, num: int, log: bool) -> list[float]:
     """Linear or log-spaced grid without importing numpy at parse time."""
     if num == 1:
@@ -531,16 +541,18 @@ def _grid(start: float, stop: float, num: int, log: bool) -> list[float]:
 def load_scenario(path) -> Scenario:
     # libyaml's parser when PyYAML was built with it; same safe constructors.
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # One read; a file object would make libyaml read it in chunks.
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = yaml.load(fh, Loader=loader)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = (f" at line {mark.line + 1}, column {mark.column + 1}"
-                     if mark is not None else "")
-            problem = getattr(exc, "problem", None) or exc
-            raise ScenarioError([f"{path}: malformed YAML{where}: "
-                                 f"{problem}"]) from exc
+        text = fh.read()
+    try:
+        data = yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = (f" at line {mark.line + 1}, column {mark.column + 1}"
+                 if mark is not None else "")
+        problem = getattr(exc, "problem", None) or exc
+        raise ScenarioError([f"{path}: malformed YAML{where}: "
+                             f"{problem}"]) from exc
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be a mapping"])
     return parse_scenario(data)
@@ -550,18 +562,16 @@ def load_scenario(path) -> Scenario:
 
 
 def build_scheme(scenario: Scenario) -> levels.LevelScheme:
-    kwargs = dict(scenario.scheme)
-    return callee("scheme", kwargs.pop("preset"))(**kwargs)
+    return call("scheme", scenario.scheme["preset"], scenario.scheme)
 
 
 def build_construction(scenario: Scenario) -> driving.Construction:
     """The scenario's construction on its own scheme (build_scheme)."""
-    kwargs = dict(scenario.construction)
-    return callee("construction", kwargs.pop("kind"))(
-        build_scheme(scenario), **kwargs)
+    return call("construction", scenario.construction["kind"],
+                {**scenario.construction, "scheme": build_scheme(scenario)})
 
 
 def build_noise(scenario: Scenario) -> noise.NoiseProcess | None:
     if scenario.noise is None:
         return None
-    return callee("noise")(**{"seed": scenario.seed, **scenario.noise})
+    return call("noise", None, {"seed": scenario.seed, **scenario.noise})

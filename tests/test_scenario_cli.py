@@ -896,6 +896,24 @@ def test_unset_noise_seed_follows_the_scenario_seed(tmp_path, noise_seed,
     assert (traces[0] == traces[1]) is same
 
 
+@pytest.mark.parametrize("noise", ["", NOISE_SECTION],
+                         ids=["unitary", "quasi-static"])
+def test_unset_evolve_keys_take_the_functions_defaults(tmp_path, noise):
+    # points and n_traj left out run evolve_dark_pair's defaults, 400 and
+    # 256: the same tables as a section that sets them
+    unset = EVOLVE_YAML.replace("  points: 60\n", "") + noise
+    given = unset.replace("duration: 5.0",
+                          "duration: 5.0\n  points: 400\n  n_traj: 256")
+    tables = []
+    for name, text in (("unset", unset), ("set", given)):
+        code, out = _run(tmp_path, name, text, "evolve")
+        assert code == 0
+        tables.append([(out / table).read_bytes() for table in
+                       ("evolve_trace.csv", "evolve_trace.manifest.json")])
+    assert tables[0] == tables[1]
+    assert tables[0][0].count(b"\n") == 401
+
+
 # Every argument the CLI passes from outside a section.
 CLI_SUPPLIED = {"scheme", "con", "noise", "seed"}
 
@@ -903,8 +921,8 @@ CLI_SUPPLIED = {"scheme", "con", "noise", "seed"}
 def test_every_section_key_has_one_kind():
     # a section's keys are its functions' parameters and their kinds come
     # from one table: each parameter a scenario sets has a kind, and each
-    # kind belongs to such a parameter or to an evolve key
-    keys = set(scenario._EVOLVE_KEYS)
+    # kind belongs to such a parameter
+    keys = set()
     for name, (_, functions, supplied, _) in scenario._CALLEES.items():
         assert set(supplied) <= CLI_SUPPLIED, name
         for choice, fn in functions.items():
@@ -944,6 +962,8 @@ SECTION_CALLEES = {
                     "gate", gates, "raman_sigma_x", {"con"}, set()),
     "compare": ((COMPARE_YAML,), None, sensing, "coherence_comparison",
                 {"con", "noise"}, set()),
+    "evolve": ((EVOLVE_YAML, OU_EVOLVE_YAML), None, gates, "evolve_dark_pair",
+               {"con", "noise"}, set()),
 }
 
 
@@ -966,8 +986,8 @@ def _accepted_keys(data: dict, section: str, skip) -> dict:
 
 @pytest.mark.parametrize("case", SECTION_CALLEES)
 def test_sections_are_their_callees_keyword_arguments(case):
-    # every key a gates, sense or compare section accepts reaches a
-    # parameter of the function the CLI calls, and every parameter is
+    # every key an evolve, gates, sense or compare section accepts reaches
+    # a parameter of the function the CLI calls, and every parameter is
     # set from the section or by the CLI
     texts, selector, module, name, supplied, dropped = SECTION_CALLEES[case]
     real = getattr(module, name)
