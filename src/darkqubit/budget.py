@@ -132,7 +132,6 @@ def magnetic_shift_budget(omega: float, b: float, delta_b: float,
         ham = _ip_static(scheme, b, omega)
         perturbed = ham + delta_b * scheme.zeeman_generator()
         vals = np.linalg.eigvalsh(perturbed)
-        nearest = np.sort(np.abs(vals))[:2]
         pair = vals[np.argsort(np.abs(vals))[:2]]
         numeric = float(abs(pair[0] - pair[1]))
         refined = MAGNETIC_GAP_COEFF * abs(b - 5.0 * delta_b) \
@@ -145,7 +144,7 @@ def magnetic_shift_budget(omega: float, b: float, delta_b: float,
                  "agreement": numeric / gap if gap else math.nan,
                  "agreement_refined":
                      numeric / refined if refined else math.nan,
-                 "worst_zero_distance": float(nearest[-1])}
+                 "worst_zero_distance": float(abs(pair[1]))}
     return MechanismBudget("magnetic-offset", gap, p_exc, t1, t2, check)
 
 

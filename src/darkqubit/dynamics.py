@@ -292,12 +292,8 @@ def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
 
     from scipy.integrate import solve_ivp
 
-    if y0.ndim == 1:
-        def rhs(t, y):
-            return -1j * (ham.evaluate(t) @ y)
-    else:
-        def rhs(t, y):
-            return (-1j * (ham.evaluate(t) @ y.reshape(y0.shape))).ravel()
+    def rhs(t, y):
+        return (-1j * (ham.evaluate(t) @ y.reshape(y0.shape))).ravel()
 
     # A two-point grid needs no dense output: its ends are step ends.
     t_eval = times if len(times) > 2 else None

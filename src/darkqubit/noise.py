@@ -14,12 +14,12 @@ Trajectory k draws from Generator(PCG64(SeedSequence(entropy=seed,
 spawn_key=(k,)))), NumPy's policy for independent streams (NEP 19), so
 trajectory k is reproducible in isolation and the ensemble does not
 depend on execution order.  The SeedSequences are not built one by one
-(about 20 us per trajectory with its PCG64): the seed words of all n
+(about 12 us per trajectory with its PCG64): the seed words of all n
 trajectories come from one pass of SeedSequence's hashing (O'Neill,
-HMC-CS-2014-0905).  Its pool mixing does not involve k and runs once on
-ints; the key word and the output hashing run on uint32 arrays over k.
-Each PCG64 is built from its row of words, so every stream is the
-SeedSequence's, bit for bit.
+HMC-CS-2014-0905).  Its pool does not involve k, so it is
+SeedSequence(seed)'s own; only the key word's and the output hashing
+run here, on uint32 arrays over k.  Each PCG64 is built from its row of
+words, so every stream is the SeedSequence's, bit for bit.
 
 OU trajectories are streamed: each generator fills its row of one reused
 buffer with the next _CHUNK unit normals, the OU update runs on the
@@ -162,14 +162,14 @@ def _constants(const: int, mult: int, count: int) -> list[int]:
 
 
 def _hash(value, xor, mul):
-    """One hash of 32-bit words (ints or uint32 arrays): XOR with the
-    current constant, multiply by the next, fold the high half down."""
+    """One hash of uint32 words: XOR with the current constant, multiply
+    by the next, fold the high half down."""
     value = (value ^ xor) * mul & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (ints or uint32 arrays)."""
+    """SeedSequence's mix of two uint32 words."""
     result = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
     return result ^ result >> 16
 
@@ -178,38 +178,21 @@ def _seed_words(seed, n: int) -> np.ndarray:
     """Row k is SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(
     4, np.uint64), for k < n; [n, 4].
 
-    The seed's words, padded with zeros to the pool size, fill and mix the
-    pool the same way for every k, so that runs once on ints.  The key
-    word k, mixed into each pool word last, and the output hashing run
-    on uint32 arrays over k.
+    The seed's words fill and mix the pool the same way for every k, so
+    the pool is SeedSequence(seed)'s own.  Only the key word k, mixed into
+    each pool word last, and the output hashing run here, on uint32
+    arrays over k.
     """
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed >> shift & _MASK32
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (_POOL - len(entropy))
-    hashes = _POOL + _POOL * (_POOL - 1) + _POOL * (len(entropy) - _POOL)
-    consts = _constants(_INIT_A, _MULT_A, hashes + _POOL)
-    pairs = zip(consts, consts[1:])
-
-    def hashmix(value):
-        return _hash(value, *next(pairs))
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # The key word is hashed under the last _POOL constants, one for each
-    # pool word it is mixed into.
-    keyed = np.array(consts[hashes:], dtype=np.uint32)
+    pool = np.random.SeedSequence(seed).pool
+    # The pool took _POOL hashes per seed word, the seed padded with zeros
+    # to _POOL words; the key word is hashed under the next _POOL
+    # constants, one for each pool word it is mixed into.
+    hashes = _POOL * max(-(-seed.bit_length() // 32), _POOL)
+    keyed = np.array(_constants(_INIT_A * pow(_MULT_A, hashes, 1 << 32)
+                                & _MASK32, _MULT_A, _POOL), dtype=np.uint32)
     keys = np.arange(n, dtype=np.uint32)[:, None]
-    pool = _mix(np.array(pool, dtype=np.uint32),
-                _hash(keys, keyed[:-1], keyed[1:]))
+    pool = _mix(pool, _hash(keys, keyed[:-1], keyed[1:]))
     out = np.array(_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
     words = _hash(np.concatenate((pool, pool), axis=1), out[:-1], out[1:])
     # Pairs of 32-bit words, little end first, as generate_state joins them.

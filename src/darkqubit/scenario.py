@@ -355,15 +355,15 @@ def callee(section: str, choice: str | None = None):
 
 def select(name: str, section: dict, construction: dict | None):
     """The choice a _CALLEES section's selector makes, None for no valid
-    one.  An unset sense variant follows the construction: hyperfine on a
-    hyperfine construction, else optical-D32 (None without one)."""
+    one.  An unset or invalid sense variant follows the construction:
+    hyperfine on a hyperfine construction, else optical-D32 (None without
+    one)."""
     selector, functions = _CALLEES[name][:2]
     choice = str(section.get(selector)) if selector else None
     choice = choice if choice in functions else None
-    if name == "sense":
-        choice = (choice or ("hyperfine" if construction.get("kind")
-                             == "hyperfine" else "optical-D32")) \
-            if construction else None
+    if name == "sense" and choice is None and construction:
+        choice = "hyperfine" if construction.get("kind") == "hyperfine" \
+            else "optical-D32"
     return choice
 
 

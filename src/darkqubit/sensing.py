@@ -201,8 +201,7 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
         "expected_rate": probe_scale,
         "detuning": detuning,
         "n_draws": n_draws if phase_rates is not None else 0,
-        "max_transfer": float(np.max(
-            overlap_population(states, basis[:, 1]))),
+        "max_transfer": float(np.max(trace.populations["D2"])),
         **ledger,
         **t2_details,
     }
@@ -216,8 +215,6 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
 
 
 def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
-    p1 = overlap_population(states, basis[:, 0])
-    p2 = overlap_population(states, basis[:, 1])
     a1 = states @ basis[:, 0].conj()  # <D1|psi(t)>
     a2 = states @ basis[:, 1].conj()
     rho12 = a1 * a2.conj()
@@ -227,7 +224,8 @@ def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
     elif readout_basis == "y":
         coherences["y"] = -2.0 * rho12.imag
     return SimulationTrace(times=times,
-                           populations={"D1": p1, "D2": p2},
+                           populations={"D1": np.abs(a1) ** 2,
+                                        "D2": np.abs(a2) ** 2},
                            coherences=coherences)
 
 

@@ -82,6 +82,7 @@ def test_quasi_static_value_is_first_normal_of_each_stream(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                      st.integers(2**64, 2**128),
                       st.integers(2**128 + 1, 2**256)),
        n=st.integers(1, 1024))
 def test_batch_seed_words_match_seed_sequence(seed, n):
@@ -97,6 +98,23 @@ def test_batch_generators_give_the_reference_streams(seed):
     p = NoiseProcess("ornstein-uhlenbeck", sigma=0.5, tau_c=1.0, seed=seed)
     got = [gen.standard_normal(4) for gen in noise_mod._generators(p, 300)]
     want = [_generator(p, k).standard_normal(4) for k in range(300)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_numpy_integer_seeds_match_the_python_int(dtype):
+    seed = 2**40 + 7
+    assert np.array_equal(noise_mod._seed_words(dtype(seed), 64),
+                          noise_mod._seed_words(seed, 64))
+
+    def process(seed):
+        return NoiseProcess("ornstein-uhlenbeck", sigma=0.5, tau_c=1.0,
+                            seed=seed)
+
+    got = [gen.standard_normal(4)
+           for gen in noise_mod._generators(process(dtype(seed)), 64)]
+    want = [_generator(process(seed), k).standard_normal(4)
+            for k in range(64)]
     assert np.array_equal(got, want)
 
 

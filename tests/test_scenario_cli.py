@@ -806,6 +806,21 @@ def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
     assert not (out / "summary.json").exists()
 
 
+def test_explicit_sense_variant_is_checked_without_a_construction():
+    # an unreadable construction leaves an explicit variant its own keys,
+    # so the sense section's problems come in the same pass
+    text = HYPERFINE_SENSE_YAML.replace(
+        "sense:\n", "sense:\n  variant: hyperfine\n  n_draws: 64\n")
+    data = yaml.safe_load(text)
+    data["construction"] = 5
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    problems = err.value.problems
+    assert "scenario.construction: expected a mapping, got int" in problems
+    assert "scenario.sense.n_draws: the hyperfine sense variant does not " \
+        "read it" in problems
+
+
 @pytest.mark.parametrize("yaml_text", [
     OPTICAL_SENSE_YAML + "  interrogation_time: 5\n",
     OPTICAL_SENSE_YAML + "  n_traj: 16\n" + NOISE_SECTION,
