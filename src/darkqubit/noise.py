@@ -53,8 +53,21 @@ takes one of three paths:
   table: one batched diagonalization per step, the exact reference for
   the table.
 
-The averaged density matrix is reduced in fixed trajectory and step order
-in one thread, so runs with the same seed agree bit for bit.
+The averaged density matrix is reduced in fixed trajectory and step order,
+so runs with the same seed agree bit for bit.  An OU ensemble of _SPLIT
+or more trajectories is summed as two fixed halves, trajectories [0, h)
+and [h, n) with h = ceil(n / 2), each with its own step table, and the
+upper half's sum is added to the lower's.  The upper half runs in a
+child made by os.fork, which writes its sums into shared anonymous
+memory, when the ensemble holds _FORK_WORK, os.sched_getaffinity gives
+the process two CPUs or more, and no other thread is running: no Python
+thread (a fork copies only the calling thread, and locks held by the
+others stay held in the child) and no native one, such as a BLAS pool.
+Otherwise both halves run in this process, as two groups of one step
+loop.  Either way the same operations run on the same values, so the
+result does not depend on the CPU count.  A child that fails leaves its
+half to the parent, so a real error surfaces here with its own
+traceback; a child whose parent is gone ends itself at its next chunk.
 """
 
 from __future__ import annotations
@@ -91,6 +104,16 @@ _BLOCK = 64
 # its buffers in afresh: 2.3k page faults and about 4% more time per
 # criterion-10 ensemble.
 _CHUNK = 32 * _BLOCK
+# OU ensembles of this many trajectories or more are summed in two halves,
+# the upper one in a forked child when a second CPU is free (_sum_ou).
+# Smaller ones keep the one-pass sums, bit for bit.
+_SPLIT = 128
+# The child pays for itself only on enough work.  On a 2-vCPU Xeon a fork
+# and join cost 5-11 ms, two processes ran the halves in about 0.7 of the
+# one-process time, and a trajectory step took about (d^2 + 4) x 10 ns.
+# So the child starts only from n_traj (nt - 1) (d^2 + 4) = _FORK_WORK on,
+# about 50 ms of work in one process.  The rule moves no value.
+_FORK_WORK = 5_000_000
 # Complex entries of each [n_traj, dim, block] temporary of the
 # quasi-static branch: 64 kB, under the allocator's mmap threshold, so the
 # blocks reuse heap memory instead of raising peak RSS.
@@ -222,12 +245,13 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _generators(noise: NoiseProcess, n: int) -> list[np.random.Generator]:
-    """The generators of trajectories 0 to n - 1: trajectory k's is
+def _generators(noise: NoiseProcess, n: int,
+                first: int = 0) -> list[np.random.Generator]:
+    """The generators of trajectories first to n - 1: trajectory k's is
     Generator(PCG64(SeedSequence(entropy=noise.seed, spawn_key=(k,))))."""
     seed_words = _seed_words_type()
     return [np.random.Generator(np.random.PCG64(seed_words(words)))
-            for words in _seed_words(noise.seed, n)]
+            for words in _seed_words(noise.seed, n)[first:]]
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -242,17 +266,21 @@ def _uniform_step(times: np.ndarray) -> float | None:
     return None
 
 
-def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int):
-    """Yield the OU ensemble on the grid chunk by chunk.
+def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int,
+               first: int = 0, pad: int = 0):
+    """Yield trajectories first to n_traj - 1 of the OU ensemble on the
+    grid, chunk by chunk, followed by pad rows of zeros.
 
-    Each chunk is a view [n_traj, 1 + width] of one reused buffer, width
-    <= _CHUNK: column 0 holds b at the last time of the previous chunk
-    (in the first chunk, the stationary start b(t0)) and the others b at
-    the next width times.  The next chunk overwrites the view.
+    Each chunk is a view [n_traj - first + pad, 1 + width] of one reused
+    buffer, width <= _CHUNK: column 0 holds b at the last time of the
+    previous chunk (in the first chunk, the stationary start b(t0)) and
+    the others b at the next width times.  The next chunk overwrites the
+    view.
     """
     nt = len(times)
-    gens = _generators(noise, n_traj)
-    buf = np.empty((n_traj, 1 + _CHUNK))
+    gens = _generators(noise, n_traj, first)
+    buf = np.empty((len(gens) + pad, 1 + _CHUNK))
+    buf[len(gens):] = 0.0
     dt = _uniform_step(times)
     if dt is None:
         decay = np.exp(-np.diff(times) / noise.tau_c)
@@ -271,9 +299,9 @@ def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int):
         width = min(_CHUNK, nt - 1 - start)
         if start:  # the previous chunk's last value leads this one
             buf[:, 0] = buf[:, _CHUNK]
-        first = 1 if start else 0
+        drawn = 1 if start else 0
         for k, gen in enumerate(gens):
-            gen.standard_normal(out=buf[k, first:1 + width])
+            gen.standard_normal(out=buf[k, drawn:1 + width])
         if not start:
             buf[:, 0] *= noise.sigma  # stationary start
         # The update overwrites the unit draws in place, column by column.
@@ -363,87 +391,119 @@ def _table_block(n: int, dim: int, order: int) -> int:
 
 
 class _StepTable:
-    """Chebyshev step propagators for n trajectories on a uniform grid.
+    """Chebyshev step propagators for groups of trajectories on a uniform
+    grid.
 
-    The table covers |b| <= beta, and ``cover`` rebuilds it when a chunk
-    raises the peak.  The work buffers live as long as the object, so
-    chunks, blocks and steps allocate nothing large: allocated per chunk,
-    they were handed back to the system and faulted in again (7x the page
-    faults of a criterion-10 ensemble).  They are sized for the table's
-    order at _table_block steps, and only a rebuild that changes the
-    order resizes them.
+    _StepTable(static, noise_op, dt, *sizes) serves len(sizes) groups of
+    trajectories, each with a table of its own: group g covers |b| <=
+    beta[g] with coefficients coeffs[g], and ``cover`` rebuilds a group's
+    table when a chunk raises that group's peak.  The groups are the
+    column blocks [g m, (g + 1) m) of the states, m = sizes[0] >= every
+    size, and group g's last m - sizes[g] columns are padding that no sum
+    reads.  One step loop advances every group, so that a second group
+    adds no numpy call per step, and each value is computed as it is for
+    that group alone.
+
+    The work buffers live as long as the object, so chunks, blocks and
+    steps allocate nothing large: allocated per chunk, they were handed
+    back to the system and faulted in again (7x the page faults of a
+    criterion-10 ensemble).  They are sized for the longest table at
+    _table_block steps, and only a rebuild that changes that order
+    resizes them.
     """
 
     def __init__(self, static: np.ndarray, noise_op: np.ndarray, dt: float,
-                 n: int):
-        dim = static.shape[0]
-        self.static, self.noise_op, self.dt, self.n = static, noise_op, dt, n
-        self.beta, self.coeffs, self.block = 0.0, None, 0
-        self.cheb = np.empty((0, 0))
+                 *sizes: int):
+        dim, groups = static.shape[0], len(sizes)
+        self.static, self.noise_op, self.dt = static, noise_op, dt
+        self.sizes, self.n = sizes, groups * sizes[0]
+        self.beta, self.coeffs = [0.0] * groups, [None] * groups
+        self.block, self.cheb = 0, np.empty((0, 0))
         # One step's products props[m][i, j] * psi[j], in C order as numpy
         # lays out the fresh product props[m] * psi, so that their sum over
         # j adds in the order that (props[m] * psi).sum(axis=1) does.
-        self.terms = np.empty((dim, dim, n), dtype=complex)
+        self.terms = np.empty((dim, dim, groups, sizes[0]), dtype=complex)
 
-    def cover(self, peak: float) -> bool:
-        """Make the table valid for |b| <= peak; False if it cannot be."""
-        if self.coeffs is not None and peak <= self.beta:
-            return True
-        self.beta = max(peak, self.beta) or 1.0
-        table = _chebyshev_table(self.static, self.noise_op, self.beta,
-                                 self.dt)
-        if table is None:
-            return False
-        order, dim = len(table), self.static.shape[0]
-        self.coeffs = np.ascontiguousarray(table.reshape(order, -1)).view(float)
+    def cover(self, *peaks: float) -> bool:
+        """Make group g's table valid for |b| <= peaks[g]; False if one
+        cannot be."""
+        for g, peak in enumerate(peaks):
+            if self.coeffs[g] is not None and peak <= self.beta[g]:
+                continue
+            self.beta[g] = max(peak, self.beta[g]) or 1.0
+            table = _chebyshev_table(self.static, self.noise_op,
+                                     self.beta[g], self.dt)
+            if table is None:
+                return False
+            self.coeffs[g] = np.ascontiguousarray(
+                table.reshape(len(table), -1)).view(float)
+        order, dim = max(map(len, self.coeffs)), self.static.shape[0]
         if len(self.cheb) != order + 1:
             block = self.block = _table_block(self.n, dim, order)
             # Rows 0 to order - 1 hold T_k(b / beta), the last 2 b / beta.
             self.cheb = np.empty((order + 1, block * self.n))
             self.props = np.empty((block * self.n, 2 * dim * dim))
-            self.states = np.empty((block, dim, self.n), dtype=complex)
+            self.states = np.empty((block, dim, len(self.sizes),
+                                    self.sizes[0]), dtype=complex)
             self.bras = np.empty_like(self.states)
         return True
 
     def advance(self, amps: np.ndarray, psi: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
+                *outs: np.ndarray) -> np.ndarray:
         """Advance psi [d, n] through one step per column of amps [n, steps].
 
-        Writes the sum of |psi><psi| after each step to out [steps, d, d].
-        Steps are processed in blocks of self.block: T_k(b / beta) by the
-        three-term recurrence, every propagator of the block from one real
-        GEMM against the table (real and imaginary parts interleaved), the
-        states step by step in place, and the block's density matrices in
-        one batched matmul.  Returns psi in an array of its own, which
-        later calls do not overwrite.
+        Writes the sum of |psi><psi| over group g after each step to
+        outs[g] [steps, d, d].  Steps are processed in blocks of
+        self.block: T_k(b / beta) by the three-term recurrence, every
+        propagator of a group's block from one real GEMM against its table
+        (real and imaginary parts interleaved), the states step by step in
+        place, and each group's density matrices in one batched matmul.
+        Group-major rows [group, step, trajectory] give each group's GEMM
+        contiguous rows, and the step loop one strided view of all groups.
+        Returns psi in an array of its own, which later calls do not
+        overwrite.
         """
         n, nt = amps.shape
-        order, dim = len(self.coeffs), psi.shape[0]
-        terms = self.terms
+        groups, m, dim = len(self.sizes), self.sizes[0], psi.shape[0]
+        order = max(map(len, self.coeffs))
+        beta = np.array(self.beta)[:, None, None]
+        amps = amps.reshape(groups, m, nt)
+        # The step loop's views drop the axis of a single group: numpy's
+        # cost per call grows with the number of axes.
+        cols = (m,) if groups == 1 else (groups, m)
+        psi = psi.reshape(dim, *cols)
+        terms = self.terms.reshape(dim, dim, *cols)
         for start in range(0, nt, self.block):
             steps = min(self.block, nt - start)
             poly = self.cheb[:order, :steps * n]
             poly[0] = 1.0
             if order > 1:
-                np.divide(amps[:, start:start + steps].T, self.beta,
-                          out=poly[1].reshape(steps, n))
+                np.divide(amps[:, :, start:start + steps].transpose(0, 2, 1),
+                          beta, out=poly[1].reshape(groups, steps, m))
                 # Doubling is exact, so 2z T_{k-1} is 2 (z T_{k-1}).
                 twice = np.multiply(poly[1], 2.0,
                                     out=self.cheb[order, :steps * n])
             for k in range(2, order):
                 np.multiply(twice, poly[k - 1], out=poly[k])
                 poly[k] -= poly[k - 2]
-            props = np.matmul(poly.T, self.coeffs, out=self.props[:steps * n])
+            props = self.props[:steps * n]
+            for g, coeffs in enumerate(self.coeffs):
+                rows = slice(g * steps * m, (g + 1) * steps * m)
+                np.matmul(poly[:len(coeffs), rows].T, coeffs, out=props[rows])
             props = props.view(complex).reshape(
-                steps, n, dim, dim).transpose(0, 2, 3, 1)
+                groups, steps, m, dim, dim).transpose(1, 3, 4, 0, 2).reshape(
+                    steps, dim, dim, *cols)
             states = self.states[:steps]
-            for m in range(steps):
-                np.multiply(props[m], psi, out=terms)
-                psi = np.add.reduce(terms, axis=1, out=states[m])
+            stepped = states.reshape(steps, dim, *cols)
+            for s in range(steps):
+                np.multiply(props[s], psi, out=terms)
+                psi = np.add.reduce(terms, axis=1, out=stepped[s])
             bras = np.conj(states, out=self.bras[:steps])
-            np.matmul(states, bras.transpose(0, 2, 1),
-                      out=out[start:start + steps])
-        return psi.copy()
+            for g, (size, out) in enumerate(zip(self.sizes, outs)):
+                np.matmul(states[:, :, g, :size],
+                          bras[:, :, g, :size].transpose(0, 2, 1),
+                          out=out[start:start + steps])
+        return psi.reshape(dim, n).copy()
 
 
 def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
@@ -502,19 +562,25 @@ def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
 
 def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
                   noise: NoiseProcess, n_traj: int, psi0: np.ndarray,
-                  times: np.ndarray, out: np.ndarray) -> None:
-    """Sum of |psi><psi| over OU trajectories; into out [nt - 1, d, d].
+                  times: np.ndarray, out: np.ndarray, first: int = 0,
+                  watch=None) -> None:
+    """Sum of |psi><psi| over OU trajectories first to n_traj - 1; into
+    out [nt - 1, d, d].
 
-    Each chunk is propagated before the next is drawn.  A chunk whose
-    table would need more than _TABLE_MAX_NODES nodes hands the rest of
-    the run to per-step diagonalization, from the states reached.
+    Each chunk is propagated before the next is drawn, after a call to
+    watch, if given.  A chunk whose table would need more than
+    _TABLE_MAX_NODES nodes hands the rest of the run to per-step
+    diagonalization, from the states reached.
     """
-    psi = np.repeat(psi0[:, None], n_traj, axis=1)
+    n = n_traj - first
+    psi = np.repeat(psi0[:, None], n, axis=1)
     steps = np.diff(times)
     dt = _uniform_step(times)
-    table = None if dt is None else _StepTable(static, noise_op, dt, n_traj)
+    table = None if dt is None else _StepTable(static, noise_op, dt, n)
     done = 0
-    for chunk in _ou_chunks(noise, times, n_traj):
+    for chunk in _ou_chunks(noise, times, n_traj, first):
+        if watch is not None:
+            watch()
         amps = chunk[:, :-1]  # b on each of the chunk's steps
         here = slice(done, done + amps.shape[1])
         if table is not None and not table.cover(
@@ -526,6 +592,165 @@ def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
             psi = _propagate_eigh(static, noise_op, amps, steps[here], psi,
                                   out[here])
         done = here.stop
+
+
+def _can_fork() -> bool:
+    """Whether a forked child may take half of an ensemble: os.fork
+    exists, the process may run on two CPUs or more, and no other thread
+    runs.  That is no other Python thread, as a fork copies only the
+    calling thread, and no native one either, such as a BLAS pool: two
+    processes that each keep one spinning oversubscribe the CPUs
+    (criterion 10's ensembles ran 2-4x slower under OpenBLAS's default
+    threads).  Without /proc, Python's threads are all it can count."""
+    import os
+    import threading
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return True
+
+
+def _exit_if_orphaned(parent: int) -> None:
+    """End this forked child if its parent is gone."""
+    import os
+
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+class _Child:
+    """One forked process that runs work(out, watch=...) into shared memory.
+
+    out is a complex array in anonymous shared memory, and watch, called
+    once per chunk, ends the child if the parent is gone.  ``join``
+    returns out once the child has exited cleanly; ``kill`` ends and
+    reaps a child not yet joined.  The child's body runs under
+    try/finally and always ends in os._exit, so it never returns into the
+    parent's callers.
+    """
+
+    def __init__(self):
+        self.pid, self.out = None, None
+
+    def start(self, work, shape: tuple[int, ...]) -> None:
+        import mmap
+        import os
+        import signal
+
+        parent, status = os.getpid(), 1
+        # SIGINT waits until the parent holds the pid that it must reap
+        # and the child is inside the try that ends in os._exit.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            count = math.prod(shape)
+            self.out = np.frombuffer(mmap.mmap(-1, 16 * count or 1),
+                                     dtype=complex, count=count).reshape(shape)
+            self.pid = os.fork()
+            if self.pid == 0:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                work(self.out,
+                     watch=functools.partial(_exit_if_orphaned, parent))
+                status = 0
+        except OSError:  # no memory or process to spare: nothing to join
+            self.pid = None
+        finally:
+            if os.getpid() != parent:
+                os._exit(status)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+    def join(self) -> np.ndarray | None:
+        """Wait for the child; its sums, or None if it failed or never
+        started."""
+        import os
+
+        if self.pid is None:
+            return None
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return None if status else self.out
+
+    def kill(self) -> None:
+        import os
+        import signal
+
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _propagate_halves(static: np.ndarray, noise_op: np.ndarray,
+                      noise: NoiseProcess, n_traj: int, psi0: np.ndarray,
+                      times: np.ndarray, lower: np.ndarray,
+                      upper: np.ndarray) -> bool:
+    """Both halves of _sum_ou in one step loop: the sums over trajectories
+    [0, h) into lower and [h, n_traj) into upper, h = ceil(n_traj / 2).
+
+    The halves are the two groups of one _StepTable, each with its own
+    table, so the values are those of _propagate_ou over each half; the
+    upper half is padded with a row of zero amplitudes when n_traj is
+    odd.  False, with lower and upper not all written, if the grid is not
+    uniform or a half's table cannot cover its amplitudes.
+    """
+    dt = _uniform_step(times)
+    if dt is None:
+        return False
+    half = -(-n_traj // 2)
+    table = _StepTable(static, noise_op, dt, half, n_traj - half)
+    psi = np.repeat(psi0[:, None], 2 * half, axis=1)
+    done = 0
+    for chunk in _ou_chunks(noise, times, n_traj, pad=2 * half - n_traj):
+        amps = chunk[:, :-1]
+        here = slice(done, done + amps.shape[1])
+        if not table.cover(*(max(float(rows.max()), -float(rows.min()))
+                             for rows in (chunk[:half], chunk[half:]))):
+            return False
+        psi = table.advance(amps, psi, lower[here], upper[here])
+        done = here.stop
+    return True
+
+
+def _sum_ou(static: np.ndarray, noise_op: np.ndarray, noise: NoiseProcess,
+            n_traj: int, psi0: np.ndarray, times: np.ndarray,
+            out: np.ndarray) -> None:
+    """Sum of |psi><psi| over the OU ensemble; into out [nt - 1, d, d].
+
+    From _SPLIT trajectories on, the upper half [h, n_traj), h =
+    ceil(n_traj / 2), is summed apart from the lower half and added to
+    it.  It runs in a forked child while this process sums the lower
+    half, if the ensemble holds _FORK_WORK and _can_fork(); here
+    otherwise, or if the child failed.  Here, both halves share one step
+    loop where they can (_propagate_halves).
+    """
+    args = (static, noise_op, noise, n_traj, psi0, times)
+    if n_traj < _SPLIT:
+        _propagate_ou(*args, out)
+        return
+    half = -(-n_traj // 2)
+    upper = functools.partial(_propagate_ou, *args, first=half)
+    work = n_traj * out.shape[0] * (out.shape[1] ** 2 + 4)
+    child = _Child()
+    try:
+        if work >= _FORK_WORK and _can_fork():
+            child.start(upper, out.shape)
+        if child.pid is None:
+            total = np.empty_like(out)
+            if _propagate_halves(*args, out, total):
+                out += total
+                return
+        _propagate_ou(static, noise_op, noise, half, psi0, times, out)
+        total = child.join()
+    finally:
+        child.kill()
+    if total is None:  # no child, or it failed: its half runs here
+        total = np.empty_like(out)
+        upper(total)
+    out += total
 
 
 def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
@@ -540,10 +765,16 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     a uniform grid they are propagated with the Chebyshev step table, on
     any other grid (and from the first chunk whose table would need more
     than _TABLE_MAX_NODES nodes) with exact per-step diagonalization.
-    ``threads`` is accepted for compatibility and does not change the
-    work or the result.  Returns [nt, dim, dim]; ValueError if ham or
-    noise_op is not Hermitian, if noise_op's shape differs from ham's, or
-    if psi0 is not a state of length dim normalized to NORM_TOL.
+    From 128 (_SPLIT) OU trajectories on, the ensemble is summed in two
+    halves.  The upper half is summed in a forked child process if the
+    ensemble holds about 50 ms of work (_FORK_WORK), os.sched_getaffinity
+    gives two CPUs or more and no other thread, Python or native (a BLAS
+    pool), is running, and in this process otherwise; the result is the
+    same bits either way, and no child outlives the call.  ``threads`` is
+    accepted for compatibility and does not change the work or the
+    result.  Returns [nt, dim, dim]; ValueError if ham or noise_op is not
+    Hermitian, if noise_op's shape differs from ham's, or if psi0 is not a
+    state of length dim normalized to NORM_TOL.
     """
     ham = _as_hamiltonian(ham)
     if not ham.is_static:
@@ -572,7 +803,6 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
         _propagate_quasi_static(static, noise_op, values, psi0, times,
                                 rho_sum[1:])
     else:
-        _propagate_ou(static, noise_op, noise, n_traj, psi0, times,
-                      rho_sum[1:])
+        _sum_ou(static, noise_op, noise, n_traj, psi0, times, rho_sum[1:])
     rho_sum /= n_traj
     return rho_sum

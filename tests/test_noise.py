@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -382,7 +386,7 @@ def _table_vs_eigh(static, noise_op, psi0, proc, times, n_traj):
     assert table.cover(float(np.abs(traj).max()))
     fast = _kernel_run(table.advance, traj, psi0)
     exact = _eigh_reference(static, noise_op, traj, psi0, times)
-    return len(table.coeffs), float(np.abs(fast - exact).max())
+    return len(table.coeffs[0]), float(np.abs(fast - exact).max())
 
 
 @pytest.mark.parametrize("x, sigma, n_traj", [(0.1, 1.2, 384), (1.0, 0.4, 512),
@@ -424,12 +428,23 @@ def test_step_table_matches_eigh_on_compact_ca40():
 _REF_BLOCK = 64
 
 
-def _ref_advance(self, amps, psi, out):
+def _ref_advance(self, amps, psi, *outs):
     """Table propagation in fixed 64-step blocks with a fresh array per
-    step: the reference that _StepTable.advance matches bit for bit.  It
-    makes the buffers that a table of 64-step blocks would hold."""
+    step, one group of columns at a time: the reference that
+    _StepTable.advance matches bit for bit."""
+    m, psi = self.sizes[0], psi.copy()
+    for g, (coeffs, beta, size, out) in enumerate(
+            zip(self.coeffs, self.beta, self.sizes, outs)):
+        cols = slice(g * m, g * m + size)
+        psi[:, cols] = _ref_group(coeffs, beta, amps[cols], psi[:, cols], out)
+    return psi
+
+
+def _ref_group(coeffs, beta, amps, psi, out):
+    """_ref_advance for one group's table.  It makes the buffers that a
+    table of 64-step blocks would hold."""
     n, nt = amps.shape
-    order, dim = len(self.coeffs), psi.shape[0]
+    order, dim = len(coeffs), psi.shape[0]
     cheb = np.empty((order, _REF_BLOCK * n))
     props_buf = np.empty((_REF_BLOCK * n, 2 * dim * dim))
     states_buf = np.empty((_REF_BLOCK, dim, n), dtype=complex)
@@ -439,13 +454,13 @@ def _ref_advance(self, amps, psi, out):
         poly = cheb[:order, :steps * n]
         poly[0] = 1.0
         if order > 1:
-            np.divide(amps[:, start:start + steps].T, self.beta,
+            np.divide(amps[:, start:start + steps].T, beta,
                       out=poly[1].reshape(steps, n))
         for k in range(2, order):
             np.multiply(poly[1], poly[k - 1], out=poly[k])
             poly[k] *= 2.0
             poly[k] -= poly[k - 2]
-        props = np.matmul(poly.T, self.coeffs, out=props_buf[:steps * n])
+        props = np.matmul(poly.T, coeffs, out=props_buf[:steps * n])
         props = props.view(complex).reshape(
             steps, n, dim, dim).transpose(0, 2, 3, 1)
         states = states_buf[:steps]
@@ -458,13 +473,16 @@ def _ref_advance(self, amps, psi, out):
     return psi
 
 
-def _random_table(dim, n, seed):
-    """A _StepTable over random Hermitian operators, covering |b| <= 3."""
+def _random_table(dim, n, seed, *sizes):
+    """A _StepTable over random Hermitian operators for n trajectories, or
+    for groups of the sizes given, covering |b| <= 3 (|b| <= 3 - g in
+    group g)."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
     static, noise_op = a + a.conj().transpose(0, 2, 1)
-    table = noise_mod._StepTable(static, noise_op / 4.0, 0.05, n)
-    assert table.cover(3.0)
+    sizes = sizes or (n,)
+    table = noise_mod._StepTable(static, noise_op / 4.0, 0.05, *sizes)
+    assert table.cover(*(3.0 - g for g in range(len(sizes))))
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return table, psi0 / np.linalg.norm(psi0), rng
 
@@ -489,6 +507,35 @@ def test_cache_sized_blocks_match_64_step_blocks(dim, n):
 
 
 @pytest.mark.parametrize("dim", [2, 6])
+@pytest.mark.parametrize("sizes", [(192, 192), (193, 192), (3, 2)])
+def test_grouped_blocks_match_each_group_alone(dim, sizes):
+    # two groups, each with a table of its own, in one step loop: each
+    # group's density matrices and states are those of 64-step blocks over
+    # its columns alone, bit for bit, the upper group padded to the size
+    # of the lower
+    m = sizes[0]
+    table, psi0, rng = _random_table(dim, 2 * m, 10 * dim + m, *sizes)
+    assert table.beta == [3.0, 2.0] and table.n == 2 * m
+    assert len({len(c) for c in table.coeffs}) == 2  # orders differ
+    psi = np.repeat(psi0[:, None], 2 * m, axis=1)
+    real = np.r_[0:sizes[0], m:m + sizes[1]]
+    for nt in sorted({1, table.block, table.block + 1, CHUNK + 1}):
+        amps = rng.uniform(-2.0, 2.0, size=(2 * m, nt))
+        want = np.empty((2, nt, dim, dim), dtype=complex)
+        got = np.empty_like(want)
+        want_psi = _ref_advance(table, amps, psi, *want)
+        got_psi = table.advance(amps, psi, *got)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_psi[:, real], want_psi[:, real])
+
+
+def _one_cpu(monkeypatch):
+    """Make the fork rule see one CPU, so that every half of an ensemble
+    is summed in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("dim", [2, 6])
 def test_rebuilt_table_run_matches_64_step_blocks(monkeypatch, dim):
     # a run long enough for later chunks to raise the peak and rebuild
     # the table gives what 64-step blocks give, bit for bit
@@ -502,9 +549,13 @@ def test_rebuilt_table_run_matches_64_step_blocks(monkeypatch, dim):
         p = NoiseProcess("ornstein-uhlenbeck", sigma=0.02, tau_c=2.0, seed=5)
         n_traj, dt = 32, 0.2
     times = np.linspace(0.0, dt * 4 * CHUNK, 4 * CHUNK + 1)
+    _one_cpu(monkeypatch)  # so that both halves' builds are recorded here
     builds = _record_builds(monkeypatch)
     got = evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
-    assert len(builds) >= 2 and all(table is not None for _, table in builds)
+    # one first build per half of the ensemble, and at least one rebuild
+    halves = 2 if n_traj >= noise_mod._SPLIT else 1
+    assert len(builds) >= halves + 1
+    assert all(table is not None for _, table in builds)
     assert noise_mod._table_block(n_traj, dim, len(builds[-1][1])) < 64
     monkeypatch.setattr(noise_mod._StepTable, "advance", _ref_advance)
     want = evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
@@ -720,3 +771,255 @@ def test_quasi_static_blocks_match_per_time_loop(n_traj):
     assert 0.9e4 < phase < 1.1e4
     assert _quasi_static_deviation(con.ip.static, zeeman, psi0, proc, times,
                                    n_traj) < 16 * np.finfo(float).eps * phase
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _split_case(dim):
+    """Hamiltonian, noise operator, state, process and grid of a split
+    ensemble: at d = 2 a transverse OU run past one chunk, at d = 6 the
+    compact Ca-40 dark pair under Zeeman noise."""
+    if dim == 2:
+        p = NoiseProcess("ornstein-uhlenbeck", sigma=0.4, tau_c=0.2, seed=23)
+        return (np.diag([2.5, -2.5]).astype(complex), SX,
+                np.array([1.0, 0.0], complex), p,
+                np.linspace(0.0, 0.025 * (CHUNK + 64), CHUNK + 65))
+    static, zeeman, psi0 = _compact_ca40_case()
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.02, tau_c=2.0, seed=5)
+    return static, zeeman, psi0, p, np.linspace(0.0, 60.0, 301)
+
+
+def _forks(monkeypatch, always=True):
+    """Record each os.fork call made in this process; with always, fork
+    for any split ensemble, whatever its work, CPUs or threads."""
+    if always:
+        monkeypatch.setattr(noise_mod, "_FORK_WORK", 0)
+        monkeypatch.setattr(noise_mod, "_can_fork", lambda: True)
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _reaped(monkeypatch):
+    """Record the exit code of each child that os.waitpid reaps (minus
+    the signal number for a killed one)."""
+    codes = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        got = waitpid(pid, options)
+        if got[0]:
+            codes.append(os.waitstatus_to_exitcode(got[1]))
+        return got
+    monkeypatch.setattr(os, "waitpid", recorded)
+    return codes
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process(monkeypatch, case, n_traj):
+    """evolve_noisy(*case) summed in this process alone."""
+    h, op, psi0, p, times = case
+    with monkeypatch.context() as m:
+        _one_cpu(m)
+        forks = _forks(m, always=False)
+        rho = evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
+    assert forks == []
+    return rho
+
+
+def _forked(monkeypatch, case, n_traj):
+    """evolve_noisy(*case) with a forked child wherever the ensemble is
+    split; the child is reaped, having exited cleanly, before it returns."""
+    h, op, psi0, p, times = case
+    with monkeypatch.context() as m:
+        forks, reaped = _forks(m), _reaped(m)
+        rho = evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
+    split = n_traj >= noise_mod._SPLIT
+    assert len(forks) == reaped.count(0) == len(reaped) == split
+    _assert_no_child()
+    return rho
+
+
+@needs_fork
+@pytest.mark.parametrize("dim", [2, 6])
+@pytest.mark.parametrize("n_traj", [127, 128, 129, 384, 512])
+def test_forked_half_gives_the_in_process_bits(monkeypatch, dim, n_traj):
+    # the upper half summed in a child adds the same bits as the halves'
+    # shared step loop here, for equal halves and for odd n_traj, where
+    # the loop pads the upper half; below _SPLIT nothing is split
+    case = _split_case(dim)
+    assert np.array_equal(_forked(monkeypatch, case, n_traj),
+                          _in_process(monkeypatch, case, n_traj))
+
+
+def _ragged_case():
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.4, tau_c=0.2, seed=23)
+    ragged = np.cumsum(np.linspace(0.02, 0.03, 301)) - 0.02
+    return (np.diag([2.5, -2.5]).astype(complex), SX,
+            np.array([1.0, 0.0], complex), p, ragged)
+
+
+def _overflow_case():
+    # the first chunk's |b| dt fits a table, a later chunk's does not
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=100.0, tau_c=0.5, seed=7)
+    return (np.diag([0.5, -0.5]).astype(complex), SX,
+            np.array([1.0, 0.0], complex), p,
+            np.arange(CHUNK + 33, dtype=float))
+
+
+@needs_fork
+@pytest.mark.parametrize("case", [_ragged_case, _overflow_case])
+def test_halves_that_leave_the_table_give_the_forked_bits(monkeypatch, case):
+    # on a ragged grid, and where a half's table gives way to eigh, the
+    # halves run here one after the other, with the forked child's bits
+    case = case()
+    assert np.array_equal(_forked(monkeypatch, case, 128),
+                          _in_process(monkeypatch, case, 128))
+
+
+def test_split_sum_matches_one_pass_to_roundoff(monkeypatch):
+    # two halves, each with its own table, against all trajectories in one
+    # pass: the same trajectories, so only roundoff and the tables' own
+    # truncation (1e-13 per coefficient) separate them
+    h, op, psi0, p, times = _split_case(2)
+    _one_cpu(monkeypatch)
+    split = evolve_noisy(h, psi0, p, op, times, n_traj=512)
+    whole = np.empty((len(times) - 1, 2, 2), dtype=complex)
+    noise_mod._propagate_ou(h, op, p, 512, psi0, times, whole)
+    assert np.abs(split[1:] - whole / 512).max() < 1e-11
+
+
+def test_fork_wants_two_cpus_and_no_other_thread(monkeypatch):
+    # the CPUs os.sched_getaffinity gives, Python's threads, and the
+    # native threads listed in /proc/self/task (a BLAS pool among them)
+    # each rule a fork out
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with monkeypatch.context() as m:
+        m.setattr(os, "listdir", lambda path: ["1"])
+        assert noise_mod._can_fork()
+        m.setattr(os, "listdir", lambda path: ["1", "2"])
+        assert not noise_mod._can_fork()
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        m.setattr(os, "listdir", lambda path: ["1"])
+        assert not noise_mod._can_fork()
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert not noise_mod._can_fork()
+        if os.path.isdir("/proc/self/task"):  # seen as a native thread too
+            monkeypatch.setattr(threading, "active_count", lambda: 1)
+            assert not noise_mod._can_fork()
+    finally:
+        stop.set()
+        waiter.join()
+
+
+@needs_fork
+def test_only_ensembles_with_enough_work_fork(monkeypatch):
+    # a fork costs milliseconds: an ensemble below _FORK_WORK, n_traj
+    # (nt - 1) (d^2 + 4), sums both halves here
+    h, op, psi0, p, _ = _split_case(2)
+    monkeypatch.setattr(noise_mod, "_can_fork", lambda: True)
+    forks = _forks(monkeypatch, always=False)
+    steps = -(-noise_mod._FORK_WORK // (128 * 8))
+    for nt, forked in ((steps, 0), (steps + 1, 1)):
+        times = np.linspace(0.0, 0.025 * (nt - 1), nt)
+        evolve_noisy(h, psi0, p, op, times, n_traj=128)
+        assert len(forks) == forked
+    _assert_no_child()
+
+
+def _patch_advance(monkeypatch, fail):
+    """Make _StepTable.advance call fail() first, in parent and child."""
+    advance = noise_mod._StepTable.advance
+
+    def patched(self, *args):
+        fail()
+        return advance(self, *args)
+    monkeypatch.setattr(noise_mod._StepTable, "advance", patched)
+
+
+@needs_fork
+def test_half_that_fails_in_the_child_is_summed_here(monkeypatch):
+    parent = os.getpid()
+
+    def in_child():
+        if os.getpid() != parent:
+            raise RuntimeError("fails in the child only")
+    case = _split_case(2)
+    want = _in_process(monkeypatch, case, 384)
+    h, op, psi0, p, times = case
+    _forks(monkeypatch)
+    reaped = _reaped(monkeypatch)
+    _patch_advance(monkeypatch, in_child)
+    got = evolve_noisy(h, psi0, p, op, times, n_traj=384)
+    assert reaped == [1]
+    _assert_no_child()
+    assert np.array_equal(got, want)
+
+
+@needs_fork
+def test_child_ends_when_its_parent_is_gone(monkeypatch):
+    # a child that finds another parent at its first chunk exits, and its
+    # half is summed here
+    case = _split_case(2)
+    want = _in_process(monkeypatch, case, 128)
+    h, op, psi0, p, times = case
+    _forks(monkeypatch)
+    reaped = _reaped(monkeypatch)
+    monkeypatch.setattr(os, "getppid", lambda: 1)  # read in the child only
+    got = evolve_noisy(h, psi0, p, op, times, n_traj=128)
+    assert reaped == [1]
+    assert np.array_equal(got, want)
+
+
+class _BatchError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batch_that_fails_everywhere_raises_its_own_error(monkeypatch, cpus):
+    def everywhere():
+        raise _BatchError("fails in every process")
+    if cpus == 2 and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    h, op, psi0, p, times = _split_case(2)
+    forks = _forks(monkeypatch, always=cpus == 2)
+    if cpus == 1:
+        _one_cpu(monkeypatch)
+    _patch_advance(monkeypatch, everywhere)
+    with pytest.raises(_BatchError, match="every process"):
+        evolve_noisy(h, psi0, p, op, times, n_traj=128)
+    assert len(forks) == cpus - 1
+    _assert_no_child()
+
+
+@needs_fork
+def test_interrupted_parent_kills_and_reaps_its_child(monkeypatch):
+    parent = os.getpid()
+
+    def interrupt_parent():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30.0)  # the child would outlast the test
+    h, op, psi0, p, times = _split_case(2)
+    _forks(monkeypatch)
+    reaped = _reaped(monkeypatch)
+    _patch_advance(monkeypatch, interrupt_parent)
+    with pytest.raises(KeyboardInterrupt):
+        evolve_noisy(h, psi0, p, op, times, n_traj=128)
+    assert reaped == [-signal.SIGKILL]
+    _assert_no_child()
