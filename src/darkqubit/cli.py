@@ -214,11 +214,11 @@ _TRACES = {"evolve": "evolve_trace", "sense": "sense_trace"}
 
 def _run_section(scenario):
     """The protocol section's function (scenario.call), given the section's
-    keys and whichever of the construction, noise and seed it takes."""
+    keys and whichever of the construction and noise it takes."""
     name = scenario.protocol
     results = call(name, select(name, scenario.params, scenario.construction),
                    {**scenario.params, "con": build_construction(scenario),
-                    "noise": build_noise(scenario), "seed": scenario.seed})
+                    "noise": build_noise(scenario)})
     if name not in _TRACES:
         return results, {}
     results, trace = results

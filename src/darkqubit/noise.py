@@ -562,36 +562,49 @@ def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
 
 def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
                   noise: NoiseProcess, n_traj: int, psi0: np.ndarray,
-                  times: np.ndarray, out: np.ndarray, first: int = 0,
-                  watch=None) -> None:
-    """Sum of |psi><psi| over OU trajectories first to n_traj - 1; into
-    out [nt - 1, d, d].
+                  times: np.ndarray, *outs: np.ndarray, first: int = 0,
+                  watch=None) -> bool:
+    """Sum of |psi><psi| over OU trajectories first to n_traj - 1, in
+    len(outs) groups; group g's sum goes to outs[g] [nt - 1, d, d].
 
-    Each chunk is propagated before the next is drawn, after a call to
-    watch, if given.  A chunk whose table would need more than
-    _TABLE_MAX_NODES nodes hands the rest of the run to per-step
-    diagonalization, from the states reached.
+    The groups hold m = ceil((n_traj - first) / len(outs)) trajectories
+    each, the last padded with rows of zero amplitudes, and are the
+    groups of one _StepTable, each with its own table: one step loop
+    gives each group the values it would get alone.  Each chunk is
+    propagated before the next is drawn, after a call to watch, if given.
+    A single group whose table would need more than _TABLE_MAX_NODES
+    nodes hands the rest of the run to per-step diagonalization, from the
+    states reached.  Two or more groups return False instead, with outs
+    not all written, as they do on a grid that is not uniform.
     """
-    n = n_traj - first
-    psi = np.repeat(psi0[:, None], n, axis=1)
+    n, groups = n_traj - first, len(outs)
+    m = -(-n // groups)
     steps = np.diff(times)
     dt = _uniform_step(times)
-    table = None if dt is None else _StepTable(static, noise_op, dt, n)
+    if dt is None and groups > 1:
+        return False
+    table = None if dt is None else _StepTable(
+        static, noise_op, dt, *[m] * (groups - 1), n - (groups - 1) * m)
+    psi = np.repeat(psi0[:, None], groups * m, axis=1)
     done = 0
-    for chunk in _ou_chunks(noise, times, n_traj, first):
+    for chunk in _ou_chunks(noise, times, n_traj, first, pad=groups * m - n):
         if watch is not None:
             watch()
         amps = chunk[:, :-1]  # b on each of the chunk's steps
         here = slice(done, done + amps.shape[1])
-        if table is not None and not table.cover(
-                max(float(chunk.max()), -float(chunk.min()))):
+        if table is not None and not table.cover(*(
+                max(float(rows.max()), -float(rows.min()))
+                for rows in np.split(chunk, groups))):
+            if groups > 1:
+                return False
             table = None
         if table is not None:
-            psi = table.advance(amps, psi, out[here])
+            psi = table.advance(amps, psi, *(out[here] for out in outs))
         else:
             psi = _propagate_eigh(static, noise_op, amps, steps[here], psi,
-                                  out[here])
+                                  outs[0][here])
         done = here.stop
+    return True
 
 
 def _can_fork() -> bool:
@@ -684,37 +697,6 @@ class _Child:
             self.pid = None
 
 
-def _propagate_halves(static: np.ndarray, noise_op: np.ndarray,
-                      noise: NoiseProcess, n_traj: int, psi0: np.ndarray,
-                      times: np.ndarray, lower: np.ndarray,
-                      upper: np.ndarray) -> bool:
-    """Both halves of _sum_ou in one step loop: the sums over trajectories
-    [0, h) into lower and [h, n_traj) into upper, h = ceil(n_traj / 2).
-
-    The halves are the two groups of one _StepTable, each with its own
-    table, so the values are those of _propagate_ou over each half; the
-    upper half is padded with a row of zero amplitudes when n_traj is
-    odd.  False, with lower and upper not all written, if the grid is not
-    uniform or a half's table cannot cover its amplitudes.
-    """
-    dt = _uniform_step(times)
-    if dt is None:
-        return False
-    half = -(-n_traj // 2)
-    table = _StepTable(static, noise_op, dt, half, n_traj - half)
-    psi = np.repeat(psi0[:, None], 2 * half, axis=1)
-    done = 0
-    for chunk in _ou_chunks(noise, times, n_traj, pad=2 * half - n_traj):
-        amps = chunk[:, :-1]
-        here = slice(done, done + amps.shape[1])
-        if not table.cover(*(max(float(rows.max()), -float(rows.min()))
-                             for rows in (chunk[:half], chunk[half:]))):
-            return False
-        psi = table.advance(amps, psi, lower[here], upper[here])
-        done = here.stop
-    return True
-
-
 def _sum_ou(static: np.ndarray, noise_op: np.ndarray, noise: NoiseProcess,
             n_traj: int, psi0: np.ndarray, times: np.ndarray,
             out: np.ndarray) -> None:
@@ -725,7 +707,7 @@ def _sum_ou(static: np.ndarray, noise_op: np.ndarray, noise: NoiseProcess,
     it.  It runs in a forked child while this process sums the lower
     half, if the ensemble holds _FORK_WORK and _can_fork(); here
     otherwise, or if the child failed.  Here, both halves share one step
-    loop where they can (_propagate_halves).
+    loop where they can (_propagate_ou with two groups).
     """
     args = (static, noise_op, noise, n_traj, psi0, times)
     if n_traj < _SPLIT:
@@ -740,7 +722,7 @@ def _sum_ou(static: np.ndarray, noise_op: np.ndarray, noise: NoiseProcess,
             child.start(upper, out.shape)
         if child.pid is None:
             total = np.empty_like(out)
-            if _propagate_halves(*args, out, total):
+            if _propagate_ou(*args, out, total):
                 out += total
                 return
         _propagate_ou(static, noise_op, noise, half, psi0, times, out)

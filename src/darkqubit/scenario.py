@@ -265,7 +265,7 @@ _KINDS = {
                      "duration"), "time"),
     **dict.fromkeys(("g1", "g2", "amp_error", "pol_leak", "epsilon",
                      "eps_pol", "horizon_in_bare_t2"), "scalar"),
-    **dict.fromkeys(("seed", "n_draws", "n_traj", "points"), "int"),
+    **dict.fromkeys(("seed", "n_traj", "points"), "int"),
     "cross_check": "bool", "lower": "str", "upper": "str",
     "kind": noise.KINDS, "phase_policy": sensing.PHASE_POLICIES,
     "readout_basis": sensing.READOUT_BASES,
@@ -295,7 +295,7 @@ _CALLEES = {
               ("the {choice} gate does not read it", "gate")),
     "sense": ("variant", {"optical-D32": sensing.run_ac_sensing,
                           "hyperfine": sensing.run_hyperfine_sensing},
-              ("con", "noise", "seed"),
+              ("con", "noise"),
               ("the {choice} sense variant does not read it",
                "sense variant")),
     "compare": (None, {None: sensing.coherence_comparison}, ("con", "noise"),

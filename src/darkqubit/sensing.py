@@ -26,8 +26,8 @@ import numpy as np
 
 from .driving import (Construction, TimeDependentHamiltonian,
                       to_rotating_frame)
-from .dynamics import (SimulationTrace, evolve_unitary, fit_decay,
-                       overlap_population)
+from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
+                       fit_decay, overlap_population)
 from .gates import extract_effective_hamiltonian, protected_report
 from .levels import LevelScheme
 from .noise import NoiseProcess, evolve_noisy, spectral_density
@@ -114,7 +114,6 @@ def _zero_signal(interrogation_time: float):
 def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
                    phase_policy: str = "locked",
                    interrogation_time: float = 1.0, readout_basis: str = "z",
-                   n_draws: int = 1024, seed: int = 0,
                    noise: NoiseProcess | None = None, n_traj: int = 256,
                    ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-induced rotation of the dark pair, with phase statistics.
@@ -127,16 +126,16 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     details rather than raised.  With noise given, T2 is fitted from the
     mutual coherence of the pair under that noise; otherwise the
     interrogation_time stands in as the coherence window.  With
-    phase_policy "random-averaged", n_draws phases drawn from seed give
-    the attenuation; readout_basis picks the trace's coherence column.
+    phase_policy "random-averaged" the attenuation on resonance is the
+    mean of sin^2 over a uniform phase, exactly 1/2, once four full
+    extractions confirm the |sin(phase)| law it rests on (NumericalError
+    if they do not); readout_basis picks the trace's coherence column.
     """
     if phase_policy not in PHASE_POLICIES:
         raise ValueError(f"phase_policy must be one of {PHASE_POLICIES}")
     if readout_basis not in READOUT_BASES:
         raise ValueError(f"readout_basis must be one of {READOUT_BASES}")
     _check_signal(signal_rabi, interrogation_time)
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
     report = protected_report(con)
     if signal_rabi == 0.0:
         return _zero_signal(interrogation_time)
@@ -161,25 +160,22 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
 
     attenuation = 1.0
     effective = locked_rate
-    phase_rates = None
     if phase_policy == "random-averaged" and not off_resonant:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed)))
-        phases = rng.uniform(0.0, 2.0 * np.pi, n_draws)
         # |H_eff[0,1]| = locked_rate * |sin(phase)| exactly: the Jx
         # quadrature has no elements inside the pair, and its second-order
         # correction through the complement cancels between the +Omega and
-        # -Omega dressed states.  The draw loop therefore reduces to the
-        # matrix element; a handful of full extractions guard the shortcut.
-        phase_rates = locked_rate * np.abs(np.sin(phases))
-        for check_phase in phases[:4]:
+        # -Omega dressed states.  The phase average of the squared ratio is
+        # then the mean of sin^2, 1/2.  Full extractions guard the law at
+        # one phase per quadrant, none a multiple of pi/2, so that both
+        # quadratures enter every check.
+        for check_phase in (0.3, 2.0, 3.6, 5.5):
             direct = rate_at_gap(check_phase)
-            expected = locked_rate * abs(np.sin(check_phase))
+            expected = locked_rate * abs(math.sin(check_phase))
             if abs(direct - expected) > 1e-3 * locked_rate + 1e-12:
-                raise RuntimeError(
+                raise NumericalError(
                     "phase shortcut disagrees with full extraction; "
                     f"{direct:.6g} vs {expected:.6g}")
-        attenuation = float(np.mean((phase_rates / locked_rate) ** 2))
+        attenuation = 0.5
         effective = locked_rate * math.sqrt(attenuation)
 
     # Reference trace at locked phase over one transfer period.  Off
@@ -200,7 +196,6 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
         "locked_rate": locked_rate,
         "expected_rate": probe_scale,
         "detuning": detuning,
-        "n_draws": n_draws if phase_rates is not None else 0,
         "max_transfer": float(np.max(trace.populations["D2"])),
         **ledger,
         **t2_details,

@@ -236,8 +236,7 @@ def test_criterion_08_sensing():
     scheme = ca40_dp()
     con = compact_construction(scheme, 0.3, 1.0)
     rep, _ = run_ac_sensing(con, 0.8 * 0.3, 0.01,
-                            phase_policy="random-averaged", n_draws=1024,
-                            seed=0)
+                            phase_policy="random-averaged")
 
     win = frequency_window(NoiseProcess(
         "ornstein-uhlenbeck", sigma=TWO_PI * 700.0, tau_c=1e-3))
@@ -255,7 +254,7 @@ def test_criterion_08_sensing():
                                 horizon_in_bare_t2=120.0)
     _verdict(8, [
         ("phase attenuation 0.50", abs(rep.attenuation_factor - 0.5) < 0.03,
-         f"{rep.attenuation_factor:.4f} at 1024 draws"),
+         f"{rep.attenuation_factor:.4f} exact"),
         ("window lower ~0.1 MHz", 80.0 < lower_khz < 120.0,
          f"{lower_khz:.1f} kHz"),
         ("window upper 100 MHz", abs(upper_mhz - 100.0) < 1e-9,

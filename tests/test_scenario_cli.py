@@ -788,13 +788,12 @@ OPTICAL_SENSE_YAML = SENSE_ZERO_NOISE_YAML.replace(ZERO_NOISE, "")
      "scenario.sense.phase_policy"),
     (HYPERFINE_SENSE_YAML + "  readout_basis: x\n",
      "scenario.sense.readout_basis"),
-    (HYPERFINE_SENSE_YAML + "  n_draws: 64\n", "scenario.sense.n_draws"),
     (OPTICAL_SENSE_YAML + "  n_traj: 16\n", "scenario.sense.n_traj"),
     (OPTICAL_SENSE_YAML + "  interrogation_time: 5\n" + NOISE_SECTION,
      "scenario.sense.interrogation_time"),
 ], ids=["hyperfine-default-noise", "hyperfine-noise", "hyperfine-n_traj",
         "optical-detuning", "hyperfine-phase_policy",
-        "hyperfine-readout_basis", "hyperfine-n_draws",
+        "hyperfine-readout_basis",
         "optical-n_traj-without-noise",
         "optical-interrogation_time-with-noise"])
 def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
@@ -806,19 +805,30 @@ def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("yaml_text", [OPTICAL_SENSE_YAML,
+                                       HYPERFINE_SENSE_YAML],
+                         ids=["optical", "hyperfine"])
+def test_sense_n_draws_is_an_unknown_key(yaml_text):
+    # the random-phase attenuation is exact, so no sense variant takes a
+    # number of phase draws
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(yaml.safe_load(yaml_text + "  n_draws: 64\n"))
+    assert err.value.problems == ("scenario.sense.n_draws: unknown key",)
+
+
 def test_explicit_sense_variant_is_checked_without_a_construction():
     # an unreadable construction leaves an explicit variant its own keys,
     # so the sense section's problems come in the same pass
     text = HYPERFINE_SENSE_YAML.replace(
-        "sense:\n", "sense:\n  variant: hyperfine\n  n_draws: 64\n")
+        "sense:\n", "sense:\n  variant: hyperfine\n  readout_basis: x\n")
     data = yaml.safe_load(text)
     data["construction"] = 5
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     problems = err.value.problems
     assert "scenario.construction: expected a mapping, got int" in problems
-    assert "scenario.sense.n_draws: the hyperfine sense variant does not " \
-        "read it" in problems
+    assert "scenario.sense.readout_basis: the hyperfine sense variant " \
+        "does not read it" in problems
 
 
 @pytest.mark.parametrize("yaml_text", [
@@ -930,7 +940,7 @@ def test_unset_evolve_keys_take_the_functions_defaults(tmp_path, noise):
 
 
 # Every argument the CLI passes from outside a section.
-CLI_SUPPLIED = {"scheme", "con", "noise", "seed"}
+CLI_SUPPLIED = {"scheme", "con", "noise"}
 
 
 def test_every_section_key_has_one_kind():
@@ -968,7 +978,7 @@ COMPARE_YAML = COMPARE_ZERO_NOISE_YAML.replace(ZERO_NOISE, NOISE_SECTION)
 SECTION_CALLEES = {
     "sense-optical": ((OPTICAL_SENSE_YAML, OPTICAL_SENSE_YAML + NOISE_SECTION),
                       "variant", sensing, "run_ac_sensing",
-                      {"con", "seed", "noise"}, set()),
+                      {"con", "noise"}, set()),
     "sense-hyperfine": ((HYPERFINE_SENSE_YAML,), "variant", sensing,
                         "run_hyperfine_sensing", {"con"}, {"signal_freq"}),
     "gates-microwave": ((GATES_YAML,), "gate", gates, "microwave_sigma_y",

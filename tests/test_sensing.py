@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import pathlib
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from darkqubit import dynamics, sensing
+from darkqubit import cli, dynamics, sensing
 from darkqubit.angular import clebsch_gordan
 from darkqubit.driving import (compact_construction, hyperfine_construction,
                                ideal_construction)
@@ -50,8 +51,6 @@ def test_protocol_validation(optical, hyperfine):
         run_ac_sensing(optical, 1.0, 0.01, interrogation_time=0.0)
     with pytest.raises(ValueError, match="signal_rabi"):
         run_ac_sensing(optical, 1.0, -0.01)
-    with pytest.raises(ValueError, match="n_draws"):
-        run_ac_sensing(optical, 1.0, 0.01, n_draws=0)
     with pytest.raises(ValueError, match="interrogation_time"):
         run_hyperfine_sensing(hyperfine, 0.02, interrogation_time=0.0)
     with pytest.raises(ValueError, match="signal_rabi"):
@@ -73,19 +72,38 @@ def test_locked_phase_rate(optical):
 
 
 def test_random_phase_attenuation(optical):
-    # mean of sin^2 over uniform phase is 1/2; the sampled estimate must
-    # land inside the binomial-ish band around it
-    proto = dict(phase_policy="random-averaged", n_draws=1024, seed=0)
-    rep, _ = run_ac_sensing(optical, GAP, 0.01, **proto)
-    assert rep.attenuation_factor == pytest.approx(0.5, abs=0.03)
-    assert rep.effective_rabi == pytest.approx(
-        rep.details["locked_rate"] * math.sqrt(rep.attenuation_factor),
-        rel=1e-12,
-    )
-    assert rep.details["n_draws"] == 1024
-    # deterministic given the seed
-    rep2, _ = run_ac_sensing(optical, GAP, 0.01, **proto)
-    assert rep2.attenuation_factor == rep.attenuation_factor
+    # mean of sin^2 over uniform phase is exactly 1/2, once full
+    # extractions at four phases besides the locked one confirm the
+    # |sin(phase)| law
+    with mock.patch.object(sensing, "extract_effective_hamiltonian",
+                           wraps=sensing.extract_effective_hamiltonian) as spy:
+        rep, _ = run_ac_sensing(optical, GAP, 0.01,
+                                phase_policy="random-averaged")
+    assert spy.call_count == 5
+    assert rep.attenuation_factor == 0.5
+    assert rep.effective_rabi == \
+        rep.details["locked_rate"] * math.sqrt(0.5)
+
+
+def test_broken_phase_law_is_a_numerical_failure(optical, tmp_path,
+                                                 monkeypatch, capsys):
+    # a rate that ignores the signal's phase breaks the |sin(phase)| law
+    # the exact attenuation rests on: the library raises NumericalError,
+    # and the CLI reports it with exit code 3 and writes no summary
+    def phase_blind(ham, basis, t_probe):
+        return np.array([[0.0, 0.0075], [0.0075, 0.0]], complex), 0.0
+
+    monkeypatch.setattr(sensing, "extract_effective_hamiltonian",
+                        phase_blind)
+    with pytest.raises(dynamics.NumericalError, match="phase shortcut"):
+        run_ac_sensing(optical, GAP, 0.01, phase_policy="random-averaged")
+    scenario = pathlib.Path(__file__).resolve().parents[1] / "scenarios" \
+        / "sense_optical_noise.yaml"
+    out = tmp_path / "out"
+    assert cli.main(["sense", "--scenario", str(scenario),
+                     "--out", str(out)]) == 3
+    assert "numerical failure: phase shortcut" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_off_resonant_signal_flagged(optical):
