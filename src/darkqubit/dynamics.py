@@ -33,7 +33,7 @@ squaring); system dimensions here are small enough that this is both
 exact and fast.
 
 Decay fits use variable projection: each model is amplitude * column
-(+ offset) with one nonlinear parameter, the linear ones are solved
++ offset with one nonlinear parameter, the linear ones are solved
 exactly at each value of it, and a bracketing secant search finds the
 zero of the residual's derivative to rounding.  Only DOP853 imports
 scipy, on first use.
@@ -172,7 +172,9 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     at most |M| (|v_{a,N}| + |v_{a,-N}|) |<P_a(t0)|y0>| per unit time
     through mode a, and the selected P(t0) must be unitary; N grows until
     that bound over max(span, 1/w), plus the unitarity defect of P(t0),
-    is below FLOQUET_TOL.  Returns None when no Sambe dimension
+    is below FLOQUET_TOL: as the tail predicts from the bound when
+    truncation failed the check, by one when the defect or the selection
+    did.  Returns None when no Sambe dimension
     (2N + 1) dim up to FLOQUET_MAX_DIM selects exactly dim modes that
     pass.
     """
@@ -216,7 +218,7 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
         weight = np.abs(vecs) ** 2
         centre = np.round(band @ weight, 6)
         keep = (centre >= -0.5) & (centre < 0.5)
-        bound = np.nan
+        tail = 0.0
         if np.count_nonzero(keep) == dim:
             quasi, modes = vals[keep], vecs[:, keep].reshape(bands, dim * dim)
             lift = np.exp(-1j * orders * (freq * times[0] - phi))
@@ -225,14 +227,18 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
             edge = (np.sqrt(weight[:dim, keep].sum(axis=0))
                     + np.sqrt(weight[-dim:, keep].sum(axis=0)))
             defect = np.abs(start.conj().T @ start - np.eye(dim)).max()
-            bound = (edge @ np.abs(coef)).max() * norm_m * reach + defect
-            if bound <= FLOQUET_TOL:
+            truncation = (edge @ np.abs(coef)).max() * norm_m * reach
+            if truncation + defect <= FLOQUET_TOL:
                 break
+            if defect <= truncation:
+                tail = truncation + defect
         del vals, vecs, weight  # and none of them into the next round
-        # Past N the bound falls about as the tail does.  N grows by at
-        # least one, also when the bound is not a number.
+        # Past N a truncation bound falls about as the tail does.  A failed
+        # selection or unitarity check says nothing of the tail, and a
+        # defect of order 1 read as one would jump N by several: N grows
+        # by one.
         cutoff += 1
-        tail = bound * norm_m / freq / cutoff
+        tail *= norm_m / freq / cutoff
 
     # The sideband phases e^{-in(wt - phi)} as powers of n = 1's, then P(t)
     # for every time in one GEMM over the sidebands, and each time's
@@ -361,7 +367,8 @@ def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
     orthonormalizes within a degenerate cluster, and every column of Z
     stays an eigenvector.  Z^H U Z must then be diagonal; an off-diagonal
     above 1e-8 means unitarity was lost.  stride keeps every stride-th
-    period only.  Returns (times, states), times[0] = 0.
+    period only.  psi0 is a state or a [dim, n] matrix of states as
+    columns.  Returns (times, states [nt, *psi0.shape]), times[0] = 0.
     """
     ham = _as_hamiltonian(ham)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -373,10 +380,15 @@ def evolve_stroboscopic(ham, psi0: np.ndarray, period: float,
                              "unitarity was lost")
     theta = np.angle(np.diag(tri))
     ks = np.arange(0, n_periods + 1, stride)
-    amps = z.conj().T @ psi0
-    states = np.einsum("ij,kj->ki", z,
-                       np.exp(1j * np.outer(ks, theta)) * amps)
-    return ks * period, states
+    phases = np.exp(1j * np.outer(ks, theta))
+    z_h = z.conj().T
+    # One contiguous column at a time, so that a column's bits depend on
+    # nothing else: a BLAS product may round a matrix, a vector and a
+    # strided vector each its own way.
+    cols = np.array(psi0.T, order="C", ndmin=2)
+    states = np.stack([np.einsum("ij,kj->ki", z, phases * (z_h @ col))
+                       for col in cols], axis=-1)
+    return ks * period, states.reshape(len(ks), *psi0.shape)
 
 
 # Higham's degree-13 Pade coefficients b_0..b_13 of exp, and the 1-norm
@@ -501,12 +513,11 @@ def overlap_population(states: np.ndarray, target: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------ curve fitting
 
 
-def _guess_baseline(values: np.ndarray) -> float:
+def _guess_tau(times: np.ndarray, values: np.ndarray) -> float:
+    """Where |values - baseline| first falls below 1/e of its peak, the
+    baseline being the mean of the last fifth of the values."""
     tail = values[int(0.8 * len(values)):]
-    return float(tail.mean()) if tail.size else float(values[-1])
-
-
-def _guess_rate(times: np.ndarray, values: np.ndarray, base: float) -> float:
+    base = float(tail.mean()) if tail.size else float(values[-1])
     envelope = np.abs(values - base)
     peak = envelope.max()
     if peak <= 0:
@@ -515,28 +526,6 @@ def _guess_rate(times: np.ndarray, values: np.ndarray, base: float) -> float:
     if below.size:
         return max(times[below[0]] - times[0], (times[1] - times[0]))
     return times[-1] - times[0]
-
-
-def _guess_frequency(times: np.ndarray, values: np.ndarray) -> float:
-    # Zero-padding to 8x interpolates the spectrum between its bins: on
-    # 1.5 or 2.35 periods of sin^2 the unpadded peak bin is 15-35% off.
-    # A power of two keeps the FFT fast: on a Raman gate's 1509 points,
-    # exactly 8x took 2.4 ms against 0.2 ms.
-    n = 1 << (8 * len(values) - 1).bit_length()
-    spectrum = np.fft.rfft(values - values.mean(), n)
-    freqs = np.fft.rfftfreq(n, times[1] - times[0])
-    peak = np.argmax(np.abs(spectrum[1:])) + 1
-    return 2.0 * np.pi * freqs[peak]
-
-
-def _decay_guess(times, values):
-    return _guess_rate(times, values, _guess_baseline(values))
-
-
-def _sin2_guess(times, values):
-    # The dominant FFT component of sin^2(rate t) sits at 2 rate.
-    rate = _guess_frequency(times, values) / 2.0
-    return rate or 1.0 / (times[-1] - times[0] or 1.0)
 
 
 def _exponential_basis(t, tau):
@@ -550,26 +539,14 @@ def _gaussian_basis(t, tau):
     return col, col * arg * (2.0 / tau)
 
 
-def _sin2_basis(t, rate):
-    phase = rate * t
-    col = np.sin(phase)
-    return col * col, np.sin(2.0 * phase) * t
-
-
-# name -> (basis(t, theta) -> (column, d column / d theta), guess of theta,
-# parameter names).  The model is amplitude * column (+ offset when three
-# names are given): tau or rate is its one nonlinear parameter.
-_MODELS = {
-    "exponential": (_exponential_basis, _decay_guess,
-                    ("amplitude", "tau", "offset")),
-    "gaussian": (_gaussian_basis, _decay_guess,
-                 ("amplitude", "tau", "offset")),
-    "sin2": (_sin2_basis, _sin2_guess, ("amplitude", "rate")),
-}
-# The secant search stops where dphi/dtheta is at its rounding level,
-# FIT_GTOL times 2 eps |amp| |dA/dtheta| (|y| + |amp A|), what rounding
+# name -> basis(t, tau) -> (column, d column / d tau).  The model is
+# amplitude * column + offset: tau is its one nonlinear parameter.
+_MODELS = {"exponential": _exponential_basis, "gaussian": _gaussian_basis}
+_PARAMS = ("amplitude", "tau", "offset")
+# The secant search stops where dphi/dtau is at its rounding level,
+# FIT_GTOL times 2 eps |amp| |dA/dtau| (|y| + |amp A|), what rounding
 # the residual carries into it (0.4-3 times that on the benchmark's
-# fits), or where a step moves theta by no more than FIT_XTOL of it.  A
+# fits), or where a step moves tau by no more than FIT_XTOL of it.  A
 # column that meets the constant at a squared sine below FIT_SINGULAR
 # (an exponential decaying by 3e-4 over the window) leaves amplitude and
 # offset undetermined.
@@ -640,17 +617,17 @@ def _covariance_stderr(jac_t: np.ndarray, ssq: float) -> np.ndarray:
 
 def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
               p0: tuple | None = None) -> FitResult:
-    """Least-squares fit of a named decay model; see _MODELS for choices.
+    """Least-squares fit of amplitude * column(t / tau) + offset, the
+    column an "exponential" or "gaussian" decay (_MODELS).
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)): at each value of the model's nonlinear parameter theta (tau
-    or rate) amplitude and offset solve their linear least-squares
-    problem exactly, and phi(theta), the squared residual left, is
-    minimised over theta alone.  Its derivative is -2 r^T (dA/dtheta) c
-    for residual r, basis A and linear parameters c; its zero is found
-    by _secant_minimum from the guess, or from p0 (in the model's
-    parameter order; only theta is read from it).  stderr is curve_fit's
-    sqrt(diag(inv(J^T J) ssq / (m - n))) at the minimum.
+    (1973)): at each tau amplitude and offset solve their linear
+    least-squares problem exactly, and phi(tau), the squared residual
+    left, is minimised over tau alone.  Its derivative is
+    -2 r^T (dA/dtau) c for residual r, basis A and linear parameters c;
+    its zero is found by _secant_minimum from the guess, or from p0
+    ((amplitude, tau, offset); only tau is read from it).  stderr is
+    curve_fit's sqrt(diag(inv(J^T J) ssq / (m - n))) at the minimum.
 
     Raises ValueError on non-finite data or too few points, and
     NumericalError when the search does not converge or the data show no
@@ -661,17 +638,16 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
     values = np.asarray(values, dtype=float)
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; have {sorted(_MODELS)}")
-    basis, guess, names = _MODELS[model]
+    basis = _MODELS[model]
     if not (times.ndim == 1 and times.shape == values.shape
-            and times.size > len(names)):
+            and times.size > len(_PARAMS)):
         raise ValueError(f"times and values must be 1-d of equal length, "
-                         f"more than {len(names)} points")
+                         f"more than {len(_PARAMS)} points")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
         raise ValueError("times and values must be finite")
-    offset = len(names) == 3
-    # With an offset the column is centred, so the 2x2 normal equations
-    # reduce to one division; the residual r is the same.
-    target = values - values.mean() if offset else values
+    # The column is centred, so the 2x2 normal equations reduce to one
+    # division; the residual r is the same.
+    target = values - values.mean()
     target_norm = np.sqrt(_dot(target, target))
     best = [np.inf]  # smallest squared residual seen
     last = {}
@@ -683,15 +659,15 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
         return NumericalError(f"{model} fit {reason} "
                               f"(best rms {rms(best[0]):.3e})")
 
-    def grad(theta):
-        raw, dcol = basis(times, theta)
-        mean = raw.sum() / raw.size if offset else 0.0
-        col = raw - mean if offset else raw
+    def grad(tau):
+        raw, dcol = basis(times, tau)
+        mean = raw.sum() / raw.size
+        col = raw - mean
         norm2 = _dot(col, col)
         raw2 = norm2 + col.size * mean ** 2  # raw @ raw
         if not norm2 > FIT_SINGULAR * raw2:
-            raise failed(f"met a singular basis at {names[1]} = "
-                         f"{theta:.6g}: the data show no {model} decay")
+            raise failed(f"met a singular basis at tau = {tau:.6g}: the "
+                         f"data show no {model} decay")
         amp = _dot(col, target) / norm2
         resid = target - amp * col
         best[0] = min(best[0], _dot(resid, resid))
@@ -702,33 +678,29 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
             target_norm + abs(amp) * np.sqrt(raw2))
         return 0.0 if abs(slope) <= FIT_GTOL * noise else slope
 
-    theta = float(p0[1] if p0 is not None else guess(times, values))
-    g0 = grad(theta)
+    tau = float(p0[1] if p0 is not None else _guess_tau(times, values))
+    g0 = grad(tau)
     # First step: Gauss-Newton on phi, whose curvature it takes as
     # 2 |P dA c|^2 with P the projector off the basis (Kaufman, BIT 15,
-    # 49 (1975)), at most half of theta.
+    # 49 (1975)), at most half of tau.
     col, dcol = last["col"], last["dcol"]
     perp2 = _dot(dcol, dcol) - _dot(col, dcol) ** 2 / last["norm2"]
-    if offset:
-        perp2 -= dcol.sum() ** 2 / dcol.size
+    perp2 -= dcol.sum() ** 2 / dcol.size
     newton = g0 / (2.0 * last["amp"] ** 2 * perp2) if g0 else 0.0
-    step = -np.copysign(np.fmin(abs(newton), 0.5 * abs(theta)), g0)
-    theta = _secant_minimum(grad, theta, g0, step)
-    if theta is None:
+    step = -np.copysign(np.fmin(abs(newton), 0.5 * abs(tau)), g0)
+    tau = _secant_minimum(grad, tau, g0, step)
+    if tau is None:
         raise failed(f"did not converge in {FIT_MAX_EVALS} evaluations")
     amp, mean, resid = last["amp"], last["mean"], last["resid"]
     if not abs(amp) * np.sqrt(last["norm2"]) > FIT_GTOL * _EPS * np.sqrt(
             _dot(values, values)):
-        raise failed(f"found no amplitude above rounding at {names[1]} = "
-                     f"{theta:.6g}: the data show no {model} decay")
-    params = [amp, theta]
-    jac = [last["raw"], amp * last["dcol"]]
-    if offset:
-        params.append(values.mean() - amp * mean)
-        jac.append(np.ones_like(resid))
+        raise failed(f"found no amplitude above rounding at tau = "
+                     f"{tau:.6g}: the data show no {model} decay")
+    params = [amp, tau, values.mean() - amp * mean]
+    jac = [last["raw"], amp * last["dcol"], np.ones_like(resid)]
     ssq = float(_dot(resid, resid))
     err = _covariance_stderr(np.array(jac), ssq)
     return FitResult(model=model,
-                     params=dict(zip(names, map(float, params))),
-                     stderr=dict(zip(names, map(float, err))),
+                     params=dict(zip(_PARAMS, map(float, params))),
+                     stderr=dict(zip(_PARAMS, map(float, err))),
                      rms_residual=rms(ssq))

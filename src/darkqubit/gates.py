@@ -28,8 +28,8 @@ import numpy as np
 
 from .driving import Construction
 from .dynamics import (NumericalError, SimulationTrace, evolve_stroboscopic,
-                       evolve_unitary, expectation, fit_decay,
-                       overlap_population, propagator)
+                       evolve_unitary, expectation, overlap_population,
+                       propagator)
 from .noise import NoiseProcess, evolve_noisy
 from .subspace import SubspaceReport, find_protected_subspace
 
@@ -171,6 +171,24 @@ def _log_2x2(mat: np.ndarray) -> np.ndarray:
     return slope * (mat - mu * np.eye(2)) + (log_p + log_m) / 2.0 * np.eye(2)
 
 
+def _pair_generator(proj: np.ndarray, t_probe: float,
+                    ) -> tuple[np.ndarray, float]:
+    """(H_eff, defect) of a pair-projected propagator proj over t_probe.
+
+    defect = 1 - proj's smallest singular value, the population leaving
+    the pair; above LEAKAGE_TOL it raises.  H_eff = i log(proj) / t_probe
+    on the principal branch, made Hermitian.
+    """
+    smin = np.linalg.svd(proj, compute_uv=False).min()
+    defect = float(1.0 - smin)
+    if defect > LEAKAGE_TOL:
+        raise NumericalError(
+            f"subspace leakage {defect:.3g} over t_probe exceeds "
+            f"{LEAKAGE_TOL}; the subspace is not preserved")
+    gen = 1j * _log_2x2(proj) / t_probe
+    return (gen + gen.conj().T) / 2.0, defect
+
+
 def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
                                   ) -> tuple[np.ndarray, float]:
     """2x2 generator of the subspace-projected propagator.
@@ -182,16 +200,7 @@ def extract_effective_hamiltonian(ham, basis: np.ndarray, t_probe: float,
     pi.  defect > LEAKAGE_TOL raises: the subspace is not preserved.
     """
     u_full = propagator(ham, t_probe)
-    proj = basis.conj().T @ u_full @ basis
-    smin = np.linalg.svd(proj, compute_uv=False).min()
-    defect = float(1.0 - smin)
-    if defect > LEAKAGE_TOL:
-        raise NumericalError(
-            f"subspace leakage {defect:.3g} over t_probe exceeds "
-            f"{LEAKAGE_TOL}; the subspace is not preserved")
-    gen = 1j * _log_2x2(proj) / t_probe
-    gen = (gen + gen.conj().T) / 2.0
-    return gen, defect
+    return _pair_generator(basis.conj().T @ u_full @ basis, t_probe)
 
 
 def microwave_sigma_y(omega_g: float, con: Construction) -> EffectiveQubitOp:
@@ -246,9 +255,10 @@ def raman_sigma_x(omega_g: float, delta_r: float,
     Both legs (the two lower states that share the chosen excited state
     across the two Lambda systems) are driven with the same effective
     amplitude omega_g, detuned by delta_r from the excited state.  The
-    second-order coupling rotates D1 into D2; the rate is extracted from
-    the stroboscopically sampled population transfer and compared to
-    3 omega_g^2 / (4 delta_r) in details["expected_second_order"].
+    second-order coupling rotates D1 into D2; the pair's effective
+    Hamiltonian is taken from its stroboscopically sampled propagator and
+    its rate compared to 3 omega_g^2 / (4 delta_r) in
+    details["expected_second_order"].
     """
     if omega_g < 0 or delta_r <= 0:
         raise ValueError("need omega_g >= 0 and delta_r > 0")
@@ -294,24 +304,23 @@ def raman_sigma_x(omega_g: float, delta_r: float,
     coupling[p_idx, d2_idx] = omega_g
     ham = con.ip.plus_harmonic(coupling, delta_r)
 
+    # The pair's generator over the whole number of drive periods nearest
+    # 0.3 / expected, and the leakage at every such step over 1.4 pi /
+    # expected (1.4 periods of the D1 <-> D2 transfer).
     period = 2.0 * np.pi / delta_r
-    horizon = 1.4 * np.pi / expected
-    n_periods = int(np.ceil(horizon / period))
-    stride = max(1, n_periods // 1500)
-    times, states = evolve_stroboscopic(ham, basis[:, 0], period, n_periods,
-                                        stride=stride)
-    p2 = overlap_population(states, basis[:, 1])
-    p1 = overlap_population(states, basis[:, 0])
-    fit = fit_decay(times, p2, "sin2")
-    rate = float(abs(fit.params["rate"]))
-    leakage = float(np.max(1.0 - p1 - p2))
+    stride = max(1, round(0.3 / expected / period))
+    n_periods = int(np.ceil(1.4 * np.pi / expected / period))
+    _, states = evolve_stroboscopic(ham, basis, period, n_periods,
+                                    stride=stride)
+    proj = basis.conj().T @ states
+    h_eff, defect = _pair_generator(proj[1], stride * period)
+    rate = float(abs(h_eff[0, 1]))
+    leakage = float(np.max(1.0 - np.sum(np.abs(proj) ** 2, axis=1)))
 
-    h_eff = rate * SIGMA_X * np.sign(delta_r)
     return EffectiveQubitOp(
         "hamiltonian", h_eff, rate, leakage,
-        1.0 if rate else 0.0,
+        _axis_fidelity(h_eff, SIGMA_X),
         {"expected_second_order": expected,
+         "probe_defect": defect,
          "rate_over_expected": rate / expected,
-         "transfer_contrast": float(fit.params["amplitude"]),
-         "fit_rms": fit.rms_residual,
          "hierarchy_warnings": tuple(hierarchy)})

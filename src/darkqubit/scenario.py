@@ -268,7 +268,6 @@ _KINDS = {
     **dict.fromkeys(("seed", "n_traj", "points"), "int"),
     "cross_check": "bool", "lower": "str", "upper": "str",
     "kind": noise.KINDS, "phase_policy": sensing.PHASE_POLICIES,
-    "readout_basis": sensing.READOUT_BASES,
     "initial": ("D1", "D2", "superposition"),
 }
 

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 PHASE_POLICIES = ("locked", "random-averaged")
-READOUT_BASES = ("x", "y", "z")
 DEFAULT_MAX_ZEEMAN = 2.0 * np.pi * 100e6  # rad/s
 DEFAULT_T1_TARGET = 1.0  # s
 DEFAULT_THRESHOLD = 0.1  # dimensionless S_BB(gap) * T1_target bound
@@ -113,7 +112,7 @@ def _zero_signal(interrogation_time: float):
 
 def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
                    phase_policy: str = "locked",
-                   interrogation_time: float = 1.0, readout_basis: str = "z",
+                   interrogation_time: float = 1.0,
                    noise: NoiseProcess | None = None, n_traj: int = 256,
                    ) -> tuple[SensitivityReport, SimulationTrace]:
     """Signal-induced rotation of the dark pair, with phase statistics.
@@ -129,12 +128,10 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     phase_policy "random-averaged" the attenuation on resonance is the
     mean of sin^2 over a uniform phase, exactly 1/2, once four full
     extractions confirm the |sin(phase)| law it rests on (NumericalError
-    if they do not); readout_basis picks the trace's coherence column.
+    if they do not).  The trace holds the D1 and D2 populations.
     """
     if phase_policy not in PHASE_POLICIES:
         raise ValueError(f"phase_policy must be one of {PHASE_POLICIES}")
-    if readout_basis not in READOUT_BASES:
-        raise ValueError(f"readout_basis must be one of {READOUT_BASES}")
     _check_signal(signal_rabi, interrogation_time)
     report = protected_report(con)
     if signal_rabi == 0.0:
@@ -183,7 +180,9 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     ham, ledger = _optical_signal(con, signal_rabi, signal_freq, np.pi / 2.0)
     times = np.linspace(0.0, np.pi / locked_rate, 400)
     states = evolve_unitary(ham, basis[:, 0], times)
-    trace = _readout_trace(times, states, basis, readout_basis)
+    trace = SimulationTrace(times=times, populations={
+        "D1": overlap_population(states, basis[:, 0]),
+        "D2": overlap_population(states, basis[:, 1])})
 
     t2 = interrogation_time
     t2_details = {}
@@ -207,21 +206,6 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
         details["flag"] = "signal off-resonant beyond linewidth; " \
                           "zero-rotation regime"
     return _report(effective, t2, attenuation, details), trace
-
-
-def _readout_trace(times, states, basis, readout_basis) -> SimulationTrace:
-    a1 = states @ basis[:, 0].conj()  # <D1|psi(t)>
-    a2 = states @ basis[:, 1].conj()
-    rho12 = a1 * a2.conj()
-    coherences = {}
-    if readout_basis == "x":
-        coherences["x"] = 2.0 * rho12.real
-    elif readout_basis == "y":
-        coherences["y"] = -2.0 * rho12.imag
-    return SimulationTrace(times=times,
-                           populations={"D1": np.abs(a1) ** 2,
-                                        "D2": np.abs(a2) ** 2},
-                           coherences=coherences)
 
 
 def _pair_coherence(con, ham, a, b, noise, times, n_traj):
@@ -346,8 +330,9 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
     The signal drives the S_x operator at the stretched-transition
     frequency (omega_HF shifted by three Zeeman spacings for the F1/F2
     pair) plus the given detuning.  Exactly one S_x element is resonant;
-    its rate is extracted from the D1 <-> D2 population transfer and
+    on resonance its rate is the pair's effective-Hamiltonian coupling,
     reported against (Omega_g/2) x (the dark-state amplitude product).
+    NumericalError when no resonant element couples the pair.
     interrogation_time stands in as the coherence window.
     """
     _check_signal(signal_rabi, interrogation_time)
@@ -367,6 +352,9 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
     # dark-state amplitudes it connects.
     expected = (signal_rabi / 2.0) * abs(basis[iu, 1]) \
         * abs(basis[il, 0]) * abs(s_x[iu, il])
+    if expected == 0.0:
+        raise NumericalError("no resonant signal element couples the "
+                             "protected pair; there is no rate to extract")
 
     # In the construction's frame each signal element lands at its own
     # residual frequency; slow ones join the static interaction picture.
@@ -374,20 +362,19 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
                                 resonance + detuning, 0.0,
                                 rwa_cutoff=10.0 * con.omega)
 
-    rate_scale = max(expected, 1e-12)
-    horizon = 1.2 * np.pi / rate_scale
-    times = np.linspace(0.0, horizon, 900)
+    times = np.linspace(0.0, 1.2 * np.pi / expected, 900)
     states = evolve_unitary(ham, basis[:, 0], times)
     p2 = overlap_population(states, basis[:, 1])
     p1 = overlap_population(states, basis[:, 0])
 
-    # Off resonance no rate is fitted; the report carries rate 0.
-    rate, fit_info = 0.0, {"coefficient_vs_rabi": math.nan}
+    # Off resonance no rate is extracted; the report carries rate 0.
+    rate, probe = 0.0, {"coefficient_vs_rabi": math.nan}
     if detuning == 0.0:
-        fit = fit_decay(times, p2, "sin2")
-        rate = float(abs(fit.params["rate"]))
-        fit_info = {"coefficient_vs_rabi": rate / signal_rabi,
-                    "fit_rms": fit.rms_residual}
+        h_eff, defect = extract_effective_hamiltonian(ham, basis,
+                                                      0.3 / expected)
+        rate = float(abs(h_eff[0, 1]))
+        probe = {"coefficient_vs_rabi": rate / signal_rabi,
+                 "probe_defect": defect}
 
     details = {
         "expected_rate": expected,
@@ -396,7 +383,7 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
         "max_transfer": float(np.max(p2)),
         "leakage": float(np.max(1.0 - p1 - p2)),
         **ledger,
-        **fit_info,
+        **probe,
     }
     trace = SimulationTrace(times=times,
                             populations={"D1": p1, "D2": p2})

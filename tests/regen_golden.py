@@ -3,14 +3,16 @@
 Each scenario in GOLDEN_SCENARIOS is run through ``run_scenario`` and its
 summary (less ``generated_at``) and every trace or sweep column are
 stored in tests/golden/<scenario>.json.  Regenerate only when a change
-is meant to move these outputs, and say why in CHANGES.md.  With names
-given, only those scenarios are rewritten:
+is meant to move these outputs, and say why in CHANGES.md.  Each
+rewrite prints every value that moved at all, as "path: new != old".
+With names given, only those scenarios are rewritten:
 
     PYTHONPATH=src python tests/regen_golden.py [SCENARIO ...]
 """
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -24,6 +26,8 @@ GOLDEN_SCENARIOS = ("gates_microwave", "gates_raman", "sense_optical_noise",
                     "sense_hyperfine", "compare", "evolve_static",
                     "evolve_quasi_static", "evolve_ou", "evolve_pol_leak",
                     "error_budget_sweep")
+# Floats match to these; ints, strings, booleans and hashes exactly.
+RTOL, ATOL = 1e-9, 1e-12
 
 
 def record(name: str, out_dir) -> dict:
@@ -42,6 +46,33 @@ def record(name: str, out_dir) -> dict:
     return {"summary": summary, "tables": tables}
 
 
+def mismatches(got, want, path="", rtol=RTOL, atol=ATOL) -> list[str]:
+    """Every value of got that differs from want, floats beyond rtol and
+    atol, as "path: got != want"; a key only one side has stands
+    against (none)."""
+    def inner(g, w, where):
+        return mismatches(g, w, where, rtol, atol)
+
+    if isinstance(want, dict) and isinstance(got, dict):
+        return ([f"{path}.{key}: {got[key]!r} != (none)"
+                 for key in sorted(got.keys() - want.keys())]
+                + [f"{path}.{key}: (none) != {want[key]!r}"
+                   for key in sorted(want.keys() - got.keys())]
+                + [m for key in want if key in got
+                   for m in inner(got[key], want[key], f"{path}.{key}")])
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in inner(g, w, f"{path}[{i}]")]
+    if isinstance(want, float) and type(got) is float:
+        if math.isclose(got, want, rel_tol=rtol, abs_tol=atol):
+            return []
+    elif type(got) is type(want) and got == want:
+        return []
+    return [f"{path}: {got!r} != {want!r}"]
+
+
 def main(names) -> int:
     unknown = sorted(set(names) - set(GOLDEN_SCENARIOS))
     if unknown:
@@ -51,9 +82,13 @@ def main(names) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             golden = record(name, tmp)
         path = GOLDEN_DIR / f"{name}.json"
+        old = (json.loads(path.read_text(encoding="utf-8"))
+               if path.exists() else {})
         path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
         print(path)
+        for line in mismatches(golden, old, rtol=0.0, atol=0.0):
+            print(f"  {line}")  # new != old
     return 0
 
 

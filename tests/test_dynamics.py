@@ -346,6 +346,21 @@ class _ScrambledEigh:
         return vals, vecs
 
 
+def _degenerate_sidebands(phi):
+    """(H0, M, w): levels 2 and 3 at 0 and w, coupled to nothing, beside
+    a driven pair {0, 1} with a diagonal harmonic element."""
+    freq = 1.3
+    h0 = np.diag([0.2, -0.5, 0.0, freq]).astype(complex)
+    h0[0, 1] = h0[1, 0] = 0.3
+    m = np.zeros((4, 4), complex)
+    m[0, 0], m[1, 0] = 0.25, 0.4
+    return h0, m * np.exp(1j * phi), freq
+
+
+_DEGENERATE_TIMES = 0.4 + np.linspace(0.0, 3.0, 31)
+_DEGENERATE_Y0 = np.array([0.6, 0.0, 0.48, 0.64j])
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("phi", [0.0, 0.7])
 @pytest.mark.parametrize("rotate", [True, False])
@@ -359,16 +374,10 @@ def test_floquet_modes_survive_scrambled_degenerate_clusters(seed, phi,
     # translates again and the right answer; without the rotation the
     # selection or the unitarity of P(t0) must fail and give None, never
     # a wrong number.
-    freq = 1.3
-    h0 = np.diag([0.2, -0.5, 0.0, freq]).astype(complex)
-    h0[0, 1] = h0[1, 0] = 0.3
-    m = np.zeros((4, 4), complex)
-    m[0, 0], m[1, 0] = 0.25, 0.4
-    m *= np.exp(1j * phi)
+    h0, m, freq = _degenerate_sidebands(phi)
     ham = TimeDependentHamiltonian(h0, (Harmonic(m, freq),))
     assert dynamics._static_frame(ham) is None
-    times = 0.4 + np.linspace(0.0, 3.0, 31)
-    y0 = np.array([0.6, 0.0, 0.48, 0.64j])
+    times, y0 = _DEGENERATE_TIMES, _DEGENERATE_Y0
     scrambled = _ScrambledEigh(seed)
     with mock.patch.object(np.linalg, "eigh", scrambled):
         if rotate:
@@ -383,6 +392,26 @@ def test_floquet_modes_survive_scrambled_degenerate_clusters(seed, phi,
     if got is not None:
         want = _tight_dop853(ham, y0, times)
         assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+def test_floquet_grows_one_band_pair_per_solve_when_the_defect_fails(phi):
+    # the degenerate sidebands without the cluster rotation: eigh's mix of
+    # two translates leaves P(t0) far from unitary at every cutoff.  That
+    # defect says nothing of the truncation tail, so each solve adds one
+    # band pair (2 dim) until the size cap, lowered here to keep the
+    # solves small, gives the run up to DOP853
+    h0, m, freq = _degenerate_sidebands(phi)
+    with mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
+            mock.patch.object(dynamics, "_split_degenerate",
+                              lambda vecs, *_: [vecs]), \
+            mock.patch.object(dynamics, "FLOQUET_MAX_DIM", 160):
+        assert dynamics._floquet(h0, m, freq, _DEGENERATE_Y0,
+                                 _DEGENERATE_TIMES) is None
+    sizes = [size for size, _ in eigh.calls]
+    assert len(sizes) > 2
+    assert np.all(np.diff(sizes) == 2 * 4)
+    assert sizes[-1] + 2 * 4 > 160
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -437,6 +466,25 @@ def test_stroboscopic_matches_dense_sampling():
     assert np.allclose(times, period * np.arange(n + 1), atol=1e-12)
     dense = evolve_unitary(ham, psi0, times)
     assert np.allclose(states, dense, atol=1e-7)
+
+
+def test_stroboscopic_columns_match_single_state_runs():
+    # a [dim, 2] psi0 samples each column bit for bit as a run of that
+    # column alone does, whatever the layout it comes in
+    rng = np.random.default_rng(3)
+    m = 0.2 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    ham = TimeDependentHamiltonian(_random_hermitian(rng, 5),
+                                   (Harmonic(m, 2.0),))
+    psi0 = np.linalg.qr(rng.normal(size=(5, 2))
+                        + 1j * rng.normal(size=(5, 2)))[0]
+    times, states = evolve_stroboscopic(ham, psi0, np.pi, 30, stride=3)
+    assert states.shape == (len(times), 5, 2)
+    for k in range(2):
+        for col in (psi0[:, k], psi0[:, k].copy()):
+            single_times, single = evolve_stroboscopic(ham, col, np.pi, 30,
+                                                       stride=3)
+            assert np.array_equal(single_times, times)
+            assert np.array_equal(single, states[:, :, k])
 
 
 def _random_unitary(rng, dim):
@@ -642,14 +690,10 @@ def test_fit_decay_exponential():
     assert fit.rms_residual < 5e-3
 
 
-def test_fit_decay_gaussian_and_sin2():
+def test_fit_decay_gaussian():
     t = np.linspace(0.0, 5.0, 300)
     fit = fit_decay(t, np.exp(-((t / 1.7) ** 2)), "gaussian")
     assert fit.params["tau"] == pytest.approx(1.7, rel=1e-6)
-    y = 0.9 * np.sin(0.8 * t) ** 2
-    fit2 = fit_decay(t, y, "sin2")
-    assert fit2.params["rate"] == pytest.approx(0.8, rel=1e-6)
-    assert fit2.params["amplitude"] == pytest.approx(0.9, rel=1e-6)
 
 
 def test_fit_decay_unknown_model():
@@ -657,11 +701,10 @@ def test_fit_decay_unknown_model():
         fit_decay(np.arange(4.0), np.ones(4), "nope")
 
 
-@pytest.mark.parametrize("model", ["exponential", "sin2", "gaussian"])
+@pytest.mark.parametrize("model", ["exponential", "gaussian"])
 def test_fit_does_not_wobble_with_the_data(model):
     # criterion 10's shape (a noisy decay over 1.2 lifetimes, fitted from
-    # a given guess), the Raman shape (stroboscopic sin^2 transfer with
-    # a little leakage) and compare's (the coherence of 32 quasi-static
+    # a given guess) and compare's (the coherence of 32 quasi-static
     # trajectories over 3 bare T2, 120 points: a large residual, here in
     # 40 draws): a 1e-11 relative change of the data, what a change of
     # propagation path leaves, moves the fit by less than 1e-9
@@ -671,10 +714,6 @@ def test_fit_does_not_wobble_with_the_data(model):
         t = np.linspace(0.0, 24.0, 3001)
         shapes = [(np.exp(-t / 20.0) + 0.01 * rng.normal(size=t.size), rng)]
         p0 = (1.0, 20.0, 0.0)
-    elif model == "sin2":
-        t = 2.0 * np.pi / 30.0 * np.arange(1500)
-        shapes = [(0.98 * np.sin(0.004 * t) ** 2
-                   + 1e-3 * rng.normal(size=t.size), rng)]
     else:
         t = np.linspace(0.0, 3.0 * np.sqrt(2.0), 120)
         shapes = []
@@ -682,12 +721,11 @@ def test_fit_does_not_wobble_with_the_data(model):
             rng = np.random.default_rng(seed)
             phases = np.exp(1j * np.outer(t, rng.normal(size=32)))
             shapes.append((np.abs(phases.mean(axis=1)), rng))
-    keys = ("amplitude", "rate" if model == "sin2" else "tau")
     for y, rng in shapes:
         base = fit_decay(t, y, model, p0=p0)
         for _ in range(4):
             moved = fit_decay(t, y * (1.0 + 1e-11 * rng.normal(size=t.size)),
                               model, p0=p0)
-            for key in keys:
+            for key in ("amplitude", "tau"):
                 assert moved.params[key] == pytest.approx(base.params[key],
                                                           rel=1e-9)

@@ -23,13 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit, least_squares, root
 
-import darkqubit.gates
 import darkqubit.sensing
 from darkqubit import dynamics
 from darkqubit.cli import main
 from darkqubit.driving import compact_construction
 from darkqubit.dynamics import NumericalError, evolve_lindblad, fit_decay
-from darkqubit.gates import protected_report, raman_sigma_x
+from darkqubit.gates import protected_report
 from darkqubit.levels import ca40_dp
 from darkqubit.noise import NoiseProcess, evolve_noisy
 from darkqubit.sensing import coherence_comparison
@@ -56,30 +55,17 @@ def _gaussian_jac(t, amp, tau, off):
                             np.ones_like(t)])
 
 
-def _sin2(t, amp, rate):
-    return amp * np.sin(rate * t) ** 2
-
-
-def _sin2_jac(t, amp, rate):
-    return np.column_stack([np.sin(rate * t) ** 2,
-                            amp * np.sin(2.0 * rate * t) * t])
-
-
 MODELS = {"exponential": (_exponential, _exponential_jac),
-          "gaussian": (_gaussian, _gaussian_jac),
-          "sin2": (_sin2, _sin2_jac)}
+          "gaussian": (_gaussian, _gaussian_jac)}
 
 
 def _start(t, y, model, p0):
-    """The fit's own start: its guess of theta, best linear parameters."""
-    theta = p0[1] if p0 is not None else dynamics._MODELS[model][1](t, y)
+    """The fit's own start: its guess of tau, best linear parameters."""
+    tau = p0[1] if p0 is not None else dynamics._guess_tau(t, y)
     fn, _ = MODELS[model]
-    if model == "sin2":
-        col = fn(t, 1.0, theta)
-        return np.array([col @ y / (col @ col), theta])
-    basis = np.column_stack([fn(t, 1.0, theta, 0.0), np.ones_like(t)])
+    basis = np.column_stack([fn(t, 1.0, tau, 0.0), np.ones_like(t)])
     amp, off = np.linalg.lstsq(basis, y, rcond=None)[0]
-    return np.array([amp, theta, off])
+    return np.array([amp, tau, off])
 
 
 def _reference(t, y, model, p0):
@@ -136,9 +122,6 @@ def benchmark_shapes() -> dict[str, tuple]:
     (shapes["compare"],) = _capture(darkqubit.sensing, lambda: (
         coherence_comparison(con, noise, n_traj=32,
                              horizon_in_bare_t2=20.0)))
-    # criterion 7: the Raman gate's stroboscopic sin^2 transfer
-    (shapes["raman"],) = _capture(darkqubit.gates, lambda: (
-        raman_sigma_x(0.05, 15.0, con)))
 
     # criterion 4: Lindblad decay of a dark state at delta_b = 0.05
     scheme = ca40_dp(gamma=0.1)
@@ -156,7 +139,7 @@ def benchmark_shapes() -> dict[str, tuple]:
 
 
 SHAPES = ["criterion-10-x0.1", "criterion-10-x1", "criterion-10-x10",
-          "compare", "raman", "lindblad-t1"]
+          "compare", "lindblad-t1"]
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -195,32 +178,19 @@ def test_fit_ends_where_the_gradient_is_rounding(model, points, amp, negative,
                                                  seed):
     # at the returned point each column of the Jacobian is orthogonal to
     # the residual up to the rounding of the residual itself; the data
-    # span 1-5 lifetimes (0.5-2.5 periods of sin^2) with up to 2% noise,
-    # enough for a minimum at finite tau
+    # span 1-5 lifetimes with up to 2% noise, enough for a minimum at
+    # finite tau
     rng = np.random.default_rng(seed)
     amp = -amp if negative else amp
     t = np.linspace(0.0, 10.0, points)
     fn, jac = MODELS[model]
-    if model == "sin2":
-        truth = (amp, lifetimes * np.pi / 20.0)
-    else:
-        truth = (amp, 10.0 / lifetimes, offset)
-    y = fn(t, *truth) + noise * abs(amp) * rng.normal(size=points)
+    y = fn(t, amp, 10.0 / lifetimes, offset) + noise * abs(amp) * rng.normal(size=points)
     fit = fit_decay(t, y, model)
     params = np.array(list(fit.params.values()))
     resid = y - fn(t, *params)
     cols = jac(t, *params)
     level = 64.0 * EPS * np.linalg.norm(cols, axis=0) * np.linalg.norm(y)
     assert np.all(np.abs(cols.T @ resid) <= level)
-
-
-@pytest.mark.parametrize("periods", [1.5, 2.35])
-def test_sin2_fit_keeps_the_true_basin(periods):
-    # at these window lengths an unpadded FFT peak starts the fit 15-35%
-    # off, in the neighbouring basin (rate 0.45 or 1.99)
-    t = np.linspace(0.0, periods * np.pi, 400)
-    fit = fit_decay(t, np.sin(t) ** 2, "sin2")
-    assert fit.params["rate"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_fit_rejects_non_finite_data():
@@ -240,7 +210,6 @@ def _best_rms(message: str) -> float:
     ("exponential", "line", "singular basis"),
     ("exponential", "constant", "no amplitude"),
     ("gaussian", "constant", "no amplitude"),
-    ("sin2", "zero", "no amplitude"),
 ])
 def test_fit_of_data_that_do_not_decay_is_numerical_error(model, shape,
                                                           reason):
@@ -248,8 +217,7 @@ def test_fit_of_data_that_do_not_decay_is_numerical_error(model, shape,
     # one; a constant: the amplitude is zero and tau undetermined.  The
     # best attempt's residual is reported.
     t = np.linspace(0.0, 5.0, 50)
-    y = {"line": 0.3 + 0.01 * t, "constant": np.full(t.size, 0.3),
-         "zero": np.zeros(t.size)}[shape]
+    y = {"line": 0.3 + 0.01 * t, "constant": np.full(t.size, 0.3)}[shape]
     with pytest.raises(NumericalError, match=reason) as info:
         fit_decay(t, y, model)
     assert "show no" in str(info.value)

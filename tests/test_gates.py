@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import logm
 
+from darkqubit import gates
 from darkqubit.driving import compact_construction, ideal_construction
-from darkqubit.dynamics import NumericalError
+from darkqubit.dynamics import (NumericalError, evolve_stroboscopic,
+                                evolve_unitary, overlap_population)
 from darkqubit.gates import (
     _log_2x2,
     extract_effective_hamiltonian,
@@ -90,13 +94,41 @@ def test_raman_rate_second_order(ideal):
     assert op.details["rate_over_expected"] == pytest.approx(
         1.0 + 1.0 / 20.0**2, abs=1e-4
     )
-    assert op.details["transfer_contrast"] == pytest.approx(1.0, abs=1e-3)
-    assert op.details["fit_rms"] < 1e-4
     assert op.leakage < 10.0 * 0.05**2
-    assert op.fidelity == 1.0
+    assert op.details["probe_defect"] < 10.0 * 0.05**2
+    # the measured generator is Hermitian and couples the pair along x
+    assert np.abs(op.matrix - op.matrix.conj().T).max() == 0.0
+    assert op.fidelity == pytest.approx(1.0, abs=1e-9)
     coeffs = op.pauli_coefficients()
     assert abs(coeffs["x"]) == pytest.approx(op.rate, rel=1e-12)
-    assert abs(coeffs["y"]) < 1e-12
+    assert abs(coeffs["y"]) < 1e-9 * op.rate
+    assert abs(coeffs["z"]) < 1e-9 * op.rate
+
+
+@pytest.mark.parametrize("builder", [ideal_construction, compact_construction])
+@pytest.mark.parametrize("delta_r", [15.0, 20.0, 30.0, 40.0, 60.0])
+def test_raman_rate_predicts_an_independent_transfer(builder, delta_r):
+    # criterion 7's detunings: D1 -> D2 of the gate Hamiltonian, propagated
+    # on its own grid over the gate's horizon (1.4 transfer periods, off
+    # the drive's period too), follows sin^2(rate t) with the rate read
+    # from one probe propagator, to 2e-4 (at most 8.8e-5 here: what leaves
+    # the pair, and the drive's dressing of it).  A relative rate error e
+    # adds up to about 3.9 e, so the rate holds to about 5e-5.
+    con = builder(ca40_dp(), 0.3, 1.0)
+    basis = np.column_stack(protected_report(con).dark_states[:2])
+    runs = []
+
+    def spy(ham, psi0, period, n_periods, stride=1):
+        runs.append((ham, period * n_periods))
+        return evolve_stroboscopic(ham, psi0, period, n_periods, stride)
+
+    with mock.patch.object(gates, "evolve_stroboscopic", spy):
+        op = raman_sigma_x(0.05, delta_r, con)
+    (ham, horizon), = runs
+    times = np.linspace(0.0, horizon, 300)
+    p2 = overlap_population(evolve_unitary(ham, basis[:, 0], times),
+                            basis[:, 1])
+    assert np.abs(p2 - np.sin(op.rate * times) ** 2).max() < 2e-4
 
 
 def test_raman_detuning_scaling(ideal):

@@ -786,14 +786,11 @@ OPTICAL_SENSE_YAML = SENSE_ZERO_NOISE_YAML.replace(ZERO_NOISE, "")
      "scenario.sense.detuning"),
     (HYPERFINE_SENSE_YAML + "  phase_policy: random-averaged\n",
      "scenario.sense.phase_policy"),
-    (HYPERFINE_SENSE_YAML + "  readout_basis: x\n",
-     "scenario.sense.readout_basis"),
     (OPTICAL_SENSE_YAML + "  n_traj: 16\n", "scenario.sense.n_traj"),
     (OPTICAL_SENSE_YAML + "  interrogation_time: 5\n" + NOISE_SECTION,
      "scenario.sense.interrogation_time"),
 ], ids=["hyperfine-default-noise", "hyperfine-noise", "hyperfine-n_traj",
         "optical-detuning", "hyperfine-phase_policy",
-        "hyperfine-readout_basis",
         "optical-n_traj-without-noise",
         "optical-interrogation_time-with-noise"])
 def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
@@ -810,24 +807,27 @@ def test_cli_rejects_keys_the_sense_variant_ignores(tmp_path, capsys,
                          ids=["optical", "hyperfine"])
 def test_sense_n_draws_is_an_unknown_key(yaml_text):
     # the random-phase attenuation is exact, so no sense variant takes a
-    # number of phase draws
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(yaml.safe_load(yaml_text + "  n_draws: 64\n"))
-    assert err.value.problems == ("scenario.sense.n_draws: unknown key",)
+    # number of phase draws; nor a readout basis, since the trace holds
+    # the pair's populations alone
+    for line in ("n_draws: 64", "readout_basis: x"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_load(f"{yaml_text}  {line}\n"))
+        key = line.split(":")[0]
+        assert err.value.problems == (f"scenario.sense.{key}: unknown key",)
 
 
 def test_explicit_sense_variant_is_checked_without_a_construction():
     # an unreadable construction leaves an explicit variant its own keys,
     # so the sense section's problems come in the same pass
     text = HYPERFINE_SENSE_YAML.replace(
-        "sense:\n", "sense:\n  variant: hyperfine\n  readout_basis: x\n")
+        "sense:\n", "sense:\n  variant: hyperfine\n  phase_policy: locked\n")
     data = yaml.safe_load(text)
     data["construction"] = 5
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     problems = err.value.problems
     assert "scenario.construction: expected a mapping, got int" in problems
-    assert "scenario.sense.readout_basis: the hyperfine sense variant " \
+    assert "scenario.sense.phase_policy: the hyperfine sense variant " \
         "does not read it" in problems
 
 
@@ -871,7 +871,7 @@ NOISE_ONLY_ELSEWHERE = ("scenario.noise: only the evolve/sense/compare "
         "signal_rabi: 0.01",
         "signal_rabi: 0.01\n  phase_policy: random\n  readout_basis: w"),
      ["scenario.sense.phase_policy: 'random' not one of",
-      "scenario.sense.readout_basis: 'w' not one of"]),
+      "scenario.sense.readout_basis: unknown key"]),
     ("evolve", EVOLVE_YAML.replace("initial: D1", "initial: D3"),
      ["scenario.evolve.initial: 'D3' not one of ['D1', 'D2', "
       "'superposition']"]),
