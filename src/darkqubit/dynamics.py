@@ -176,7 +176,8 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     truncation failed the check, by one when the defect or the selection
     did.  Returns None when no Sambe dimension
     (2N + 1) dim up to FLOQUET_MAX_DIM selects exactly dim modes that
-    pass.
+    pass, or as soon as two solves in a row fail on their defect and the
+    second's is not below the first's.
     """
     dim = h0.shape[0]
     norm_m = np.linalg.norm(m, 2)
@@ -189,6 +190,7 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     reach = max(span, 1.0 / freq)
     top = (FLOQUET_MAX_DIM // dim - 1) // 2  # the largest N that fits
     tail, cutoff = max(1.0, norm_m * span), 0
+    last = None  # the previous solve's defect, if it failed on that
     while True:
         while tail >= FLOQUET_TOL and cutoff <= top:
             cutoff += 1
@@ -218,7 +220,7 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
         weight = np.abs(vecs) ** 2
         centre = np.round(band @ weight, 6)
         keep = (centre >= -0.5) & (centre < 0.5)
-        tail = 0.0
+        tail, defect = 0.0, None
         if np.count_nonzero(keep) == dim:
             quasi, modes = vals[keep], vecs[:, keep].reshape(bands, dim * dim)
             lift = np.exp(-1j * orders * (freq * times[0] - phi))
@@ -231,12 +233,15 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
             if truncation + defect <= FLOQUET_TOL:
                 break
             if defect <= truncation:
-                tail = truncation + defect
+                tail, defect = truncation + defect, None
         del vals, vecs, weight  # and none of them into the next round
         # Past N a truncation bound falls about as the tail does.  A failed
         # selection or unitarity check says nothing of the tail, and a
         # defect of order 1 read as one would jump N by several: N grows
-        # by one.
+        # by one, while the defect keeps falling.
+        if last is not None and defect is not None and defect >= last:
+            return None
+        last = defect
         cutoff += 1
         tail *= norm_m / freq / cutoff
 

@@ -27,7 +27,8 @@ buffer, and the chunk's steps are propagated before the next chunk is
 drawn.  A generator's normals do not depend on how they are split into
 draws, so the values are those of one draw per trajectory, bit for bit,
 and ``sample_trajectories`` collects the same stream.  Memory is
-O(n_traj * _CHUNK + nt * d^2) whatever the horizon.
+O(n_traj * _CHUNK + nt * d^2) whatever the horizon: a chunk of 512 steps
+takes 4 kB a trajectory.
 
 Propagation holds b(t) piecewise constant over each grid interval and
 takes one of three paths:
@@ -98,12 +99,14 @@ _UNIFORM_RTOL = 1e-9
 # each.  Table propagation sizes its own blocks (_table_block).
 _BLOCK = 64
 # Time steps per streamed chunk.  A multiple of _BLOCK, so the sampling
-# blocks start at 1 + 64 j across the whole grid, whatever the chunking.  At 384 trajectories its buffer takes
-# 6 MB.  At 1024 steps, glibc's dynamic trim threshold (twice the largest
-# buffer freed) stayed below what one call frees, so every call faulted
-# its buffers in afresh: 2.3k page faults and about 4% more time per
-# criterion-10 ensemble.
-_CHUNK = 32 * _BLOCK
+# blocks start at 1 + 64 j across the whole grid, whatever the chunking.
+# Its buffer takes 4 kB a trajectory: 1 MB for criterion 10's halves of
+# 256, against 4.2 MB at 2048 steps.  Narrower rows cost more per normal
+# drawn: 19, 21-22 and 27 ns in rows of 2048, 512 and 256 (2-vCPU Xeon,
+# one generator per row).  Per warm criterion-10 ensemble each process
+# took 1.4-1.8k minor page faults (ru_minflt) at 512 steps, 2.0-2.4k at
+# 2048.
+_CHUNK = 8 * _BLOCK
 # OU ensembles of this many trajectories or more are summed in two halves,
 # the upper one in a forked child when a second CPU is free (_sum_ou).
 # Smaller ones keep the one-pass sums, bit for bit.

@@ -362,12 +362,9 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
                                 resonance + detuning, 0.0,
                                 rwa_cutoff=10.0 * con.omega)
 
-    times = np.linspace(0.0, 1.2 * np.pi / expected, 900)
-    states = evolve_unitary(ham, basis[:, 0], times)
-    p2 = overlap_population(states, basis[:, 1])
-    p1 = overlap_population(states, basis[:, 0])
-
-    # Off resonance no rate is extracted; the report carries rate 0.
+    # Off resonance no rate is extracted; the report carries rate 0.  On
+    # resonance the rate comes first: a pair that leaks raises here,
+    # before the trace.
     rate, probe = 0.0, {"coefficient_vs_rabi": math.nan}
     if detuning == 0.0:
         h_eff, defect = extract_effective_hamiltonian(ham, basis,
@@ -375,6 +372,11 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
         rate = float(abs(h_eff[0, 1]))
         probe = {"coefficient_vs_rabi": rate / signal_rabi,
                  "probe_defect": defect}
+
+    times = np.linspace(0.0, 1.2 * np.pi / expected, 900)
+    states = evolve_unitary(ham, basis[:, 0], times)
+    p2 = overlap_population(states, basis[:, 1])
+    p1 = overlap_population(states, basis[:, 0])
 
     details = {
         "expected_rate": expected,

@@ -223,11 +223,12 @@ HARMONIC_RUNS = {
 
 
 class _EighSpy:
-    """np.linalg.eigh that records the size and dtype of each matrix."""
+    """np.linalg.eigh, or the given stand-in, that records the size and
+    dtype of each matrix."""
 
-    def __init__(self):
+    def __init__(self, eigh=None):
         self.calls = []
-        self.eigh = np.linalg.eigh
+        self.eigh = eigh or np.linalg.eigh
 
     def __call__(self, a, *args, **kwargs):
         self.calls.append((a.shape[-1], a.dtype))
@@ -379,7 +380,7 @@ def test_floquet_modes_survive_scrambled_degenerate_clusters(seed, phi,
     assert dynamics._static_frame(ham) is None
     times, y0 = _DEGENERATE_TIMES, _DEGENERATE_Y0
     scrambled = _ScrambledEigh(seed)
-    with mock.patch.object(np.linalg, "eigh", scrambled):
+    with mock.patch.object(np.linalg, "eigh", _EighSpy(scrambled)) as eigh:
         if rotate:
             got = dynamics._floquet(h0, m, freq, y0, times)
         else:
@@ -389,29 +390,67 @@ def test_floquet_modes_survive_scrambled_degenerate_clusters(seed, phi,
     assert scrambled.turned
     if rotate:
         assert got is not None
+    else:  # the defect stops falling within a few solves
+        assert len(eigh.calls) <= 4
     if got is not None:
         want = _tight_dop853(ham, y0, times)
         assert np.abs(got - want).max() < 1e-10
 
 
+def _turned_clusters(schedule, eigh):
+    """dynamics._split_degenerate, then every other cluster's first two
+    columns turned by schedule[k] in the (k + 1)-th Sambe solve (the last
+    entry from then on; the split's own eighs are 2 x 2).  Translates of
+    different modes mixed by different angles leave P(t0) off unitarity
+    by a defect that grows with the angle; no turn gives the modes
+    back."""
+    split, clusters = dynamics._split_degenerate, []
+
+    def turned(vecs, *args):
+        cols = np.hstack(split(vecs, *args))
+        clusters.append(None)
+        solves = sum(size > 4 for size, _ in eigh.calls)
+        angle = schedule[min(solves, len(schedule)) - 1] * (len(clusters) % 2)
+        turn = np.array([[np.cos(angle), -np.sin(angle)],
+                         [np.sin(angle), np.cos(angle)]])
+        cols[:, :2] = cols[:, :2] @ turn
+        return [cols]
+    return turned
+
+
 @pytest.mark.parametrize("phi", [0.0, 0.7])
 def test_floquet_grows_one_band_pair_per_solve_when_the_defect_fails(phi):
-    # the degenerate sidebands without the cluster rotation: eigh's mix of
-    # two translates leaves P(t0) far from unitary at every cutoff.  That
-    # defect says nothing of the truncation tail, so each solve adds one
-    # band pair (2 dim) until the size cap, lowered here to keep the
-    # solves small, gives the run up to DOP853
+    # a failed unitarity check says nothing of the truncation tail, so
+    # each solve adds one band pair (2 dim) while the defect falls; the
+    # first solve whose defect does not fall, or the size cap (lowered
+    # here to keep the solves small), gives the run up to DOP853, and a
+    # solve whose defect clears returns the modes.  A quarter turn mixes
+    # two translates evenly and fails the mode selection, which gives no
+    # defect to compare: N grows by one, before or after a defect
+    quarter = np.pi / 4
     h0, m, freq = _degenerate_sidebands(phi)
-    with mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
-            mock.patch.object(dynamics, "_split_degenerate",
-                              lambda vecs, *_: [vecs]), \
-            mock.patch.object(dynamics, "FLOQUET_MAX_DIM", 160):
-        assert dynamics._floquet(h0, m, freq, _DEGENERATE_Y0,
-                                 _DEGENERATE_TIMES) is None
-    sizes = [size for size, _ in eigh.calls]
-    assert len(sizes) > 2
-    assert np.all(np.diff(sizes) == 2 * 4)
-    assert sizes[-1] + 2 * 4 > 160
+    ham = TimeDependentHamiltonian(h0, (Harmonic(m, freq),))
+    for schedule, solves, clears in (([0.3, 0.1, 0.0], 3, True),
+                                     ([0.3, 0.1, 0.03, 0.01, 0.03], 5,
+                                      False),
+                                     ([0.1, 0.3], 2, False),
+                                     ([0.3 / 2**k for k in range(12)], 8,
+                                      False),
+                                     ([0.3, quarter, 0.1, 0.0], 4, True),
+                                     ([quarter, quarter, 0.0], 3, True)):
+        with mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
+                mock.patch.object(dynamics, "FLOQUET_MAX_DIM", 140):
+            with mock.patch.object(dynamics, "_split_degenerate",
+                                   _turned_clusters(schedule, eigh)):
+                got = dynamics._floquet(h0, m, freq, _DEGENERATE_Y0,
+                                        _DEGENERATE_TIMES)
+        sizes = [size for size, _ in eigh.calls if size > 4]
+        assert len(sizes) == solves and sizes[-1] <= 140
+        assert np.all(np.diff(sizes) == 2 * 4)
+        assert (got is not None) == clears
+        if clears:
+            want = _tight_dop853(ham, _DEGENERATE_Y0, _DEGENERATE_TIMES)
+            assert np.abs(got - want).max() < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))

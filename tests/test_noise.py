@@ -320,8 +320,9 @@ def _one_shot_blocked(noise, times, n_traj):
 CHUNK = noise_mod._CHUNK
 
 
-@pytest.mark.parametrize("nt", [1, 2, 63, 64, 65, 130, 1001, CHUNK, CHUNK + 1,
-                                CHUNK + 2, 2 * CHUNK + 1, 3000])
+@pytest.mark.parametrize("nt", sorted({1, 2, 63, 64, 65, 130, 1001, CHUNK,
+                                       CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1,
+                                       2048, 2049, 2050, 3000, 4097}))
 def test_blocked_ou_sampler_matches_recurrence(nt):
     # the streamed sampler gives the one-shot values bit for bit, whichever
     # chunk the grid ends in
@@ -389,20 +390,28 @@ def _table_vs_eigh(static, noise_op, psi0, proc, times, n_traj):
     return len(table.coeffs[0]), float(np.abs(fast - exact).max())
 
 
-@pytest.mark.parametrize("x, sigma, n_traj", [(0.1, 1.2, 384), (1.0, 0.4, 512),
-                                              (10.0, 0.25, 384)])
-def test_step_table_matches_eigh_on_golden_rule_ensembles(x, sigma, n_traj):
-    # criterion 10's transverse-OU ensembles, cut to their first 2000 steps
+# criterion 10's transverse-OU ensembles: x = omega0 tau_c, sigma, n_traj
+GOLDEN_RULE_ENSEMBLES = [(0.1, 1.2, 384), (1.0, 0.4, 512), (10.0, 0.25, 384)]
+
+
+def _golden_rule_case(x, sigma):
+    """Hamiltonian, process and grid of criterion 10's ensemble at x."""
     omega0 = 5.0
     tau = x / omega0
     proc = NoiseProcess("ornstein-uhlenbeck", sigma=sigma, tau_c=tau, seed=23)
     rate = sigma**2 * tau / (1.0 + x**2)
     dt = min(tau / 8.0, 2.0 * math.pi / omega0 / 8.0)
     horizon = 1.2 / rate
-    times = np.linspace(0.0, horizon, int(math.ceil(horizon / dt)) + 1)[:2001]
-    h = np.diag([omega0 / 2.0, -omega0 / 2.0]).astype(complex)
+    times = np.linspace(0.0, horizon, int(math.ceil(horizon / dt)) + 1)
+    return np.diag([omega0 / 2.0, -omega0 / 2.0]).astype(complex), proc, times
+
+
+@pytest.mark.parametrize("x, sigma, n_traj", GOLDEN_RULE_ENSEMBLES)
+def test_step_table_matches_eigh_on_golden_rule_ensembles(x, sigma, n_traj):
+    # cut to their first 2000 steps
+    h, proc, times = _golden_rule_case(x, sigma)
     order, dev = _table_vs_eigh(h, SX, np.array([1.0, 0.0], complex), proc,
-                                times, n_traj)
+                                times[:2001], n_traj)
     assert 2 <= order <= 16
     assert dev <= 1e-10
 
@@ -675,7 +684,7 @@ def test_table_gives_way_to_eigh_mid_run(monkeypatch):
     builds = _record_builds(monkeypatch)
     p = NoiseProcess("ornstein-uhlenbeck", sigma=100.0, tau_c=0.5, seed=7)
     psi0 = np.array([1.0, 0.0], complex)
-    times = np.arange(2 * CHUNK + 1, dtype=float)
+    times = np.arange(4097, dtype=float)
     got = evolve_noisy(h, psi0, p, SX, times, n_traj=4)
     assert len(builds) >= 2
     assert builds[0][1] is not None and builds[-1][1] is None
@@ -703,6 +712,67 @@ def test_noise_memory_does_not_grow_with_n_traj_times_nt(kind):
         tracemalloc.stop()
     assert rho.shape == (nt, 2, 2)
     assert peak < full / 3
+
+
+@pytest.mark.parametrize("chunk", [256, 2048])
+def test_ou_values_do_not_depend_on_the_chunk_width(monkeypatch, chunk):
+    # the blocks start at 1 + 64 j whatever the width, so every chunk
+    # holds the one-shot values bit for bit
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.8, tau_c=0.3, seed=19)
+    times = np.linspace(0.0, 30.0, 3001)
+    want = sample_trajectories(p, times, 24)
+    monkeypatch.setattr(noise_mod, "_CHUNK", chunk)
+    start = 0
+    for values in noise_mod._ou_chunks(p, times, 24):
+        assert values.shape[1] <= chunk + 1
+        assert np.array_equal(values, want[:, start:start + values.shape[1]])
+        start += values.shape[1] - 1
+    assert start == len(times) - 1
+
+
+@pytest.mark.parametrize("x, sigma, n_traj", GOLDEN_RULE_ENSEMBLES)
+def test_512_step_chunks_match_2048_step_chunks(monkeypatch, x, sigma,
+                                                n_traj):
+    # against 2048-step chunks the OU values are the same and only the
+    # tables' rebuild points move, by their 1e-13 coefficient truncation:
+    # 2.4e-12 at most, measured at x = 1
+    h, proc, times = _golden_rule_case(x, sigma)
+    psi0 = np.array([1.0, 0.0], complex)
+    assert CHUNK == 512 and len(times) > 2048
+    got = evolve_noisy(h, psi0, proc, SX, times, n_traj=n_traj)
+    monkeypatch.setattr(noise_mod, "_CHUNK", 2048)
+    want = evolve_noisy(h, psi0, proc, SX, times, n_traj=n_traj)
+    assert np.abs(got - want).max() < 1e-11
+
+
+def test_sampler_buffer_holds_one_512_step_chunk(monkeypatch):
+    # 4096 trajectories summed here as two groups of 2048: the sampler
+    # holds 4096 x 513 floats (16.8 MB), not the 4096 x 2049 of 2048-step
+    # chunks (67 MB)
+    _one_cpu(monkeypatch)
+    held = []
+    chunks = noise_mod._ou_chunks
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            stream = chunks(*args, **kwargs)
+            first = next(stream)
+            largest = max(trace.size
+                          for trace in tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+        held.append((len(first), largest))
+        yield first
+        yield from stream
+    monkeypatch.setattr(noise_mod, "_ou_chunks", traced)
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.4, tau_c=0.2, seed=3)
+    times = np.linspace(0.0, 0.025 * 1024, 1025)
+    evolve_noisy(np.diag([2.5, -2.5]).astype(complex),
+                 np.array([1.0, 0.0], complex), p, SX, times, n_traj=4096)
+    ((rows, largest),) = held
+    assert rows == 4096
+    assert largest <= rows * 513 * 8
 
 
 def _quasi_static_per_time(static, noise_op, traj, psi0, times):

@@ -46,8 +46,8 @@ POWERS = {
 }
 # Dimensionless ratios of a fitted rate to its expected value: each is off
 # by the fitted rate's own relative error, so it is held to the rates'
-# tolerance.  The Raman gate's rate, fitted from a population trace,
-# moves by up to 2e-10 relative over s.
+# tolerance.  The Raman gate's rate, read from the generator of its
+# stroboscopic propagator, moves by up to 2.9e-10 relative over s.
 RATE_RATIOS = {"rate_over_expected"}
 DIMENSIONLESS_ATOL = 1e-12
 SCALED_RTOL = 1e-9

@@ -906,6 +906,21 @@ OU_EVOLVE_YAML = EVOLVE_YAML.replace("points: 60", "points: 20\n  n_traj: 4") \
     """)
 
 
+@pytest.mark.parametrize("yaml_text, problem", [
+    (OU_EVOLVE_YAML.replace("  tau_c: 2.0\n", ""),
+     "scenario.noise.tau_c: required for ornstein-uhlenbeck (time)"),
+    (ANALYZE_YAML + "analyze:\n  depth: 2\n",
+     "scenario.analyze.depth: unknown key"),
+], ids=["ou-without-tau_c", "analyze-key"])
+def test_noise_and_analyze_sections_report_their_own_problem(yaml_text,
+                                                             problem):
+    # an OU process has no correlation time to default to, and the
+    # analyze section takes no key at all
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(yaml.safe_load(yaml_text))
+    assert err.value.problems == (problem,)
+
+
 @pytest.mark.parametrize("noise_seed, same", [("", False),
                                               ("  seed: 5\n", True)],
                          ids=["unset", "set"])
