@@ -64,11 +64,12 @@ memory, when the ensemble holds _FORK_WORK, os.sched_getaffinity gives
 the process two CPUs or more, and no other thread is running: no Python
 thread (a fork copies only the calling thread, and locks held by the
 others stay held in the child) and no native one, such as a BLAS pool.
-Otherwise both halves run in this process, as two groups of one step
-loop.  Either way the same operations run on the same values, so the
-result does not depend on the CPU count.  A child that fails leaves its
-half to the parent, so a real error surfaces here with its own
-traceback; a child whose parent is gone ends itself at its next chunk.
+Otherwise both halves run in this process, the lower and then the
+upper, the upper through the very call that the child would make.
+Either way the same operations run on the same values, so the result
+does not depend on the CPU count.  A child that fails leaves its half to
+the parent, so a real error surfaces here with its own traceback; a
+child whose parent is gone ends itself at its next chunk.
 """
 
 from __future__ import annotations
@@ -270,11 +271,11 @@ def _uniform_step(times: np.ndarray) -> float | None:
 
 
 def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int,
-               first: int = 0, pad: int = 0):
+               first: int = 0):
     """Yield trajectories first to n_traj - 1 of the OU ensemble on the
-    grid, chunk by chunk, followed by pad rows of zeros.
+    grid, chunk by chunk.
 
-    Each chunk is a view [n_traj - first + pad, 1 + width] of one reused
+    Each chunk is a view [n_traj - first, 1 + width] of one reused
     buffer, width <= _CHUNK: column 0 holds b at the last time of the
     previous chunk (in the first chunk, the stationary start b(t0)) and
     the others b at the next width times.  The next chunk overwrites the
@@ -282,8 +283,7 @@ def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int,
     """
     nt = len(times)
     gens = _generators(noise, n_traj, first)
-    buf = np.empty((len(gens) + pad, 1 + _CHUNK))
-    buf[len(gens):] = 0.0
+    buf = np.empty((len(gens), 1 + _CHUNK))
     dt = _uniform_step(times)
     if dt is None:
         decay = np.exp(-np.diff(times) / noise.tau_c)
@@ -394,119 +394,87 @@ def _table_block(n: int, dim: int, order: int) -> int:
 
 
 class _StepTable:
-    """Chebyshev step propagators for groups of trajectories on a uniform
-    grid.
+    """Chebyshev step propagators for n trajectories on a uniform grid.
 
-    _StepTable(static, noise_op, dt, *sizes) serves len(sizes) groups of
-    trajectories, each with a table of its own: group g covers |b| <=
-    beta[g] with coefficients coeffs[g], and ``cover`` rebuilds a group's
-    table when a chunk raises that group's peak.  The groups are the
-    column blocks [g m, (g + 1) m) of the states, m = sizes[0] >= every
-    size, and group g's last m - sizes[g] columns are padding that no sum
-    reads.  One step loop advances every group, so that a second group
-    adds no numpy call per step, and each value is computed as it is for
-    that group alone.
-
-    The work buffers live as long as the object, so chunks, blocks and
-    steps allocate nothing large: allocated per chunk, they were handed
-    back to the system and faulted in again (7x the page faults of a
-    criterion-10 ensemble).  They are sized for the longest table at
-    _table_block steps, and only a rebuild that changes that order
-    resizes them.
+    The table covers |b| <= beta with coefficients coeffs, and ``cover``
+    rebuilds it when a chunk raises the peak.  The work buffers live as
+    long as the object, so chunks, blocks and steps allocate nothing
+    large: allocated per chunk, they were handed back to the system and
+    faulted in again (7x the page faults of a criterion-10 ensemble).
+    They are sized for the table's order at _table_block steps, and only
+    a rebuild that changes that order resizes them.
     """
 
     def __init__(self, static: np.ndarray, noise_op: np.ndarray, dt: float,
-                 *sizes: int):
-        dim, groups = static.shape[0], len(sizes)
-        self.static, self.noise_op, self.dt = static, noise_op, dt
-        self.sizes, self.n = sizes, groups * sizes[0]
-        self.beta, self.coeffs = [0.0] * groups, [None] * groups
+                 n: int):
+        dim = static.shape[0]
+        self.static, self.noise_op, self.dt, self.n = static, noise_op, dt, n
+        self.beta, self.coeffs = 0.0, None
         self.block, self.cheb = 0, np.empty((0, 0))
         # One step's products props[m][i, j] * psi[j], in C order as numpy
         # lays out the fresh product props[m] * psi, so that their sum over
         # j adds in the order that (props[m] * psi).sum(axis=1) does.
-        self.terms = np.empty((dim, dim, groups, sizes[0]), dtype=complex)
+        self.terms = np.empty((dim, dim, n), dtype=complex)
 
-    def cover(self, *peaks: float) -> bool:
-        """Make group g's table valid for |b| <= peaks[g]; False if one
-        cannot be."""
-        for g, peak in enumerate(peaks):
-            if self.coeffs[g] is not None and peak <= self.beta[g]:
-                continue
-            self.beta[g] = max(peak, self.beta[g]) or 1.0
-            table = _chebyshev_table(self.static, self.noise_op,
-                                     self.beta[g], self.dt)
-            if table is None:
-                return False
-            self.coeffs[g] = np.ascontiguousarray(
-                table.reshape(len(table), -1)).view(float)
-        order, dim = max(map(len, self.coeffs)), self.static.shape[0]
+    def cover(self, peak: float) -> bool:
+        """Make the table valid for |b| <= peak; False if it cannot be."""
+        if self.coeffs is not None and peak <= self.beta:
+            return True
+        self.beta = max(peak, self.beta) or 1.0
+        table = _chebyshev_table(self.static, self.noise_op, self.beta,
+                                 self.dt)
+        if table is None:
+            return False
+        self.coeffs = np.ascontiguousarray(
+            table.reshape(len(table), -1)).view(float)
+        order, dim = len(table), self.static.shape[0]
         if len(self.cheb) != order + 1:
             block = self.block = _table_block(self.n, dim, order)
             # Rows 0 to order - 1 hold T_k(b / beta), the last 2 b / beta.
             self.cheb = np.empty((order + 1, block * self.n))
             self.props = np.empty((block * self.n, 2 * dim * dim))
-            self.states = np.empty((block, dim, len(self.sizes),
-                                    self.sizes[0]), dtype=complex)
+            self.states = np.empty((block, dim, self.n), dtype=complex)
             self.bras = np.empty_like(self.states)
         return True
 
     def advance(self, amps: np.ndarray, psi: np.ndarray,
-                *outs: np.ndarray) -> np.ndarray:
+                out: np.ndarray) -> np.ndarray:
         """Advance psi [d, n] through one step per column of amps [n, steps].
 
-        Writes the sum of |psi><psi| over group g after each step to
-        outs[g] [steps, d, d].  Steps are processed in blocks of
-        self.block: T_k(b / beta) by the three-term recurrence, every
-        propagator of a group's block from one real GEMM against its table
-        (real and imaginary parts interleaved), the states step by step in
-        place, and each group's density matrices in one batched matmul.
-        Group-major rows [group, step, trajectory] give each group's GEMM
-        contiguous rows, and the step loop one strided view of all groups.
-        Returns psi in an array of its own, which later calls do not
-        overwrite.
+        Writes the sum of |psi><psi| after each step to out [steps, d, d].
+        Steps are processed in blocks of self.block: T_k(b / beta) by the
+        three-term recurrence, every propagator of the block from one real
+        GEMM against the table (real and imaginary parts interleaved), the
+        states step by step in place, and the density matrices in one
+        batched matmul.  Returns psi in an array of its own, which later
+        calls do not overwrite.
         """
         n, nt = amps.shape
-        groups, m, dim = len(self.sizes), self.sizes[0], psi.shape[0]
-        order = max(map(len, self.coeffs))
-        beta = np.array(self.beta)[:, None, None]
-        amps = amps.reshape(groups, m, nt)
-        # The step loop's views drop the axis of a single group: numpy's
-        # cost per call grows with the number of axes.
-        cols = (m,) if groups == 1 else (groups, m)
-        psi = psi.reshape(dim, *cols)
-        terms = self.terms.reshape(dim, dim, *cols)
+        order, dim = len(self.coeffs), psi.shape[0]
         for start in range(0, nt, self.block):
             steps = min(self.block, nt - start)
             poly = self.cheb[:order, :steps * n]
             poly[0] = 1.0
             if order > 1:
-                np.divide(amps[:, :, start:start + steps].transpose(0, 2, 1),
-                          beta, out=poly[1].reshape(groups, steps, m))
+                np.divide(amps[:, start:start + steps].T, self.beta,
+                          out=poly[1].reshape(steps, n))
                 # Doubling is exact, so 2z T_{k-1} is 2 (z T_{k-1}).
                 twice = np.multiply(poly[1], 2.0,
                                     out=self.cheb[order, :steps * n])
             for k in range(2, order):
                 np.multiply(twice, poly[k - 1], out=poly[k])
                 poly[k] -= poly[k - 2]
-            props = self.props[:steps * n]
-            for g, coeffs in enumerate(self.coeffs):
-                rows = slice(g * steps * m, (g + 1) * steps * m)
-                np.matmul(poly[:len(coeffs), rows].T, coeffs, out=props[rows])
+            props = np.matmul(poly.T, self.coeffs, out=self.props[:steps * n])
             props = props.view(complex).reshape(
-                groups, steps, m, dim, dim).transpose(1, 3, 4, 0, 2).reshape(
-                    steps, dim, dim, *cols)
+                steps, n, dim, dim).transpose(0, 2, 3, 1)
             states = self.states[:steps]
-            stepped = states.reshape(steps, dim, *cols)
             for s in range(steps):
-                np.multiply(props[s], psi, out=terms)
-                psi = np.add.reduce(terms, axis=1, out=stepped[s])
+                np.multiply(props[s], psi, out=self.terms)
+                psi = np.add.reduce(self.terms, axis=1, out=states[s])
             bras = np.conj(states, out=self.bras[:steps])
-            for g, (size, out) in enumerate(zip(self.sizes, outs)):
-                np.matmul(states[:, :, g, :size],
-                          bras[:, :, g, :size].transpose(0, 2, 1),
-                          out=out[start:start + steps])
-        return psi.reshape(dim, n).copy()
+            np.matmul(states, bras.transpose(0, 2, 1),
+                      out=out[start:start + steps])
+        return psi.copy()
 
 
 def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
@@ -565,49 +533,37 @@ def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
 
 def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
                   noise: NoiseProcess, n_traj: int, psi0: np.ndarray,
-                  times: np.ndarray, *outs: np.ndarray, first: int = 0,
-                  watch=None) -> bool:
-    """Sum of |psi><psi| over OU trajectories first to n_traj - 1, in
-    len(outs) groups; group g's sum goes to outs[g] [nt - 1, d, d].
+                  times: np.ndarray, out: np.ndarray, first: int = 0,
+                  watch=None) -> None:
+    """Sum of |psi><psi| over OU trajectories first to n_traj - 1; into
+    out [nt - 1, d, d].
 
-    The groups hold m = ceil((n_traj - first) / len(outs)) trajectories
-    each, the last padded with rows of zero amplitudes, and are the
-    groups of one _StepTable, each with its own table: one step loop
-    gives each group the values it would get alone.  Each chunk is
-    propagated before the next is drawn, after a call to watch, if given.
-    A single group whose table would need more than _TABLE_MAX_NODES
-    nodes hands the rest of the run to per-step diagonalization, from the
-    states reached.  Two or more groups return False instead, with outs
-    not all written, as they do on a grid that is not uniform.
+    Each chunk is propagated before the next is drawn, after a call to
+    watch, if given.  On a uniform grid the chunks go through one
+    _StepTable; from the first chunk whose table would need more than
+    _TABLE_MAX_NODES nodes, and on any other grid, per-step
+    diagonalization takes over from the states reached.
     """
-    n, groups = n_traj - first, len(outs)
-    m = -(-n // groups)
     steps = np.diff(times)
     dt = _uniform_step(times)
-    if dt is None and groups > 1:
-        return False
-    table = None if dt is None else _StepTable(
-        static, noise_op, dt, *[m] * (groups - 1), n - (groups - 1) * m)
-    psi = np.repeat(psi0[:, None], groups * m, axis=1)
+    table = None if dt is None else _StepTable(static, noise_op, dt,
+                                               n_traj - first)
+    psi = np.repeat(psi0[:, None], n_traj - first, axis=1)
     done = 0
-    for chunk in _ou_chunks(noise, times, n_traj, first, pad=groups * m - n):
+    for chunk in _ou_chunks(noise, times, n_traj, first):
         if watch is not None:
             watch()
         amps = chunk[:, :-1]  # b on each of the chunk's steps
         here = slice(done, done + amps.shape[1])
-        if table is not None and not table.cover(*(
-                max(float(rows.max()), -float(rows.min()))
-                for rows in np.split(chunk, groups))):
-            if groups > 1:
-                return False
+        if table is not None and not table.cover(
+                max(float(chunk.max()), -float(chunk.min()))):
             table = None
         if table is not None:
-            psi = table.advance(amps, psi, *(out[here] for out in outs))
+            psi = table.advance(amps, psi, out[here])
         else:
             psi = _propagate_eigh(static, noise_op, amps, steps[here], psi,
-                                  outs[0][here])
+                                  out[here])
         done = here.stop
-    return True
 
 
 def _can_fork() -> bool:
@@ -708,9 +664,9 @@ def _sum_ou(static: np.ndarray, noise_op: np.ndarray, noise: NoiseProcess,
     From _SPLIT trajectories on, the upper half [h, n_traj), h =
     ceil(n_traj / 2), is summed apart from the lower half and added to
     it.  It runs in a forked child while this process sums the lower
-    half, if the ensemble holds _FORK_WORK and _can_fork(); here
-    otherwise, or if the child failed.  Here, both halves share one step
-    loop where they can (_propagate_ou with two groups).
+    half, if the ensemble holds _FORK_WORK and _can_fork(); here, after
+    the lower half, otherwise or if the child failed.  Either way each
+    half is one _propagate_ou call, the same call in every process.
     """
     args = (static, noise_op, noise, n_traj, psi0, times)
     if n_traj < _SPLIT:
@@ -723,11 +679,6 @@ def _sum_ou(static: np.ndarray, noise_op: np.ndarray, noise: NoiseProcess,
     try:
         if work >= _FORK_WORK and _can_fork():
             child.start(upper, out.shape)
-        if child.pid is None:
-            total = np.empty_like(out)
-            if _propagate_ou(*args, out, total):
-                out += total
-                return
         _propagate_ou(static, noise_op, noise, half, psi0, times, out)
         total = child.join()
     finally:
@@ -754,8 +705,9 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     halves.  The upper half is summed in a forked child process if the
     ensemble holds about 50 ms of work (_FORK_WORK), os.sched_getaffinity
     gives two CPUs or more and no other thread, Python or native (a BLAS
-    pool), is running, and in this process otherwise; the result is the
-    same bits either way, and no child outlives the call.  ``threads`` is
+    pool), is running, and in this process after the lower half
+    otherwise; each half is the same call either way, so the result is
+    the same bits, and no child outlives the call.  ``threads`` is
     accepted for compatibility and does not change the work or the
     result.  Returns [nt, dim, dim]; ValueError if ham or noise_op is not
     Hermitian, if noise_op's shape differs from ham's, or if psi0 is not a

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import re
@@ -387,7 +388,7 @@ def _table_vs_eigh(static, noise_op, psi0, proc, times, n_traj):
     assert table.cover(float(np.abs(traj).max()))
     fast = _kernel_run(table.advance, traj, psi0)
     exact = _eigh_reference(static, noise_op, traj, psi0, times)
-    return len(table.coeffs[0]), float(np.abs(fast - exact).max())
+    return len(table.coeffs), float(np.abs(fast - exact).max())
 
 
 # criterion 10's transverse-OU ensembles: x = omega0 tau_c, sigma, n_traj
@@ -437,22 +438,12 @@ def test_step_table_matches_eigh_on_compact_ca40():
 _REF_BLOCK = 64
 
 
-def _ref_advance(self, amps, psi, *outs):
+def _ref_advance(self, amps, psi, out):
     """Table propagation in fixed 64-step blocks with a fresh array per
-    step, one group of columns at a time: the reference that
-    _StepTable.advance matches bit for bit."""
-    m, psi = self.sizes[0], psi.copy()
-    for g, (coeffs, beta, size, out) in enumerate(
-            zip(self.coeffs, self.beta, self.sizes, outs)):
-        cols = slice(g * m, g * m + size)
-        psi[:, cols] = _ref_group(coeffs, beta, amps[cols], psi[:, cols], out)
-    return psi
-
-
-def _ref_group(coeffs, beta, amps, psi, out):
-    """_ref_advance for one group's table.  It makes the buffers that a
-    table of 64-step blocks would hold."""
+    step: the reference that _StepTable.advance matches bit for bit.  It
+    makes the buffers that a table of 64-step blocks would hold."""
     n, nt = amps.shape
+    coeffs, beta = self.coeffs, self.beta
     order, dim = len(coeffs), psi.shape[0]
     cheb = np.empty((order, _REF_BLOCK * n))
     props_buf = np.empty((_REF_BLOCK * n, 2 * dim * dim))
@@ -482,16 +473,14 @@ def _ref_group(coeffs, beta, amps, psi, out):
     return psi
 
 
-def _random_table(dim, n, seed, *sizes):
-    """A _StepTable over random Hermitian operators for n trajectories, or
-    for groups of the sizes given, covering |b| <= 3 (|b| <= 3 - g in
-    group g)."""
+def _random_table(dim, n, seed):
+    """A _StepTable over random Hermitian operators for n trajectories,
+    covering |b| <= 3."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
     static, noise_op = a + a.conj().transpose(0, 2, 1)
-    sizes = sizes or (n,)
-    table = noise_mod._StepTable(static, noise_op / 4.0, 0.05, *sizes)
-    assert table.cover(*(3.0 - g for g in range(len(sizes))))
+    table = noise_mod._StepTable(static, noise_op / 4.0, 0.05, n)
+    assert table.cover(3.0)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return table, psi0 / np.linalg.norm(psi0), rng
 
@@ -513,29 +502,6 @@ def test_cache_sized_blocks_match_64_step_blocks(dim, n):
         got_psi = table.advance(amps, psi, got)
         assert np.array_equal(got, want)
         assert np.array_equal(got_psi, want_psi)
-
-
-@pytest.mark.parametrize("dim", [2, 6])
-@pytest.mark.parametrize("sizes", [(192, 192), (193, 192), (3, 2)])
-def test_grouped_blocks_match_each_group_alone(dim, sizes):
-    # two groups, each with a table of its own, in one step loop: each
-    # group's density matrices and states are those of 64-step blocks over
-    # its columns alone, bit for bit, the upper group padded to the size
-    # of the lower
-    m = sizes[0]
-    table, psi0, rng = _random_table(dim, 2 * m, 10 * dim + m, *sizes)
-    assert table.beta == [3.0, 2.0] and table.n == 2 * m
-    assert len({len(c) for c in table.coeffs}) == 2  # orders differ
-    psi = np.repeat(psi0[:, None], 2 * m, axis=1)
-    real = np.r_[0:sizes[0], m:m + sizes[1]]
-    for nt in sorted({1, table.block, table.block + 1, CHUNK + 1}):
-        amps = rng.uniform(-2.0, 2.0, size=(2 * m, nt))
-        want = np.empty((2, nt, dim, dim), dtype=complex)
-        got = np.empty_like(want)
-        want_psi = _ref_advance(table, amps, psi, *want)
-        got_psi = table.advance(amps, psi, *got)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_psi[:, real], want_psi[:, real])
 
 
 def _one_cpu(monkeypatch):
@@ -746,9 +712,9 @@ def test_512_step_chunks_match_2048_step_chunks(monkeypatch, x, sigma,
 
 
 def test_sampler_buffer_holds_one_512_step_chunk(monkeypatch):
-    # 4096 trajectories summed here as two groups of 2048: the sampler
-    # holds 4096 x 513 floats (16.8 MB), not the 4096 x 2049 of 2048-step
-    # chunks (67 MB)
+    # 4096 trajectories summed here as two halves of 2048, one after the
+    # other: each half's sampler holds 2048 x 513 floats (8.4 MB), not the
+    # 2048 x 2049 of 2048-step chunks (34 MB), nor the 4096 rows of both
     _one_cpu(monkeypatch)
     held = []
     chunks = noise_mod._ou_chunks
@@ -770,9 +736,8 @@ def test_sampler_buffer_holds_one_512_step_chunk(monkeypatch):
     times = np.linspace(0.0, 0.025 * 1024, 1025)
     evolve_noisy(np.diag([2.5, -2.5]).astype(complex),
                  np.array([1.0, 0.0], complex), p, SX, times, n_traj=4096)
-    ((rows, largest),) = held
-    assert rows == 4096
-    assert largest <= rows * 513 * 8
+    assert [rows for rows, _ in held] == [2048, 2048]
+    assert all(largest <= 2048 * 513 * 8 for _, largest in held)
 
 
 def _quasi_static_per_time(static, noise_op, traj, psi0, times):
@@ -924,9 +889,9 @@ def _forked(monkeypatch, case, n_traj):
 @pytest.mark.parametrize("dim", [2, 6])
 @pytest.mark.parametrize("n_traj", [127, 128, 129, 384, 512])
 def test_forked_half_gives_the_in_process_bits(monkeypatch, dim, n_traj):
-    # the upper half summed in a child adds the same bits as the halves'
-    # shared step loop here, for equal halves and for odd n_traj, where
-    # the loop pads the upper half; below _SPLIT nothing is split
+    # the upper half summed in a child adds the same bits as the same
+    # call made here, for equal halves and for odd n_traj, where the upper
+    # half is one trajectory short; below _SPLIT nothing is split
     case = _split_case(dim)
     assert np.array_equal(_forked(monkeypatch, case, n_traj),
                           _in_process(monkeypatch, case, n_traj))
@@ -940,11 +905,54 @@ def _ragged_case():
 
 
 def _overflow_case():
-    # the first chunk's |b| dt fits a table, a later chunk's does not
-    p = NoiseProcess("ornstein-uhlenbeck", sigma=100.0, tau_c=0.5, seed=7)
+    # at 128 trajectories each half's first chunk keeps |b| dt within what
+    # a table of 256 nodes covers (about 397 here), and a later chunk
+    # does not: the halves' chunk peaks are 377, 411, 374, 316 and 359,
+    # 364, 418, 367
+    p = NoiseProcess("ornstein-uhlenbeck", sigma=90.0, tau_c=5.0, seed=10)
     return (np.diag([0.5, -0.5]).astype(complex), SX,
             np.array([1.0, 0.0], complex), p,
-            np.arange(CHUNK + 33, dtype=float))
+            np.arange(3 * CHUNK + 33, dtype=float))
+
+
+def _spy_ou(monkeypatch):
+    """Record each _propagate_ou call made in this process as its
+    (n_traj, first) and the calls to _StepTable.advance and
+    _propagate_eigh that it made."""
+    calls = []
+    propagate, advance = noise_mod._propagate_ou, noise_mod._StepTable.advance
+    eigh = noise_mod._propagate_eigh
+
+    def spied(*args, **kwargs):
+        bound = inspect.signature(propagate).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append({"n_traj": bound.arguments["n_traj"],
+                      "first": bound.arguments["first"],
+                      "advance": 0, "eigh": 0})
+        return propagate(*args, **kwargs)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[-1][name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(noise_mod, "_propagate_ou", spied)
+    monkeypatch.setattr(noise_mod._StepTable, "advance",
+                        counted("advance", advance))
+    monkeypatch.setattr(noise_mod, "_propagate_eigh", counted("eigh", eigh))
+    return calls
+
+
+def test_overflow_case_hands_each_half_from_table_to_eigh(monkeypatch):
+    # each half of _overflow_case starts on its table and goes on with
+    # eigh: of its four chunks (512, 512, 512 and 32 steps), the lower
+    # half's first and the upper half's first two take the table
+    h, op, psi0, p, times = _overflow_case()
+    _one_cpu(monkeypatch)
+    calls = _spy_ou(monkeypatch)
+    evolve_noisy(h, psi0, p, op, times, n_traj=128)
+    assert calls == [{"n_traj": 64, "first": 0, "advance": 1, "eigh": 3},
+                     {"n_traj": 128, "first": 64, "advance": 2, "eigh": 2}]
 
 
 @needs_fork
@@ -955,6 +963,22 @@ def test_halves_that_leave_the_table_give_the_forked_bits(monkeypatch, case):
     case = case()
     assert np.array_equal(_forked(monkeypatch, case, 128),
                           _in_process(monkeypatch, case, 128))
+
+
+@pytest.mark.parametrize("n_traj", [noise_mod._SPLIT - 1, noise_mod._SPLIT,
+                                    noise_mod._SPLIT + 1])
+def test_unforked_halves_make_the_forked_childs_call(monkeypatch, n_traj):
+    # summed here, a split ensemble makes two single-output calls: the
+    # lower half's, then the upper half's as the forked child makes it;
+    # an ensemble below _SPLIT makes one
+    h, op, psi0, p, times = _split_case(2)
+    _one_cpu(monkeypatch)
+    calls = _spy_ou(monkeypatch)
+    evolve_noisy(h, psi0, p, op, times, n_traj=n_traj)
+    half = -(-n_traj // 2)
+    want = ([(half, 0), (n_traj, half)] if n_traj >= noise_mod._SPLIT
+            else [(n_traj, 0)])
+    assert [(c["n_traj"], c["first"]) for c in calls] == want
 
 
 def test_split_sum_matches_one_pass_to_roundoff(monkeypatch):
