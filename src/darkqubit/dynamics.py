@@ -32,7 +32,7 @@ exponentiates it per unique time step (Pade-13 with scaling and
 squaring); system dimensions here are small enough that this is both
 exact and fast.
 
-Decay fits use variable projection: each model is amplitude * column
+Decay fits use variable projection: the model is amplitude * column
 + offset with one nonlinear parameter, the linear ones are solved
 exactly at each value of it, and a bracketing secant search finds the
 zero of the residual's derivative to rounding.  Only DOP853 imports
@@ -176,8 +176,8 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     truncation failed the check, by one when the defect or the selection
     did.  Returns None when no Sambe dimension
     (2N + 1) dim up to FLOQUET_MAX_DIM selects exactly dim modes that
-    pass, or as soon as two solves in a row fail on their defect and the
-    second's is not below the first's.
+    pass, or as soon as two solves in a row fail on a defect that is not
+    below the attempt's lowest (the defect need not fall monotonically).
     """
     dim = h0.shape[0]
     norm_m = np.linalg.norm(m, 2)
@@ -190,7 +190,7 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     reach = max(span, 1.0 / freq)
     top = (FLOQUET_MAX_DIM // dim - 1) // 2  # the largest N that fits
     tail, cutoff = max(1.0, norm_m * span), 0
-    last = None  # the previous solve's defect, if it failed on that
+    low, misses = np.inf, 0  # lowest failed defect; solves in a row above it
     while True:
         while tail >= FLOQUET_TOL and cutoff <= top:
             cutoff += 1
@@ -238,10 +238,11 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
         # Past N a truncation bound falls about as the tail does.  A failed
         # selection or unitarity check says nothing of the tail, and a
         # defect of order 1 read as one would jump N by several: N grows
-        # by one, while the defect keeps falling.
-        if last is not None and defect is not None and defect >= last:
+        # by one, until two defects in a row set no new low.
+        misses = 0 if defect is None or defect < low else misses + 1
+        if misses == 2:
             return None
-        last = defect
+        low = low if defect is None else min(low, defect)
         cutoff += 1
         tail *= norm_m / freq / cutoff
 
@@ -538,15 +539,9 @@ def _exponential_basis(t, tau):
     return col, col * t * tau ** -2
 
 
-def _gaussian_basis(t, tau):
-    arg = (t / tau) ** 2
-    col = np.exp(-arg)
-    return col, col * arg * (2.0 / tau)
-
-
 # name -> basis(t, tau) -> (column, d column / d tau).  The model is
 # amplitude * column + offset: tau is its one nonlinear parameter.
-_MODELS = {"exponential": _exponential_basis, "gaussian": _gaussian_basis}
+_MODELS = {"exponential": _exponential_basis}
 _PARAMS = ("amplitude", "tau", "offset")
 # The secant search stops where dphi/dtau is at its rounding level,
 # FIT_GTOL times 2 eps |amp| |dA/dtau| (|y| + |amp A|), what rounding
@@ -623,7 +618,7 @@ def _covariance_stderr(jac_t: np.ndarray, ssq: float) -> np.ndarray:
 def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
               p0: tuple | None = None) -> FitResult:
     """Least-squares fit of amplitude * column(t / tau) + offset, the
-    column an "exponential" or "gaussian" decay (_MODELS).
+    column an "exponential" decay (_MODELS).
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): at each tau amplitude and offset solve their linear

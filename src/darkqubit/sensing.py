@@ -15,6 +15,9 @@ a magnetic-dipole signal operator S_x (Delta m = +/-1 elements from CG
 recoupling, normalized so the stretched element is 1) driven near
 omega_HF - 3 g b couples the two protected states through exactly one
 resonant element, at rate (Omega_g/2) |<D2|2,-2><1,-1|D1>|.
+
+The coherence comparison runs the protected pair through the noise engine
+and takes the bare pair's T2 in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .driving import (Construction, TimeDependentHamiltonian,
                       to_rotating_frame)
 from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
-                       fit_decay, overlap_population)
+                       overlap_population)
 from .gates import extract_effective_hamiltonian, protected_report
 from .levels import LevelScheme
 from .noise import NoiseProcess, evolve_noisy, spectral_density
@@ -208,40 +211,44 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     return _report(effective, t2, attenuation, details), trace
 
 
-def _pair_coherence(con, ham, a, b, noise, times, n_traj):
-    """|<a|rho(t)|b>| over times, normalised to its value at t = 0.
-
-    rho(t) averages (a + b)/sqrt(2) evolved under ham plus the Zeeman noise
-    on the construction's scheme.
-    """
-    rho = evolve_noisy(ham, (a + b) / np.sqrt(2.0), noise,
-                       con.scheme.zeeman_generator(), times, n_traj=n_traj)
-    coh = np.abs(np.einsum("i,tij,j->t", a.conj(), rho, b))
-    return coh / coh[0]
-
-
 def _fit_pair_coherence(con, basis, noise, n_traj, horizon):
-    """T2 of the pair's mutual coherence under Zeeman noise.
+    """T2 of the coherence |<a|rho(t)|b>| / |<a|rho(0)|b>| of basis's
+    columns a, b, rho(t) averaging (a + b)/sqrt(2) under con.ip and the
+    Zeeman noise, on 160 times to the horizon.
 
     Returns (t2, bounded, final coherence): t2 is the first grid time at
     which the coherence drops below 1/e, or the horizon with bounded set
     (a lower bound) if it never does.
     """
+    a, b = basis[:, 0], basis[:, 1]
     times = np.linspace(0.0, horizon, 160)
-    coh = _pair_coherence(con, con.ip, basis[:, 0], basis[:, 1], noise,
-                          times, n_traj)
+    rho = evolve_noisy(con.ip, (a + b) / np.sqrt(2.0), noise,
+                       con.scheme.zeeman_generator(), times, n_traj=n_traj)
+    coh = np.abs(np.einsum("i,tij,j->t", a.conj(), rho, b))
+    coh /= coh[0]
     below = np.nonzero(coh < np.exp(-1.0))[0]
     if below.size:
         return float(times[below[0]]), False, float(coh[-1])
     return float(times[-1]), True, float(coh[-1])
 
 
+def _kubo(x: float) -> float:
+    """x - 1 + e^{-x}; below x = 1, where that cancels, its series."""
+    return (x - 1.0 + math.exp(-x) if x >= 1.0 else
+            sum((-x) ** n / math.factorial(n) for n in range(20, 1, -1)))
+
+
 def _bare_dephasing_time(con: Construction, noise: NoiseProcess,
                          delta_m: float = 2.0) -> float:
-    """Gaussian dephasing time of an undriven lower-manifold sublevel pair.
+    """Exact 1/e time of an undriven lower-manifold sublevel pair.
 
-    The pair's gap moves by |g| delta_m b under the Zeeman noise b(t);
-    a pair that does not dephase has no such time (ValueError).
+    Its gap moves by sigma_gap = |g| delta_m sigma under the noise, so its
+    coherence is exp(-(sigma_gap t)^2 / 2) under quasi-static noise and
+    Kubo's exp(-(sigma_gap tau_c)^2 (x - 1 + e^{-x})), x = t/tau_c, under
+    OU noise (J. Phys. Soc. Jpn. 9, 935 (1954)): 1/e where x - 1 + e^{-x}
+    = c = (sigma_gap tau_c)^-2, which Newton's method reaches from
+    x = c + 1, falling monotonically.  A pair that does not dephase has
+    none (ValueError).
     """
     sigma_gap = abs(con.scheme.manifold(con.lower).g) * delta_m * noise.sigma
     if sigma_gap <= 0:
@@ -249,35 +256,39 @@ def _bare_dephasing_time(con: Construction, noise: NoiseProcess,
             f"noise.sigma: the bare {con.lower} pair does not dephase "
             f"(|g| * delta_m * sigma = 0 at sigma = {noise.sigma}); "
             "coherence times need a positive dephasing rate")
-    return math.sqrt(2.0) / sigma_gap
+    if noise.kind != "ornstein-uhlenbeck":
+        return math.sqrt(2.0) / sigma_gap
+    c = (sigma_gap * noise.tau_c) ** -2
+    x, last = c + 1.0, math.inf
+    while x < last:  # until rounding stops the fall
+        x, last = x - (_kubo(x) - c) / -math.expm1(-x), x
+    return noise.tau_c * last
 
 
 def frequency_window(noise: NoiseProcess | None = None,
-                     min_gap: float = 0.0,
                      construction: Construction | None = None) -> dict:
     """Detectable signal band for the Zeeman-gap sensing scheme.
 
     lower: smallest gap nu with S_BB(nu) * DEFAULT_T1_TARGET <
     DEFAULT_THRESHOLD (noise-driven depolarization leaves the target T1
-    intact); upper: DEFAULT_MAX_ZEEMAN, the largest Zeeman splitting the
-    apparatus supports.  With a construction given, its actual gap is checked
-    against the window.
+    intact), 0 when every gap does; upper: DEFAULT_MAX_ZEEMAN, the largest
+    Zeeman splitting the apparatus supports.  With a construction given,
+    its actual gap is checked against the window.
     """
-    lower = min_gap
-    rationale_low = "configured minimum gap (no noise floor)"
+    lower = 0.0
+    rationale_low = "no noise floor"
     if noise is not None and noise.sigma > 0:
         if noise.kind == "ornstein-uhlenbeck":
             # Solve S(nu) = threshold / t1_target exactly.
             arg = 2.0 * noise.sigma ** 2 * noise.tau_c * DEFAULT_T1_TARGET \
                 / DEFAULT_THRESHOLD - 1.0
             if arg > 0:
-                lower = max(lower, math.sqrt(arg) / noise.tau_c)
+                lower = math.sqrt(arg) / noise.tau_c
                 rationale_low = ("smallest gap with "
                                  "S_BB(gap) * T1_target < threshold")
         else:
             # All power at DC: any finite gap clears the threshold.
-            rationale_low = ("quasi-static noise: power confined to DC, "
-                             "configured minimum gap applies")
+            rationale_low = "quasi-static noise: power confined to DC"
     out = {
         "lower": lower,
         "upper": DEFAULT_MAX_ZEEMAN,
@@ -398,40 +409,31 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
                          horizon_in_bare_t2: float = 100.0) -> dict:
     """Bare vs protected coherence under the same Zeeman noise.
 
-    The bare arm is the lower manifold's outermost sublevel pair with no
-    drive; its quasi-static Gaussian dephasing sets the time unit.  The
-    protected arm runs the full construction to horizon_in_bare_t2 bare
-    dephasing times; if its coherence never reaches 1/e, T2 is reported as
-    a lower bound (the honest desk-scale outcome for a protected qubit).
+    The bare arm is an undriven sublevel pair of the lower manifold; its
+    T2 is the closed form of _bare_dephasing_time, exact for either noise
+    kind, and sets the time unit.  The protected arm runs the full
+    construction to horizon_in_bare_t2 bare T2s; if its coherence never
+    reaches 1/e, T2 is reported as a lower bound (the honest desk-scale
+    outcome for a protected qubit), and the coherence gain is then exactly
+    log10(horizon_in_bare_t2).
     """
     if not horizon_in_bare_t2 > 0:
         raise ValueError("horizon_in_bare_t2 must be positive")
-    scheme = con.scheme
     report = protected_report(con)
     basis = np.column_stack(report.dark_states[:2])
 
-    d_man = scheme.manifold(con.lower)
+    d_man = con.scheme.manifold(con.lower)
     m_lo, m_hi = d_man.m_values[0], d_man.m_values[-1]
     # Bare pair: the dark states' main support pair (adjacent-but-one), so
     # the comparison is against the same stored information.
     m_a = m_lo + 1 if len(d_man.m_values) > 3 else m_lo
-    t2_bare_analytic = _bare_dephasing_time(con, noise, float(m_hi - m_a))
-
-    times_bare = np.linspace(0.0, 3.0 * t2_bare_analytic, 120)
-    coh_bare = _pair_coherence(con, np.zeros((scheme.dim, scheme.dim)),
-                               scheme.basis_state(con.lower, m_a),
-                               scheme.basis_state(con.lower, m_hi), noise,
-                               times_bare, n_traj)
-    fit = fit_decay(times_bare, coh_bare, "gaussian")
-    t2_bare = float(abs(fit.params["tau"]))
-
+    t2_bare = _bare_dephasing_time(con, noise, float(m_hi - m_a))
     t2_prot, bounded, final = _fit_pair_coherence(
-        con, basis, noise, n_traj, horizon_in_bare_t2 * t2_bare_analytic)
+        con, basis, noise, n_traj, horizon_in_bare_t2 * t2_bare)
 
     gains = sensitivity_compare(t2_bare, t2_prot)
     return {
         "t2_bare": t2_bare,
-        "t2_bare_analytic": t2_bare_analytic,
         "t2_protected": t2_prot,
         "t2_protected_bounded_below": bounded,
         "final_protected_coherence": final,

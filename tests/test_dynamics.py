@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import expm, schur
@@ -277,6 +277,10 @@ def test_floquet_path_matches_dop853_on_benchmark_runs(name):
        grid=st.sampled_from(["propagator", "uniform", "long uniform",
                              "nonuniform"]),
        t0=st.floats(0.3, 4.0), span=st.floats(0.2, 2.0))
+# a unitarity defect that rises before it falls: 2.07e-5 at N = 14,
+# 2.83e-4 at N = 15, and a pass at N = 21
+@example(seed=871, dim=7, log_ratio=0.0, diagonal=False, gauge=None,
+         grid="propagator", t0=1.0, span=1.0)
 def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
                                      grid, t0, span):
     # H0 + M e^{-iwt} + h.c. with a dense H0 and M, |M| / w from 1e-3 to
@@ -284,7 +288,7 @@ def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
     # symmetric and M = e^{i phi} R with R real: the sideband gauge makes
     # the Sambe matrix real, and its eigh runs in float64.  The size cap,
     # a cost choice tested below, is lifted so that every example takes
-    # the Floquet path.
+    # the Floquet path; a fall back to DOP853 raises.
     rng = np.random.default_rng(seed)
     freq = rng.uniform(0.5, 2.0)
     h0 = _random_hermitian(rng, dim)
@@ -308,14 +312,14 @@ def test_floquet_path_matches_dop853(seed, dim, log_ratio, diagonal, gauge,
         }[grid]
         y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         y0 /= np.linalg.norm(y0)
-    with mock.patch.object(integrate, "solve_ivp") as solver, \
+    with mock.patch.object(integrate, "solve_ivp", side_effect=AssertionError(
+            "the Floquet path gave up: DOP853 was called")), \
             mock.patch.object(np.linalg, "eigh", _EighSpy()) as eigh, \
             mock.patch.object(dynamics, "FLOQUET_MAX_DIM", 10**4):
         if grid == "propagator":
             got = propagator(ham, times[-1], t0)[None]
         else:
             got = evolve_unitary(ham, y0, times)
-    assert not solver.called
     sambe = float if gauge is not None else complex
     assert eigh.calls and all(dtype == sambe for _, dtype in eigh.calls)
     want = _tight_dop853(ham, y0, times)[-len(got):]
@@ -390,8 +394,8 @@ def test_floquet_modes_survive_scrambled_degenerate_clusters(seed, phi,
     assert scrambled.turned
     if rotate:
         assert got is not None
-    else:  # the defect stops falling within a few solves
-        assert len(eigh.calls) <= 4
+    else:  # two defects in a row set no new low within a few solves
+        assert len(eigh.calls) <= 5
     if got is not None:
         want = _tight_dop853(ham, y0, times)
         assert np.abs(got - want).max() < 1e-10
@@ -421,19 +425,23 @@ def _turned_clusters(schedule, eigh):
 @pytest.mark.parametrize("phi", [0.0, 0.7])
 def test_floquet_grows_one_band_pair_per_solve_when_the_defect_fails(phi):
     # a failed unitarity check says nothing of the truncation tail, so
-    # each solve adds one band pair (2 dim) while the defect falls; the
-    # first solve whose defect does not fall, or the size cap (lowered
-    # here to keep the solves small), gives the run up to DOP853, and a
-    # solve whose defect clears returns the modes.  A quarter turn mixes
-    # two translates evenly and fails the mode selection, which gives no
-    # defect to compare: N grows by one, before or after a defect
+    # each solve adds one band pair (2 dim); the second solve in a row
+    # whose defect is not below the lowest so far, or the size cap
+    # (lowered here to keep the solves small), gives the run up to
+    # DOP853, and a solve whose defect clears returns the modes.  One
+    # defect above the lowest does not end the attempt: the defect need
+    # not fall monotonically.  A quarter turn mixes two translates evenly
+    # and fails the mode selection, which gives no defect to compare: N
+    # grows by one, and the run of defects without a new low starts over
     quarter = np.pi / 4
     h0, m, freq = _degenerate_sidebands(phi)
     ham = TimeDependentHamiltonian(h0, (Harmonic(m, freq),))
     for schedule, solves, clears in (([0.3, 0.1, 0.0], 3, True),
-                                     ([0.3, 0.1, 0.03, 0.01, 0.03], 5,
+                                     ([0.3, 0.1, 0.03, 0.01, 0.03], 6,
                                       False),
-                                     ([0.1, 0.3], 2, False),
+                                     ([0.1, 0.3], 3, False),
+                                     ([0.1, 0.3, 0.03, 0.0], 4, True),
+                                     ([0.1, 0.3, quarter, 0.3], 5, False),
                                      ([0.3 / 2**k for k in range(12)], 8,
                                       False),
                                      ([0.3, quarter, 0.1, 0.0], 4, True),
@@ -729,42 +737,24 @@ def test_fit_decay_exponential():
     assert fit.rms_residual < 5e-3
 
 
-def test_fit_decay_gaussian():
-    t = np.linspace(0.0, 5.0, 300)
-    fit = fit_decay(t, np.exp(-((t / 1.7) ** 2)), "gaussian")
-    assert fit.params["tau"] == pytest.approx(1.7, rel=1e-6)
-
-
 def test_fit_decay_unknown_model():
     with pytest.raises(ValueError):
         fit_decay(np.arange(4.0), np.ones(4), "nope")
 
 
-@pytest.mark.parametrize("model", ["exponential", "gaussian"])
+@pytest.mark.parametrize("model", ["exponential"])
 def test_fit_does_not_wobble_with_the_data(model):
     # criterion 10's shape (a noisy decay over 1.2 lifetimes, fitted from
-    # a given guess) and compare's (the coherence of 32 quasi-static
-    # trajectories over 3 bare T2, 120 points: a large residual, here in
-    # 40 draws): a 1e-11 relative change of the data, what a change of
-    # propagation path leaves, moves the fit by less than 1e-9
+    # a given guess): a 1e-11 relative change of the data, what a change
+    # of propagation path leaves, moves the fit by less than 1e-9
     rng = np.random.default_rng(7)
-    p0 = None
-    if model == "exponential":
-        t = np.linspace(0.0, 24.0, 3001)
-        shapes = [(np.exp(-t / 20.0) + 0.01 * rng.normal(size=t.size), rng)]
-        p0 = (1.0, 20.0, 0.0)
-    else:
-        t = np.linspace(0.0, 3.0 * np.sqrt(2.0), 120)
-        shapes = []
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            phases = np.exp(1j * np.outer(t, rng.normal(size=32)))
-            shapes.append((np.abs(phases.mean(axis=1)), rng))
-    for y, rng in shapes:
-        base = fit_decay(t, y, model, p0=p0)
-        for _ in range(4):
-            moved = fit_decay(t, y * (1.0 + 1e-11 * rng.normal(size=t.size)),
-                              model, p0=p0)
-            for key in ("amplitude", "tau"):
-                assert moved.params[key] == pytest.approx(base.params[key],
-                                                          rel=1e-9)
+    t = np.linspace(0.0, 24.0, 3001)
+    y = np.exp(-t / 20.0) + 0.01 * rng.normal(size=t.size)
+    p0 = (1.0, 20.0, 0.0)
+    base = fit_decay(t, y, model, p0=p0)
+    for _ in range(4):
+        moved = fit_decay(t, y * (1.0 + 1e-11 * rng.normal(size=t.size)),
+                          model, p0=p0)
+        for key in ("amplitude", "tau"):
+            assert moved.params[key] == pytest.approx(base.params[key],
+                                                      rel=1e-9)

@@ -15,7 +15,6 @@ import pathlib
 import re
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,15 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit, least_squares, root
 
-import darkqubit.sensing
 from darkqubit import dynamics
-from darkqubit.cli import main
 from darkqubit.driving import compact_construction
 from darkqubit.dynamics import NumericalError, evolve_lindblad, fit_decay
 from darkqubit.gates import protected_report
 from darkqubit.levels import ca40_dp
 from darkqubit.noise import NoiseProcess, evolve_noisy
-from darkqubit.sensing import coherence_comparison
 
 EPS = np.finfo(float).eps
 
@@ -45,18 +41,7 @@ def _exponential_jac(t, amp, tau, off):
     return np.column_stack([col, amp * col * t / tau ** 2, np.ones_like(t)])
 
 
-def _gaussian(t, amp, tau, off):
-    return amp * np.exp(-((t / tau) ** 2)) + off
-
-
-def _gaussian_jac(t, amp, tau, off):
-    col = np.exp(-((t / tau) ** 2))
-    return np.column_stack([col, amp * col * 2.0 * t ** 2 / tau ** 3,
-                            np.ones_like(t)])
-
-
-MODELS = {"exponential": (_exponential, _exponential_jac),
-          "gaussian": (_gaussian, _gaussian_jac)}
+MODELS = {"exponential": (_exponential, _exponential_jac)}
 
 
 def _start(t, y, model, p0):
@@ -77,20 +62,6 @@ def _reference(t, y, model, p0):
     polished = root(lambda p: jac(t, *p).T @ (fn(t, *p) - y), ls.x,
                     method="hybr", options={"xtol": 1e-15})
     return ls, polished.x
-
-
-def _capture(module, run) -> list[tuple]:
-    """(times, values, model, p0) of every fit_decay call run makes."""
-    calls = []
-    real = module.fit_decay
-
-    def spy(times, values, model, p0=None):
-        calls.append((np.array(times), np.array(values), model, p0))
-        return real(times, values, model, p0)
-
-    with mock.patch.object(module, "fit_decay", spy):
-        run()
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +87,6 @@ def benchmark_shapes() -> dict[str, tuple]:
             times, 2.0 * rho[:, 0, 0].real - 1.0, "exponential",
             (1.0, 1.0 / rate, 0.0))
 
-    # compare: the bare arm's gaussian over 32 quasi-static trajectories
-    con = compact_construction(ca40_dp(), 0.3, 1.0)
-    noise = NoiseProcess("quasi-static-gaussian", sigma=5e-4, seed=7)
-    (shapes["compare"],) = _capture(darkqubit.sensing, lambda: (
-        coherence_comparison(con, noise, n_traj=32,
-                             horizon_in_bare_t2=20.0)))
-
     # criterion 4: Lindblad decay of a dark state at delta_b = 0.05
     scheme = ca40_dp(gamma=0.1)
     lind = compact_construction(scheme, 0.3, 1.0)
@@ -139,7 +103,7 @@ def benchmark_shapes() -> dict[str, tuple]:
 
 
 SHAPES = ["criterion-10-x0.1", "criterion-10-x1", "criterion-10-x10",
-          "compare", "lindblad-t1"]
+          "lindblad-t1"]
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -209,7 +173,6 @@ def _best_rms(message: str) -> float:
 @pytest.mark.parametrize("model, shape, reason", [
     ("exponential", "line", "singular basis"),
     ("exponential", "constant", "no amplitude"),
-    ("gaussian", "constant", "no amplitude"),
 ])
 def test_fit_of_data_that_do_not_decay_is_numerical_error(model, shape,
                                                           reason):
@@ -238,34 +201,6 @@ def test_fit_that_does_not_converge_is_numerical_error(monkeypatch):
     guess_rms = math.sqrt(np.mean((_exponential(t, *start) - y) ** 2))
     # two evaluations downhill of the guess
     assert _best_rms(str(info.value)) < guess_rms
-
-
-COMPARE_YAML = """\
-protocol: compare
-scheme:
-  preset: ca40_dp
-construction:
-  kind: compact
-  omega: 1.0
-  b: 0.3
-noise:
-  kind: quasi-static-gaussian
-  sigma: 5e-4
-compare:
-  n_traj: 8
-  horizon_in_bare_t2: 20
-"""
-
-
-def test_cli_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
-    scenario = tmp_path / "compare.yaml"
-    scenario.write_text(COMPARE_YAML)
-    out = tmp_path / "out"
-    monkeypatch.setattr(dynamics, "FIT_MAX_EVALS", 3)
-    assert main(["compare", "--scenario", str(scenario),
-                 "--out", str(out)]) == 3
-    assert "gaussian fit did not converge" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
 
 
 # Criterion 10's x = 0.1 ensemble has 16,835 points to fit; OpenBLAS

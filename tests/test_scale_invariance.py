@@ -39,8 +39,7 @@ POWERS = {
                      "expected_second_order", "effective_rabi",
                      "expected_rate", "locked_rate", "resonance",
                      "detuning"), 1),
-    **dict.fromkeys(("time", "t2_used", "t2_bare", "t2_bare_analytic",
-                     "t2_protected"), -1),
+    **dict.fromkeys(("time", "t2_used", "t2_bare", "t2_protected"), -1),
     # 1 / (rate sqrt(T2))
     "sensitivity": -0.5,
 }

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import pathlib
 import warnings
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from darkqubit.driving import (compact_construction, hyperfine_construction,
                                ideal_construction)
 from darkqubit.gates import protected_report
 from darkqubit.levels import ca40_dp, d52_p32, hyperfine_f1f2
-from darkqubit.noise import NoiseProcess, spectral_density
+from darkqubit.noise import NoiseProcess, evolve_noisy, spectral_density
 from darkqubit.sensing import (
     DEFAULT_MAX_ZEEMAN,
     coherence_comparison,
@@ -214,12 +215,18 @@ def test_frequency_window_ou_closed_form():
 
 def test_frequency_window_quasi_static_and_construction(optical):
     noise = NoiseProcess("quasi-static-gaussian", sigma=1.0, tau_c=0.0)
-    win = frequency_window(noise, min_gap=0.01, construction=optical)
-    assert win["lower"] == 0.01
-    assert "quasi-static" in win["rationale"]["lower"]
+    win = frequency_window(noise, construction=optical)
+    assert win["lower"] == 0.0
+    assert win["rationale"]["lower"] == \
+        "quasi-static noise: power confined to DC"
     assert win["current_gap"] == pytest.approx(GAP, rel=1e-12)
     assert win["in_window"] is True
-    narrow = frequency_window(noise, min_gap=0.5, construction=optical)
+    assert frequency_window()["rationale"]["lower"] == "no noise floor"
+    # OU noise at sigma = tau_c = 1 puts the lower edge at sqrt(19) = 4.36,
+    # above the construction's gap of 0.24
+    ou = NoiseProcess("ornstein-uhlenbeck", sigma=1.0, tau_c=1.0)
+    narrow = frequency_window(ou, construction=optical)
+    assert narrow["lower"] == pytest.approx(math.sqrt(19.0), rel=1e-12)
     assert narrow["in_window"] is False
 
 
@@ -336,14 +343,92 @@ def test_coherence_comparison_protected_vs_bare():
                          seed=11)
     out = coherence_comparison(con, noise, n_traj=96, horizon_in_bare_t2=30.0)
     t2_analytic = math.sqrt(2.0) / (0.8 * 2.0 * 5e-4)
-    assert out["t2_bare_analytic"] == pytest.approx(t2_analytic, rel=1e-12)
-    assert out["t2_bare"] == pytest.approx(t2_analytic, rel=0.1)
+    assert out["t2_bare"] == pytest.approx(t2_analytic, rel=1e-12)
     # protected coherence never decays inside the horizon
     assert out["t2_protected_bounded_below"] is True
     assert out["t2_protected"] == pytest.approx(30.0 * t2_analytic, rel=1e-9)
     assert out["final_protected_coherence"] > 0.99
     assert out["coherence_gain_orders"] > 1.4
     assert out["gain_orders"] == 0.5 * out["coherence_gain_orders"]
+
+
+def test_coherence_comparison_bare_t2_under_ou_noise():
+    # Kubo's form at sigma_gap tau_c = 0.08: x - 1 + e^{-x} = 156.25 puts
+    # the bare T2 at tau_c x = 15725, nine quasi-static T2s; a fit over
+    # the first three of them read 4547
+    con = compact_construction(ca40_dp(), 0.05, 1.0)
+    noise = NoiseProcess("ornstein-uhlenbeck", sigma=5e-4, tau_c=100.0,
+                         seed=3)
+    out = coherence_comparison(con, noise, n_traj=16, horizon_in_bare_t2=2.0)
+    assert out["t2_bare"] == pytest.approx(15725.0, rel=1e-12)
+    assert out["t2_protected"] == pytest.approx(2.0 * 15725.0, rel=1e-12)
+
+
+def _bare_pair(con):
+    """(delta m, Zeeman generator) of the compare arm's bare pair on con's
+    lower manifold, the generator restricted to the pair: it is diagonal,
+    so the pair evolves on its own."""
+    m_values = con.scheme.manifold(con.lower).m_values
+    pair = np.column_stack([con.scheme.basis_state(con.lower, m)
+                            for m in (m_values[1], m_values[-1])])
+    zeeman = pair.conj().T @ con.scheme.zeeman_generator() @ pair
+    return float(m_values[-1] - m_values[1]), zeeman
+
+
+@pytest.mark.parametrize("kind, tau_c", [("quasi-static-gaussian", None),
+                                         ("ornstein-uhlenbeck", 1e2),
+                                         ("ornstein-uhlenbeck", 1e5)])
+def test_bare_t2_matches_the_noise_engine(kind, tau_c):
+    # the undriven pair's coherence over 4096 trajectories, at 0.5, 1 and
+    # 1.5 closed-form T2s, against its closed form exp(-Var/2): within 4
+    # standard errors of the mean of e^{i phase}, sqrt(((1 + C^4)/2 - C^2)
+    # / n).  Under OU noise the grid step is an eighth of tau_c, where
+    # holding b(t) constant over a step moves Var by about
+    # (step / tau_c)^2 / 12
+    con = compact_construction(ca40_dp(), 0.05, 1.0)
+    noise = NoiseProcess(kind, sigma=5e-4, tau_c=tau_c, seed=1)
+    delta_m, zeeman = _bare_pair(con)
+    t2 = sensing._bare_dephasing_time(con, noise, delta_m)
+    sigma_gap = 0.8 * delta_m * 5e-4
+    steps = 30 if tau_c is None else 3 * math.ceil(4.0 * t2 / tau_c)
+    times = np.linspace(0.0, 1.5 * t2, steps + 1)
+    n = 4096
+    rho = evolve_noisy(np.zeros((2, 2)), np.array([1.0, 1.0]) / math.sqrt(2),
+                       noise, zeeman, times, n_traj=n)
+    coh = 2.0 * np.abs(rho[:, 0, 1])
+
+    def closed_form(t):
+        if tau_c is None:
+            return math.exp(-(sigma_gap * t) ** 2 / 2.0)
+        x = t / tau_c
+        return math.exp(-(sigma_gap * tau_c) ** 2 * (x - 1.0 + math.exp(-x)))
+
+    assert closed_form(t2) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    for t in (0.5 * t2, t2, 1.5 * t2):
+        want = closed_form(t)
+        got = coh[np.argmin(np.abs(times - t))]
+        stderr = math.sqrt(((1.0 + want ** 4) / 2.0 - want ** 2) / n)
+        assert abs(got - want) < 4.0 * stderr, (t / t2, got, want)
+
+
+def test_ou_bare_t2_solves_kubo_to_rounding():
+    # (sigma_gap tau_c)^2 (x - 1 + e^{-x}) = 1 at x = T2 / tau_c, evaluated
+    # at 60 digits, for tau_c from 1e-3 to 1e6 quasi-static T2s: Newton
+    # converges at both limits, and x - 1 + e^{-x} does not cancel where
+    # x << 1
+    con = compact_construction(ca40_dp(), 0.05, 1.0)
+    sigma_gap = abs(con.scheme.manifold(con.lower).g) * 2.0 * 5e-4
+    t2_star = math.sqrt(2.0) / sigma_gap
+    for exponent in np.linspace(-3.0, 6.0, 37):
+        tau_c = t2_star * 10.0 ** exponent
+        noise = NoiseProcess("ornstein-uhlenbeck", sigma=5e-4, tau_c=tau_c)
+        t2 = sensing._bare_dephasing_time(con, noise)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(t2) / Decimal(tau_c)
+            excess = (Decimal(sigma_gap) * Decimal(tau_c)) ** 2 \
+                * (x - 1 + (-x).exp()) - 1
+        assert abs(float(excess)) <= 4.0 * np.finfo(float).eps, exponent
 
 
 def test_sensitivity_compare_identity():
