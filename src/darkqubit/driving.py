@@ -377,8 +377,11 @@ def compact_construction(scheme: LevelScheme, b: float, omega: float,
     In the frame that rotates the upper manifold with the lower manifold's
     g-factor, all driven transitions are simultaneously resonant and the
     only leftover is the static detuning  b (g_upper - g_lower) Jz_upper,
-    which acts on the excited states alone: the dark states are exactly
-    those of the ideal construction.  amp_error perturbs the sigma+ field's
+    which acts on the excited states alone: on the optical presets the
+    dark states are exactly those of the ideal construction.  On a
+    hyperfine preset no state of the lower manifold alone is dark to both
+    fields, so the dark pair lies almost wholly on the upper manifold,
+    where the detuning moves it off the ideal pair.  amp_error perturbs the sigma+ field's
     amplitude; pol_leak leaks each field into the opposite polarization.
     """
     low = scheme.manifold(lower)

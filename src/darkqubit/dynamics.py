@@ -535,13 +535,11 @@ def _guess_tau(times: np.ndarray, values: np.ndarray) -> float:
 
 
 def _exponential_basis(t, tau):
+    """exp(-t / tau) and its derivative in tau."""
     col = np.exp(t * (-1.0 / tau))
     return col, col * t * tau ** -2
 
 
-# name -> basis(t, tau) -> (column, d column / d tau).  The model is
-# amplitude * column + offset: tau is its one nonlinear parameter.
-_MODELS = {"exponential": _exponential_basis}
 _PARAMS = ("amplitude", "tau", "offset")
 # The secant search stops where dphi/dtau is at its rounding level,
 # FIT_GTOL times 2 eps |amp| |dA/dtau| (|y| + |amp A|), what rounding
@@ -617,8 +615,8 @@ def _covariance_stderr(jac_t: np.ndarray, ssq: float) -> np.ndarray:
 
 def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
               p0: tuple | None = None) -> FitResult:
-    """Least-squares fit of amplitude * column(t / tau) + offset, the
-    column an "exponential" decay (_MODELS).
+    """Least-squares fit of amplitude * exp(-t / tau) + offset, the one
+    model ("exponential"): tau is its one nonlinear parameter.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): at each tau amplitude and offset solve their linear
@@ -636,9 +634,8 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}; have {sorted(_MODELS)}")
-    basis = _MODELS[model]
+    if model != "exponential":
+        raise ValueError(f"unknown model {model!r}; have ['exponential']")
     if not (times.ndim == 1 and times.shape == values.shape
             and times.size > len(_PARAMS)):
         raise ValueError(f"times and values must be 1-d of equal length, "
@@ -660,7 +657,7 @@ def fit_decay(times: np.ndarray, values: np.ndarray, model: str,
                               f"(best rms {rms(best[0]):.3e})")
 
     def grad(tau):
-        raw, dcol = basis(times, tau)
+        raw, dcol = _exponential_basis(times, tau)
         mean = raw.sum() / raw.size
         col = raw - mean
         norm2 = _dot(col, col)

@@ -21,6 +21,7 @@ never substituted for them.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -109,9 +110,17 @@ def evolve_dark_pair(con: Construction, initial: str, duration: float,
     Without noise the state evolves unitarily, and the trace holds the D1,
     D2 and upper-manifold populations.  With noise on the Zeeman generator,
     n_traj trajectories are averaged, and the trace holds the D1 and D2
-    populations and the pair's coherence magnitude.  Returns ({"final":
-    each population at duration, "noise_averaged": noise given}, trace).
+    populations and the pair's coherence magnitude.  The noise is held
+    constant over each grid step, so under OU noise a step above tau_c
+    raises ValueError, naming the points needed.  Returns ({"final": each
+    population at duration, "noise_averaged": noise given}, trace).
     """
+    if noise is not None and noise.kind == "ornstein-uhlenbeck":
+        needed = math.ceil(duration / noise.tau_c) + 1
+        if points < needed:
+            raise ValueError(
+                f"points: {points} step above tau_c = {noise.tau_c:.6g}; "
+                f"OU noise needs at least {needed}")
     report = protected_report(con)
     psi0 = ((report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
             if initial == "superposition"

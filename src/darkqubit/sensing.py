@@ -16,8 +16,9 @@ recoupling, normalized so the stretched element is 1) driven near
 omega_HF - 3 g b couples the two protected states through exactly one
 resonant element, at rate (Omega_g/2) |<D2|2,-2><1,-1|D1>|.
 
-The coherence comparison runs the protected pair through the noise engine
-and takes the bare pair's T2 in closed form.
+The coherence comparison and noisy optical sensing read the protected
+pair's coherence from gates.evolve_dark_pair, the package's one noisy run
+of the dark pair; the comparison takes the bare pair's T2 in closed form.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .driving import (Construction, TimeDependentHamiltonian,
                       to_rotating_frame)
 from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
                        overlap_population)
-from .gates import extract_effective_hamiltonian, protected_report
+from .gates import (evolve_dark_pair, extract_effective_hamiltonian,
+                    protected_report)
 from .levels import LevelScheme
-from .noise import NoiseProcess, evolve_noisy, spectral_density
+from .noise import NoiseProcess, spectral_density
 
 __all__ = [
     "SensitivityReport",
@@ -49,6 +51,10 @@ PHASE_POLICIES = ("locked", "random-averaged")
 DEFAULT_MAX_ZEEMAN = 2.0 * np.pi * 100e6  # rad/s
 DEFAULT_T1_TARGET = 1.0  # s
 DEFAULT_THRESHOLD = 0.1  # dimensionless S_BB(gap) * T1_target bound
+# Most points _fit_pair_coherence takes to keep OU steps within tau_c;
+# compare's default horizon on compact ca40_dp (b = 0.05, sigma = 5e-4,
+# tau_c = 100) takes 15726.
+MAX_PAIR_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     t2_details = {}
     if noise is not None:
         t2, bounded, final = _fit_pair_coherence(
-            con, basis, noise, n_traj, 3.0 * _bare_dephasing_time(con, noise))
+            con, noise, n_traj, 3.0 * _bare_dephasing_time(con, noise))
         t2_details = {"t2_bounded_below": bounded, "final_coherence": final}
 
     details = {
@@ -211,21 +217,28 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     return _report(effective, t2, attenuation, details), trace
 
 
-def _fit_pair_coherence(con, basis, noise, n_traj, horizon):
-    """T2 of the coherence |<a|rho(t)|b>| / |<a|rho(0)|b>| of basis's
-    columns a, b, rho(t) averaging (a + b)/sqrt(2) under con.ip and the
-    Zeeman noise, on 160 times to the horizon.
+def _fit_pair_coherence(con, noise, n_traj, horizon):
+    """T2 of the dark pair's coherence under con.ip and the Zeeman noise,
+    read from evolve_dark_pair's "superposition" run and divided by its
+    value at t = 0, on 160 times to the horizon, or under OU noise on as
+    many more as keep the step within tau_c.  NumericalError, before any
+    trajectory is drawn, if that needs more than MAX_PAIR_POINTS.
 
     Returns (t2, bounded, final coherence): t2 is the first grid time at
     which the coherence drops below 1/e, or the horizon with bounded set
     (a lower bound) if it never does.
     """
-    a, b = basis[:, 0], basis[:, 1]
-    times = np.linspace(0.0, horizon, 160)
-    rho = evolve_noisy(con.ip, (a + b) / np.sqrt(2.0), noise,
-                       con.scheme.zeeman_generator(), times, n_traj=n_traj)
-    coh = np.abs(np.einsum("i,tij,j->t", a.conj(), rho, b))
-    coh /= coh[0]
+    points = 160
+    if noise.kind == "ornstein-uhlenbeck":
+        points = max(points, math.ceil(horizon / noise.tau_c) + 1)
+        if points > MAX_PAIR_POINTS:
+            raise NumericalError(
+                f"a horizon of {horizon:.6g} at tau_c = {noise.tau_c:.6g} "
+                f"needs {points} grid points, above {MAX_PAIR_POINTS}")
+    _, trace = evolve_dark_pair(con, "superposition", horizon, points, noise,
+                                n_traj)
+    times, coh = trace.times, trace.coherences["pair"]
+    coh = coh / coh[0]
     below = np.nonzero(coh < np.exp(-1.0))[0]
     if below.size:
         return float(times[below[0]]), False, float(coh[-1])
@@ -411,17 +424,15 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
 
     The bare arm is an undriven sublevel pair of the lower manifold; its
     T2 is the closed form of _bare_dephasing_time, exact for either noise
-    kind, and sets the time unit.  The protected arm runs the full
-    construction to horizon_in_bare_t2 bare T2s; if its coherence never
-    reaches 1/e, T2 is reported as a lower bound (the honest desk-scale
-    outcome for a protected qubit), and the coherence gain is then exactly
+    kind, and sets the time unit.  The protected arm is evolve_dark_pair's
+    noisy run of the full construction to horizon_in_bare_t2 bare T2s
+    (_fit_pair_coherence); if its coherence never reaches 1/e, T2 is
+    reported as a lower bound (the honest desk-scale outcome for a
+    protected qubit), and the coherence gain is then exactly
     log10(horizon_in_bare_t2).
     """
     if not horizon_in_bare_t2 > 0:
         raise ValueError("horizon_in_bare_t2 must be positive")
-    report = protected_report(con)
-    basis = np.column_stack(report.dark_states[:2])
-
     d_man = con.scheme.manifold(con.lower)
     m_lo, m_hi = d_man.m_values[0], d_man.m_values[-1]
     # Bare pair: the dark states' main support pair (adjacent-but-one), so
@@ -429,7 +440,7 @@ def coherence_comparison(con: Construction, noise: NoiseProcess,
     m_a = m_lo + 1 if len(d_man.m_values) > 3 else m_lo
     t2_bare = _bare_dephasing_time(con, noise, float(m_hi - m_a))
     t2_prot, bounded, final = _fit_pair_coherence(
-        con, basis, noise, n_traj, horizon_in_bare_t2 * t2_bare)
+        con, noise, n_traj, horizon_in_bare_t2 * t2_bare)
 
     gains = sensitivity_compare(t2_bare, t2_prot)
     return {

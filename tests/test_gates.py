@@ -14,6 +14,7 @@ from darkqubit.dynamics import (NumericalError, evolve_stroboscopic,
                                 evolve_unitary, overlap_population)
 from darkqubit.gates import (
     _log_2x2,
+    evolve_dark_pair,
     extract_effective_hamiltonian,
     microwave_sigma_y,
     prepare_initial_state,
@@ -21,6 +22,7 @@ from darkqubit.gates import (
     raman_sigma_x,
 )
 from darkqubit.levels import ca40_dp
+from darkqubit.noise import NoiseProcess
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,18 @@ def test_prepare_initial_state(ideal):
         prepare_initial_state(rep, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="all zero"):
         prepare_initial_state(rep, [0.0, 0.0])
+
+
+def test_evolve_dark_pair_keeps_ou_steps_within_tau_c(ideal):
+    # the noise is held constant over each grid step, which stands for an
+    # OU process only while the step is at most tau_c: 20 points over 5.0
+    # step by 0.263 > 0.25 and raise, naming the 21 that step by 0.25
+    con, _ = ideal
+    noise = NoiseProcess("ornstein-uhlenbeck", sigma=0.5, tau_c=0.25, seed=1)
+    with pytest.raises(ValueError, match="needs at least 21$"):
+        evolve_dark_pair(con, "superposition", 5.0, 20, noise, n_traj=4)
+    _, trace = evolve_dark_pair(con, "superposition", 5.0, 21, noise, n_traj=4)
+    assert np.diff(trace.times).max() <= 0.25
 
 
 @pytest.mark.parametrize("builder", [ideal_construction, compact_construction])

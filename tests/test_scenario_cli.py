@@ -906,6 +906,14 @@ OU_EVOLVE_YAML = EVOLVE_YAML.replace("points: 60", "points: 20\n  n_traj: 4") \
     """)
 
 
+def test_ou_evolve_on_a_grid_coarser_than_tau_c_exits_2(tmp_path, capsys):
+    # 20 points over 5.0 step by 0.263, above tau_c = 0.25
+    text = OU_EVOLVE_YAML.replace("tau_c: 2.0", "tau_c: 0.25")
+    code, _ = _run(tmp_path, "coarse", text, "evolve")
+    assert code == 2
+    assert "OU noise needs at least 21" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("yaml_text, problem", [
     (OU_EVOLVE_YAML.replace("  tau_c: 2.0\n", ""),
      "scenario.noise.tau_c: required for ornstein-uhlenbeck (time)"),

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from darkqubit import cli, dynamics, sensing
+from darkqubit import cli, dynamics, gates, sensing
 from darkqubit.angular import clebsch_gordan
 from darkqubit.driving import (compact_construction, hyperfine_construction,
                                ideal_construction)
@@ -362,6 +362,33 @@ def test_coherence_comparison_bare_t2_under_ou_noise():
     out = coherence_comparison(con, noise, n_traj=16, horizon_in_bare_t2=2.0)
     assert out["t2_bare"] == pytest.approx(15725.0, rel=1e-12)
     assert out["t2_protected"] == pytest.approx(2.0 * 15725.0, rel=1e-12)
+
+
+def test_coherence_comparison_keeps_ou_steps_within_tau_c():
+    # the case above: a horizon of 31450 at tau_c = 100 takes 316 points,
+    # steps of 0.998 tau_c, where 160 points stepped by 1.98 tau_c
+    con = compact_construction(ca40_dp(), 0.05, 1.0)
+    noise = NoiseProcess("ornstein-uhlenbeck", sigma=5e-4, tau_c=100.0,
+                         seed=3)
+    with mock.patch.object(gates, "evolve_noisy",
+                           wraps=gates.evolve_noisy) as spy:
+        coherence_comparison(con, noise, n_traj=16, horizon_in_bare_t2=2.0)
+    times = spy.call_args.args[4]
+    assert len(times) == 316
+    assert np.diff(times).max() <= 100.0
+
+
+def test_coherence_comparison_refuses_an_ou_grid_past_its_cap():
+    # at tau_c = 1 the bare T2 is 1562501 tau_c, so two of them need
+    # 3125003 points, far past MAX_PAIR_POINTS; nothing is run
+    con = compact_construction(ca40_dp(), 0.05, 1.0)
+    noise = NoiseProcess("ornstein-uhlenbeck", sigma=5e-4, tau_c=1.0, seed=3)
+    with mock.patch.object(gates, "evolve_noisy",
+                           side_effect=AssertionError("ran")) as spy, \
+            pytest.raises(dynamics.NumericalError,
+                          match="needs 3125003 grid points"):
+        coherence_comparison(con, noise, n_traj=64, horizon_in_bare_t2=2.0)
+    spy.assert_not_called()
 
 
 def _bare_pair(con):
