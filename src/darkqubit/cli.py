@@ -2,11 +2,12 @@
 
 Subcommands mirror the library modules one to one; every run is described
 by a scenario file, and flags only override bookkeeping (seed, output
-directory, trace format).  A JSON
-summary is always written; time traces and sweep tables go to CSV (or
-JSON with --format json) next to it, each with a small manifest naming
-axes and units.  Outputs are written to a temporary file and renamed
-into place, so a failed run never leaves a partial artifact behind.
+directory, trace format).  Each run writes summary.json and one file
+per time trace or sweep table next to it, as CSV (or JSON with --format
+json); the summary lists the table files under its results and gives
+each column's unit under "units".  Outputs are written to a temporary
+file and renamed into place, so a failed run never leaves a partial
+artifact behind.
 
 Exit codes: 0 success, 2 scenario/validation problems, 3 numerical
 failure (a solver or protection check gave an unusable result).
@@ -76,34 +77,23 @@ def _csv_text(columns: dict[str, np.ndarray]) -> str:
 
 
 def emit_plot_data(out_dir: str, name: str, columns: dict,
-                   units: dict | None = None, label: str = "",
-                   fmt: str = "csv") -> list[str]:
-    """Write one trace/sweep table plus its manifest; returns the paths.
+                   fmt: str = "csv") -> str:
+    """Write one trace/sweep table as <name>.csv or, with fmt "json",
+    <name>.json holding {"columns": ...}; returns its path.
 
-    out_dir is created if missing.
+    out_dir is created if missing.  The columns' units are not written
+    here: run_scenario gives them in summary.json.
     """
     os.makedirs(out_dir or ".", exist_ok=True)
-    units = units or {}
-    manifest = {
-        "axes": list(columns),
-        "units": {k: units.get(k, "") for k in columns},
-        "label": label,
-        "format": fmt,
-    }
-    written = []
     if fmt == "json":
-        data_path = os.path.join(out_dir, f"{name}.json")
-        payload = {k: [float(v) for v in np.asarray(vals).ravel()]
-                   for k, vals in columns.items()}
-        _write_json(data_path, {"columns": payload, **manifest})
-        written.append(data_path)
+        path = os.path.join(out_dir, f"{name}.json")
+        _write_json(path, {"columns": {
+            k: [float(v) for v in np.asarray(vals).ravel()]
+            for k, vals in columns.items()}})
     else:
-        data_path = os.path.join(out_dir, f"{name}.csv")
-        _atomic_write(data_path, _csv_text(columns))
-        manifest_path = os.path.join(out_dir, f"{name}.manifest.json")
-        _write_json(manifest_path, manifest)
-        written += [data_path, manifest_path]
-    return written
+        path = os.path.join(out_dir, f"{name}.csv")
+        _atomic_write(path, _csv_text(columns))
+    return path
 
 
 def _json_safe(value):
@@ -134,16 +124,13 @@ def _json_safe(value):
 # ------------------------------------------------------------ trace helpers
 
 
-def _trace_columns(trace: SimulationTrace) -> tuple[dict, dict]:
+def _trace_columns(trace: SimulationTrace) -> dict:
     columns = {"time": trace.times}
-    units = {"time": "s"}
     for key, values in trace.populations.items():
         columns[f"pop_{key}"] = values
-        units[f"pop_{key}"] = ""
     for key, values in trace.coherences.items():
         columns[f"coh_{key}"] = np.real(values)
-        units[f"coh_{key}"] = ""
-    return columns, units
+    return columns
 
 
 def _state_table(scheme, vectors) -> dict:
@@ -162,7 +149,8 @@ def _state_table(scheme, vectors) -> dict:
 #
 # A runner takes a scenario and returns (results, tables): results is
 # anything _json_safe takes, and tables maps a results key ("trace_files",
-# "sweep_files") to the (name, columns, units) of one table.
+# "sweep_files") to the (name, columns, units) of one table; a column that
+# units leaves out is dimensionless.
 
 
 def _run_analyze(scenario):
@@ -222,7 +210,8 @@ def _run_section(scenario):
     if name not in _TRACES:
         return results, {}
     results, trace = results
-    return results, {"trace_files": (_TRACES[name], *_trace_columns(trace))}
+    return results, {"trace_files": (_TRACES[name], _trace_columns(trace),
+                                     {"time": "s"})}
 
 
 # Every protocol but analyze and error-budget calls its section's function.
@@ -235,16 +224,17 @@ def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
     """Execute a parsed scenario; returns the summary written to disk.
 
     Every output file is written here: the runner's tables first, then
-    summary.json.  threads is accepted for compatibility and changes
-    nothing.
+    summary.json, whose "units" maps each table file to its columns'
+    units.  threads is accepted for compatibility and changes nothing.
     """
     results, tables = _RUNNERS[scenario.protocol](scenario)
     results = _json_safe(results)
     os.makedirs(out_dir or ".", exist_ok=True)
-    for key, (name, columns, units) in tables.items():
-        files = emit_plot_data(out_dir, name, columns, units,
-                               label=scenario.label, fmt=fmt)
-        results[key] = [os.path.basename(f) for f in files]
+    units = {}
+    for key, (name, columns, table_units) in tables.items():
+        file = os.path.basename(emit_plot_data(out_dir, name, columns, fmt))
+        results[key] = [file]
+        units[file] = {k: table_units.get(k, "") for k in columns}
     summary = {
         "version": __version__,
         "protocol": scenario.protocol,
@@ -253,6 +243,7 @@ def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
         "scenario_hash": scenario.hash(),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "results": results,
+        "units": units,
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

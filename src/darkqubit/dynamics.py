@@ -168,7 +168,11 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     float view.
 
     N starts as the smallest n whose Bessel tail (x/2)^n / n!, x = 2|M|/w,
-    times max(1, |M| span) is below FLOQUET_TOL.  Truncation feeds back
+    times max(1, |M| span) and the nearest sideband resonance's lift is
+    below FLOQUET_TOL: H0's levels E_i put sideband k's denominator k w at
+    hypot(d_k, 2|M|), d_k = min |E_i - E_j - k w|, and the lift is the
+    largest k w / hypot(d_k, 2|M|) for k <= n (44 on pol_leak, whose plain
+    tail fell 23x short of its bound).  Truncation feeds back
     at most |M| (|v_{a,N}| + |v_{a,-N}|) |<P_a(t0)|y0>| per unit time
     through mode a, and the selected P(t0) must be unitary; N grows until
     that bound over max(span, 1/w), plus the unitarity defect of P(t0),
@@ -189,7 +193,14 @@ def _floquet(h0: np.ndarray, m: np.ndarray, freq: float, y0: np.ndarray,
     span = times[-1] - times[0]
     reach = max(span, 1.0 / freq)
     top = (FLOQUET_MAX_DIM // dim - 1) // 2  # the largest N that fits
-    tail, cutoff = max(1.0, norm_m * span), 0
+    tail, cutoff, lift = max(1.0, norm_m * span), 0, 1.0
+    gaps = np.subtract.outer(*[np.linalg.eigvalsh(h0)] * 2).ravel()
+    # The lifted start stops at top; the plain tail goes on past it below.
+    while tail * lift >= FLOQUET_TOL and cutoff < top:
+        cutoff += 1
+        tail *= norm_m / freq / cutoff
+        lift = max(lift, cutoff * freq / np.hypot(
+            np.abs(gaps - cutoff * freq).min(), 2.0 * norm_m))
     low, misses = np.inf, 0  # lowest failed defect; solves in a row above it
     while True:
         while tail >= FLOQUET_TOL and cutoff <= top:

@@ -55,9 +55,8 @@ _LOG_SERIES = 1e-2
 
 @dataclass(frozen=True)
 class EffectiveQubitOp:
-    """A 2x2 operator on (|D1>, |D2>) extracted from full dynamics."""
+    """Effective Hamiltonian on (|D1>, |D2>) from full dynamics."""
 
-    kind: str  # "hamiltonian" or "propagator"
     matrix: np.ndarray
     rate: float  # rad/s coupling magnitude
     leakage: float
@@ -232,8 +231,7 @@ def microwave_sigma_y(omega_g: float, con: Construction) -> EffectiveQubitOp:
     basis = np.column_stack(report.dark_states[:2])
 
     if omega_g == 0.0:
-        return EffectiveQubitOp("hamiltonian", np.zeros((2, 2), complex),
-                                0.0, 0.0, 0.0,
+        return EffectiveQubitOp(np.zeros((2, 2), complex), 0.0, 0.0, 0.0,
                                 {"expected_from_matrix_element": 0.0})
 
     element = abs(basis[:, 1].conj() @ jy @ basis[:, 0])
@@ -249,8 +247,7 @@ def microwave_sigma_y(omega_g: float, con: Construction) -> EffectiveQubitOp:
     leakage = float(np.max(1.0 - inside))
 
     return EffectiveQubitOp(
-        "hamiltonian", h_eff, rate, leakage,
-        _axis_fidelity(h_eff, SIGMA_Y),
+        h_eff, rate, leakage, _axis_fidelity(h_eff, SIGMA_Y),
         {"expected_from_matrix_element": expected,
          "jy_element": float(element),
          "probe_defect": defect,
@@ -282,8 +279,7 @@ def raman_sigma_x(omega_g: float, delta_r: float,
     basis = np.column_stack(report.dark_states[:2])
     expected = 3.0 * omega_g ** 2 / (4.0 * delta_r)
     if omega_g == 0.0:
-        return EffectiveQubitOp("hamiltonian", np.zeros((2, 2), complex),
-                                0.0, 0.0, 0.0,
+        return EffectiveQubitOp(np.zeros((2, 2), complex), 0.0, 0.0, 0.0,
                                 {"expected_second_order": 0.0,
                                  "hierarchy_warnings": tuple(hierarchy)})
 
@@ -327,8 +323,7 @@ def raman_sigma_x(omega_g: float, delta_r: float,
     leakage = float(np.max(1.0 - np.sum(np.abs(proj) ** 2, axis=1)))
 
     return EffectiveQubitOp(
-        "hamiltonian", h_eff, rate, leakage,
-        _axis_fidelity(h_eff, SIGMA_X),
+        h_eff, rate, leakage, _axis_fidelity(h_eff, SIGMA_X),
         {"expected_second_order": expected,
          "probe_defect": defect,
          "rate_over_expected": rate / expected,

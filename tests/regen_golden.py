@@ -25,7 +25,8 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_SCENARIOS = ("gates_microwave", "gates_raman", "sense_optical_noise",
                     "sense_hyperfine", "compare", "evolve_static",
                     "evolve_quasi_static", "evolve_ou", "evolve_pol_leak",
-                    "error_budget_sweep")
+                    "error_budget_sweep", "headline_error_budget",
+                    "ca40_compact_analyze")
 # Floats match to these; ints, strings, booleans and hashes exactly.
 RTOL, ATOL = 1e-9, 1e-12
 

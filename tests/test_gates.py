@@ -76,7 +76,6 @@ def test_microwave_rate_is_three_quarters(builder):
     scheme = ca40_dp()
     con = builder(scheme, 0.3, 1.0)
     op = microwave_sigma_y(0.02, con)
-    assert op.kind == "hamiltonian"
     assert op.details["jy_element"] == pytest.approx(1.5, abs=1e-12)
     assert op.rate == pytest.approx(0.75 * 0.02, rel=1e-12)
     assert op.details["rate_over_expected"] == pytest.approx(1.0, rel=1e-12)

@@ -1,5 +1,5 @@
-"""Checked-in outputs of the evolve, error-budget, gates, sense and
-compare protocols.
+"""Checked-in outputs of the analyze, evolve, error-budget, gates, sense
+and compare protocols.
 
 Each scenario is run afresh and every summary value and table column is
 compared with tests/golden/<scenario>.json by regen_golden.mismatches:

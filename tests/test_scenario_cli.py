@@ -385,7 +385,9 @@ def test_cli_analyze_summary(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"version", "protocol", "label", "seed",
-                            "scenario_hash", "generated_at", "results"}
+                            "scenario_hash", "generated_at", "results",
+                            "units"}
+    assert summary["units"] == {}  # analyze writes no table
     res = summary["results"]
     delta = 0.3 / 15.0
     want_gap = math.sqrt(1.0 + delta**2 / 4.0) - delta / 2.0
@@ -421,13 +423,13 @@ def test_cli_evolve_trace_contents(tmp_path):
     # a dark state is inert under the drive
     assert final[1] == pytest.approx(1.0, abs=1e-9)
     assert final[3] < 1e-12
-    manifest = json.loads((out / "evolve_trace.manifest.json").read_text())
-    assert manifest["axes"] == ["time", "pop_D1", "pop_D2", "pop_upper"]
-    assert manifest["units"]["time"] == "s"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["noise_averaged"] is False
-    assert summary["results"]["trace_files"] == [
-        "evolve_trace.csv", "evolve_trace.manifest.json"]
+    assert summary["results"]["trace_files"] == ["evolve_trace.csv"]
+    assert summary["units"] == {"evolve_trace.csv": {
+        "time": "s", "pop_D1": "", "pop_D2": "", "pop_upper": ""}}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "evolve_trace.csv", "summary.json"]
 
 
 def test_cli_seed_override_changes_hash(tmp_path):
@@ -477,8 +479,11 @@ def test_cli_budget_sweep_units(tmp_path, field, values, axis_unit):
                         f"  values: {values}\n")
     code, out = _run(tmp_path, field, yaml_text, "error-budget")
     assert code == 0
-    manifest = json.loads((out / "budget_sweep.manifest.json").read_text())
-    units = manifest["units"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["sweep_files"] == ["budget_sweep.csv"]
+    units = summary["units"]["budget_sweep.csv"]
+    header = (out / "budget_sweep.csv").read_text().splitlines()[0]
+    assert sorted(units) == sorted(header.split(","))
     assert units[f"error_budget.{field}"] == axis_unit
     assert units["gap_shift_total"] == "rad/s"
     assert units["t1_limit"] == units["t2_limit"] == "s"
@@ -494,7 +499,9 @@ def test_cli_json_format(tmp_path):
                      extra=("--format", "json"))
     assert code == 0
     payload = json.loads((out / "evolve_trace.json").read_text())
-    assert payload["axes"] == ["time", "pop_D1", "pop_D2", "pop_upper"]
+    assert list(payload) == ["columns"]
+    assert sorted(payload["columns"]) == ["pop_D1", "pop_D2", "pop_upper",
+                                          "time"]
     assert len(payload["columns"]["time"]) == 60
     assert not (out / "evolve_trace.csv").exists()
 
@@ -645,13 +652,10 @@ def test_zero_amp_error_stays_legal(tmp_path):
 
 
 def test_emit_plot_data_leaves_no_temp_files(tmp_path):
-    paths = emit_plot_data(str(tmp_path), "tbl",
-                           {"x": np.arange(3.0), "y": np.arange(3.0) ** 2},
-                           units={"x": "s"})
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["tbl.csv", "tbl.manifest.json"]
-    assert all(not n.startswith(".tmp-") for n in names)
-    assert [str(tmp_path / n) for n in names] == sorted(paths)
+    path = emit_plot_data(str(tmp_path), "tbl",
+                          {"x": np.arange(3.0), "y": np.arange(3.0) ** 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tbl.csv"]
+    assert path == str(tmp_path / "tbl.csv")
 
 
 def _per_value_csv_text(columns):
@@ -749,6 +753,34 @@ def test_c_and_python_yaml_loaders_give_equal_scenarios(tmp_path,
     slow = [load_scenario(p) for p in paths]
     assert fast == slow
     assert [s.hash() for s in fast] == [s.hash() for s in slow]
+
+
+def _table_columns(path: pathlib.Path) -> list[str]:
+    if path.suffix == ".json":
+        return list(json.loads(path.read_text())["columns"])
+    return path.read_text().splitlines()[0].split(",")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("path", REPO_SCENARIOS, ids=lambda p: p.stem)
+def test_run_writes_summary_and_listed_tables_only(tmp_path, path, fmt):
+    # summary.json is the one record of a run: it lists every table file
+    # the run wrote, and units gives a unit for each of their columns
+    out = tmp_path / "out"
+    code = main([load_scenario(path).protocol, "--scenario", str(path),
+                 "--out", str(out), "--format", fmt])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    listed = [file for key in ("trace_files", "sweep_files")
+              for file in summary["results"].get(key, [])]
+    assert all(file.endswith(f".{fmt}") for file in listed)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        listed + ["summary.json"])
+    assert set(summary["units"]) == set(listed)
+    for file in listed:
+        units = summary["units"][file]
+        assert sorted(units) == sorted(_table_columns(out / file))
+        assert all(isinstance(unit, str) for unit in units.values())
 
 
 # ------------------------------------------------- keys a sense run ignores
@@ -956,8 +988,9 @@ def test_unset_evolve_keys_take_the_functions_defaults(tmp_path, noise):
     for name, text in (("unset", unset), ("set", given)):
         code, out = _run(tmp_path, name, text, "evolve")
         assert code == 0
-        tables.append([(out / table).read_bytes() for table in
-                       ("evolve_trace.csv", "evolve_trace.manifest.json")])
+        summary = json.loads((out / "summary.json").read_text())
+        tables.append([(out / "evolve_trace.csv").read_bytes(),
+                       summary["units"]])
     assert tables[0] == tables[1]
     assert tables[0][0].count(b"\n") == 401
 
