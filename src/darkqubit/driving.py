@@ -205,24 +205,18 @@ def to_rotating_frame(ham: TimeDependentHamiltonian, generator: np.ndarray,
                       freq_atol: float | None = None) -> RotatedHamiltonian:
     """Transform to the frame of a diagonal generator G: H -> U^dag H U - G.
 
-    generator may be a diagonal matrix or its 1-d diagonal.  Residual
-    frequencies within freq_atol of zero become static; the rest are grouped
-    into harmonics.  With rwa_cutoff set, harmonics above the cutoff are
-    dropped and reported in the result's ledger (warning if any dropped term
-    has amplitude/frequency above RWA_RATIO_WARN).
+    generator is G's 1-d diagonal.  Residual frequencies within freq_atol
+    of zero become static; the rest are grouped into harmonics.  With
+    rwa_cutoff set, harmonics above the cutoff are dropped and reported in
+    the result's ledger (warning if any dropped term has
+    amplitude/frequency above RWA_RATIO_WARN).
 
     The default freq_atol is 1e-9 of the largest frequency in the problem,
     which absorbs float rounding of optical-scale energies; when residuals
     finer than that are physical (sub-ppb-of-carrier sidebands), pass
     freq_atol explicitly.
     """
-    gen = np.asarray(generator)
-    if gen.ndim == 2:
-        off = gen - np.diag(np.diag(gen))
-        if np.abs(off).max() > 1e-12 * max(1.0, np.abs(gen).max()):
-            raise ValueError("frame generator must be diagonal")
-        gen = np.diag(gen)
-    gen = gen.real.astype(float)
+    gen = np.asarray(generator).real.astype(float)
     dim = ham.dim
     if gen.shape != (dim,):
         raise ValueError("generator dimension mismatch")

@@ -49,6 +49,9 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Largest population an effective-Hamiltonian probe may lose from the pair.
 LEAKAGE_TOL = 0.05
+# Rotation, in radians at the expected rate, that a probe of the pair's
+# effective Hamiltonian spans: well inside the logarithm's principal branch.
+PROBE_ANGLE = 0.3
 # |l+ - l-| / |l+ + l-| below which the logarithm's slope is a series.
 _LOG_SERIES = 1e-2
 
@@ -81,30 +84,44 @@ def protected_report(con: Construction) -> SubspaceReport:
 def prepare_initial_state(report: SubspaceReport, target) -> np.ndarray:
     """Ideal preparation into the protected subspace.
 
-    target: "D1", "D2", or a length-2 amplitude pair on (D1, D2).
-    Pulse-level preparation dynamics are out of scope; this returns the
-    exact target state.
+    target: "D1", "D2", "superposition" ((D1 + D2)/sqrt 2), or a length-2
+    amplitude pair on (D1, D2).  Pulse-level preparation dynamics are out
+    of scope; this returns the exact target state.
     """
+    dark = report.dark_states
     if isinstance(target, str):
+        if target == "superposition":
+            return (dark[0] + dark[1]) / np.sqrt(2.0)
         labels = {f"D{k + 1}": k for k in range(report.dim)}
         if target not in labels:
-            raise ValueError(f"unknown target {target!r}; have {sorted(labels)}")
-        return report.dark_states[labels[target]].copy()
+            raise ValueError(f"unknown target {target!r}; have "
+                             f"{sorted(labels)} and 'superposition'")
+        return dark[labels[target]].copy()
     amps = np.asarray(target, dtype=complex)
     if amps.shape != (report.dim,):
         raise ValueError(f"amplitude target must have length {report.dim}")
-    vec = sum(a * d for a, d in zip(amps, report.dark_states))
+    vec = sum(a * d for a, d in zip(amps, dark))
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("target amplitudes are all zero")
     return vec / norm
 
 
+def _pair_trace(ham, basis: np.ndarray, psi0: np.ndarray, times: np.ndarray,
+                ) -> tuple[np.ndarray, SimulationTrace]:
+    """States from psi0 under ham on times, and the trace of their D1 and
+    D2 populations (basis's two columns)."""
+    states = evolve_unitary(ham, psi0, times)
+    return states, SimulationTrace(times=times, populations={
+        "D1": overlap_population(states, basis[:, 0]),
+        "D2": overlap_population(states, basis[:, 1])})
+
+
 def evolve_dark_pair(con: Construction, initial: str, duration: float,
                      points: int = 400, noise: NoiseProcess | None = None,
                      n_traj: int = 256) -> tuple[dict, SimulationTrace]:
-    """Free evolution of the dark pair from "D1", "D2" or "superposition"
-    ((D1 + D2)/sqrt 2), prepared ideally, at points times on [0, duration].
+    """Free evolution of the dark pair from "D1", "D2" or "superposition",
+    prepared by prepare_initial_state, at points times on [0, duration].
 
     Without noise the state evolves unitarily, and the trace holds the D1,
     D2 and upper-manifold populations.  With noise on the Zeeman generator,
@@ -121,9 +138,7 @@ def evolve_dark_pair(con: Construction, initial: str, duration: float,
                 f"points: {points} step above tau_c = {noise.tau_c:.6g}; "
                 f"OU noise needs at least {needed}")
     report = protected_report(con)
-    psi0 = ((report.dark_states[0] + report.dark_states[1]) / np.sqrt(2.0)
-            if initial == "superposition"
-            else prepare_initial_state(report, initial))
+    psi0 = prepare_initial_state(report, initial)
     times = np.linspace(0.0, duration, points)
     basis = np.column_stack(report.dark_states[:2])
     if noise is not None:
@@ -137,12 +152,9 @@ def evolve_dark_pair(con: Construction, initial: str, duration: float,
                                 populations={"D1": p1, "D2": p2},
                                 coherences={"pair": coh})
     else:
-        states = evolve_unitary(con.ip, psi0, times)
-        trace = SimulationTrace(times=times, populations={
-            "D1": overlap_population(states, basis[:, 0]),
-            "D2": overlap_population(states, basis[:, 1]),
-            "upper": expectation(states,
-                                 con.scheme.projector(con.upper)).real})
+        states, trace = _pair_trace(con.ip, basis, psi0, times)
+        trace.populations["upper"] = expectation(
+            states, con.scheme.projector(con.upper)).real
     return {"final": {k: float(v[-1]) for k, v in trace.populations.items()},
             "noise_averaged": noise is not None}, trace
 
@@ -236,15 +248,14 @@ def microwave_sigma_y(omega_g: float, con: Construction) -> EffectiveQubitOp:
 
     element = abs(basis[:, 1].conj() @ jy @ basis[:, 0])
     expected = (omega_g / 2.0) * element
-    t_probe = 0.3 / expected
+    t_probe = PROBE_ANGLE / expected
     h_eff, defect = extract_effective_hamiltonian(ham, basis, t_probe)
     rate = float(abs(h_eff[0, 1]))
 
     # Leakage over one full transfer period.
     times = np.linspace(0.0, np.pi / max(rate, expected), 400)
-    states = evolve_unitary(ham, basis[:, 0], times)
-    inside = sum(overlap_population(states, basis[:, k]) for k in range(2))
-    leakage = float(np.max(1.0 - inside))
+    pops = _pair_trace(ham, basis, basis[:, 0], times)[1].populations
+    leakage = float(np.max(1.0 - (pops["D1"] + pops["D2"])))
 
     return EffectiveQubitOp(
         h_eff, rate, leakage, _axis_fidelity(h_eff, SIGMA_Y),
@@ -310,10 +321,10 @@ def raman_sigma_x(omega_g: float, delta_r: float,
     ham = con.ip.plus_harmonic(coupling, delta_r)
 
     # The pair's generator over the whole number of drive periods nearest
-    # 0.3 / expected, and the leakage at every such step over 1.4 pi /
-    # expected (1.4 periods of the D1 <-> D2 transfer).
+    # PROBE_ANGLE / expected, and the leakage at every such step over
+    # 1.4 pi / expected (1.4 periods of the D1 <-> D2 transfer).
     period = 2.0 * np.pi / delta_r
-    stride = max(1, round(0.3 / expected / period))
+    stride = max(1, round(PROBE_ANGLE / expected / period))
     n_periods = int(np.ceil(1.4 * np.pi / expected / period))
     _, states = evolve_stroboscopic(ham, basis, period, n_periods,
                                     stride=stride)

@@ -30,10 +30,9 @@ import numpy as np
 
 from .driving import (Construction, TimeDependentHamiltonian,
                       to_rotating_frame)
-from .dynamics import (NumericalError, SimulationTrace, evolve_unitary,
-                       overlap_population)
-from .gates import (evolve_dark_pair, extract_effective_hamiltonian,
-                    protected_report)
+from .dynamics import NumericalError, SimulationTrace
+from .gates import (PROBE_ANGLE, _pair_trace, evolve_dark_pair,
+                    extract_effective_hamiltonian, protected_report)
 from .levels import LevelScheme
 from .noise import NoiseProcess, spectral_density
 
@@ -158,7 +157,7 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     def rate_at_gap(phase):
         ham = _optical_signal(con, signal_rabi, gap, phase)[0]
         h_eff, _ = extract_effective_hamiltonian(ham, basis,
-                                                 0.3 / probe_scale)
+                                                 PROBE_ANGLE / probe_scale)
         return float(abs(h_eff[0, 1]))
 
     off_resonant = abs(detuning) > 3.0 * probe_scale
@@ -188,10 +187,7 @@ def run_ac_sensing(con: Construction, signal_freq: float, signal_rabi: float,
     # resonance the signal enters as a harmonic at the residual detuning.
     ham, ledger = _optical_signal(con, signal_rabi, signal_freq, np.pi / 2.0)
     times = np.linspace(0.0, np.pi / locked_rate, 400)
-    states = evolve_unitary(ham, basis[:, 0], times)
-    trace = SimulationTrace(times=times, populations={
-        "D1": overlap_population(states, basis[:, 0]),
-        "D2": overlap_population(states, basis[:, 1])})
+    _, trace = _pair_trace(ham, basis, basis[:, 0], times)
 
     t2 = interrogation_time
     t2_details = {}
@@ -391,16 +387,15 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
     # before the trace.
     rate, probe = 0.0, {"coefficient_vs_rabi": math.nan}
     if detuning == 0.0:
-        h_eff, defect = extract_effective_hamiltonian(ham, basis,
-                                                      0.3 / expected)
+        h_eff, defect = extract_effective_hamiltonian(
+            ham, basis, PROBE_ANGLE / expected)
         rate = float(abs(h_eff[0, 1]))
         probe = {"coefficient_vs_rabi": rate / signal_rabi,
                  "probe_defect": defect}
 
     times = np.linspace(0.0, 1.2 * np.pi / expected, 900)
-    states = evolve_unitary(ham, basis[:, 0], times)
-    p2 = overlap_population(states, basis[:, 1])
-    p1 = overlap_population(states, basis[:, 0])
+    _, trace = _pair_trace(ham, basis, basis[:, 0], times)
+    p1, p2 = trace.populations["D1"], trace.populations["D2"]
 
     details = {
         "expected_rate": expected,
@@ -411,10 +406,7 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
         **ledger,
         **probe,
     }
-    trace = SimulationTrace(times=times,
-                            populations={"D1": p1, "D2": p2})
-    return (_report(rate, interrogation_time, 1.0, details),
-            trace)
+    return _report(rate, interrogation_time, 1.0, details), trace
 
 
 def coherence_comparison(con: Construction, noise: NoiseProcess,

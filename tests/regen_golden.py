@@ -3,9 +3,12 @@
 Each scenario in GOLDEN_SCENARIOS is run through ``run_scenario`` and its
 summary (less ``generated_at``) and every trace or sweep column are
 stored in tests/golden/<scenario>.json.  Regenerate only when a change
-is meant to move these outputs, and say why in CHANGES.md.  Each
-rewrite prints every value that moved at all, as "path: new != old".
-With names given, only those scenarios are rewritten:
+is meant to move these outputs, and say why in CHANGES.md.  A stored
+float that the new run matches within RTOL and ATOL, the golden test's
+own tolerances, is kept as stored, so rounding that differs between
+hosts rewrites nothing.  A file is rewritten only when a value moved
+beyond them, and each rewrite prints those values as "path: new !=
+old".  With names given, only those scenarios are regenerated:
 
     PYTHONPATH=src python tests/regen_golden.py [SCENARIO ...]
 """
@@ -74,6 +77,20 @@ def mismatches(got, want, path="", rtol=RTOL, atol=ATOL) -> list[str]:
     return [f"{path}: {got!r} != {want!r}"]
 
 
+def keep_matching(got, want):
+    """got with every part that matches want (as mismatches judges it)
+    replaced by want's stored value."""
+    if not mismatches(got, want):
+        return want
+    if isinstance(want, dict) and isinstance(got, dict):
+        return {key: keep_matching(value, want[key]) if key in want
+                else value for key, value in got.items()}
+    if (isinstance(want, list) and isinstance(got, list)
+            and len(got) == len(want)):
+        return [keep_matching(g, w) for g, w in zip(got, want)]
+    return got
+
+
 def main(names) -> int:
     unknown = sorted(set(names) - set(GOLDEN_SCENARIOS))
     if unknown:
@@ -83,12 +100,15 @@ def main(names) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             golden = record(name, tmp)
         path = GOLDEN_DIR / f"{name}.json"
-        old = (json.loads(path.read_text(encoding="utf-8"))
-               if path.exists() else {})
-        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        old_text = path.read_text(encoding="utf-8") if path.exists() else ""
+        old = json.loads(old_text) if old_text else {}
+        text = json.dumps(keep_matching(golden, old), indent=1,
+                          sort_keys=True) + "\n"
+        if text == old_text:
+            continue
+        path.write_text(text, encoding="utf-8")
         print(path)
-        for line in mismatches(golden, old, rtol=0.0, atol=0.0):
+        for line in mismatches(golden, old):
             print(f"  {line}")  # new != old
     return 0
 

@@ -60,6 +60,22 @@ def test_static_evolution_accepts_plain_matrix():
     assert np.allclose(a, b, atol=1e-10)
 
 
+def test_norm_drift_names_the_drift_and_norm_tol_only():
+    # a static run takes the spectral path, which has no DOP853 tolerances
+    # to quote; a drift forced onto its states names only what was checked
+    real = dynamics._integrate
+
+    def drifting(ham, y0, times):
+        return (1.0 + 1e-6) * real(ham, y0, times)
+
+    ham = np.diag([0.0, 1.0]).astype(complex)
+    with mock.patch.object(dynamics, "_integrate", drifting):
+        with pytest.raises(NumericalError) as err:
+            evolve_unitary(ham, np.array([1.0, 0.0]), np.linspace(0, 1, 5))
+    assert str(err.value) == (f"norm drift {1e-6:.3e} exceeds "
+                              f"{dynamics.NORM_TOL:.0e}")
+
+
 def test_harmonic_evolution_analytic_rabi():
     # a one-sided harmonic is exactly the co-rotating drive, so resonant
     # transfer is sin^2(A t) with no approximation involved

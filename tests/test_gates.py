@@ -56,6 +56,15 @@ def test_prepare_initial_state(ideal):
         prepare_initial_state(rep, [0.0, 0.0])
 
 
+def test_prepare_superposition_is_the_exact_half_sum(ideal):
+    _, rep = ideal
+    sup = prepare_initial_state(rep, "superposition")
+    want = (rep.dark_states[0] + rep.dark_states[1]) / np.sqrt(2.0)
+    assert np.array_equal(sup, want)
+    with pytest.raises(ValueError, match="unknown target 'Superposition'"):
+        prepare_initial_state(rep, "Superposition")
+
+
 def test_evolve_dark_pair_keeps_ou_steps_within_tau_c(ideal):
     # the noise is held constant over each grid step, which stands for an
     # OU process only while the step is at most tau_c: 20 points over 5.0

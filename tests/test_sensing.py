@@ -300,6 +300,41 @@ def test_hyperfine_detuned_suppression(hyperfine, mult, law):
     assert detuned.sensitivity == math.inf
 
 
+def test_every_probe_spans_probe_angle(optical, hyperfine):
+    # microwave, locked-phase optical and resonant hyperfine probes each
+    # last PROBE_ANGLE / expected; Raman's probe is the whole number of
+    # drive periods nearest it
+    spans, extract = [], gates.extract_effective_hamiltonian
+
+    def spy(ham, basis, t_probe):
+        spans.append(t_probe)
+        return extract(ham, basis, t_probe)
+
+    with mock.patch.object(gates, "extract_effective_hamiltonian", spy), \
+            mock.patch.object(sensing, "extract_effective_hamiltonian", spy):
+        micro = gates.microwave_sigma_y(0.02, optical)
+        optic, _ = run_ac_sensing(optical, GAP, 0.01)
+        hyper, _ = run_hyperfine_sensing(hyperfine, 0.02)
+    expected = [micro.details["expected_from_matrix_element"],
+                optic.details["expected_rate"],
+                hyper.details["expected_rate"]]
+    assert spans == [gates.PROBE_ANGLE / rate for rate in expected]
+
+    strides = []
+
+    def strobe(ham, psi0, period, n_periods, stride=1):
+        strides.append((period, stride))
+        return dynamics.evolve_stroboscopic(ham, psi0, period, n_periods,
+                                            stride)
+
+    with mock.patch.object(gates, "evolve_stroboscopic", strobe):
+        raman = gates.raman_sigma_x(0.05, 20.0, optical)
+    (period, stride), = strides
+    expected = raman.details["expected_second_order"]
+    assert stride == max(1, round(gates.PROBE_ANGLE / expected / period))
+    assert stride > 1
+
+
 def test_hyperfine_detuned_runs_match_dop853(hyperfine):
     # criterion 9's four detunings: the signal element (3, 0) links the F1
     # and F2 blocks, which the static part leaves uncoupled, so a diagonal
@@ -314,7 +349,7 @@ def test_hyperfine_detuned_runs_match_dop853(hyperfine):
         runs.append((ham, times))
         return dynamics.evolve_unitary(ham, psi0, times)
 
-    with mock.patch.object(sensing, "evolve_unitary", spy):
+    with mock.patch.object(gates, "evolve_unitary", spy):
         for mult in (4.0, 10.0, 20.0, 32.0):
             run_hyperfine_sensing(hyperfine, 0.02, detuning=mult * rate)
     dark = protected_report(hyperfine).dark_states
