@@ -30,10 +30,10 @@ from .levels import (DecayChannel, LevelScheme, Manifold, ca40_dp, ca40_sdp,
 from .noise import (NoiseProcess, evolve_noisy, sample_trajectories,
                     spectral_density)
 from .scenario import Scenario, ScenarioError, load_scenario, parse_frequency
-from .sensing import (SensitivityReport, coherence_comparison,
-                      frequency_window, hyperfine_signal_operator,
-                      run_ac_sensing, run_hyperfine_sensing,
-                      sensitivity_compare)
+from .sensing import (SensitivityReport, analyze_construction,
+                      coherence_comparison, frequency_window,
+                      hyperfine_signal_operator, run_ac_sensing,
+                      run_hyperfine_sensing, sensitivity_compare)
 from .subspace import (ProtectionError, SubspaceReport, canonical_order,
                        find_protected_subspace)
 
@@ -61,7 +61,7 @@ __all__ = [
     "evolve_dark_pair", "extract_effective_hamiltonian",
     "microwave_sigma_y", "raman_sigma_x",
     "SensitivityReport", "run_ac_sensing",
-    "frequency_window", "hyperfine_signal_operator",
+    "frequency_window", "analyze_construction", "hyperfine_signal_operator",
     "run_hyperfine_sensing", "coherence_comparison", "sensitivity_compare",
     "Scenario", "ScenarioError", "load_scenario", "parse_frequency",
     "__version__",

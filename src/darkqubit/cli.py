@@ -1,16 +1,23 @@
 """Scenario-driven command line front end.
 
-Subcommands mirror the library modules one to one; every run is described
-by a scenario file, and flags only override bookkeeping (seed, output
-directory, trace format).  Each run writes summary.json and one file
-per time trace or sweep table next to it, as CSV (or JSON with --format
-json); the summary lists the table files under its results and gives
-each column's unit under "units".  Outputs are written to a temporary
-file and renamed into place, so a failed run never leaves a partial
-artifact behind.
+Each subcommand runs one library function on a scenario file, through
+one path (_run): analyze runs sensing.analyze_construction, evolve
+gates.evolve_dark_pair, error-budget budget.total_budget (again at each
+point of a sweep), gates gates.microwave_sigma_y or gates.raman_sigma_x,
+sense sensing.run_ac_sensing or sensing.run_hyperfine_sensing, and
+compare sensing.coherence_comparison.  Flags only override bookkeeping
+(seed, output directory, trace format).  Each run writes summary.json
+and one file per time trace or sweep table next to it, as CSV (or JSON
+with --format json); the summary lists the table files under its
+results and gives each column's unit under "units".  Outputs are written
+to a temporary file and renamed into place, so a failed run never leaves
+a partial artifact behind.
 
 Exit codes: 0 success, 2 scenario/validation problems, 3 numerical
-failure (a solver or protection check gave an unusable result).
+failure (a solver or protection check gave an unusable result).  An
+n_traj without a noise section is a validation problem, and a noisy run
+on a construction whose interaction picture keeps harmonic terms (such
+as pol_leak) exits 2, since trajectories need a static one.
 """
 
 from __future__ import annotations
@@ -27,11 +34,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import NumericalError, SimulationTrace
-from .gates import protected_report
 from .scenario import (PROTOCOLS, Scenario, ScenarioError,
-                       build_construction, build_noise, call, callee,
-                       input_unit, load_scenario, select)
-from .sensing import frequency_window
+                       build_construction, build_noise, call, input_unit,
+                       load_scenario, select)
 from .subspace import ProtectionError
 
 __all__ = ["main", "run_scenario", "emit_plot_data"]
@@ -133,55 +138,19 @@ def _trace_columns(trace: SimulationTrace) -> dict:
     return columns
 
 
-def _state_table(scheme, vectors) -> dict:
-    labels = [f"{name}:m={m}" for name, m in scheme.states()]
-    out = {}
-    for k, vec in enumerate(vectors):
-        entry = {}
-        for label, amp in zip(labels, np.asarray(vec)):
-            if abs(amp) > 1e-12:
-                entry[label] = [float(np.real(amp)), float(np.imag(amp))]
-        out[f"D{k + 1}"] = entry
-    return out
-
-
 # ---------------------------------------------------------------- protocols
-#
-# A runner takes a scenario and returns (results, tables): results is
-# anything _json_safe takes, and tables maps a results key ("trace_files",
-# "sweep_files") to the (name, columns, units) of one table; a column that
-# units leaves out is dimensionless.
 
 
-def _run_analyze(scenario):
-    con = build_construction(scenario)
-    report = protected_report(con)
-    window = frequency_window(construction=con)
-    results = {
-        "dark_eigenvalue": report.dark_eigenvalue,
-        "gap": report.gap,
-        "jz_residual": report.jz_residual,
-        "degeneracy_residual": report.degeneracy_residual,
-        "dark_states": _state_table(con.scheme, report.dark_states),
-        "dropped_terms": len(con.dropped),
-        "frequency_window": window,
-    }
-    return results, {}
-
-
-def _run_error_budget(scenario):
-    params = scenario.params
-    total_budget = callee("error_budget")
-    budget = total_budget(**params)
-    if not scenario.sweep:
-        return budget, {}
+def _budget_sweep(scenario):
+    """(name, columns, units) of the error budget at each swept value."""
     field = scenario.sweep["field"]
     key = field.removeprefix("error_budget.")
     rows = {field: []}
     units = {field: input_unit(key),
              "gap_shift_total": "rad/s", "t1_limit": "s", "t2_limit": "s"}
     for value in scenario.sweep["values"]:
-        swept = total_budget(**dict(params, **{key: value}))
+        swept = call("error_budget", None,
+                     dict(scenario.params, **{key: value}))
         rows[field].append(value)
         flat = {name: getattr(swept, name)
                 for name in ("gap_shift_total", "t1_limit", "t2_limit")}
@@ -193,41 +162,46 @@ def _run_error_budget(scenario):
         for name, v in flat.items():
             rows.setdefault(name, []).append(
                 v if math.isfinite(v) else math.nan)
-    return budget, {"sweep_files": ("budget_sweep", rows, units)}
+    return "budget_sweep", rows, units
 
 
-# The trace table of each protocol whose function returns (results, trace).
-_TRACES = {"evolve": "evolve_trace", "sense": "sense_trace"}
+def _run(scenario):
+    """(results, tables) of the protocol section's function (scenario.call),
+    given the section's keys and whichever of the construction and noise
+    it takes.
 
-
-def _run_section(scenario):
-    """The protocol section's function (scenario.call), given the section's
-    keys and whichever of the construction and noise it takes."""
-    name = scenario.protocol
+    results is anything _json_safe takes, and tables maps a results key
+    ("trace_files", "sweep_files") to the (name, columns, units) of one
+    table; a column that units leaves out is dimensionless.  A function
+    that returns (results, trace) gives the <protocol>_trace table, and a
+    sweep the budget_sweep table.
+    """
+    name = scenario.protocol.replace("-", "_")
+    given = dict(scenario.params)
+    if scenario.construction is not None:
+        given["con"] = build_construction(scenario)
+    given["noise"] = build_noise(scenario)
     results = call(name, select(name, scenario.params, scenario.construction),
-                   {**scenario.params, "con": build_construction(scenario),
-                    "noise": build_noise(scenario)})
-    if name not in _TRACES:
-        return results, {}
-    results, trace = results
-    return results, {"trace_files": (_TRACES[name], _trace_columns(trace),
-                                     {"time": "s"})}
-
-
-# Every protocol but analyze and error-budget calls its section's function.
-_RUNNERS = {**dict.fromkeys(PROTOCOLS, _run_section),
-            "analyze": _run_analyze, "error-budget": _run_error_budget}
+                   given)
+    tables = {}
+    if isinstance(results, tuple):
+        results, trace = results
+        tables["trace_files"] = (f"{scenario.protocol}_trace",
+                                 _trace_columns(trace), {"time": "s"})
+    if scenario.sweep:
+        tables["sweep_files"] = _budget_sweep(scenario)
+    return results, tables
 
 
 def run_scenario(scenario: Scenario, out_dir: str = ".", fmt: str = "csv",
                  threads: int = 1) -> dict:
     """Execute a parsed scenario; returns the summary written to disk.
 
-    Every output file is written here: the runner's tables first, then
+    Every output file is written here: the protocol's tables first, then
     summary.json, whose "units" maps each table file to its columns'
     units.  threads is accepted for compatibility and changes nothing.
     """
-    results, tables = _RUNNERS[scenario.protocol](scenario)
+    results, tables = _run(scenario)
     results = _json_safe(results)
     os.makedirs(out_dir or ".", exist_ok=True)
     units = {}
@@ -259,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and AC sensing, driven by scenario files.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in PROTOCOLS:
         article = "an" if name[0] in "aeiou" else "a"
         p = sub.add_parser(name, help=f"run {article} {name} scenario")
         p.add_argument("--scenario", required=True,
@@ -290,7 +264,7 @@ def main(argv=None) -> int:
     except (NumericalError, ProtectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, NotImplementedError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({k: summary[k] for k in

@@ -16,10 +16,11 @@ read once, at import, and a call passes the function its own parameters
 alone (call); _KINDS gives each key's kind, the one fact a signature
 cannot carry, and _SECTIONS the sections each protocol reads.  The
 exceptions are written out: sense.signal_freq is required though the
-hyperfine variant drops it; the optical sense variant's interrogation_time
-and n_traj depend on a noise section (_OPTICAL_NOISE_UNREAD); error-budget
-takes only ``scheme: {preset: ca40_dp}``; a nonzero amp_error is
-rejected; OU noise requires tau_c; and the sweep section has its own table.
+hyperfine variant drops it; where a noise section is optional, n_traj
+needs one and the optical sense variant's interrogation_time is unread
+with one (_NOISE_READS); error-budget takes only ``scheme: {preset:
+ca40_dp}``; a nonzero amp_error is rejected; OU noise requires tau_c;
+and the sweep section has its own table.
 All problems in a file are reported together.  The canonical form
 (sorted keys, normalized numbers) feeds a sha256 hash that output files
 embed for provenance.
@@ -300,6 +301,7 @@ _CALLEES = {
     "compare": (None, {None: sensing.coherence_comparison}, ("con", "noise"),
                 None),
     "evolve": (None, {None: gates.evolve_dark_pair}, ("con", "noise"), None),
+    "analyze": (None, {None: sensing.analyze_construction}, ("con",), None),
 }
 
 # {section: {choice: {parameter: required}}}, read once at import; a
@@ -333,10 +335,11 @@ _SECTIONS = {
 _READ_ORDER = ("scheme", *dict.fromkeys(
     name for names in _SECTIONS.values() for name in names))
 
-# The sense keys the optical variant drops, by whether a noise section is
-# given: with one, T2 is fitted from trajectories and replaces
-# interrogation_time; without one, no trajectories run.
-_OPTICAL_NOISE_UNREAD = {True: "interrogation_time", False: "n_traj"}
+# Keys that a function taking an optional noise reads only with a noise
+# section (True) or only without one (False): trajectories run only under
+# noise, and the optical sense variant's fitted T2 then replaces
+# interrogation_time.
+_NOISE_READS = {"n_traj": True, "interrogation_time": False}
 
 _UNITS = {"frequency": "rad/s", "time": "s", "scalar": ""}
 # A sweep varies one numeric error_budget input.
@@ -482,10 +485,8 @@ def parse_scenario(data: dict) -> Scenario:
                             f"{verb} {article} {name} section")
         elif name == "sweep":
             read[name] = _parse_sweep(section)
-        elif name in _CALLEES:
+        else:
             choices[name], read[name] = _read_callee(section, name, read)
-        else:  # analyze, which takes no keys
-            read[name] = section.read({})
     scheme, construction = read.get("scheme", {}), read.get("construction")
     params = read.get((protocol or "").replace("-", "_"), {})
 
@@ -509,14 +510,18 @@ def parse_scenario(data: dict) -> Scenario:
         problems += [f"scenario.scheme.{key}: the error-budget protocol "
                      "does not read it" for key in sorted(scheme)
                      if key != "preset"]
-    if choices.get("sense") == "optical-D32":
-        noisy = "noise" in read
-        key = _OPTICAL_NOISE_UNREAD[noisy]
-        if key in read["sense"]:
-            given = "with" if noisy else "without"
-            problems.append(f"scenario.sense.{key}: the optical-D32 sense "
-                            f"variant does not read it {given} a noise "
-                            "section")
+    noisy = "noise" in read
+    for name, choice in choices.items():
+        # Only a function whose noise has a default (is not required).
+        if _PARAMETERS[name].get(choice, {}).get("noise") is not False:
+            continue
+        wording = _CALLEES[name][3]
+        reader = f"the {choice} {wording[1]}" if wording \
+            else f"the {name} protocol"
+        problems += [f"scenario.{name}.{key}: {reader} does not read it "
+                     f"{'with' if noisy else 'without'} a noise section"
+                     for key, needs in _NOISE_READS.items()
+                     if key in read[name] and needs != noisy]
 
     if problems:
         raise ScenarioError(problems)

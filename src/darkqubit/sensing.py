@@ -19,6 +19,7 @@ resonant element, at rate (Omega_g/2) |<D2|2,-2><1,-1|D1>|.
 The coherence comparison and noisy optical sensing read the protected
 pair's coherence from gates.evolve_dark_pair, the package's one noisy run
 of the dark pair; the comparison takes the bare pair's T2 in closed form.
+analyze_construction reads a construction's protection and its window.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "SensitivityReport",
     "run_ac_sensing",
     "frequency_window",
+    "analyze_construction",
     "hyperfine_signal_operator",
     "run_hyperfine_sensing",
     "coherence_comparison",
@@ -317,6 +319,32 @@ def frequency_window(noise: NoiseProcess | None = None,
         out["noise_power_at_lower"] = float(
             spectral_density(noise, np.array([lower]))[0])
     return out
+
+
+def analyze_construction(con: Construction) -> dict:
+    """What a construction protects and where it can sense.
+
+    The protected_report fields; the dark states as {"D1": {label:
+    [re, im]}, ...}, each label "<manifold>:m=<m>" of a sublevel whose
+    amplitude exceeds 1e-12; the number of rotating-wave terms the
+    construction dropped; and its frequency_window without noise.
+    """
+    report = protected_report(con)
+    labels = [f"{name}:m={m}" for name, m in con.scheme.states()]
+    dark_states = {
+        f"D{k + 1}": {label: [float(np.real(amp)), float(np.imag(amp))]
+                      for label, amp in zip(labels, np.asarray(vec))
+                      if abs(amp) > 1e-12}
+        for k, vec in enumerate(report.dark_states)}
+    return {
+        "dark_eigenvalue": report.dark_eigenvalue,
+        "gap": report.gap,
+        "jz_residual": report.jz_residual,
+        "degeneracy_residual": report.degeneracy_residual,
+        "dark_states": dark_states,
+        "dropped_terms": len(con.dropped),
+        "frequency_window": frequency_window(construction=con),
+    }
 
 
 def hyperfine_signal_operator(scheme: LevelScheme, lower: str = "F1",

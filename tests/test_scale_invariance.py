@@ -95,7 +95,7 @@ def _run(name: str, s: float) -> dict:
                 elif kind == "time":
                     section[key] = value / s
     scenario = scenario_mod.parse_scenario(data)
-    results, tables = cli._RUNNERS[scenario.protocol](scenario)
+    results, tables = cli._run(scenario)
     outputs = {}
     for _, columns, _ in tables.values():
         for column, values in columns.items():

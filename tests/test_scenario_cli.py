@@ -401,6 +401,19 @@ def test_cli_analyze_summary(tmp_path, capsys):
     assert recap["scenario_hash"] == summary["scenario_hash"]
 
 
+def test_analyze_results_are_analyze_construction(tmp_path):
+    # the analyze protocol is one library call: its summary's results are
+    # analyze_construction's, value for value
+    path = (pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+            / "ca40_compact_analyze.yaml")
+    assert main(["analyze", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    direct = sensing.analyze_construction(
+        build_construction(load_scenario(path)))
+    assert cli._json_safe(direct) == summary["results"]
+
+
 def test_cli_runs_are_deterministic(tmp_path):
     code1, out1 = _run(tmp_path, "ev1", EVOLVE_YAML, "evolve")
     code2, out2 = _run(tmp_path, "ev2", EVOLVE_YAML, "evolve")
@@ -872,6 +885,27 @@ def test_optical_sense_keeps_the_keys_it_reads(yaml_text):
     assert {"interrogation_time", "n_traj"} & set(params)
 
 
+@pytest.mark.parametrize("yaml_text, problem", [
+    (EVOLVE_YAML + "  n_traj: 16\n",
+     "scenario.evolve.n_traj: the evolve protocol does not read it "
+     "without a noise section"),
+    (OPTICAL_SENSE_YAML + "  n_traj: 16\n",
+     "scenario.sense.n_traj: the optical-D32 sense variant does not read "
+     "it without a noise section"),
+    (OPTICAL_SENSE_YAML + "  interrogation_time: 5\n" + NOISE_SECTION,
+     "scenario.sense.interrogation_time: the optical-D32 sense variant "
+     "does not read it with a noise section"),
+], ids=["evolve-n_traj", "optical-n_traj", "optical-interrogation_time"])
+def test_keys_read_only_with_or_without_noise_are_rejected_otherwise(
+        yaml_text, problem):
+    # trajectories run only under noise, and the optical variant's fitted
+    # T2 then replaces interrogation_time: a key the run would not read
+    # would still move the hash
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(yaml.safe_load(yaml_text))
+    assert err.value.problems == (problem,)
+
+
 GATES_YAML = textwrap.dedent("""\
     protocol: gates
     scheme:
@@ -980,10 +1014,11 @@ def test_unset_noise_seed_follows_the_scenario_seed(tmp_path, noise_seed,
                          ids=["unitary", "quasi-static"])
 def test_unset_evolve_keys_take_the_functions_defaults(tmp_path, noise):
     # points and n_traj left out run evolve_dark_pair's defaults, 400 and
-    # 256: the same tables as a section that sets them
+    # 256: the same tables as a section that sets them (n_traj only with
+    # a noise section, the one case that reads it)
     unset = EVOLVE_YAML.replace("  points: 60\n", "") + noise
-    given = unset.replace("duration: 5.0",
-                          "duration: 5.0\n  points: 400\n  n_traj: 256")
+    given = unset.replace("duration: 5.0", "duration: 5.0\n  points: 400"
+                          + ("\n  n_traj: 256" if noise else ""))
     tables = []
     for name, text in (("unset", unset), ("set", given)):
         code, out = _run(tmp_path, name, text, "evolve")
@@ -1083,7 +1118,7 @@ def test_sections_are_their_callees_keyword_arguments(case):
                 module, name, autospec=True,
                 return_value=(None, SimulationTrace(times=np.zeros(1)))) \
                 as callee:
-            cli._RUNNERS[protocol](parsed)
+            cli._run(parsed)
         args = inspect.signature(real).bind(*callee.call_args.args,
                                             **callee.call_args.kwargs)
         passed = set(args.arguments)
@@ -1111,4 +1146,22 @@ def test_cli_rejects_inputs_outside_their_domain_by_name(
     code, out = _run(tmp_path, "domain", yaml_text, command)
     assert code == 2
     assert f"{field} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, yaml_text", [
+    ("evolve", EVOLVE_YAML + NOISE_SECTION),
+    ("compare", COMPARE_YAML),
+    ("sense", OPTICAL_SENSE_YAML + NOISE_SECTION),
+], ids=["evolve", "compare", "optical-sense"])
+def test_noisy_runs_on_a_harmonic_construction_exit_2(tmp_path, capsys,
+                                                      command, yaml_text):
+    # pol_leak leaves harmonic terms in the interaction picture, and
+    # trajectories need a static one: one line on stderr, no traceback
+    text = yaml_text.replace("  b: 0.3\n", "  b: 0.3\n  pol_leak: 0.01\n")
+    code, out = _run(tmp_path, command, text, command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ") and err.count("\n") == 1
+    assert "static" in err
     assert not (out / "summary.json").exists()
