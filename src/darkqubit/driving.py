@@ -402,15 +402,17 @@ def compact_construction(scheme: LevelScheme, b: float, omega: float,
 
 
 def hyperfine_construction(scheme: LevelScheme, b: float, omega: float,
-                           lower: str = "F1", upper: str = "F2",
+                           lower: str | None = None, upper: str | None = None,
                            rwa_cutoff: float | None = None) -> Construction:
     """Transverse-field construction on a hyperfine F / F' pair.
 
     Lab Hamiltonian: Zeeman splitting plus 2*omega*(Fx_upper - Fx_lower)
     cos(nu t) with nu equal to the upper manifold's Zeeman spacing.  In the
     rotating frame this leaves the static  omega * (Fx_upper - Fx_lower);
-    its doubly degenerate zero eigenspace is the protected pair.
+    its doubly degenerate zero eigenspace is the protected pair.  lower and
+    upper default to the scheme's two manifolds (LevelScheme.pair).
     """
+    lower, upper = scheme.pair(lower, upper)
     g_up = scheme.manifold(upper).g
     nu = abs(g_up) * abs(b)
     if nu <= 0:

@@ -45,6 +45,7 @@ __all__ = [
     "ca40_dp",
     "ca40_sdp",
     "d52_p32",
+    "hyperfine",
     "hyperfine_f1f2",
     "hyperfine_f0f1",
     "preset",
@@ -152,6 +153,13 @@ class LevelScheme:
 
     def manifold(self, name: str) -> Manifold:
         return self._place(name)[1]
+
+    def pair(self, lower: str | None, upper: str | None) -> tuple[str, str]:
+        """(lower, upper); one left None is read from a two-manifold scheme."""
+        names = [man.name for man in self.manifolds]
+        if None in (lower, upper) and len(names) != 2:
+            raise ValueError(f"lower/upper default needs 2 manifolds: {names}")
+        return lower or names[0], upper or names[-1]
 
     def states(self) -> list[tuple[str, Fraction]]:
         """All (manifold name, m) labels in basis order (manifold, then m ascending)."""
@@ -359,30 +367,31 @@ def d52_p32(omega0: float = 1000.0, gamma: float = 0.0) -> LevelScheme:
     )
 
 
-def hyperfine_f1f2(omega_hf: float = 1000.0, g2: float = 0.5) -> LevelScheme:
-    """Ground hyperfine F=1 / F=2 pair; g_F1 = -g_F2 as for I=3/2, J=1/2."""
-    return LevelScheme(
-        manifolds=(
-            Manifold("F1", Fraction(1), -g2),
-            Manifold("F2", Fraction(2), g2, offset=omega_hf),
-        ),
-    )
+def hyperfine(nuclear_spin, omega_hf: float = 1000.0,
+              g: float = 0.5) -> LevelScheme:
+    """Ground F = I -/+ 1/2 pair of an S1/2 ion of nuclear spin I: g_F = -g
+    below (0 at F = 0) and +g above, at omega_hf.  hyperfine_f0f1 and
+    hyperfine_f1f2 are I = 1/2 and 3/2."""
+    f = angular.as_half_int(nuclear_spin) - Fraction(1, 2)
+    if f.denominator != 1 or f < 0:
+        raise ValueError(f"nuclear spin {nuclear_spin} is not 1/2, 3/2, ...")
+    return LevelScheme((Manifold(f"F{f}", f, -g if f else 0.0),
+                        Manifold(f"F{f + 1}", f + 1, g, offset=omega_hf)))
 
 
-def hyperfine_f0f1(omega_hf: float = 1000.0, g1: float = 0.5) -> LevelScheme:
-    """Clock-type F=0 / F=1 pair (F=0 is field free)."""
-    return LevelScheme(
-        manifolds=(
-            Manifold("F0", Fraction(0), 0.0),
-            Manifold("F1", Fraction(1), g1, offset=omega_hf),
-        ),
-    )
+def hyperfine_f1f2(omega_hf: float = 1000.0, g: float = 0.5) -> LevelScheme:
+    return hyperfine(1.5, omega_hf, g)
+
+
+def hyperfine_f0f1(omega_hf: float = 1000.0, g: float = 0.5) -> LevelScheme:
+    return hyperfine(0.5, omega_hf, g)
 
 
 _PRESETS = {
     "ca40_dp": ca40_dp,
     "ca40_sdp": ca40_sdp,
     "d52_p32": d52_p32,
+    "hyperfine": hyperfine,
     "hyperfine_f1f2": hyperfine_f1f2,
     "hyperfine_f0f1": hyperfine_f0f1,
 }

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from . import budget, driving, gates, levels, noise, sensing
+from . import angular, budget, driving, gates, levels, noise, sensing
 
 __all__ = [
     "Scenario",
@@ -153,7 +153,7 @@ def _parse_bool(value) -> bool:
 
 _PARSERS = {"frequency": parse_frequency, "time": parse_time,
             "scalar": parse_scalar, "int": _parse_int, "bool": _parse_bool,
-            "str": str}
+            "str": str, "half-int": lambda v: float(angular.as_half_int(v))}
 
 
 def _parse(kind, raw):
@@ -264,12 +264,12 @@ _KINDS = {
                      "signal_rabi", "detuning"), "frequency"),
     **dict.fromkeys(("tau_c", "t2star_bare", "interrogation_time",
                      "duration"), "time"),
-    **dict.fromkeys(("g1", "g2", "amp_error", "pol_leak", "epsilon",
+    **dict.fromkeys(("g", "amp_error", "pol_leak", "epsilon",
                      "eps_pol", "horizon_in_bare_t2"), "scalar"),
     **dict.fromkeys(("seed", "n_traj", "points"), "int"),
     "cross_check": "bool", "lower": "str", "upper": "str",
     "kind": noise.KINDS, "phase_policy": sensing.PHASE_POLICIES,
-    "initial": ("D1", "D2", "superposition"),
+    "initial": ("D1", "D2", "superposition"), "nuclear_spin": "half-int",
 }
 
 

@@ -347,8 +347,8 @@ def analyze_construction(con: Construction) -> dict:
     }
 
 
-def hyperfine_signal_operator(scheme: LevelScheme, lower: str = "F1",
-                              upper: str = "F2") -> np.ndarray:
+def hyperfine_signal_operator(scheme: LevelScheme, lower: str | None = None,
+                              upper: str | None = None) -> np.ndarray:
     """Transverse magnetic-dipole signal operator between two F manifolds.
 
     T_{+1} and T_{-1} are the scheme's sigma+ and sigma- dipole couplings
@@ -356,14 +356,15 @@ def hyperfine_signal_operator(scheme: LevelScheme, lower: str = "F1",
     S_x = (T_{-1} - T_{+1}) / sqrt(2) + h.c., then rescaled so the
     stretched element |<F_u, -F_u| S_x |F_l, -F_l>| equals 1.  The overall
     normalization of such an operator is conventional; this definition is
-    the single point where it is fixed.
+    the single point where it is fixed.  lower and upper default to the
+    scheme's two manifolds (LevelScheme.pair).
     """
-    f_l = scheme.manifold(lower)
-    f_u = scheme.manifold(upper)
+    lower, upper = scheme.pair(lower, upper)
     raising = (scheme.dipole_coupling(lower, upper, "sigma-")
                - scheme.dipole_coupling(lower, upper, "sigma+")) / np.sqrt(2.0)
     s_x = raising + raising.conj().T
-    ref = abs(s_x[scheme.index(upper, -f_u.j), scheme.index(lower, -f_l.j)])
+    ref = abs(s_x[scheme.index(upper, -scheme.manifold(upper).j),
+                  scheme.index(lower, -scheme.manifold(lower).j)])
     if ref == 0:
         raise ValueError("stretched element vanished; cannot normalize")
     return s_x / ref
@@ -376,11 +377,11 @@ def run_hyperfine_sensing(con: Construction, signal_rabi: float,
     """Signal-driven rotation of the hyperfine protected pair.
 
     The signal drives the S_x operator at the stretched-transition
-    frequency (omega_HF shifted by three Zeeman spacings for the F1/F2
-    pair) plus the given detuning.  Exactly one S_x element is resonant;
-    on resonance its rate is the pair's effective-Hamiltonian coupling,
-    reported against (Omega_g/2) x (the dark-state amplitude product).
-    NumericalError when no resonant element couples the pair.
+    frequency omega_HF - 2I g b (F_lower + F_upper = 2I Zeeman spacings
+    for nuclear spin I) plus the given detuning.  Exactly one S_x element
+    is resonant; on resonance its rate is the pair's effective-Hamiltonian
+    coupling, reported against (Omega_g/2) x (the dark-state amplitude
+    product).  NumericalError when no resonant element couples the pair.
     interrogation_time stands in as the coherence window.
     """
     _check_signal(signal_rabi, interrogation_time)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from darkqubit.levels import (
     ca40_dp,
     ca40_sdp,
     d52_p32,
+    hyperfine,
     hyperfine_f0f1,
     hyperfine_f1f2,
     preset,
@@ -195,6 +197,54 @@ def test_scheme_validation():
         LevelScheme((Manifold("A", "1/2", 2.0, 0.0),), (DecayChannel("B", "A", 0.1),))
     with pytest.raises(ValueError):
         Manifold("A", "0.3", 2.0, 0.0)
+
+
+# ------------------------------------------------------ hyperfine schemes
+
+
+def test_hyperfine_reproduces_the_named_presets():
+    # the two named presets as they were written out by hand
+    f1f2 = LevelScheme(manifolds=(
+        Manifold("F1", Fraction(1), -0.5),
+        Manifold("F2", Fraction(2), 0.5, offset=1000.0)))
+    f0f1 = LevelScheme(manifolds=(
+        Manifold("F0", Fraction(0), 0.0),
+        Manifold("F1", Fraction(1), 0.5, offset=1000.0)))
+    assert hyperfine(1.5) == f1f2 == hyperfine_f1f2() \
+        == preset("hyperfine_f1f2")
+    assert hyperfine(0.5) == f0f1 == hyperfine_f0f1() \
+        == preset("hyperfine_f0f1")
+    # F = 0 carries an exact float zero, not -0.0 or -g
+    g_zero = hyperfine(0.5, g=0.7).manifolds[0].g
+    assert g_zero == 0.0 and math.copysign(1.0, g_zero) == 1.0
+    assert hyperfine_f1f2(250.0, g=0.3) == LevelScheme(manifolds=(
+        Manifold("F1", Fraction(1), -0.3),
+        Manifold("F2", Fraction(2), 0.3, offset=250.0)))
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.5, 2.5, 3.5, 4.5, "7/2"])
+def test_hyperfine_pair_follows_the_nuclear_spin(spin):
+    f = Fraction(spin) - Fraction(1, 2)
+    scheme = preset("hyperfine", nuclear_spin=spin, omega_hf=40.0, g=0.25)
+    assert [(m.name, m.j, m.g, m.offset) for m in scheme.manifolds] == [
+        (f"F{f}", f, -0.25 if f else 0.0, 0.0),
+        (f"F{f + 1}", f + 1, 0.25, 40.0)]
+    assert scheme.pair(None, None) == (f"F{f}", f"F{f + 1}")
+
+
+@pytest.mark.parametrize("spin", [1.25, 1, 0, -0.5])
+def test_hyperfine_rejects_spins_that_are_not_half_odd(spin):
+    with pytest.raises(ValueError):
+        hyperfine(spin)
+
+
+def test_pair_defaults_only_on_a_two_manifold_scheme():
+    assert ca40_dp().pair(None, None) == ("D3/2", "P1/2")
+    assert hyperfine_f1f2().pair("F2", None) == ("F2", "F2")
+    assert ca40_sdp().pair("S1/2", "P1/2") == ("S1/2", "P1/2")
+    for lower, upper in [(None, None), ("S1/2", None), (None, "P1/2")]:
+        with pytest.raises(ValueError, match="2 manifolds"):
+            ca40_sdp().pair(lower, upper)
 
 
 # ------------------------------------------------------ memoised structure

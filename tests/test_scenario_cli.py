@@ -642,6 +642,66 @@ def test_cli_rejects_compact_only_construction_options(tmp_path, capsys,
     assert not (out / "summary.json").exists()
 
 
+def test_cli_hyperfine_construction_defaults_to_the_scheme_pair(tmp_path):
+    # lower/upper used to default to F1/F2, so the F0/F1 clock pair exited
+    # 2 with "no manifold named 'F2'" unless both were named
+    text = textwrap.dedent("""\
+        protocol: analyze
+        scheme:
+          preset: hyperfine_f0f1
+        construction:
+          kind: hyperfine
+          omega: 1.0
+          b: 30.0
+        """)
+    results = []
+    for name, extra in [("default", ""), ("named", "  lower: F0\n"
+                                                   "  upper: F1\n")]:
+        code, out = _run(tmp_path, name, text + extra, "analyze")
+        assert code == 0
+        results.append(json.loads((out / "summary.json").read_text())
+                       ["results"])
+    assert results[0] == results[1]
+
+
+def _hyperfine_scheme_data(**scheme):
+    return _analyze_data(scheme={"preset": "hyperfine", **scheme},
+                         construction={"kind": "hyperfine", "omega": 1.0,
+                                       "b": 100.0})
+
+
+@pytest.mark.parametrize("spin", [3.5, "7/2"])
+def test_scheme_hyperfine_preset_takes_the_nuclear_spin(spin):
+    sc = parse_scenario(_hyperfine_scheme_data(nuclear_spin=spin, g=0.25))
+    assert sc.scheme == {"preset": "hyperfine", "nuclear_spin": 3.5,
+                         "g": 0.25}
+    assert build_scheme(sc) == levels.hyperfine(3.5, g=0.25)
+    assert build_construction(sc).lower == "F3"
+
+
+def test_scheme_nuclear_spin_is_checked():
+    # off the multiples of 1/2 is a scenario problem; a multiple of 1/2
+    # that is no nuclear spin (1) fails the build, which the CLI reports
+    # as an invalid scenario
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_hyperfine_scheme_data(nuclear_spin=1.25))
+    assert err.value.problems == (
+        "scenario.scheme.nuclear_spin: not a multiple of 1/2: 1.25",)
+    with pytest.raises(ScenarioError, match="nuclear_spin: required"):
+        parse_scenario(_hyperfine_scheme_data())
+    with pytest.raises(ValueError, match="nuclear spin 1.0 "):
+        build_scheme(parse_scenario(_hyperfine_scheme_data(nuclear_spin=1)))
+    # the named presets take g; g1 and g2 are gone
+    for preset in ("hyperfine_f1f2", "hyperfine_f0f1"):
+        data = _analyze_data(scheme={"preset": preset, "g": 0.25})
+        assert build_scheme(parse_scenario(data)) == \
+            levels.preset(preset, g=0.25)
+        for key in ("g1", "g2"):
+            data = _analyze_data(scheme={"preset": preset, key: 0.25})
+            with pytest.raises(ScenarioError, match=f"{key}: unknown key"):
+                parse_scenario(data)
+
+
 @pytest.mark.parametrize("amp_error", [0.001, 0.02])
 def test_cli_rejects_nonzero_amp_error_before_any_work(tmp_path, capsys,
                                                        amp_error):
@@ -1058,7 +1118,7 @@ def test_callee_is_looked_up_when_called():
 
 # A value of each field kind, to probe which keys a section takes.
 _SAMPLES = {"frequency": 0.5, "time": 2.0, "scalar": 10.0, "int": 4,
-            "bool": True, "str": "x"}
+            "bool": True, "str": "x", "half-int": 1.5}
 COMPARE_YAML = COMPARE_ZERO_NOISE_YAML.replace(ZERO_NOISE, NOISE_SECTION)
 # Per case: the scenarios probed (the optical variant reads
 # interrogation_time without noise and n_traj with it), the key that picks

@@ -9,12 +9,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from darkqubit import cli, dynamics, gates, sensing
+from darkqubit import cli, dynamics, gates, levels, sensing
 from darkqubit.angular import clebsch_gordan
 from darkqubit.driving import (compact_construction, hyperfine_construction,
                                ideal_construction)
 from darkqubit.gates import protected_report
-from darkqubit.levels import ca40_dp, d52_p32, hyperfine_f1f2
+from darkqubit.levels import (ca40_dp, ca40_sdp, d52_p32, hyperfine_f0f1,
+                              hyperfine_f1f2)
 from darkqubit.noise import NoiseProcess, evolve_noisy, spectral_density
 from darkqubit.sensing import (
     DEFAULT_MAX_ZEEMAN,
@@ -249,6 +250,40 @@ def test_hyperfine_signal_operator_structure():
     assert mid == pytest.approx(
         abs(clebsch_gordan(1, -1, 1, 1, 2, 0)), abs=1e-14
     )
+
+
+def test_hyperfine_signal_operator_defaults_to_the_scheme_pair():
+    # the manifolds default to the scheme's own two, whatever their names
+    scheme = hyperfine_f0f1()
+    s_x = hyperfine_signal_operator(scheme)
+    assert s_x.tobytes() == \
+        hyperfine_signal_operator(scheme, "F0", "F1").tobytes()
+    assert abs(s_x[scheme.index("F1", -1), scheme.index("F0", 0)]) == \
+        pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="2 manifolds"):
+        hyperfine_signal_operator(ca40_sdp())
+
+
+def _stretched_amplitude(f: float) -> float:
+    """|<F, -F|v>| for the m_x = 0 eigenvector v of Fx: sqrt(C(2F, F))/2^F."""
+    return math.sqrt(math.comb(int(2 * f), int(f))) / 2.0 ** f
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.5, 2.5, 3.5, 4.5])
+def test_hyperfine_coefficient_follows_the_nuclear_spin(spin):
+    # every hyperfine ion of the abstract, I = 1/2 to 9/2: at b/omega = 100
+    # the dropped terms stay below RWA_RATIO_WARN, the pair is Jz dark,
+    # and the on-resonance coefficient is half the product of the two
+    # stretched-state amplitudes, c(I) = a(I - 1/2) a(I + 1/2) / 2
+    # (sqrt(3)/8 at I = 3/2, criterion 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        con = hyperfine_construction(levels.hyperfine(spin), 100.0, 1.0)
+    assert protected_report(con).jz_residual < 1e-13
+    rep, _ = run_hyperfine_sensing(con, 0.02)
+    law = 0.5 * _stretched_amplitude(spin - 0.5) \
+        * _stretched_amplitude(spin + 0.5)
+    assert rep.details["coefficient_vs_rabi"] == pytest.approx(law, rel=1e-4)
 
 
 def test_hyperfine_sensing_rate(hyperfine):
