@@ -54,10 +54,11 @@ _HERM_TOL = 1e-10
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
+    """mat as complex; ValueError unless Hermitian (NaN and inf fail too)."""
     mat = np.asarray(mat, dtype=complex)
     scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - mat.conj().T).max() > _HERM_TOL * scale:
-        raise ValueError(f"{what} is not Hermitian")
+    if not np.abs(mat - mat.conj().T).max() <= _HERM_TOL * scale:
+        raise ValueError(f"{what} is not Hermitian, or not finite")
     return mat
 
 

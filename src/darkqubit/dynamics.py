@@ -331,10 +331,11 @@ def _integrate(ham: TimeDependentHamiltonian, y0: np.ndarray,
 
 
 def time_grid(times) -> np.ndarray:
-    """times as floats; ValueError unless a non-empty ascending 1-d grid."""
+    """float times; ValueError unless a finite non-empty ascending 1-d grid."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a non-empty ascending 1-d grid")
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0) \
+            or not np.isfinite(times).all():
+        raise ValueError("times must be a finite non-empty ascending 1-d grid")
     return times
 
 
@@ -352,18 +353,20 @@ def evolve_unitary(ham, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
 
     states = _integrate(ham, psi0, times)
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise NumericalError(f"norm drift {drift:.3e} exceeds {NORM_TOL:.0e}")
     return states
 
 
 def propagator(ham, t1: float, t0: float = 0.0) -> np.ndarray:
-    """Time-evolution operator U(t1 <- t0)."""
+    """Time-evolution operator U(t1 <- t0); ValueError on a non-finite time."""
+    if not np.isfinite([t0, t1]).all():
+        raise ValueError(f"propagator times must be finite: {t0}, {t1}")
     ham = _as_hamiltonian(ham)
     u = _integrate(ham, np.eye(ham.dim, dtype=complex),
                    np.array([t0, t1], dtype=float))[-1]
     defect = np.abs(u.conj().T @ u - np.eye(ham.dim)).max()
-    if defect > 10 * NORM_TOL:
+    if not defect <= 10 * NORM_TOL:
         raise NumericalError(f"propagator unitarity defect {defect:.3e}")
     return u
 
@@ -493,14 +496,14 @@ def evolve_lindblad(ham, rho0: np.ndarray, collapse, times: np.ndarray,
         out[k] = vec.reshape(dim, dim)
 
     traces = np.einsum("tii->t", out).real
-    if np.abs(traces - traces[0]).max() > TRACE_TOL:
+    if not np.abs(traces - traces[0]).max() <= TRACE_TOL:
         raise NumericalError("Lindblad trace drift exceeds tolerance")
     adjoint = out.conj().transpose(0, 2, 1)
     herm = np.abs(out - adjoint).max()
-    if herm > 1e-10:
+    if not herm <= 1e-10:
         raise NumericalError("Lindblad output lost Hermiticity")
     min_eig = np.linalg.eigvalsh((out + adjoint) / 2).min()
-    if min_eig < -POSITIVITY_TOL:
+    if not min_eig >= -POSITIVITY_TOL:
         raise NumericalError(f"Lindblad positivity violated: {min_eig:.3e}")
     return out
 

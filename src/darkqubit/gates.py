@@ -6,8 +6,8 @@ Two native operations exist for the dark-state qubit:
   lower manifold; in the interaction picture its surviving part is
   (Omega_g / 2) J_y on that manifold, whose only action inside the
   zero-eigenvalue sector is an effective sigma_y rotation (J_y connects the
-  two dark states through |<D2|J_y|D1>| = 3/2 and connects neither of them
-  to the dressed complement);
+  two dark states through |<D2|J_y|D1>|, 3/2 on ca40_dp and 5/2 on
+  d52_p32, and connects neither of them to the dressed complement);
 * a far-detuned Raman pair addressing both legs of one Lambda through the
   same excited state, giving a second-order sigma_x rotation at
   ~ 3 Omega_g^2 / (4 delta_R).
@@ -117,6 +117,12 @@ def _pair_trace(ham, basis: np.ndarray, psi0: np.ndarray, times: np.ndarray,
         "D2": overlap_population(states, basis[:, 1])})
 
 
+def _ou_points(duration: float, noise: NoiseProcess | None) -> int:
+    """Fewest points on [0, duration] with steps within OU tau_c; else 0."""
+    ou = noise is not None and noise.kind == "ornstein-uhlenbeck"
+    return math.ceil(duration / noise.tau_c) + 1 if ou else 0
+
+
 def evolve_dark_pair(con: Construction, initial: str, duration: float,
                      points: int = 400, noise: NoiseProcess | None = None,
                      n_traj: int = 256) -> tuple[dict, SimulationTrace]:
@@ -131,12 +137,11 @@ def evolve_dark_pair(con: Construction, initial: str, duration: float,
     raises ValueError, naming the points needed.  Returns ({"final": each
     population at duration, "noise_averaged": noise given}, trace).
     """
-    if noise is not None and noise.kind == "ornstein-uhlenbeck":
-        needed = math.ceil(duration / noise.tau_c) + 1
-        if points < needed:
-            raise ValueError(
-                f"points: {points} step above tau_c = {noise.tau_c:.6g}; "
-                f"OU noise needs at least {needed}")
+    needed = _ou_points(duration, noise)
+    if needed and points < needed:
+        raise ValueError(
+            f"points: {points} step above tau_c = {noise.tau_c:.6g}; "
+            f"OU noise needs at least {needed}")
     report = protected_report(con)
     psi0 = prepare_initial_state(report, initial)
     times = np.linspace(0.0, duration, points)

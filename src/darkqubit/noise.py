@@ -30,19 +30,19 @@ and ``sample_trajectories`` collects the same stream.  Memory is
 O(n_traj * _CHUNK + nt * d^2) whatever the horizon: a chunk of 512 steps
 takes 4 kB a trajectory.
 
-Propagation holds b(t) piecewise constant over each grid interval and
-takes one of three paths:
+Propagation holds b(t) constant over each step of the uniform grid (any
+other grid is a ValueError) and takes one of three paths:
 
 * quasi-static noise: one diagonalization per trajectory, in real
-  arithmetic when H + b V is real, and exact phases.  On a uniform grid
-  the phases of a block of times are e^{-i lambda t} at the block's first
-  time times one table of e^{-i lambda j dt}: one exp per eigenvalue and
-  block, not per eigenvalue and time.
-* OU noise on a uniform grid: a step-propagator table.  U(b) =
-  exp(-i (H + b V) dt) is expanded in Chebyshev polynomials of b / beta,
-  beta = max |b| over the chunks drawn so far (Tal-Ezer & Kosloff, J.
-  Chem. Phys. 81, 3967 (1984), applied to the noise amplitude rather than
-  to time); a chunk that raises the maximum rebuilds the table.  The
+  arithmetic when H + b V is real, and exact phases.  The phases of a
+  block of times are e^{-i lambda t} at the block's first time times one
+  table of e^{-i lambda j dt}: one exp per eigenvalue and block, not per
+  eigenvalue and time.
+* OU noise: a step-propagator table.  U(b) = exp(-i (H + b V) dt) is
+  expanded in Chebyshev polynomials of b / beta, beta = max |b| over the
+  chunks drawn so far (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+  (1984), applied to the noise amplitude rather than to time); a chunk
+  that raises the maximum rebuilds the table.  The
   coefficients come from exact propagators at Chebyshev nodes, and the
   propagators of a block of steps come from one real GEMM over the table.
   A block takes as many steps as keep its work buffers within
@@ -50,9 +50,8 @@ takes one of three paths:
   loop, and the steps update the states in place.  Every value is
   computed the same way whatever block its step falls in, so the block
   size moves no result.
-* OU noise on any other grid, or once b * dt grows too large for the
-  table: one batched diagonalization per step, the exact reference for
-  the table.
+* OU noise once b * dt grows too large for the table: one batched
+  diagonalization per step, the exact reference for the table.
 
 The averaged density matrix is reduced in fixed trajectory and step order,
 so runs with the same seed agree bit for bit.  An OU ensemble of _SPLIT
@@ -150,11 +149,11 @@ class NoiseProcess:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; have {KINDS}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.kind == "ornstein-uhlenbeck":
-            if self.tau_c is None or self.tau_c <= 0:
-                raise ValueError("ornstein-uhlenbeck noise needs tau_c > 0")
+            if self.tau_c is None or not 0 < self.tau_c < math.inf:
+                raise ValueError("ornstein-uhlenbeck needs a finite tau_c > 0")
 
 
 def spectral_density(noise: NoiseProcess, omega) -> np.ndarray:
@@ -258,16 +257,16 @@ def _generators(noise: NoiseProcess, n: int,
             for words in _seed_words(noise.seed, n)[first:]]
 
 
-def _uniform_step(times: np.ndarray) -> float | None:
-    """The common step of a uniform grid of at least two points, else None."""
+def _grid_step(times: np.ndarray) -> float:
+    """The common step of a uniform grid, 0 for one point or a zero span;
+    ValueError on any other grid."""
     if len(times) < 2:
-        return None
+        return 0.0
     dt = (times[-1] - times[0]) / (len(times) - 1)
-    steps = np.diff(times)
-    if dt > 0 and steps.max() - dt <= _UNIFORM_RTOL * dt \
-            and dt - steps.min() <= _UNIFORM_RTOL * dt:
-        return float(dt)
-    return None
+    if np.abs(np.diff(times) - dt).max() > _UNIFORM_RTOL * dt:
+        raise ValueError("noise needs a uniform time grid (steps equal to "
+                         f"rtol {_UNIFORM_RTOL:.0e}), as np.linspace gives")
+    return float(dt)
 
 
 def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int,
@@ -284,19 +283,14 @@ def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int,
     nt = len(times)
     gens = _generators(noise, n_traj, first)
     buf = np.empty((len(gens), 1 + _CHUNK))
-    dt = _uniform_step(times)
-    if dt is None:
-        decay = np.exp(-np.diff(times) / noise.tau_c)
-        kick = noise.sigma * np.sqrt(1.0 - decay ** 2)
-    else:
-        # Within a block the update is linear in the unit draws,
-        # x[s+i] = a^(i+1) x[s-1] + kick * sum_{j<=i} a^(i-j) w[s+j], so
-        # each block is one GEMM with a lower-triangular Toeplitz matrix.
-        a = math.exp(-dt / noise.tau_c)
-        lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-        toeplitz = np.where(lag >= 0, noise.sigma * math.sqrt(1.0 - a ** 2)
-                            * a ** np.maximum(lag, 0), 0.0)
-        carry = a ** np.arange(1, _BLOCK + 1)
+    # Within a block the update is linear in the unit draws,
+    # x[s+i] = a^(i+1) x[s-1] + kick * sum_{j<=i} a^(i-j) w[s+j], so each
+    # block is one GEMM with a lower-triangular Toeplitz matrix.
+    a = math.exp(-_grid_step(times) / noise.tau_c)
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    toeplitz = np.where(lag >= 0, noise.sigma * math.sqrt(1.0 - a ** 2)
+                        * a ** np.maximum(lag, 0), 0.0)
+    carry = a ** np.arange(1, _BLOCK + 1)
 
     for start in range(0, max(nt - 1, 1), _CHUNK):
         width = min(_CHUNK, nt - 1 - start)
@@ -307,24 +301,20 @@ def _ou_chunks(noise: NoiseProcess, times: np.ndarray, n_traj: int,
             gen.standard_normal(out=buf[k, drawn:1 + width])
         if not start:
             buf[:, 0] *= noise.sigma  # stationary start
-        # The update overwrites the unit draws in place, column by column.
-        if dt is None:
-            for k in range(1, width + 1):
-                buf[:, k] = buf[:, k - 1] * decay[start + k - 1] \
-                    + kick[start + k - 1] * buf[:, k]
-        else:
-            for s in range(1, width + 1, _BLOCK):
-                w = min(_BLOCK, width + 1 - s)
-                block = buf[:, s:s + w] @ toeplitz[:w, :w].T
-                block += buf[:, s - 1, None] * carry[:w]
-                buf[:, s:s + w] = block
+        # The update overwrites the unit draws in place, block by block.
+        for s in range(1, width + 1, _BLOCK):
+            w = min(_BLOCK, width + 1 - s)
+            block = buf[:, s:s + w] @ toeplitz[:w, :w].T
+            block += buf[:, s - 1, None] * carry[:w]
+            buf[:, s:s + w] = block
         yield buf[:, :1 + width]
 
 
 def sample_trajectories(noise: NoiseProcess, times: np.ndarray,
                         n_traj: int) -> np.ndarray:
-    """Draw b(t) realizations on an ascending 1-d grid; [n_traj, nt]."""
+    """Draw b(t) realizations on a uniform ascending 1-d grid; [n_traj, nt]."""
     times = time_grid(times)
+    _grid_step(times)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     nt = len(times)
@@ -478,15 +468,15 @@ class _StepTable:
 
 
 def _propagate_eigh(static: np.ndarray, noise_op: np.ndarray,
-                    amps: np.ndarray, steps: np.ndarray, psi: np.ndarray,
+                    amps: np.ndarray, dt: float, psi: np.ndarray,
                     out: np.ndarray) -> np.ndarray:
-    """Advance psi [d, n] by exact diagonalization, one step per column.
+    """Advance psi [d, n] by exact diagonalization, a step dt per column.
 
-    Step m lasts steps[m] under the amplitudes amps[:, m]; the sum of
-    |psi><psi| after it goes to out[m].  Returns psi.
+    Step m runs under the amplitudes amps[:, m]; the sum of |psi><psi|
+    after it goes to out[m].  Returns psi.
     """
     for m in range(amps.shape[1]):
-        props = _step_propagators(static, noise_op, amps[:, m], steps[m])
+        props = _step_propagators(static, noise_op, amps[:, m], dt)
         psi = np.einsum("nij,jn->in", props, psi)
         out[m] = psi @ psi.conj().T
     return psi
@@ -500,9 +490,9 @@ def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
     One diagonalization per trajectory, real when H + b V has no
     imaginary part, and exact phases: the sums at times[1:] go to out
     [nt - 1, d, d], and the states of a block of times come from one
-    batched product.  On a uniform grid of step dt, a block's phases are
-    e^{-i lambda t} at its first time t times one table of
-    e^{-i lambda j dt}, j below the block length.
+    batched product.  A block's phases are e^{-i lambda t} at its first
+    time t times one table of e^{-i lambda j dt}, j below the block
+    length, for the grid's step dt.
     """
     n, dim = len(values), static.shape[0]
     if static.imag.any() or noise_op.imag.any():
@@ -514,18 +504,13 @@ def _propagate_quasi_static(static: np.ndarray, noise_op: np.ndarray,
     amps = np.einsum("nji,j->ni", vecs.conj(), psi0)[:, :, None]
     elapsed = times[1:] - times[0]
     block = max(1, _QUASI_STATIC_BLOCK // (n * dim))
-    dt = _uniform_step(times)
-    if dt is not None:
-        lags = dt * np.arange(min(block, len(elapsed)))
-        within = amps * np.exp(-1j * vals[:, :, None] * lags)
+    lags = _grid_step(times) * np.arange(min(block, len(elapsed)))
+    within = amps * np.exp(-1j * vals[:, :, None] * lags)
     for start in range(0, len(elapsed), block):
         stop = min(start + block, len(elapsed))
-        if dt is None:
-            states = vecs @ (amps * np.exp(-1j * vals[:, :, None]
-                                           * elapsed[start:stop]))
-        else:  # the lead phases scale the columns of vecs
-            lead = np.exp(-1j * elapsed[start] * vals)[:, None, :]
-            states = (vecs * lead) @ within[:, :, :stop - start]
+        # the lead phases scale the columns of vecs
+        lead = np.exp(-1j * elapsed[start] * vals)[:, None, :]
+        states = (vecs * lead) @ within[:, :, :stop - start]
         states = states.transpose(2, 1, 0)
         np.matmul(states, states.conj().transpose(0, 2, 1),
                   out=out[start:stop])
@@ -539,15 +524,12 @@ def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
     out [nt - 1, d, d].
 
     Each chunk is propagated before the next is drawn, after a call to
-    watch, if given.  On a uniform grid the chunks go through one
-    _StepTable; from the first chunk whose table would need more than
-    _TABLE_MAX_NODES nodes, and on any other grid, per-step
-    diagonalization takes over from the states reached.
+    watch, if given.  The chunks go through one _StepTable; from the
+    first chunk whose table would need more than _TABLE_MAX_NODES nodes,
+    per-step diagonalization takes over from the states reached.
     """
-    steps = np.diff(times)
-    dt = _uniform_step(times)
-    table = None if dt is None else _StepTable(static, noise_op, dt,
-                                               n_traj - first)
+    dt = _grid_step(times)
+    table = _StepTable(static, noise_op, dt, n_traj - first)
     psi = np.repeat(psi0[:, None], n_traj - first, axis=1)
     done = 0
     for chunk in _ou_chunks(noise, times, n_traj, first):
@@ -561,8 +543,7 @@ def _propagate_ou(static: np.ndarray, noise_op: np.ndarray,
         if table is not None:
             psi = table.advance(amps, psi, out[here])
         else:
-            psi = _propagate_eigh(static, noise_op, amps, steps[here], psi,
-                                  out[here])
+            psi = _propagate_eigh(static, noise_op, amps, dt, psi, out[here])
         done = here.stop
 
 
@@ -694,13 +675,13 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
                  n_traj: int = 1024, threads: int = 1) -> np.ndarray:
     """Trajectory-averaged density matrix under H + b(t) * noise_op.
 
-    b(t) is held piecewise constant over each grid interval (exact for the
-    quasi-static process; for OU keep the grid step below tau_c and the
-    relevant dynamical periods).  OU trajectories are drawn and propagated
-    _CHUNK steps at a time, so memory does not grow with n_traj * nt.  On
-    a uniform grid they are propagated with the Chebyshev step table, on
-    any other grid (and from the first chunk whose table would need more
-    than _TABLE_MAX_NODES nodes) with exact per-step diagonalization.
+    b(t) is held piecewise constant over each step of the uniform grid
+    (exact for the quasi-static process; for OU keep the step below tau_c
+    and the relevant dynamical periods).  OU trajectories are drawn and
+    propagated _CHUNK steps at a time, so memory does not grow with
+    n_traj * nt.  They are propagated with the Chebyshev step table, and
+    from the first chunk whose table would need more than _TABLE_MAX_NODES
+    nodes with exact per-step diagonalization.
     From 128 (_SPLIT) OU trajectories on, the ensemble is summed in two
     halves.  The upper half is summed in a forked child process if the
     ensemble holds about 50 ms of work (_FORK_WORK), os.sched_getaffinity
@@ -709,9 +690,10 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     otherwise; each half is the same call either way, so the result is
     the same bits, and no child outlives the call.  ``threads`` is
     accepted for compatibility and does not change the work or the
-    result.  Returns [nt, dim, dim]; ValueError if ham or noise_op is not
-    Hermitian, if noise_op's shape differs from ham's, or if psi0 is not a
-    state of length dim normalized to NORM_TOL.
+    result.  Returns [nt, dim, dim]; ValueError if the grid is not
+    uniform, if ham or noise_op is not Hermitian, if noise_op's shape
+    differs from ham's, or if psi0 is not a state of length dim
+    normalized to NORM_TOL.
     """
     ham = _as_hamiltonian(ham)
     if not ham.is_static:
@@ -725,6 +707,7 @@ def evolve_noisy(ham, psi0: np.ndarray, noise: NoiseProcess,
     if abs(np.linalg.norm(psi0) - 1.0) > NORM_TOL:
         raise ValueError("psi0 must be normalized")
     times = time_grid(times)
+    _grid_step(times)  # before any trajectory runs, here or in a child
     noise_op = np.asarray(noise_op, dtype=complex)
     if noise_op.shape != static.shape:
         raise ValueError(f"noise_op has shape {noise_op.shape}, ham has "

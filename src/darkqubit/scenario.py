@@ -81,6 +81,13 @@ def _match(text: str):
     return m, (m.group("unit") or "").lower(), bool(m.group("twopi"))
 
 
+def _finite(value) -> float:
+    """A bare number as a float; ValueError on YAML's .nan and .inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _scaled(m, power: int) -> float:
     """The written number times 10**power, rounded once.
 
@@ -100,7 +107,7 @@ def parse_frequency(value) -> float:
     same conversion explicit.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value)
     m, unit, cyclic = _match(str(value))
     if unit in _FREQ_SCALES:
         number, cyclic = _scaled(m, _FREQ_SCALES[unit]), True
@@ -116,7 +123,7 @@ def parse_frequency(value) -> float:
 def parse_time(value) -> float:
     """Duration in seconds; accepts bare numbers or s/ms/us/ns suffixes."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value)
     m, unit, explicit_twopi = _match(str(value))
     if explicit_twopi:
         raise ValueError(f"2pi prefix makes no sense for a time: {value!r}")
@@ -129,7 +136,7 @@ def parse_time(value) -> float:
 def parse_scalar(value) -> float:
     """Dimensionless number; unit suffixes are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value)
     m, unit, explicit_twopi = _match(str(value))
     if unit or explicit_twopi:
         raise ValueError(f"expected a dimensionless number, got {value!r}")

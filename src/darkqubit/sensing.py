@@ -13,8 +13,10 @@ above by the largest Zeeman splitting one can apply.
 The hyperfine variant carries the same physics at the hyperfine frequency:
 a magnetic-dipole signal operator S_x (Delta m = +/-1 elements from CG
 recoupling, normalized so the stretched element is 1) driven near
-omega_HF - 3 g b couples the two protected states through exactly one
-resonant element, at rate (Omega_g/2) |<D2|2,-2><1,-1|D1>|.
+omega_HF - 2I g b, for nuclear spin I, couples the two protected states
+through exactly one resonant element, the stretched one of the scheme's
+pair F_l = I - 1/2, F_u = I + 1/2, at rate
+(Omega_g/2) |<D2|F_u,-F_u><F_l,-F_l|D1>|.
 
 The coherence comparison and noisy optical sensing read the protected
 pair's coherence from gates.evolve_dark_pair, the package's one noisy run
@@ -32,7 +34,7 @@ import numpy as np
 from .driving import (Construction, TimeDependentHamiltonian,
                       to_rotating_frame)
 from .dynamics import NumericalError, SimulationTrace
-from .gates import (PROBE_ANGLE, _pair_trace, evolve_dark_pair,
+from .gates import (PROBE_ANGLE, _ou_points, _pair_trace, evolve_dark_pair,
                     extract_effective_hamiltonian, protected_report)
 from .levels import LevelScheme
 from .noise import NoiseProcess, spectral_density
@@ -226,13 +228,11 @@ def _fit_pair_coherence(con, noise, n_traj, horizon):
     which the coherence drops below 1/e, or the horizon with bounded set
     (a lower bound) if it never does.
     """
-    points = 160
-    if noise.kind == "ornstein-uhlenbeck":
-        points = max(points, math.ceil(horizon / noise.tau_c) + 1)
-        if points > MAX_PAIR_POINTS:
-            raise NumericalError(
-                f"a horizon of {horizon:.6g} at tau_c = {noise.tau_c:.6g} "
-                f"needs {points} grid points, above {MAX_PAIR_POINTS}")
+    points = max(160, _ou_points(horizon, noise))
+    if points > MAX_PAIR_POINTS:
+        raise NumericalError(
+            f"a horizon of {horizon:.6g} at tau_c = {noise.tau_c:.6g} "
+            f"needs {points} grid points, above {MAX_PAIR_POINTS}")
     _, trace = evolve_dark_pair(con, "superposition", horizon, points, noise,
                                 n_traj)
     times, coh = trace.times, trace.coherences["pair"]

@@ -1,9 +1,10 @@
 """Rewrite the golden outputs that tests/test_golden_outputs.py checks.
 
-Each scenario in GOLDEN_SCENARIOS is run through ``run_scenario`` and its
-summary (less ``generated_at``) and every trace or sweep column are
-stored in tests/golden/<scenario>.json.  Regenerate only when a change
-is meant to move these outputs, and say why in CHANGES.md.  A stored
+Each scenario in GOLDEN_SCENARIOS (every scenarios/*.yaml) is run
+through ``run_scenario`` and its summary (less ``generated_at``) and
+every trace or sweep column are stored in tests/golden/<scenario>.json.
+Regenerate only when a change is meant to move these outputs, and say
+why in CHANGES.md.  A stored
 float that the new run matches within RTOL and ATOL, the golden test's
 own tolerances, is kept as stored, so rounding that differs between
 hosts rewrites nothing.  A file is rewritten only when a value moved
@@ -25,11 +26,10 @@ from darkqubit.scenario import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
-GOLDEN_SCENARIOS = ("gates_microwave", "gates_raman", "sense_optical_noise",
-                    "sense_hyperfine", "compare", "evolve_static",
-                    "evolve_quasi_static", "evolve_ou", "evolve_pol_leak",
-                    "error_budget_sweep", "headline_error_budget",
-                    "ca40_compact_analyze", "sense_hyperfine_i72")
+# Every checked-in scenario, so that one without a golden file fails the
+# golden test.
+GOLDEN_SCENARIOS = tuple(sorted(path.stem for path in
+                                (ROOT / "scenarios").glob("*.yaml")))
 # Floats match to these; ints, strings, booleans and hashes exactly.
 RTOL, ATOL = 1e-9, 1e-12
 

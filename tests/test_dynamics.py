@@ -712,7 +712,8 @@ def test_expm_matches_scipy_on_generic_matrices(seed, dim, log_norm):
 
 
 BAD_GRIDS = {"empty": [], "two-d": [[0.0, 1.0], [2.0, 3.0]],
-             "decreasing": [1.0, 0.5, 0.0]}
+             "decreasing": [1.0, 0.5, 0.0], "nan": [0.0, np.nan, 1.0],
+             "inf": [0.0, np.inf]}
 
 
 @pytest.mark.parametrize("times", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
@@ -725,6 +726,35 @@ def test_propagation_rejects_bad_grids(times):
     with pytest.raises(ValueError, match="non-empty ascending 1-d grid"):
         evolve_lindblad(h, np.diag([0.0, 1.0]).astype(complex),
                         [np.array([[0.0, 1.0], [0.0, 0.0]], complex)], times)
+
+
+HUGE = np.diag([1e308, -1e308]).astype(complex)  # phases overflow to NaN
+UP = np.array([1.0, 0.0], complex)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: propagator(np.diag([1.0, -1.0]), np.inf), ValueError,
+     "propagator times must be finite"),
+    (lambda: propagator(np.diag([1.0, -1.0]), 1.0, np.nan), ValueError,
+     "propagator times must be finite"),
+    (lambda: evolve_unitary(np.diag([np.nan, 0.0]), UP, [0.0, 1.0]),
+     ValueError, "static part is not Hermitian"),
+    (lambda: evolve_unitary([[0.0, np.inf], [np.inf, 0.0]], UP, [0.0, 1.0]),
+     ValueError, "static part is not Hermitian"),
+    (lambda: evolve_unitary(HUGE, UP, [0.0, 10.0]), NumericalError,
+     "norm drift nan"),
+    (lambda: propagator(HUGE, 10.0), NumericalError,
+     "unitarity defect nan"),
+    (lambda: evolve_lindblad(HUGE, np.diag([1.0, 0.0]).astype(complex), [],
+                             [0.0, 10.0]), NumericalError, "trace drift"),
+], ids=["propagator-inf-t1", "propagator-nan-t0", "nan-hamiltonian",
+        "inf-hamiltonian", "unitary-nan-states", "propagator-nan",
+        "lindblad-nan"])
+def test_non_finite_numbers_fail_loudly(call, error, match):
+    # each of these returned NaN, or a matrix full of it, without raising
+    with np.errstate(all="ignore"):
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_expectation_shapes():

@@ -43,8 +43,12 @@ def test_process_validation():
         NoiseProcess("pink", sigma=0.1)
     with pytest.raises(ValueError):
         NoiseProcess("ornstein-uhlenbeck", sigma=0.1)  # needs tau_c
-    with pytest.raises(ValueError):
-        NoiseProcess("quasi-static-gaussian", sigma=-0.5)
+    for sigma in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            NoiseProcess("quasi-static-gaussian", sigma=sigma)
+    for tau_c in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite tau_c > 0"):
+            NoiseProcess("ornstein-uhlenbeck", sigma=0.1, tau_c=tau_c)
 
 
 def test_ou_spectral_density_is_lorentzian():
@@ -218,8 +222,8 @@ def test_evolve_noisy_transverse_golden_rule():
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("times", [[], [[0.0, 1.0], [2.0, 3.0]],
-                                   [1.0, 0.5, 0.0]],
-                         ids=["empty", "two-d", "decreasing"])
+                                   [1.0, 0.5, 0.0], [0.0, np.nan]],
+                         ids=["empty", "two-d", "decreasing", "nan"])
 def test_evolve_noisy_rejects_bad_grids(kind, times):
     # a decreasing OU grid used to give NaN density matrices, an empty one
     # a bare IndexError
@@ -227,6 +231,26 @@ def test_evolve_noisy_rejects_bad_grids(kind, times):
     with pytest.raises(ValueError, match="non-empty ascending 1-d grid"):
         evolve_noisy(np.zeros((2, 2), complex), np.array([1.0, 0.0], complex),
                      p, SZ, times, n_traj=4)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_takes_uniform_grids_only(kind):
+    # a ragged grid is refused by both entry points; one point and a zero
+    # span are uniform grids of step 0, on which no time passes
+    p = NoiseProcess(kind, sigma=0.3, tau_c=1.0, seed=5)
+    h = np.diag([0.7, -0.7]).astype(complex)
+    psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)
+    ragged = np.cumsum(np.linspace(0.05, 0.15, 41)) - 0.05
+    with pytest.raises(ValueError, match="uniform time grid"):
+        sample_trajectories(p, ragged, 4)
+    with pytest.raises(ValueError, match="uniform time grid"):
+        evolve_noisy(h, psi0, p, SX, ragged, n_traj=4)
+    for times in ([0.3], [0.3, 0.3, 0.3]):
+        traj = sample_trajectories(p, times, 4)
+        assert np.array_equal(traj, np.repeat(traj[:, :1], len(times), 1))
+        rho = evolve_noisy(h, psi0, p, SX, times, n_traj=4)
+        assert rho.shape == (len(times), 2, 2)
+        assert np.abs(rho - np.outer(psi0, psi0.conj())).max() < 1e-15
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -304,7 +328,7 @@ def _one_shot_blocked(noise, times, n_traj):
                       for k in range(n_traj)])
     draws[:, 0] *= noise.sigma
     block = noise_mod._BLOCK
-    dt = noise_mod._uniform_step(times)
+    dt = noise_mod._grid_step(times)
     decay = math.exp(-dt / noise.tau_c)
     kick = noise.sigma * math.sqrt(1.0 - decay**2)
     lag = np.subtract.outer(np.arange(block), np.arange(block))
@@ -335,23 +359,18 @@ def test_blocked_ou_sampler_matches_recurrence(nt):
     assert np.abs(got - _ou_reference(p, times, 24)).max() < 1e-12
 
 
-def test_ou_sampler_on_nonuniform_grid_is_the_recurrence():
-    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.8, tau_c=0.3, seed=19)
-    times = np.cumsum(np.linspace(0.01, 0.03, 200)) - 0.01
-    assert noise_mod._uniform_step(times) is None
-    assert np.array_equal(sample_trajectories(p, times, 16),
-                          _ou_reference(p, times, 16))
-
-
 def test_uniform_grid_detection():
-    assert noise_mod._uniform_step(np.linspace(0.0, 1197.3, 16836)) == \
+    assert noise_mod._grid_step(np.linspace(0.0, 1197.3, 16836)) == \
         pytest.approx(1197.3 / 16835, rel=1e-14)
-    assert noise_mod._uniform_step(np.arange(5) * 0.1 + 3.0) == pytest.approx(0.1)
-    for times in ([0.0], [0.0, 0.1, 0.3], [0.0, 0.0], [1.0, 0.5, 0.0]):
-        assert noise_mod._uniform_step(np.array(times)) is None
+    assert noise_mod._grid_step(np.arange(5) * 0.1 + 3.0) == pytest.approx(0.1)
+    # one point and a zero span are uniform, with step 0
+    for times in ([0.0], [0.0, 0.0], [2.5, 2.5, 2.5]):
+        assert noise_mod._grid_step(np.array(times)) == 0.0
     bumped = np.linspace(0.0, 1.0, 101)
     bumped[50] += 1e-8
-    assert noise_mod._uniform_step(bumped) is None
+    for times in ([0.0, 0.1, 0.3], [0.0, 0.0, 1.0], bumped):
+        with pytest.raises(ValueError, match="uniform time grid"):
+            noise_mod._grid_step(np.array(times))
 
 
 @pytest.mark.parametrize("off, uniform", [(0.5e-9, True), (-0.5e-9, True),
@@ -361,7 +380,11 @@ def test_uniform_grid_tolerance_boundary(off, uniform):
     # from the mean step, which the rule allows within _UNIFORM_RTOL = 1e-9
     times = np.linspace(0.0, 1.0, 101)
     times[51:] += off * 0.01
-    assert (noise_mod._uniform_step(times) is not None) == uniform
+    if uniform:
+        assert noise_mod._grid_step(times) == pytest.approx(0.01, rel=1e-10)
+    else:
+        with pytest.raises(ValueError, match="uniform time grid"):
+            noise_mod._grid_step(times)
 
 
 def _kernel_run(advance, traj, psi0):
@@ -376,15 +399,15 @@ def _kernel_run(advance, traj, psi0):
 def _eigh_reference(static, noise_op, traj, psi0, times):
     """Per-step exact propagation: the reference for every other path."""
     def advance(amps, psi, out):
-        noise_mod._propagate_eigh(static, noise_op, amps, np.diff(times),
-                                  psi, out)
+        noise_mod._propagate_eigh(static, noise_op, amps,
+                                  noise_mod._grid_step(times), psi, out)
     return _kernel_run(advance, traj, psi0)
 
 
 def _table_vs_eigh(static, noise_op, psi0, proc, times, n_traj):
     traj = sample_trajectories(proc, times, n_traj)
     table = noise_mod._StepTable(static, noise_op,
-                                 noise_mod._uniform_step(times), n_traj)
+                                 noise_mod._grid_step(times), n_traj)
     assert table.cover(float(np.abs(traj).max()))
     fast = _kernel_run(table.advance, traj, psi0)
     exact = _eigh_reference(static, noise_op, traj, psi0, times)
@@ -581,21 +604,15 @@ def test_table_block_rule():
 
 
 def test_evolve_noisy_chooses_path_by_grid(monkeypatch):
+    # a uniform grid whose |b| dt the table covers never reaches eigh
     p = NoiseProcess("ornstein-uhlenbeck", sigma=0.3, tau_c=1.0, seed=5)
     h = np.diag([0.7, -0.7]).astype(complex)
     psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2)
     uniform = np.linspace(0.0, 4.0, 41)
-    ragged = np.cumsum(np.linspace(0.05, 0.15, 41)) - 0.05
 
     def forbidden(*args):
         raise AssertionError("wrong propagation path")
 
-    monkeypatch.setattr(noise_mod._StepTable, "advance", forbidden)
-    got = evolve_noisy(h, psi0, p, SX, ragged, n_traj=32)
-    traj = sample_trajectories(p, ragged, 32)
-    assert np.array_equal(got, _eigh_reference(h, SX, traj, psi0, ragged))
-
-    monkeypatch.undo()
     monkeypatch.setattr(noise_mod, "_propagate_eigh", forbidden)
     fast = evolve_noisy(h, psi0, p, SX, uniform, n_traj=32)
     monkeypatch.undo()
@@ -775,12 +792,11 @@ def test_quasi_static_blocks_match_per_time_loop(n_traj):
     assert not (con.ip.static.imag.any() or zeeman.imag.any())  # real eigh
     # blocks of this many times (one for 1024 trajectories) start at 1: a
     # grid shorter than one block, one ending on a block edge, one a step
-    # past it, and many; uniform grids from t0 = 0.7 take the phase
-    # table, and the averaged density matrices agree to 1e-12
+    # past it, and many; on grids from t0 = 0.7 the averaged density
+    # matrices agree to 1e-12
     block = max(1, noise_mod._QUASI_STATIC_BLOCK // (n_traj * con.dim))
     for nt in (2, block + 1, block + 2, 200):
         times = 0.7 + np.linspace(0.0, 150.0, nt)
-        assert noise_mod._uniform_step(times) is not None
         assert _quasi_static_deviation(con.ip.static, zeeman, psi0, proc,
                                        times, n_traj) < 1e-12
     # a complex Hermitian static part takes the complex eigh
@@ -791,13 +807,6 @@ def test_quasi_static_blocks_match_per_time_loop(n_traj):
     times = 0.7 + np.linspace(0.0, 150.0, 200)
     assert _quasi_static_deviation(twisted, zeeman, psi0, proc, times,
                                    n_traj) < 1e-12
-    # a non-uniform grid from t0 = 12.3 takes the per-time phases
-    ragged = 12.3 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.2,
-                                                                 199))])
-    assert noise_mod._uniform_step(ragged) is None
-    for static in (con.ip.static, twisted):
-        assert _quasi_static_deviation(static, zeeman, psi0, proc, ragged,
-                                       n_traj) < 1e-12
     # a horizon where max |lambda t| is about 1e4: each phase, here and in
     # the loop, is off by a few eps |lambda t| (about 1e-12), so the bound
     # is 16 eps max |lambda t|
@@ -897,13 +906,6 @@ def test_forked_half_gives_the_in_process_bits(monkeypatch, dim, n_traj):
                           _in_process(monkeypatch, case, n_traj))
 
 
-def _ragged_case():
-    p = NoiseProcess("ornstein-uhlenbeck", sigma=0.4, tau_c=0.2, seed=23)
-    ragged = np.cumsum(np.linspace(0.02, 0.03, 301)) - 0.02
-    return (np.diag([2.5, -2.5]).astype(complex), SX,
-            np.array([1.0, 0.0], complex), p, ragged)
-
-
 def _overflow_case():
     # at 128 trajectories each half's first chunk keeps |b| dt within what
     # a table of 256 nodes covers (about 397 here), and a later chunk
@@ -956,10 +958,10 @@ def test_overflow_case_hands_each_half_from_table_to_eigh(monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("case", [_ragged_case, _overflow_case])
+@pytest.mark.parametrize("case", [_overflow_case])
 def test_halves_that_leave_the_table_give_the_forked_bits(monkeypatch, case):
-    # on a ragged grid, and where a half's table gives way to eigh, the
-    # halves run here one after the other, with the forked child's bits
+    # where a half's table gives way to eigh, the halves run here one
+    # after the other, with the forked child's bits
     case = case()
     assert np.array_equal(_forked(monkeypatch, case, 128),
                           _in_process(monkeypatch, case, 128))

@@ -1032,6 +1032,22 @@ OU_EVOLVE_YAML = EVOLVE_YAML.replace("points: 60", "points: 20\n  n_traj: 4") \
     """)
 
 
+@pytest.mark.parametrize("line, bad, field", [
+    ("duration: 5.0", "duration: .nan", "evolve.duration"),
+    ("b: 0.3", "b: -.inf", "construction.b"),
+    ("b: 0.3", "b: 0.3\n  pol_leak: .inf", "construction.pol_leak"),
+], ids=["time", "frequency", "scalar"])
+def test_cli_rejects_yaml_non_finite_numbers(tmp_path, capsys, line, bad,
+                                             field):
+    # a bare .nan duration used to exit 0 and write an all-NaN trace
+    code, out = _run(tmp_path, "nan", EVOLVE_YAML.replace(line, bad),
+                     "evolve")
+    assert code == 2
+    assert (f"scenario.{field}: expected a finite number"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_ou_evolve_on_a_grid_coarser_than_tau_c_exits_2(tmp_path, capsys):
     # 20 points over 5.0 step by 0.263, above tau_c = 0.25
     text = OU_EVOLVE_YAML.replace("tau_c: 2.0", "tau_c: 0.25")
