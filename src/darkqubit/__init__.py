@@ -26,7 +26,8 @@ from .gates import (EffectiveQubitOp, evolve_dark_pair,
                     extract_effective_hamiltonian, microwave_sigma_y,
                     prepare_initial_state, protected_report, raman_sigma_x)
 from .levels import (DecayChannel, LevelScheme, Manifold, ca40_dp, ca40_sdp,
-                     d52_p32, hyperfine_f0f1, hyperfine_f1f2, preset)
+                     d52_p32, hyperfine, hyperfine_f0f1, hyperfine_f1f2,
+                     preset)
 from .noise import (NoiseProcess, evolve_noisy, sample_trajectories,
                     spectral_density)
 from .scenario import Scenario, ScenarioError, load_scenario, parse_frequency
@@ -42,8 +43,8 @@ __version__ = "0.1.0"
 __all__ = [
     "clebsch_gordan", "jx", "jy", "jz", "jplus", "jminus",
     "Manifold", "DecayChannel", "LevelScheme",
-    "ca40_dp", "ca40_sdp", "d52_p32", "hyperfine_f1f2", "hyperfine_f0f1",
-    "preset",
+    "ca40_dp", "ca40_sdp", "d52_p32", "hyperfine", "hyperfine_f1f2",
+    "hyperfine_f0f1", "preset",
     "DriveField", "Harmonic", "TimeDependentHamiltonian", "DroppedTerm",
     "Construction", "build_lab_hamiltonian", "to_rotating_frame",
     "ideal_construction", "compact_construction", "hyperfine_construction",

@@ -16,6 +16,7 @@ such as sqrt(3) between coupling strengths are exact to the final rounding.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,15 +37,26 @@ __all__ = [
 def as_half_int(value) -> Fraction:
     """Coerce a quantum number to an exact multiple of 1/2.
 
-    Raises ValueError if the value is not within 1e-9 of n/2 for integer n.
+    Raises ValueError if the value is not within 1e-9 of n/2 for integer n,
+    or if its double is past the float range.
     """
     if isinstance(value, str):
-        value = Fraction(value)  # accepts "3/2", "-1/2", "2"
+        try:
+            value = Fraction(value)  # accepts "3/2", "-1/2", "2"
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        if abs(value) > sys.float_info.max / 2:
+            raise ValueError(f"expected a finite number, got {value}")
     if isinstance(value, Fraction):
         if value.denominator not in (1, 2):  # 2 * value is not an integer
             raise ValueError(f"not a multiple of 1/2: {value}")
         return value
-    doubled = 2.0 * float(value)
+    try:
+        doubled = 2.0 * float(value)
+    except OverflowError:  # an int past the float range
+        doubled = math.inf
+    if not math.isfinite(doubled):
+        raise ValueError(f"expected a finite number, got {value!r}")
     nearest = round(doubled)
     if abs(doubled - nearest) > 1e-9:
         raise ValueError(f"not a multiple of 1/2: {value}")

@@ -19,8 +19,8 @@ exceptions are written out: sense.signal_freq is required though the
 hyperfine variant drops it; where a noise section is optional, n_traj
 needs one and the optical sense variant's interrogation_time is unread
 with one (_NOISE_READS); error-budget takes only ``scheme: {preset:
-ca40_dp}``; a nonzero amp_error is rejected; OU noise requires tau_c;
-and the sweep section has its own table.
+ca40_dp}``; a nonzero amp_error is rejected; a noise section must pass
+NoiseProcess's own checks; and the sweep section has its own table.
 All problems in a file are reported together.  The canonical form
 (sorted keys, normalized numbers) feeds a sha256 hash that output files
 embed for provenance.
@@ -53,10 +53,21 @@ __all__ = [
 
 PROTOCOLS = ("analyze", "evolve", "error-budget", "gates", "sense", "compare")
 
-# Unit prefixes as powers of ten.
-_FREQ_SCALES = {"hz": 0, "khz": 3, "mhz": 6, "ghz": 9, "thz": 12}
-_RAD_SCALES = {"rad/s": 0, "krad/s": 3, "mrad/s": 6, "grad/s": 9}
-_TIME_SCALES = {"s": 0, "ms": -3, "us": -6, "µs": -6, "ns": -9}
+# Each numeric kind: its SI unit, its spellings {lower-case unit: (power
+# of ten, cyclic)}, and what an unknown unit is told to be.  A cyclic
+# spelling counts turns, so its number gains 2 pi; a "2pi*" prefix reads
+# any spelling as cyclic, and only a kind with a cyclic spelling takes it.
+_QUANTITIES = {
+    "frequency": ("rad/s", {
+        "": (0, False), "rad/s": (0, False), "krad/s": (3, False),
+        "mrad/s": (6, False), "grad/s": (9, False), "hz": (0, True),
+        "khz": (3, True), "mhz": (6, True), "ghz": (9, True),
+        "thz": (12, True)}, "rad/s, Hz, kHz, MHz, GHz, THz"),
+    "time": ("s", {"": (0, False), "s": (0, False), "ms": (-3, False),
+                   "us": (-6, False), "µs": (-6, False), "ns": (-9, False)},
+             "s, ms, us, ns"),
+    "scalar": ("", {"": (0, False)}, "a dimensionless number"),
+}
 
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<twopi>2\s*pi\s*\*|2\s*π\s*\*)?\s*"
@@ -73,83 +84,57 @@ class ScenarioError(ValueError):
             f"  - {p}" for p in self.problems))
 
 
-def _match(text: str):
-    """(match, lower-case unit, explicit 2pi prefix) of a quantity string."""
-    m = _QUANTITY_RE.match(text)
-    if m is None:
-        raise ValueError(f"cannot parse quantity {text!r}")
-    return m, (m.group("unit") or "").lower(), bool(m.group("twopi"))
-
-
-def _finite(value) -> float:
-    """A bare number as a float; ValueError on YAML's .nan and .inf."""
-    if not math.isfinite(value):
+def _quantity(kind: str, value) -> float:
+    """value as a _QUANTITIES kind in its SI unit; ValueError unless finite."""
+    _, spellings, expected = _QUANTITIES[kind]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # Through str, an int past the float range reads as inf.
+        number, cyclic = float(str(value)), False
+    else:
+        m = _QUANTITY_RE.match(str(value))
+        if m is None:
+            raise ValueError(f"cannot parse quantity {value!r}")
+        unit = (m["unit"] or "").lower()
+        if unit not in spellings:
+            raise ValueError(f"unknown {kind} unit {unit!r} in {value!r} "
+                             f"(expected {expected})")
+        if m["twopi"] and not any(c for _, c in spellings.values()):
+            raise ValueError(f"2pi prefix makes no sense for a {kind}: "
+                             f"{value!r} (expected {expected})")
+        power, cyclic = spellings[unit]
+        cyclic |= bool(m["twopi"])
+        # Shifting the decimal exponent rounds once, so "341.992 MHz" and
+        # "341992 kHz" give one float; a cyclic number then gains 2 pi once.
+        number = float(f"{m['mantissa']}e{int(m['exp'] or 0) + power}")
+    number = 2.0 * math.pi * number if cyclic else number
+    if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _scaled(m, power: int) -> float:
-    """The written number times 10**power, rounded once.
-
-    Shifting the decimal exponent keeps the product exact before the one
-    rounding, so "341.992 MHz" and "341992 kHz" give the same float.
-    """
-    return float(f"{m.group('mantissa')}e{int(m.group('exp') or 0) + power}")
+    return number
 
 
 def parse_frequency(value) -> float:
-    """Angular frequency in rad/s.
-
-    Accepted: bare numbers (already rad/s), "X rad/s" (and k/M/G
-    prefixes), "X Hz" (and k/M/G/T; converted with 2 pi), and an optional
-    "2pi*" prefix.  "100 MHz" and "2pi*100 MHz" both mean 2 pi x 1e8
-    rad/s: the Hz spelling is cyclic, the 2pi-prefixed spelling makes the
-    same conversion explicit.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(value)
-    m, unit, cyclic = _match(str(value))
-    if unit in _FREQ_SCALES:
-        number, cyclic = _scaled(m, _FREQ_SCALES[unit]), True
-    elif unit in _RAD_SCALES or unit == "":
-        number = _scaled(m, _RAD_SCALES.get(unit, 0))
-    else:
-        raise ValueError(
-            f"unknown frequency unit {unit!r} in {value!r} "
-            f"(expected rad/s, Hz, kHz, MHz, GHz, THz)")
-    return 2.0 * math.pi * number if cyclic else number
+    """Angular frequency in rad/s ("100 MHz" is 2 pi x 1e8 rad/s)."""
+    return _quantity("frequency", value)
 
 
 def parse_time(value) -> float:
     """Duration in seconds; accepts bare numbers or s/ms/us/ns suffixes."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(value)
-    m, unit, explicit_twopi = _match(str(value))
-    if explicit_twopi:
-        raise ValueError(f"2pi prefix makes no sense for a time: {value!r}")
-    if unit in _TIME_SCALES or unit == "":
-        return _scaled(m, _TIME_SCALES.get(unit, 0))
-    raise ValueError(f"unknown time unit {unit!r} in {value!r} "
-                     f"(expected s, ms, us, ns)")
+    return _quantity("time", value)
 
 
 def parse_scalar(value) -> float:
     """Dimensionless number; unit suffixes are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(value)
-    m, unit, explicit_twopi = _match(str(value))
-    if unit or explicit_twopi:
-        raise ValueError(f"expected a dimensionless number, got {value!r}")
-    return _scaled(m, 0)
+    return _quantity("scalar", value)
 
 
 def _parse_int(value) -> int:
-    try:
-        if isinstance(value, bool) or int(value) != float(value):
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected an integer, got {value!r}") from None
+    """An integer in any scalar spelling ("1e3"); from 2**53 up, where a
+    float no longer tells neighbours apart, only an int, kept exact."""
+    number = parse_scalar(value)
+    if number != int(number) or (not isinstance(value, int)
+                                 and abs(number) >= 2**53):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
 
 
 def _parse_bool(value) -> bool:
@@ -160,7 +145,8 @@ def _parse_bool(value) -> bool:
 
 _PARSERS = {"frequency": parse_frequency, "time": parse_time,
             "scalar": parse_scalar, "int": _parse_int, "bool": _parse_bool,
-            "str": str, "half-int": lambda v: float(angular.as_half_int(v))}
+            "str": str,
+            "half-int": lambda v: parse_scalar(float(angular.as_half_int(v)))}
 
 
 def _parse(kind, raw):
@@ -348,11 +334,10 @@ _READ_ORDER = ("scheme", *dict.fromkeys(
 # interrogation_time.
 _NOISE_READS = {"n_traj": True, "interrogation_time": False}
 
-_UNITS = {"frequency": "rad/s", "time": "s", "scalar": ""}
 # A sweep varies one numeric error_budget input.
 _SWEEP_KINDS = {f"error_budget.{key}": _KINDS[key]
                 for key in _PARAMETERS["error_budget"][None]
-                if _KINDS[key] in _UNITS}
+                if _KINDS[key] in _QUANTITIES}
 
 
 def callee(section: str, choice: str | None = None):
@@ -385,7 +370,7 @@ def call(name: str, choice, given: dict):
 
 def input_unit(name: str) -> str:
     """Unit of a parsed scenario input: "rad/s", "s" or "" (scalar)."""
-    return _UNITS[_KINDS[name]]
+    return _QUANTITIES[_KINDS[name]][0]
 
 
 def _section_fields(name: str, choice) -> dict:
@@ -504,11 +489,12 @@ def parse_scenario(data: dict) -> Scenario:
                         "amplitude error leaves no Jz-dark pair for any "
                         "protocol to find; the error-budget protocol "
                         "models it (error_budget.epsilon)")
-    if read.get("noise", {}).get("kind") == "ornstein-uhlenbeck" \
-            and "tau_c" not in read["noise"]:
-        # tau_c defaults to None, which only the quasi-static kind takes.
-        problems.append("scenario.noise.tau_c: required for "
-                        "ornstein-uhlenbeck (time)")
+    if "noise" in read and not any(re.match(r"scenario\.noise\b", p)
+                                   for p in problems):
+        try:  # NoiseProcess's own checks: sigma >= 0, an OU tau_c > 0
+            noise.NoiseProcess(**read["noise"])
+        except ValueError as exc:
+            problems.append(f"scenario.noise: {exc}")
     if protocol == "error-budget":
         # total_budget builds its own ca40_dp reference scheme.
         if scheme.get("preset", "ca40_dp") != "ca40_dp":

@@ -224,3 +224,8 @@ def test_as_half_int_coercions():
     assert as_half_int(2) == Fraction(2)
     with pytest.raises(ValueError):
         as_half_int(0.3)
+    # a value whose double is past the float range, and a zero
+    # denominator, raise ValueError like any other bad quantum number
+    for value in (math.inf, math.nan, 1e308, 10**400, "1e400", "3/0"):
+        with pytest.raises(ValueError, match="finite|zero denominator"):
+            as_half_int(value)

@@ -3,7 +3,7 @@ function parameter is read in its function, every module-level private
 name is referenced somewhere in the package, and importing the CLI, fitting
 decays, taking a gate's logarithm, sampling a Raman gate stroboscopically
 or stepping a Lindbladian loads no scipy, and importing the CLI leaves
-numpy.random unloaded.
+numpy.random unloaded; the package exports the one hyperfine builder.
 
 No linter ships with the project, so this parses the sources with ``ast``.
 A name counts as used when the module reads it, lists it in ``__all__``
@@ -288,3 +288,14 @@ def test_raman_gates_and_lindblad_steps_load_no_scipy(tmp_path, run):
     # expm) are numpy only, so Raman gate runs and Lindblad decays never
     # pay scipy's import either
     assert _scipy_loaded_by(_run_code(tmp_path, run)) == []
+
+
+def test_package_exports_the_hyperfine_builder():
+    # levels.hyperfine builds every hyperfine scheme from its nuclear spin,
+    # so the package exports it beside its two fixed-spin wrappers
+    import darkqubit
+    from darkqubit import levels
+
+    assert darkqubit.hyperfine is levels.hyperfine
+    assert {"hyperfine", "hyperfine_f1f2", "hyperfine_f0f1"} <= \
+        set(darkqubit.__all__)

@@ -64,6 +64,14 @@ def test_parse_time_grammar():
         parse_time("3 MHz")
 
 
+def test_unit_messages_name_the_unit_or_the_2pi_prefix():
+    with pytest.raises(ValueError, match="unknown frequency unit 'parsec'"):
+        parse_frequency("3 parsec")
+    with pytest.raises(ValueError,
+                       match="2pi prefix makes no sense for a time"):
+        parse_time("2pi*1 s")
+
+
 def test_parse_scalar_grammar():
     assert parse_scalar(0.05) == 0.05
     assert parse_scalar("1e-3") == 1e-3
@@ -84,9 +92,11 @@ UNIT_FAMILIES = {
 }
 
 
-def _spelled(digits: int, exponent: int, unit: str, power: int) -> str:
-    """digits * 10**exponent base units, written as a plain decimal in unit."""
-    return f"{Decimal(digits).scaleb(exponent - power):f} {unit}"
+def _spelled(digits: int, exponent: int, unit: str, power: int,
+             notation: str = "f") -> str:
+    """digits * 10**exponent base units, written in unit as a plain decimal
+    (notation "f") or with an exponent ("e")."""
+    return f"{Decimal(digits).scaleb(exponent - power):{notation}} {unit}"
 
 
 def _scenario_with(field, text):
@@ -101,21 +111,37 @@ def _scenario_with(field, text):
     return parse_scenario(data)
 
 
+def _finite_or_rejected(parse, text):
+    """The parsed value, which must be finite, or None if it overflowed."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        assert "expected a finite number" in str(exc), (text, exc)
+        return None
+    assert math.isfinite(value), text
+    return value
+
+
 @settings(max_examples=300, deadline=None)
 @given(family=st.sampled_from(sorted(UNIT_FAMILIES)),
-       digits=st.integers(1, 10**9), exponent=st.integers(-12, 12),
+       digits=st.integers(1, 10**9),
+       exponent=st.one_of(st.integers(-12, 12), st.integers(295, 320)),
        data=st.data())
 def test_unit_spelling_does_not_change_value_or_hash(family, digits, exponent,
                                                      data):
-    # "341.992 MHz" and "341992 kHz" are one quantity: same float, same hash
+    # "341.992 MHz" and "341992 kHz" are one quantity: same float, same
+    # hash; one past the float range ("1e400 Hz", "1e394 MHz") is rejected
+    # in every spelling
     parse, field, units = UNIT_FAMILIES[family]
-    (unit_a, power_a), (unit_b, power_b) = (
-        data.draw(st.sampled_from(units)) for _ in range(2))
-    text_a = _spelled(digits, exponent, unit_a, power_a)
-    text_b = _spelled(digits, exponent, unit_b, power_b)
-    assert parse(text_a) == parse(text_b), (text_a, text_b)
-    assert _scenario_with(field, text_a).hash() == \
-        _scenario_with(field, text_b).hash()
+    text_a, text_b = (_spelled(digits, exponent,
+                               *data.draw(st.sampled_from(units)),
+                               data.draw(st.sampled_from("fe")))
+                      for _ in range(2))
+    value = _finite_or_rejected(parse, text_a)
+    assert _finite_or_rejected(parse, text_b) == value, (text_a, text_b)
+    if value is not None:
+        assert _scenario_with(field, text_a).hash() == \
+            _scenario_with(field, text_b).hash()
 
 
 def _analyze_data(**over):
@@ -1048,6 +1074,48 @@ def test_cli_rejects_yaml_non_finite_numbers(tmp_path, capsys, line, bad,
     assert not out.exists()
 
 
+HYPERFINE_ANALYZE_YAML = ANALYZE_YAML.replace(
+    "preset: ca40_dp", "preset: hyperfine\n  nuclear_spin: 3.5").replace(
+    "kind: compact", "kind: hyperfine").replace("b: 0.3", "b: 100.0")
+
+
+@pytest.mark.parametrize("command, text, old, new, field", [
+    ("evolve", EVOLVE_YAML, "omega: 1.0", 'omega: "1e400 Hz"',
+     "construction.omega"),
+    ("evolve", EVOLVE_YAML, "b: 0.3", 'b: "2pi*1e400 MHz"',
+     "construction.b"),
+    # YAML 1.1 reads an exponent without a dot or sign as a string
+    ("evolve", EVOLVE_YAML, "b: 0.3", "b: 1e400", "construction.b"),
+    ("evolve", EVOLVE_YAML, "duration: 5.0", 'duration: "1e400 s"',
+     "evolve.duration"),
+    ("evolve", EVOLVE_YAML, "protocol: evolve", "protocol: evolve\nseed: .inf",
+     "seed"),
+    ("evolve", EVOLVE_YAML, "points: 60", "points: .inf", "evolve.points"),
+    ("error-budget", BUDGET_YAML, "num: 3", "num: .inf", "sweep.num"),
+    ("analyze", HYPERFINE_ANALYZE_YAML, "nuclear_spin: 3.5",
+     "nuclear_spin: .inf", "scheme.nuclear_spin"),
+    ("analyze", HYPERFINE_ANALYZE_YAML, "nuclear_spin: 3.5",
+     'nuclear_spin: "3/0"', "scheme.nuclear_spin"),
+    # 2**53 + 1 has no float of its own, so quoted it would become 2**53
+    ("evolve", EVOLVE_YAML, "protocol: evolve",
+     'protocol: evolve\nseed: "9007199254740993"', "seed"),
+], ids=["hz", "2pi-mhz", "bare-string", "time", "seed", "points", "num",
+        "nuclear-spin", "nuclear-spin-ratio", "seed-past-2**53"])
+def test_cli_rejects_numbers_that_overflow_with_their_field(
+        tmp_path, capsys, command, text, old, new, field):
+    # each used to become inf and fail later with an unrelated message, or
+    # crash with an OverflowError traceback
+    assert old in text
+    code, out = _run(tmp_path, "overflow", text.replace(old, new), command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert len(problems) == 1 and \
+        problems[0].startswith(f"  - scenario.{field}: "), err
+    assert not (out / "summary.json").exists()
+
+
 def test_ou_evolve_on_a_grid_coarser_than_tau_c_exits_2(tmp_path, capsys):
     # 20 points over 5.0 step by 0.263, above tau_c = 0.25
     text = OU_EVOLVE_YAML.replace("tau_c: 2.0", "tau_c: 0.25")
@@ -1058,14 +1126,19 @@ def test_ou_evolve_on_a_grid_coarser_than_tau_c_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("yaml_text, problem", [
     (OU_EVOLVE_YAML.replace("  tau_c: 2.0\n", ""),
-     "scenario.noise.tau_c: required for ornstein-uhlenbeck (time)"),
+     "scenario.noise: ornstein-uhlenbeck needs a finite tau_c > 0"),
     (ANALYZE_YAML + "analyze:\n  depth: 2\n",
      "scenario.analyze.depth: unknown key"),
-], ids=["ou-without-tau_c", "analyze-key"])
+    (OU_EVOLVE_YAML.replace("tau_c: 2.0", "tau_c: -1.0"),
+     "scenario.noise: ornstein-uhlenbeck needs a finite tau_c > 0"),
+    (OU_EVOLVE_YAML.replace("sigma: 0.5", "sigma: -0.5"),
+     "scenario.noise: sigma must be finite and nonnegative"),
+], ids=["ou-without-tau_c", "analyze-key", "ou-negative-tau_c",
+        "negative-sigma"])
 def test_noise_and_analyze_sections_report_their_own_problem(yaml_text,
                                                              problem):
-    # an OU process has no correlation time to default to, and the
-    # analyze section takes no key at all
+    # an OU process has no correlation time to default to, NoiseProcess's
+    # own checks run at parse time, and the analyze section takes no key
     with pytest.raises(ScenarioError) as err:
         parse_scenario(yaml.safe_load(yaml_text))
     assert err.value.problems == (problem,)
